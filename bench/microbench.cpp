@@ -225,6 +225,25 @@ void BM_PopStepModel(benchmark::State& state) {
 }
 BENCHMARK(BM_PopStepModel);
 
+// BM_PopStepModel repeats one shape, so after the first iteration it times a
+// memo hit. This one walks the Fig. 4 block-size range without repeating a
+// shape (398k of them), so every call builds its decomposition.
+void BM_PopStepModelCold(benchmark::State& state) {
+  const minipop::PopGrid grid = minipop::PopGrid::production();
+  const minipop::PopModel model(grid);
+  const auto machine = simcluster::presets::nersc_sp3(60, 8);
+  const auto space = minipop::make_param_space(32);
+  const auto mult =
+      minipop::evaluate_multipliers(space, minipop::default_config(space));
+  int k = 0;
+  for (auto _ : state) {
+    const minipop::BlockShape shape{30 + k % 691, 24 + (k / 691) % 577};
+    ++k;
+    benchmark::DoNotOptimize(model.step_time(machine, 8, shape, mult).total_s);
+  }
+}
+BENCHMARK(BM_PopStepModelCold);
+
 void BM_Gs2StepModel(benchmark::State& state) {
   const minigs2::Gs2Model model;
   const auto machine = simcluster::presets::seaborg(8, 16);

@@ -274,16 +274,19 @@ std::vector<double> NelderMead::centroid_excluding_worst() const {
 }
 
 double NelderMead::simplex_diameter() const {
+  // Chebyshev diameter as the largest per-dimension spread (max - min), in
+  // O(vertices x dims) instead of comparing every pair of vertices. It equals
+  // the pairwise maximum bit for bit, because rounded subtraction is monotone.
+  if (simplex_.empty()) return 0.0;
   double d = 0.0;
-  for (std::size_t a = 0; a < simplex_.size(); ++a) {
-    for (std::size_t b = a + 1; b < simplex_.size(); ++b) {
-      double dist = 0.0;
-      for (std::size_t i = 0; i < simplex_[a].coords.size(); ++i) {
-        dist = std::max(dist,
-                        std::abs(simplex_[a].coords[i] - simplex_[b].coords[i]));
-      }
-      d = std::max(d, dist);
+  for (std::size_t i = 0; i < simplex_.front().coords.size(); ++i) {
+    double lo = simplex_.front().coords[i];
+    double hi = lo;
+    for (const auto& v : simplex_) {
+      lo = std::min(lo, v.coords[i]);
+      hi = std::max(hi, v.coords[i]);
     }
+    d = std::max(d, hi - lo);
   }
   return d;
 }

@@ -17,6 +17,73 @@ const char* to_string(Distribution d) {
   return "?";
 }
 
+namespace {
+
+/// Rank of each ocean block (in column-major order, with `pts` its ocean
+/// points) under one concrete distribution policy.
+std::vector<int> assign_blocks(Distribution dist,
+                               const std::vector<std::int64_t>& pts, int nranks,
+                               std::int64_t total_ocean) {
+  const std::size_t n = pts.size();
+  const auto ranks = static_cast<std::size_t>(nranks);
+  std::vector<int> assign(n);
+  switch (dist) {
+    case Distribution::Cartesian:
+      // Equal block counts per rank (POP "cartesian").
+      for (std::size_t pos = 0; pos < n; ++pos) {
+        assign[pos] = static_cast<int>(pos * ranks / n);
+      }
+      break;
+    case Distribution::RakeWork: {
+      // Equal ocean work per rank (POP "rake"), still contiguous.
+      const double target = static_cast<double>(total_ocean) / nranks;
+      std::int64_t cum = 0;
+      int rank = 0;
+      for (std::size_t pos = 0; pos < n; ++pos) {
+        const double mid =
+            static_cast<double>(cum) + 0.5 * static_cast<double>(pts[pos]);
+        while (rank + 1 < nranks && mid >= target * (rank + 1)) ++rank;
+        assign[pos] = rank;
+        cum += pts[pos];
+      }
+      break;
+    }
+    case Distribution::RoundRobin:
+      // Round-robin deal (POP "rake across processors") — decorrelates
+      // neighboring blocks' ocean content, so multiple small blocks per rank
+      // average out the coastline at the cost of halo locality.
+      for (std::size_t pos = 0; pos < n; ++pos) {
+        assign[pos] = static_cast<int>(pos % ranks);
+      }
+      break;
+    case Distribution::Balanced: {
+      // Least-loaded greedy (largest block to the emptiest rank) — the
+      // space-filling-curve/balanced option of POP's distribution suite.
+      // Balance is near-perfect once ranks hold several blocks, at the price
+      // of halo locality (neighbours scatter across ranks).
+      std::vector<std::size_t> order(n);
+      for (std::size_t i = 0; i < n; ++i) order[i] = i;
+      std::sort(order.begin(), order.end(),
+                [&](std::size_t a, std::size_t b) { return pts[a] > pts[b]; });
+      using Load = std::pair<std::int64_t, int>;  // (points, rank)
+      std::priority_queue<Load, std::vector<Load>, std::greater<>> heap;
+      for (int r = 0; r < nranks; ++r) heap.emplace(0, r);
+      for (const std::size_t pos : order) {
+        auto [load, r] = heap.top();
+        heap.pop();
+        assign[pos] = r;
+        heap.emplace(load + pts[pos], r);
+      }
+      break;
+    }
+    case Distribution::Auto:
+      throw std::logic_error("assign_blocks: Auto is not a concrete policy");
+  }
+  return assign;
+}
+
+}  // namespace
+
 BlockDecomposition::BlockDecomposition(const PopGrid& grid, BlockShape shape,
                                        int nranks, Distribution dist)
     : shape_(shape), dist_(dist), nranks_(nranks) {
@@ -44,16 +111,17 @@ BlockDecomposition::BlockDecomposition(const PopGrid& grid, BlockShape shape,
     }
   }
 
-  // Eliminate all-land blocks; deal the surviving ocean blocks to ranks in
-  // contiguous column-major runs balanced by ocean *work* (POP's rake-style
-  // distribution). Work is quantized in whole blocks, so the residual
-  // imbalance is roughly one block's worth of points over the per-rank mean
-  // — the mechanism that makes block size a load-balance knob.
+  // Eliminate all-land blocks, then deal the surviving ocean blocks to ranks.
+  // Work is quantized in whole blocks, so the residual imbalance is roughly
+  // one block's worth of points over the per-rank mean — the mechanism that
+  // makes block size a load-balance knob.
   std::vector<std::size_t> ocean_idx;
+  std::vector<std::int64_t> ocean_pts;
   std::int64_t total_ocean = 0;
   for (std::size_t k = 0; k < blocks_.size(); ++k) {
     if (blocks_[k].ocean_points > 0) {
       ocean_idx.push_back(k);
+      ocean_pts.push_back(blocks_[k].ocean_points);
       total_ocean += blocks_[k].ocean_points;
     }
   }
@@ -61,90 +129,38 @@ BlockDecomposition::BlockDecomposition(const PopGrid& grid, BlockShape shape,
   if (ocean_blocks_ == 0) {
     throw std::invalid_argument("BlockDecomposition: grid is all land");
   }
-  // Candidate A: equal block counts per rank (POP "cartesian").
-  std::vector<int> by_count(ocean_idx.size());
-  for (std::size_t pos = 0; pos < ocean_idx.size(); ++pos) {
-    by_count[pos] = static_cast<int>(pos * static_cast<std::size_t>(nranks_) /
-                                     ocean_idx.size());
-  }
-  // Candidate B: equal ocean work per rank (POP "rake"), still contiguous.
-  std::vector<int> by_work(ocean_idx.size());
-  const double target = static_cast<double>(total_ocean) / nranks_;
-  std::int64_t cum = 0;
-  int rank = 0;
-  for (std::size_t pos = 0; pos < ocean_idx.size(); ++pos) {
-    const auto pts = blocks_[ocean_idx[pos]].ocean_points;
-    const double mid = static_cast<double>(cum) + 0.5 * static_cast<double>(pts);
-    while (rank + 1 < nranks_ && mid >= target * (rank + 1)) ++rank;
-    by_work[pos] = rank;
-    cum += pts;
-  }
-  // Candidate C: round-robin deal (POP "rake across processors") —
-  // decorrelates neighboring blocks' ocean content, so multiple small blocks
-  // per rank average out the coastline at the cost of halo locality.
-  std::vector<int> by_rake(ocean_idx.size());
-  for (std::size_t pos = 0; pos < ocean_idx.size(); ++pos) {
-    by_rake[pos] = static_cast<int>(pos % static_cast<std::size_t>(nranks_));
-  }
-  // Candidate D: least-loaded greedy (largest block to the emptiest rank) —
-  // the space-filling-curve/balanced option of POP's distribution suite.
-  // Balance is near-perfect once ranks hold several blocks, at the price of
-  // halo locality (neighbours scatter across ranks).
-  std::vector<int> by_lpt(ocean_idx.size());
-  {
-    std::vector<std::size_t> order(ocean_idx.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return blocks_[ocean_idx[a]].ocean_points > blocks_[ocean_idx[b]].ocean_points;
-    });
-    using Load = std::pair<std::int64_t, int>;  // (points, rank)
-    std::priority_queue<Load, std::vector<Load>, std::greater<>> heap;
-    for (int r = 0; r < nranks_; ++r) heap.emplace(0, r);
-    for (const std::size_t pos : order) {
-      auto [load, r] = heap.top();
-      heap.pop();
-      by_lpt[pos] = r;
-      heap.emplace(load + blocks_[ocean_idx[pos]].ocean_points, r);
-    }
-  }
-  // Keep whichever assignment balances better (POP lets the user pick its
-  // distribution; the better one is what a tuned run would use).
-  const auto imbalance_of = [&](const std::vector<int>& assign) {
-    std::vector<std::int64_t> per_rank(static_cast<std::size_t>(nranks_), 0);
-    for (std::size_t pos = 0; pos < ocean_idx.size(); ++pos) {
-      per_rank[static_cast<std::size_t>(assign[pos])] +=
-          blocks_[ocean_idx[pos]].ocean_points;
-    }
-    std::int64_t max_p = 0;
-    for (const auto p : per_rank) max_p = std::max(max_p, p);
-    return static_cast<double>(max_p) * nranks_ / static_cast<double>(total_ocean);
-  };
-  const auto* chosen = &by_count;
-  switch (dist_) {
-    case Distribution::Cartesian: chosen = &by_count; break;
-    case Distribution::RakeWork: chosen = &by_work; break;
-    case Distribution::RoundRobin: chosen = &by_rake; break;
-    case Distribution::Balanced: chosen = &by_lpt; break;
-    case Distribution::Auto: {
-      double best_imb = imbalance_of(by_count);
-      dist_ = Distribution::Cartesian;
-      const std::pair<const std::vector<int>*, Distribution> cands[] = {
-          {&by_work, Distribution::RakeWork},
-          {&by_rake, Distribution::RoundRobin},
-          {&by_lpt, Distribution::Balanced}};
-      for (const auto& [cand, kind] : cands) {
-        const double imb = imbalance_of(*cand);
-        if (imb < best_imb - 1e-9) {
-          best_imb = imb;
-          chosen = cand;
-          dist_ = kind;
-        }
+  // Only the requested assignment is built; Auto builds all four and keeps
+  // whichever balances better (POP lets the user pick its distribution; the
+  // better one is what a tuned run would use).
+  std::vector<int> chosen;
+  if (dist_ == Distribution::Auto) {
+    const auto imbalance_of = [&](const std::vector<int>& assign) {
+      std::vector<std::int64_t> per_rank(static_cast<std::size_t>(nranks_), 0);
+      for (std::size_t pos = 0; pos < assign.size(); ++pos) {
+        per_rank[static_cast<std::size_t>(assign[pos])] += ocean_pts[pos];
       }
-      break;
+      std::int64_t max_p = 0;
+      for (const auto p : per_rank) max_p = std::max(max_p, p);
+      return static_cast<double>(max_p) * nranks_ / static_cast<double>(total_ocean);
+    };
+    chosen = assign_blocks(Distribution::Cartesian, ocean_pts, nranks_, total_ocean);
+    double best_imb = imbalance_of(chosen);
+    dist_ = Distribution::Cartesian;
+    for (const auto kind : {Distribution::RakeWork, Distribution::RoundRobin,
+                            Distribution::Balanced}) {
+      auto cand = assign_blocks(kind, ocean_pts, nranks_, total_ocean);
+      const double imb = imbalance_of(cand);
+      if (imb < best_imb - 1e-9) {
+        best_imb = imb;
+        chosen = std::move(cand);
+        dist_ = kind;
+      }
     }
+  } else {
+    chosen = assign_blocks(dist_, ocean_pts, nranks_, total_ocean);
   }
   for (std::size_t pos = 0; pos < ocean_idx.size(); ++pos) {
-    blocks_[ocean_idx[pos]].rank = (*chosen)[pos];
+    blocks_[ocean_idx[pos]].rank = chosen[pos];
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 namespace minipop {
 
@@ -13,16 +15,23 @@ PopGrid::PopGrid(int nx, int ny, int depth_levels) : nx_(nx), ny_(ny), kz_(depth
   stride_ = std::max(1, std::min(nx_, ny_) / 600);
   cnx_ = (nx_ + stride_ - 1) / stride_;
   cny_ = (ny_ + stride_ - 1) / stride_;
+  if (static_cast<std::int64_t>(cnx_) * cny_ >
+      std::numeric_limits<std::int32_t>::max()) {
+    throw std::invalid_argument("PopGrid: too many coarse cells");
+  }
   prefix_.assign(static_cast<std::size_t>(cnx_ + 1) * (cny_ + 1), 0);
   for (int cj = 0; cj < cny_; ++cj) {
     for (int ci = 0; ci < cnx_; ++ci) {
       const int i = std::min(nx_ - 1, ci * stride_ + stride_ / 2);
       const int j = std::min(ny_ - 1, cj * stride_ + stride_ / 2);
       const std::int64_t cell = is_ocean(i, j) ? 1 : 0;
-      const auto at = [this](int a, int b) -> std::int64_t& {
+      const auto at = [this](int a, int b) -> std::int32_t& {
         return prefix_[static_cast<std::size_t>(b) * (cnx_ + 1) + a];
       };
-      at(ci + 1, cj + 1) = cell + at(ci, cj + 1) + at(ci + 1, cj) - at(ci, cj);
+      // Summed in 64 bits: the two overlapping terms may exceed 32 bits
+      // before the subtraction brings the total back under the cell count.
+      at(ci + 1, cj + 1) = static_cast<std::int32_t>(cell + at(ci, cj + 1) +
+                                                     at(ci + 1, cj) - at(ci, cj));
     }
   }
 }

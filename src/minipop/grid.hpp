@@ -48,7 +48,10 @@ class PopGrid {
   int stride_ = 4;
   int cnx_ = 0;
   int cny_ = 0;
-  std::vector<std::int64_t> prefix_;  // (cnx_+1) x (cny_+1), row-major in j
+  // (cnx_+1) x (cny_+1), row-major in j. Entries count coarse cells, so 32
+  // bits suffice (checked at construction) and halve the largest allocation
+  // of a production-grid model.
+  std::vector<std::int32_t> prefix_;
 };
 
 }  // namespace minipop

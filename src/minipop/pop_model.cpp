@@ -10,6 +10,47 @@ namespace minipop {
 PopModel::PopModel(const PopGrid& grid, PopCostModel cost, IoModel io)
     : grid_(&grid), cost_(cost), io_(io) {}
 
+std::shared_ptr<const PopModel::ShapeSummary> PopModel::summary(
+    BlockShape block, int nranks, int ranks_per_node, Distribution dist) const {
+  const MemoKey key{block.bx, block.by, nranks, ranks_per_node, dist};
+  {
+    const std::lock_guard lock(memo_mu_);
+    for (auto& e : memo_) {
+      if (e.summary && e.key == key) {
+        e.last_use = ++memo_clock_;
+        return e.summary;
+      }
+    }
+  }
+
+  // Built outside the lock, so concurrent misses on other shapes overlap.
+  const BlockDecomposition decomp(*grid_, block, nranks, dist);
+  auto s = std::make_shared<ShapeSummary>();
+  s->inefficiency = decomp.compute_inefficiency();
+  s->computed_points = decomp.computed_points_per_rank();
+  s->blocks = decomp.blocks_per_rank();
+  for (const int b : s->blocks) {
+    s->max_blocks = std::max(s->max_blocks, static_cast<double>(b));
+  }
+  s->halo = decomp.halo_stats(ranks_per_node);
+
+  const std::lock_guard lock(memo_mu_);
+  // Reuse the key's entry if a concurrent miss already filled it, else evict
+  // the least recently used (empty entries have last_use 0).
+  MemoEntry* victim = &memo_.front();
+  for (auto& e : memo_) {
+    if (e.summary && e.key == key) {
+      victim = &e;
+      break;
+    }
+    if (e.last_use < victim->last_use) victim = &e;
+  }
+  victim->key = key;
+  victim->summary = s;
+  victim->last_use = ++memo_clock_;
+  return s;
+}
+
 PopStepReport PopModel::step_time(const simcluster::Machine& machine,
                                   int ranks_per_node, BlockShape block,
                                   const PhaseMultipliers& mult,
@@ -17,9 +58,9 @@ PopStepReport PopModel::step_time(const simcluster::Machine& machine,
   const int nranks = machine.total_cpus();
   if (ranks_per_node < 1) throw std::invalid_argument("step_time: bad ppn");
 
-  const BlockDecomposition decomp(*grid_, block, nranks, dist);
+  const auto shape = summary(block, nranks, ranks_per_node, dist);
   PopStepReport rep;
-  rep.imbalance = decomp.compute_inefficiency();
+  rep.imbalance = shape->inefficiency;
 
   // --- Baroclinic 3-D update: slowest rank gates the step. Blocks compute
   // their full extent (land is masked inside the loops, not skipped), so the
@@ -27,22 +68,25 @@ PopStepReport PopModel::step_time(const simcluster::Machine& machine,
   const double phase_mult = cost_.momentum_share * mult.momentum +
                             cost_.tracer_share * mult.tracer +
                             cost_.state_share * mult.state + cost_.other_share;
-  const auto pts = decomp.computed_points_per_rank();
-  const auto blocks = decomp.blocks_per_rank();
+  const auto& pts = shape->computed_points;
+  const auto& blocks = shape->blocks;
   double max_t = 0.0;
-  for (int r = 0; r < nranks; ++r) {
-    const double flops =
-        static_cast<double>(pts[static_cast<std::size_t>(r)]) *
-            grid_->depth_levels() * cost_.flops_per_point_level * phase_mult +
-        static_cast<double>(blocks[static_cast<std::size_t>(r)]) *
-            grid_->depth_levels() * cost_.block_overhead_flops;
-    max_t = std::max(max_t, flops / (cost_.ref_flops_per_s * machine.rank_speed(r)));
+  for (const auto& node : machine.nodes()) {
+    const double rate = cost_.ref_flops_per_s * node.speed;
+    for (int r = node.first_rank; r < node.first_rank + node.cpus; ++r) {
+      const double flops =
+          static_cast<double>(pts[static_cast<std::size_t>(r)]) *
+              grid_->depth_levels() * cost_.flops_per_point_level * phase_mult +
+          static_cast<double>(blocks[static_cast<std::size_t>(r)]) *
+              grid_->depth_levels() * cost_.block_overhead_flops;
+      max_t = std::max(max_t, flops / rate);
+    }
   }
   rep.baroclinic_s = max_t;
 
   // --- Halo exchange: per-rank average traffic, one exchange per level
   // bundle (POP aggregates levels into one message). ---
-  const auto halo = decomp.halo_stats(ranks_per_node);
+  const auto& halo = shape->halo;
   const auto& net = machine.network();
   const double levels = grid_->depth_levels();
   const double ghost = cost_.ghost_width;
@@ -58,9 +102,7 @@ PopStepReport PopModel::step_time(const simcluster::Machine& machine,
       to_bytes * static_cast<double>(halo.max_rank_inter_points);
   // Each exchange posts ~4 messages per owned block (N/S/E/W).
   const int exchanges = cost_.halo_exchanges_per_step;
-  double max_blocks = 0.0;
-  for (const int b : blocks) max_blocks = std::max(max_blocks, static_cast<double>(b));
-  const double msgs = 4.0 * max_blocks;
+  const double msgs = 4.0 * shape->max_blocks;
   rep.halo_s = exchanges * (msgs * net.inter_latency_s +
                             avg_intra_bytes / net.intra_bandwidth_Bps +
                             avg_inter_bytes / net.inter_bandwidth_Bps +

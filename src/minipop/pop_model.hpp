@@ -17,6 +17,18 @@
 ///
 /// The knobs are exactly the paper's: block size (Fig. 4), node topology
 /// (CPUs per node), and the namelist parameters (Tables I/II).
+///
+/// A search changes the namelist parameters far more often than the block
+/// shape, so PopModel memoizes what step_time reads from a decomposition per
+/// (block shape, ranks, ranks per node, distribution) in a small fixed-size,
+/// thread-safe memo. Machine speeds are applied after the lookup.
+
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <vector>
 
 #include "minipop/blocks.hpp"
 #include "minipop/grid.hpp"
@@ -75,10 +87,44 @@ class PopModel {
   [[nodiscard]] const PopCostModel& cost() const noexcept { return cost_; }
   [[nodiscard]] const IoModel& io() const noexcept { return io_; }
 
+  /// The decomposition memo holds this many shapes and evicts the least
+  /// recently used one.
+  static constexpr std::size_t kMemoEntries = 64;
+
  private:
+  /// What step_time reads from one decomposition; independent of the
+  /// machine's CPU speeds and of the namelist parameters.
+  struct ShapeSummary {
+    double inefficiency = 1.0;
+    std::vector<std::int64_t> computed_points;  ///< per rank
+    std::vector<int> blocks;                    ///< per rank
+    double max_blocks = 0.0;
+    BlockDecomposition::HaloStats halo;
+  };
+
+  struct MemoKey {
+    int bx, by, nranks, ranks_per_node;
+    Distribution dist;
+    bool operator==(const MemoKey&) const = default;
+  };
+
+  struct MemoEntry {
+    MemoKey key{};
+    std::shared_ptr<const ShapeSummary> summary;
+    std::uint64_t last_use = 0;
+  };
+
+  [[nodiscard]] std::shared_ptr<const ShapeSummary> summary(
+      BlockShape block, int nranks, int ranks_per_node, Distribution dist) const;
+
   const PopGrid* grid_;
   PopCostModel cost_;
   IoModel io_;
+  // Scanned linearly under one mutex, which makes PopModel neither copyable
+  // nor movable.
+  mutable std::mutex memo_mu_;
+  mutable std::array<MemoEntry, kMemoEntries> memo_{};
+  mutable std::uint64_t memo_clock_ = 0;
 };
 
 }  // namespace minipop

@@ -1,5 +1,6 @@
 #include "simcluster/collectives.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -66,11 +67,8 @@ double alltoall_time(const Machine& m, int nranks, double bytes_per_pair) {
   // Each rank exchanges with P-1 peers; messages to on-node peers ride the
   // fast link. Estimate the per-rank serialized cost using the mix of intra
   // and inter-node peers of rank 0 (placement is node-major and symmetric
-  // enough for a cost model).
-  int intra_peers = 0;
-  for (int r = 1; r < nranks; ++r) {
-    if (m.same_node(0, r)) ++intra_peers;
-  }
+  // enough for a cost model). Node 0 hosts ranks [0, cpus).
+  const int intra_peers = std::min(m.nodes().front().cpus, nranks) - 1;
   const int inter_peers = nranks - 1 - intra_peers;
   const auto& net = m.network();
   return intra_peers * net.transfer_time(bytes_per_pair, true) +

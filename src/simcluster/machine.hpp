@@ -69,6 +69,20 @@ class Machine {
   /// Relative speed of the CPU hosting this rank.
   [[nodiscard]] double rank_speed(int rank) const;
 
+  /// One node of the layout: it hosts ranks [first_rank, first_rank + cpus).
+  struct ResolvedNode {
+    int first_rank;
+    int cpus;
+    double speed;
+    std::size_t group;
+  };
+
+  /// Every node in rank order, for loops over all ranks that would otherwise
+  /// search for each rank's node.
+  [[nodiscard]] const std::vector<ResolvedNode>& nodes() const noexcept {
+    return nodes_;
+  }
+
   /// CPU family name for this rank (may be empty).
   [[nodiscard]] const std::string& rank_cpu_name(int rank) const;
 
@@ -85,13 +99,6 @@ class Machine {
   [[nodiscard]] bool is_homogeneous() const;
 
  private:
-  struct ResolvedNode {
-    int first_rank;
-    int cpus;
-    double speed;
-    std::size_t group;
-  };
-
   void rebuild_index();
 
   NetworkSpec network_;

@@ -95,6 +95,57 @@ TEST(Blocks, AutoResolvesToConcretePolicy) {
   EXPECT_NE(d.distribution(), Distribution::Auto);
 }
 
+// Auto builds all four assignments and keeps the best balanced one; an
+// explicit policy builds only its own. The cases are the shapes the tests
+// above use plus one for each policy Auto rarely picks; `resolved` is what
+// Auto picked when every constructor built all four candidates.
+struct AutoCase {
+  int bx, by, nranks;
+  Distribution resolved;
+};
+const AutoCase kAutoCases[] = {
+    {90, 60, 16, Distribution::Balanced},   {500, 300, 4, Distribution::Cartesian},
+    {30, 20, 16, Distribution::Balanced},   {90, 60, 7, Distribution::Balanced},
+    {90, 60, 12, Distribution::RakeWork},   {60, 60, 10, Distribution::Balanced},
+    {60, 40, 10, Distribution::Balanced},   {45, 30, 8, Distribution::Balanced},
+    {90, 60, 4, Distribution::Balanced},    {45, 30, 6, Distribution::Balanced},
+    {240, 160, 6, Distribution::Balanced},  {37, 53, 6, Distribution::Balanced},
+    {90, 60, 6, Distribution::RakeWork},    {37, 160, 3, Distribution::Cartesian},
+    {45, 80, 4, Distribution::RakeWork},    {90, 160, 2, Distribution::RoundRobin},
+    {180, 20, 2, Distribution::RoundRobin},
+};
+
+TEST(Blocks, AutoResolutionUnchanged) {
+  for (const auto& c : kAutoCases) {
+    const BlockDecomposition d(small_grid(), {c.bx, c.by}, c.nranks,
+                               Distribution::Auto);
+    EXPECT_EQ(d.distribution(), c.resolved)
+        << c.bx << "x" << c.by << " on " << c.nranks << " ranks";
+  }
+}
+
+TEST(Blocks, ExplicitPolicyMatchesAutoResolution) {
+  int policies_seen = 0;
+  for (const auto dist : {Distribution::Cartesian, Distribution::RakeWork,
+                          Distribution::RoundRobin, Distribution::Balanced}) {
+    bool seen = false;
+    for (const auto& c : kAutoCases) {
+      const BlockDecomposition aut(small_grid(), {c.bx, c.by}, c.nranks,
+                                   Distribution::Auto);
+      if (aut.distribution() != dist) continue;
+      seen = true;
+      const BlockDecomposition exp(small_grid(), {c.bx, c.by}, c.nranks, dist);
+      ASSERT_EQ(exp.blocks().size(), aut.blocks().size());
+      for (std::size_t k = 0; k < exp.blocks().size(); ++k) {
+        EXPECT_EQ(exp.blocks()[k].rank, aut.blocks()[k].rank)
+            << to_string(dist) << " " << c.bx << "x" << c.by << " block " << k;
+      }
+    }
+    policies_seen += seen ? 1 : 0;
+  }
+  EXPECT_EQ(policies_seen, 4);
+}
+
 TEST(Blocks, BalancedBeatsCartesianOnManyBlocks) {
   // With several blocks per rank, the least-loaded greedy cannot be worse.
   const BlockDecomposition cart(small_grid(), {45, 30}, 8, Distribution::Cartesian);

@@ -101,6 +101,8 @@ TEST(PopGridTest, OceanPointsNeverExceedArea) {
 TEST(PopGridTest, BadShapeThrows) {
   EXPECT_THROW(PopGrid(0, 10), std::invalid_argument);
   EXPECT_THROW(PopGrid(10, 10, 0), std::invalid_argument);
+  // Stride 1, so 599 x 3.6M coarse cells: more than 32-bit prefix sums hold.
+  EXPECT_THROW(PopGrid(599, 3'600'000), std::invalid_argument);
 }
 
 }  // namespace

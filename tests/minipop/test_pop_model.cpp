@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "simcluster/presets.hpp"
 
 namespace {
@@ -134,6 +138,130 @@ TEST(PopModel, BadArgsThrow) {
                std::invalid_argument);
   EXPECT_THROW((void)model.run_time(m, 4, {180, 100}, defaults_mult(), 0),
                std::invalid_argument);
+}
+
+// --- Per-shape decomposition memo ---------------------------------------
+
+void expect_same(const PopStepReport& a, const PopStepReport& b,
+                 const std::string& what) {
+  EXPECT_EQ(a.total_s, b.total_s) << what;
+  EXPECT_EQ(a.baroclinic_s, b.baroclinic_s) << what;
+  EXPECT_EQ(a.halo_s, b.halo_s) << what;
+  EXPECT_EQ(a.barotropic_s, b.barotropic_s) << what;
+  EXPECT_EQ(a.forcing_s, b.forcing_s) << what;
+  EXPECT_EQ(a.io_s, b.io_s) << what;
+  EXPECT_EQ(a.imbalance, b.imbalance) << what;
+}
+
+const Distribution kAllDistributions[] = {
+    Distribution::Cartesian, Distribution::RakeWork, Distribution::RoundRobin,
+    Distribution::Balanced, Distribution::Auto};
+
+/// kMemoEntries large-block shapes no test below queries otherwise:
+/// evaluating them evicts every earlier key.
+std::vector<BlockShape> evicting_shapes() {
+  std::vector<BlockShape> out;
+  for (std::size_t i = 0; i < PopModel::kMemoEntries; ++i) {
+    out.push_back({600 + static_cast<int>(i), 777});
+  }
+  return out;
+}
+
+TEST(PopModel, MemoHitsAndEvictionsMatchColdBuild) {
+  const auto mult = defaults_mult();
+  // 30x24 and 720x600 are the Fig. 4 lattice corners; the rest do not divide
+  // the 3600x2400 grid, so they leave narrow edge blocks.
+  const BlockShape shapes[] = {{30, 24}, {720, 600}, {37, 53}, {250, 170}, {700, 1000}};
+  for (const int ppn : {2, 4, 8, 16}) {
+    const auto m = presets::nersc_sp3(480 / ppn, ppn);
+    for (const auto dist : kAllDistributions) {
+      const PopModel warmed(grid());
+      std::vector<PopStepReport> cold, first, hit, rebuilt;
+      for (const auto shape : shapes) {
+        cold.push_back(PopModel(grid()).step_time(m, ppn, shape, mult, dist));
+        first.push_back(warmed.step_time(m, ppn, shape, mult, dist));
+        hit.push_back(warmed.step_time(m, ppn, shape, mult, dist));
+      }
+      for (const auto other : evicting_shapes()) {
+        (void)warmed.step_time(m, ppn, other, mult, dist);
+      }
+      for (const auto shape : shapes) {
+        rebuilt.push_back(warmed.step_time(m, ppn, shape, mult, dist));
+      }
+      for (std::size_t i = 0; i < std::size(shapes); ++i) {
+        const std::string what =
+            std::to_string(shapes[i].bx) + "x" + std::to_string(shapes[i].by) +
+            " ppn " + std::to_string(ppn) + " " + to_string(dist);
+        expect_same(first[i], cold[i], what + " (first)");
+        expect_same(hit[i], cold[i], what + " (hit)");
+        expect_same(rebuilt[i], cold[i], what + " (evicted)");
+      }
+    }
+  }
+}
+
+TEST(PopModel, MemoAppliesMachineSpeedAfterLookup) {
+  // Same layout (so the same memo key), different per-node speeds.
+  auto hetero = simcluster::Machine(presets::nersc_sp3(1, 16).network());
+  hetero.add_nodes(15, 16, 0.6).add_nodes(15, 16, 1.7);
+  const auto homo = presets::nersc_sp3(30, 16);
+  ASSERT_EQ(hetero.total_cpus(), homo.total_cpus());
+  const auto mult = defaults_mult();
+  const PopModel model(grid());
+  for (const auto shape : {BlockShape{180, 100}, BlockShape{37, 53}}) {
+    (void)model.step_time(homo, 16, shape, mult);
+    expect_same(model.step_time(hetero, 16, shape, mult),
+                PopModel(grid()).step_time(hetero, 16, shape, mult),
+                std::to_string(shape.bx) + "x" + std::to_string(shape.by));
+  }
+}
+
+TEST(PopModel, ConcurrentStepTimeMatchesSerial) {
+  // More keys than the memo holds, so threads also race on evictions.
+  const auto m = presets::nersc_sp3(30, 16);
+  const auto mult = defaults_mult();
+  struct Query {
+    BlockShape shape;
+    Distribution dist;
+  };
+  std::vector<Query> queries;
+  for (int i = 0; i < 40; ++i) {
+    for (const auto dist : {Distribution::Cartesian, Distribution::RoundRobin}) {
+      queries.push_back({{150 + 12 * i, 100 + 8 * (i % 7)}, dist});
+    }
+  }
+  ASSERT_GT(queries.size(), PopModel::kMemoEntries);
+  std::vector<PopStepReport> serial;
+  for (const auto& q : queries) {
+    serial.push_back(PopModel(grid()).step_time(m, 16, q.shape, mult, q.dist));
+  }
+
+  const PopModel shared(grid());
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<std::vector<PopStepReport>> got(
+      kThreads, std::vector<PopStepReport>(queries.size() * kRounds));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the queries from its own offset, so threads
+      // overlap on the same keys at different times.
+      for (std::size_t k = 0; k < queries.size() * kRounds; ++k) {
+        const auto& q =
+            queries[(k + static_cast<std::size_t>(t) * 11) % queries.size()];
+        got[static_cast<std::size_t>(t)][k] =
+            shared.step_time(m, 16, q.shape, mult, q.dist);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t k = 0; k < queries.size() * kRounds; ++k) {
+      const auto i = (k + static_cast<std::size_t>(t) * 11) % queries.size();
+      expect_same(got[static_cast<std::size_t>(t)][k], serial[i],
+                  "thread " + std::to_string(t) + " query " + std::to_string(i));
+    }
+  }
 }
 
 // Parameterized over the paper's six topologies: every topology must show a

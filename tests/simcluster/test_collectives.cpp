@@ -66,6 +66,21 @@ TEST(Collectives, AlltoallMixesLocality) {
   EXPECT_DOUBLE_EQ(t, expected);
 }
 
+TEST(Collectives, AlltoallCountsRankZerosNodePeers) {
+  // Mixed node sizes, and rank counts that stop inside node 0, at its edge
+  // and past it: the peers sharing rank 0's node are counted rank by rank.
+  Machine m;
+  m.add_nodes(1, 3, 1.0).add_nodes(2, 5, 2.0);
+  const auto& net = m.network();
+  for (int nranks = 2; nranks <= m.total_cpus(); ++nranks) {
+    int intra = 0;
+    for (int r = 1; r < nranks; ++r) intra += m.same_node(0, r) ? 1 : 0;
+    const double expected = intra * net.transfer_time(64.0, true) +
+                            (nranks - 1 - intra) * net.transfer_time(64.0, false);
+    EXPECT_EQ(alltoall_time(m, nranks, 64.0), expected) << nranks;
+  }
+}
+
 TEST(Collectives, AlltoallGrowsWithRanks) {
   const auto m = Machine::homogeneous(16, 4);
   EXPECT_LT(alltoall_time(m, 8, 100.0), alltoall_time(m, 64, 100.0));

@@ -50,6 +50,25 @@ TEST(Machine, MixedCpusPerNode) {
   EXPECT_DOUBLE_EQ(m.rank_speed(17), 2.0);
 }
 
+TEST(Machine, NodesCoverEveryRankInOrder) {
+  Machine m;
+  m.add_nodes(1, 16, 1.0);
+  m.add_nodes(2, 2, 2.0);
+  m.add_nodes(1, 3, 0.5);
+  ASSERT_EQ(m.nodes().size(), 4U);
+  int next = 0;
+  for (std::size_t n = 0; n < m.nodes().size(); ++n) {
+    const auto& node = m.nodes()[n];
+    EXPECT_EQ(node.first_rank, next);
+    for (int r = node.first_rank; r < node.first_rank + node.cpus; ++r) {
+      EXPECT_EQ(m.node_of_rank(r), static_cast<int>(n)) << r;
+      EXPECT_EQ(node.speed, m.rank_speed(r)) << r;
+    }
+    next += node.cpus;
+  }
+  EXPECT_EQ(next, m.total_cpus());
+}
+
 TEST(Machine, RankOutOfRangeThrows) {
   const auto m = Machine::homogeneous(2, 2);
   EXPECT_THROW((void)m.node_of_rank(-1), std::out_of_range);

@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "core/harmony.hpp"
 #include "core/net.hpp"
 #include "engine/eval_cache.hpp"
+#include "fleet/substrates.hpp"
 #include "minigs2/minigs2.hpp"
 #include "minipetsc/minipetsc.hpp"
 #include "minipop/minipop.hpp"
@@ -243,6 +245,59 @@ void BM_PopStepModelCold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PopStepModelCold);
+
+// Seeded boundary triples of the petsc substrate's 160-row matrix: half
+// uniform over the space, half within +-6 rows of the block edges (40, 80,
+// 120), the mix a tuning session visits.
+std::vector<std::vector<int>> petsc_partitions() {
+  harmony::Rng rng(13);
+  std::vector<std::vector<int>> parts;
+  while (parts.size() < 256) {
+    std::vector<int> b;
+    for (const std::int64_t edge : {40, 80, 120}) {
+      b.push_back(static_cast<int>(parts.size() % 2 == 0
+                                       ? rng.uniform_int(1, 159)
+                                       : edge + rng.uniform_int(-6, 6)));
+    }
+    std::sort(b.begin(), b.end());
+    if (b[0] < b[1] && b[1] < b[2]) parts.push_back(std::move(b));
+  }
+  return parts;
+}
+
+// One petsc substrate evaluation end to end: partition, block-Jacobi set-up,
+// CG solve, analyze() and simulate_sles.
+void BM_PetscSubstrateRun(benchmark::State& state) {
+  const auto substrate = harmony::fleet::make_substrate("petsc");
+  std::vector<harmony::Config> configs;
+  for (const auto& b : petsc_partitions()) {
+    harmony::Config c;
+    for (const int v : b) c.values.emplace_back(static_cast<std::int64_t>(v));
+    configs.push_back(std::move(c));
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const auto& config = configs[k++ % configs.size()];
+    benchmark::DoNotOptimize(substrate->run(config, substrate->steps).measured_s);
+  }
+}
+BENCHMARK(BM_PetscSubstrateRun);
+
+// The block-Jacobi factorization alone, over the same partitions.
+void BM_BlockJacobiSetup(benchmark::State& state) {
+  const auto A = minipetsc::dense_block_matrix({40, 40, 40, 40}, 0.6);
+  std::vector<minipetsc::RowPartition> parts;
+  for (auto& b : petsc_partitions()) {
+    parts.push_back(
+        minipetsc::RowPartition::from_boundaries(A.rows(), 4, std::move(b)));
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const minipetsc::PcBlockJacobi pc(A, parts[k++ % parts.size()]);
+    benchmark::DoNotOptimize(&pc);
+  }
+}
+BENCHMARK(BM_BlockJacobiSetup);
 
 void BM_Gs2StepModel(benchmark::State& state) {
   const minigs2::Gs2Model model;

@@ -3,7 +3,8 @@
 /// \file csr_matrix.hpp
 /// Compressed-sparse-row matrix, the Mat of this substrate. Assembly uses a
 /// coordinate-triplet builder (duplicates summed, PETSc ADD_VALUES style);
-/// solves operate on the immutable CSR form.
+/// solves operate on the immutable CSR form. Column indices are strictly
+/// increasing within each row.
 
 #include <cstdint>
 #include <tuple>

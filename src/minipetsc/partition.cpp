@@ -1,7 +1,6 @@
 #include "minipetsc/partition.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
 namespace minipetsc {
@@ -92,6 +91,10 @@ PartitionStats analyze(const CsrMatrix& A, const RowPartition& part) {
 
   const auto& row_ptr = A.row_ptr();
   const auto& col_idx = A.col_idx();
+  // stamp[c] is the last rank that counted column c, so each rank counts a
+  // distinct external column once; from[src] tallies them by owning rank.
+  std::vector<int> stamp(static_cast<std::size_t>(A.cols()), -1);
+  std::vector<std::int64_t> from(static_cast<std::size_t>(nranks));
 
   for (int rank = 0; rank < nranks; ++rank) {
     const auto [lo, hi] = part.range(rank);
@@ -101,17 +104,28 @@ PartitionStats analyze(const CsrMatrix& A, const RowPartition& part) {
     // Distinct external columns referenced by this rank's rows, grouped by
     // owning rank: these are the vector values that must arrive before the
     // local SpMV can complete.
-    std::set<int> external;
+    std::fill(from.begin(), from.end(), 0);
+    const auto count = [&](int c) {
+      if (stamp[static_cast<std::size_t>(c)] != rank) {
+        stamp[static_cast<std::size_t>(c)] = rank;
+        ++from[static_cast<std::size_t>(part.owner(c))];
+      }
+    };
     for (int r = lo; r < hi; ++r) {
-      for (auto k = row_ptr[static_cast<std::size_t>(r)];
-           k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
-        const int c = col_idx[static_cast<std::size_t>(k)];
-        if (c < lo || c >= hi) external.insert(c);
+      // Columns ascend within a row, so the external ones are a prefix
+      // (< lo) and a suffix (>= hi): the owned middle is never visited.
+      auto k = row_ptr[static_cast<std::size_t>(r)];
+      auto e = row_ptr[static_cast<std::size_t>(r) + 1];
+      for (; k < e && col_idx[static_cast<std::size_t>(k)] < lo; ++k) {
+        count(col_idx[static_cast<std::size_t>(k)]);
+      }
+      for (; e > k && col_idx[static_cast<std::size_t>(e) - 1] >= hi; --e) {
+        count(col_idx[static_cast<std::size_t>(e) - 1]);
       }
     }
-    for (const int c : external) {
-      const int src = part.owner(c);
-      ++stats.halo_counts[{src, rank}];
+    for (int src = 0; src < nranks; ++src) {
+      const auto values = from[static_cast<std::size_t>(src)];
+      if (values > 0) stats.halo_counts.emplace(std::pair{src, rank}, values);
     }
   }
   return stats;

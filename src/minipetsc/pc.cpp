@@ -1,5 +1,6 @@
 #include "minipetsc/pc.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -21,34 +22,70 @@ DenseLu::DenseLu(std::vector<double> a, int n) : lu_(std::move(a)), n_(n) {
   if (n < 1 || lu_.size() != static_cast<std::size_t>(n) * static_cast<std::size_t>(n)) {
     throw std::invalid_argument("DenseLu: bad shape");
   }
-  piv_.resize(static_cast<std::size_t>(n));
+  const auto N = static_cast<std::size_t>(n);
+  piv_.resize(N);
+  // Every entry of physical row i outside [l_first_[i], u_end_[i]) is an
+  // exact zero. A row with a zero in column k is not touched at step k, so
+  // nothing is ever written left of a row's first nonzero: the start only
+  // moves with its row on a swap, while fill widens the end to the pivot
+  // row's. live[i] is the least start among rows i..n-1, so the rows below k
+  // that can hold a nonzero in column k are the prefix with live <= k.
+  l_first_.resize(N);
+  u_end_.resize(N);
+  for (std::size_t i = 0; i < N; ++i) {
+    const double* row = lu_.data() + i * N;
+    int first = 0;
+    while (first < n && row[first] == 0.0) ++first;
+    int end = n;
+    while (end > first && row[end - 1] == 0.0) --end;
+    l_first_[i] = first;
+    u_end_[i] = end;
+  }
+  std::vector<int> live(N + 1, n);
+  const auto relive = [&](int from, int to) {
+    for (int i = from; i >= to; --i) {
+      const auto I = static_cast<std::size_t>(i);
+      live[I] = std::min(l_first_[I], live[I + 1]);
+    }
+  };
+  relive(n - 1, 0);
+
   for (int k = 0; k < n; ++k) {
+    const auto K = static_cast<std::size_t>(k);
+    int stop = k + 1;
+    while (stop < n && live[static_cast<std::size_t>(stop)] <= k) ++stop;
     // Partial pivot.
     int p = k;
-    double pmax = std::abs(lu_[static_cast<std::size_t>(k) * n + k]);
-    for (int i = k + 1; i < n; ++i) {
-      const double v = std::abs(lu_[static_cast<std::size_t>(i) * n + k]);
+    double pmax = std::abs(lu_[K * N + K]);
+    for (int i = k + 1; i < stop; ++i) {
+      const double v = std::abs(lu_[static_cast<std::size_t>(i) * N + K]);
       if (v > pmax) {
         pmax = v;
         p = i;
       }
     }
     if (pmax == 0.0) throw std::runtime_error("DenseLu: singular block");
-    piv_[static_cast<std::size_t>(k)] = p;
+    piv_[K] = p;
     if (p != k) {
-      for (int j = 0; j < n; ++j) {
-        std::swap(lu_[static_cast<std::size_t>(k) * n + j],
-                  lu_[static_cast<std::size_t>(p) * n + j]);
-      }
+      const auto P = static_cast<std::size_t>(p);
+      std::swap_ranges(lu_.begin() + static_cast<std::ptrdiff_t>(K * N),
+                       lu_.begin() + static_cast<std::ptrdiff_t>((K + 1) * N),
+                       lu_.begin() + static_cast<std::ptrdiff_t>(P * N));
+      std::swap(l_first_[K], l_first_[P]);
+      std::swap(u_end_[K], u_end_[P]);
+      relive(p, k + 1);
     }
-    const double pivot = lu_[static_cast<std::size_t>(k) * n + k];
-    for (int i = k + 1; i < n; ++i) {
-      const double m = lu_[static_cast<std::size_t>(i) * n + k] / pivot;
-      lu_[static_cast<std::size_t>(i) * n + k] = m;
-      for (int j = k + 1; j < n; ++j) {
-        lu_[static_cast<std::size_t>(i) * n + j] -=
-            m * lu_[static_cast<std::size_t>(k) * n + j];
-      }
+    const double* row_k = lu_.data() + K * N;
+    const double pivot = row_k[k];
+    const int end = u_end_[K];
+    for (int i = k + 1; i < stop; ++i) {
+      const auto I = static_cast<std::size_t>(i);
+      double* row_i = lu_.data() + I * N;
+      if (row_i[k] == 0.0) continue;
+      const double m = row_i[k] / pivot;
+      row_i[k] = m;
+      for (int j = k + 1; j < end; ++j) row_i[j] -= m * row_k[j];
+      u_end_[I] = std::max(u_end_[I], end);
     }
   }
 }
@@ -57,20 +94,27 @@ void DenseLu::solve(std::vector<double>& b) const {
   if (b.size() != static_cast<std::size_t>(n_)) {
     throw std::invalid_argument("DenseLu::solve: size mismatch");
   }
-  for (int k = 0; k < n_; ++k) {
-    std::swap(b[static_cast<std::size_t>(k)],
-              b[static_cast<std::size_t>(piv_[static_cast<std::size_t>(k)])]);
-    for (int i = k + 1; i < n_; ++i) {
-      b[static_cast<std::size_t>(i)] -=
-          lu_[static_cast<std::size_t>(i) * n_ + k] * b[static_cast<std::size_t>(k)];
-    }
+  solve(b.data());
+}
+
+void DenseLu::solve(double* b) const {
+  // LAPACK getrs order: the factor swapped whole rows, multipliers included,
+  // so every interchange is applied before the forward substitution.
+  const auto N = static_cast<std::size_t>(n_);
+  for (int k = 0; k < n_; ++k) std::swap(b[k], b[piv_[static_cast<std::size_t>(k)]]);
+  for (int i = 1; i < n_; ++i) {
+    const auto I = static_cast<std::size_t>(i);
+    const double* row = lu_.data() + I * N;
+    double s = b[i];
+    for (int k = l_first_[I]; k < i; ++k) s -= row[k] * b[k];
+    b[i] = s;
   }
-  for (int k = n_ - 1; k >= 0; --k) {
-    for (int j = k + 1; j < n_; ++j) {
-      b[static_cast<std::size_t>(k)] -=
-          lu_[static_cast<std::size_t>(k) * n_ + j] * b[static_cast<std::size_t>(j)];
-    }
-    b[static_cast<std::size_t>(k)] /= lu_[static_cast<std::size_t>(k) * n_ + k];
+  for (int i = n_ - 1; i >= 0; --i) {
+    const auto I = static_cast<std::size_t>(i);
+    const double* row = lu_.data() + I * N;
+    double s = b[i];
+    for (int j = i + 1; j < u_end_[I]; ++j) s -= row[j] * b[j];
+    b[i] = s / row[i];
   }
 }
 
@@ -101,13 +145,11 @@ PcBlockJacobi::PcBlockJacobi(const CsrMatrix& A, const RowPartition& part) {
 }
 
 void PcBlockJacobi::apply(const Vec& r, Vec& z) const {
-  z.assign(r.size(), 0.0);
-  std::vector<double> local;
-  for (const auto& block : blocks_) {
-    local.assign(r.begin() + block.lo, r.begin() + block.hi);
-    block.lu.solve(local);
-    std::copy(local.begin(), local.end(), z.begin() + block.lo);
+  if (r.size() != static_cast<std::size_t>(blocks_.back().hi)) {
+    throw std::invalid_argument("PcBlockJacobi::apply: size mismatch");
   }
+  z = r;
+  for (const auto& block : blocks_) block.lu.solve(z.data() + block.lo);
 }
 
 }  // namespace minipetsc

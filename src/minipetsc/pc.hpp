@@ -41,6 +41,14 @@ class PcJacobi final : public Pc {
 };
 
 /// Dense LU with partial pivoting, used for block-Jacobi blocks.
+///
+/// Operations on exact zeros are skipped. Each row's nonzeros stay inside a
+/// tracked [first, end) column range (elimination never writes left of the
+/// first, fill only widens the end), rows with a zero in the pivot column are
+/// left alone, and both triangular solves stay inside each row's range. The
+/// skipped operations are x -= m*0 and s -= 0*b, so for finite inputs every
+/// value equals that of the full O(n^3) algorithm, while a block made of
+/// dense sub-blocks costs the sum of their cubes.
 class DenseLu {
  public:
   /// Factor an n x n row-major dense matrix. Throws std::runtime_error on
@@ -50,11 +58,16 @@ class DenseLu {
   /// Solve LU x = b (b overwritten with x).
   void solve(std::vector<double>& b) const;
 
+  /// Same, in place on size() entries starting at b.
+  void solve(double* b) const;
+
   [[nodiscard]] int size() const noexcept { return n_; }
 
  private:
   std::vector<double> lu_;
   std::vector<int> piv_;
+  std::vector<int> l_first_;  ///< row i of L is zero left of this column
+  std::vector<int> u_end_;    ///< row i of U is zero from this column on
   int n_ = 0;
 };
 

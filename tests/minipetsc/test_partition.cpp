@@ -157,4 +157,54 @@ TEST_P(PartitionProperty, HaloSymmetricRowsComplete) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionProperty,
                          ::testing::Values(3u, 14u, 159u, 2653u));
 
+/// analyze() by brute force: each rank's distinct external columns collected
+/// in a std::set, each charged to its owner.
+PartitionStats brute_force_analyze(const CsrMatrix& A, const RowPartition& part) {
+  PartitionStats stats;
+  for (int rank = 0; rank < part.nranks(); ++rank) {
+    const auto [lo, hi] = part.range(rank);
+    stats.rows_per_rank.push_back(hi - lo);
+    std::int64_t nnz = 0;
+    std::set<int> external;
+    for (int r = lo; r < hi; ++r) {
+      for (auto k = A.row_ptr()[static_cast<std::size_t>(r)];
+           k < A.row_ptr()[static_cast<std::size_t>(r) + 1]; ++k) {
+        ++nnz;
+        const int c = A.col_idx()[static_cast<std::size_t>(k)];
+        if (c < lo || c >= hi) external.insert(c);
+      }
+    }
+    stats.nnz_per_rank.push_back(nnz);
+    for (const int c : external) ++stats.halo_counts[{part.owner(c), rank}];
+  }
+  return stats;
+}
+
+class AnalyzeEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(AnalyzeEquivalence, MatchesBruteForceOnRandomPartitions) {
+  harmony::Rng rng(GetParam());
+  const std::vector<CsrMatrix> mats{dense_block_matrix({40, 40, 40, 40}, 0.6),
+                                    laplacian2d(12, 9), random_spd(150, 6, GetParam())};
+  for (const auto& A : mats) {
+    const int n = A.rows();
+    for (int trial = 0; trial < 25; ++trial) {
+      const int nranks = static_cast<int>(rng.uniform_int(1, 9));
+      std::set<int> cuts;
+      while (static_cast<int>(cuts.size()) < nranks - 1) {
+        cuts.insert(static_cast<int>(rng.uniform_int(1, n - 1)));
+      }
+      const auto p = RowPartition::from_boundaries(
+          n, nranks, std::vector<int>(cuts.begin(), cuts.end()));
+      const auto got = analyze(A, p);
+      const auto want = brute_force_analyze(A, p);
+      EXPECT_EQ(got.rows_per_rank, want.rows_per_rank);
+      EXPECT_EQ(got.nnz_per_rank, want.nnz_per_rank);
+      EXPECT_EQ(got.halo_counts, want.halo_counts);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AnalyzeEquivalence, ::testing::Values(5u, 77u, 1234u));
+
 }  // namespace

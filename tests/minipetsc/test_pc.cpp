@@ -2,11 +2,103 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <set>
+#include <utility>
+
+#include "core/rng.hpp"
 #include "minipetsc/mat_gen.hpp"
 
 namespace {
 
 using namespace minipetsc;
+
+/// Dense LU with partial pivoting that performs every operation, zeros
+/// included: the textbook algorithm DenseLu must agree with bitwise. Rows are
+/// swapped whole (multipliers too), so the solve applies all interchanges
+/// before the forward substitution.
+struct RefLu {
+  std::vector<double> lu;
+  std::vector<int> piv;
+  int n;
+
+  RefLu(std::vector<double> a, int n_)
+      : lu(std::move(a)), piv(static_cast<std::size_t>(n_)), n(n_) {
+    const auto at = [this](int i, int j) -> double& {
+      return lu[static_cast<std::size_t>(i) * n + j];
+    };
+    for (int k = 0; k < n; ++k) {
+      int p = k;
+      for (int i = k + 1; i < n; ++i) {
+        if (std::abs(at(i, k)) > std::abs(at(p, k))) p = i;
+      }
+      piv[static_cast<std::size_t>(k)] = p;
+      for (int j = 0; j < n; ++j) std::swap(at(k, j), at(p, j));
+      for (int i = k + 1; i < n; ++i) {
+        const double m = at(i, k) / at(k, k);
+        at(i, k) = m;
+        for (int j = k + 1; j < n; ++j) at(i, j) -= m * at(k, j);
+      }
+    }
+  }
+
+  [[nodiscard]] int swaps() const {
+    int count = 0;
+    for (int k = 0; k < n; ++k) count += piv[static_cast<std::size_t>(k)] != k;
+    return count;
+  }
+
+  void solve(double* b) const {
+    const auto at = [this](int i, int j) {
+      return lu[static_cast<std::size_t>(i) * n + j];
+    };
+    for (int k = 0; k < n; ++k) std::swap(b[k], b[piv[static_cast<std::size_t>(k)]]);
+    for (int k = 0; k < n; ++k) {
+      for (int i = k + 1; i < n; ++i) b[i] -= at(i, k) * b[k];
+    }
+    for (int k = n - 1; k >= 0; --k) {
+      for (int j = k + 1; j < n; ++j) b[k] -= at(k, j) * b[j];
+      b[k] /= at(k, k);
+    }
+  }
+};
+
+/// Seeded nonsymmetric n x n matrix; roughly `zero_frac` of the entries are
+/// exact zeros.
+std::vector<double> random_dense(int n, double zero_frac, harmony::Rng& rng) {
+  std::vector<double> a(static_cast<std::size_t>(n) * n, 0.0);
+  for (auto& v : a) {
+    if (rng.uniform() >= zero_frac) v = rng.uniform(-1.0, 1.0);
+  }
+  return a;
+}
+
+/// Block-Jacobi apply built from RefLu blocks.
+Vec ref_block_jacobi(const CsrMatrix& A, const RowPartition& part, const Vec& r) {
+  Vec z = r;
+  for (int rank = 0; rank < part.nranks(); ++rank) {
+    const auto [lo, hi] = part.range(rank);
+    const int b = hi - lo;
+    std::vector<double> dense(static_cast<std::size_t>(b) * b, 0.0);
+    for (int i = lo; i < hi; ++i) {
+      for (int j = lo; j < hi; ++j) {
+        dense[static_cast<std::size_t>(i - lo) * b + (j - lo)] = A.at(i, j);
+      }
+    }
+    RefLu(std::move(dense), b).solve(z.data() + lo);
+  }
+  return z;
+}
+
+RowPartition random_partition(int n, harmony::Rng& rng) {
+  const int nranks = static_cast<int>(rng.uniform_int(2, 6));
+  std::set<int> cuts;
+  while (static_cast<int>(cuts.size()) < nranks - 1) {
+    cuts.insert(static_cast<int>(rng.uniform_int(1, n - 1)));
+  }
+  return RowPartition::from_boundaries(n, nranks,
+                                      std::vector<int>(cuts.begin(), cuts.end()));
+}
 
 TEST(DenseLuTest, SolvesKnownSystem) {
   // [2 1; 1 3] x = [5; 10] -> x = [1; 3]
@@ -57,6 +149,56 @@ TEST(DenseLuTest, LargerRandomRoundtrip) {
   for (int i = 0; i < n; ++i) EXPECT_NEAR(b[static_cast<std::size_t>(i)], 1.0, 1e-9);
 }
 
+// Regression: the factorization swaps whole rows, multipliers included, so
+// the solve must apply every interchange before forward substitution. An
+// interleaved solve is wrong as soon as two or more rows are swapped.
+TEST(DenseLuTest, MultiSwapNonsymmetricRoundtrip) {
+  harmony::Rng rng(2006);
+  int multi_swap = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(5, 9));
+    const auto a = random_dense(n, 0.0, rng);
+    multi_swap += RefLu(a, n).swaps() >= 2;
+    std::vector<double> x_true(static_cast<std::size_t>(n));
+    for (auto& v : x_true) v = rng.uniform(-2.0, 2.0);
+    std::vector<double> b(static_cast<std::size_t>(n), 0.0);
+    const auto N = static_cast<std::size_t>(n);
+    for (std::size_t i = 0; i < N; ++i) {
+      for (std::size_t j = 0; j < N; ++j) b[i] += a[i * N + j] * x_true[j];
+    }
+    DenseLu lu(a, n);
+    lu.solve(b);
+    for (std::size_t i = 0; i < N; ++i) {
+      EXPECT_NEAR(b[i], x_true[i], 1e-10) << "trial " << trial << " row " << i;
+    }
+  }
+  EXPECT_GT(multi_swap, 10);
+}
+
+// DenseLu skips operations on exact zeros; on sparse nonsymmetric matrices
+// (fill, pivoting, rows with zero multipliers) it must still agree bitwise
+// with the factorization that performs them all.
+TEST(DenseLuTest, SparsePivotingMatchesReferenceBitwise) {
+  harmony::Rng rng(1606);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(1, 24));
+    auto a = random_dense(n, 0.7, rng);
+    for (int i = 0; i < n; ++i) {
+      // A heavy shifted diagonal: nonsingular, and pivoting moves rows.
+      a[static_cast<std::size_t>(i) * n + (i + trial) % n] += 3.0;
+    }
+    std::vector<double> b(static_cast<std::size_t>(n));
+    for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+    auto want = b;
+    RefLu(a, n).solve(want.data());
+    DenseLu(a, n).solve(b);
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(b[static_cast<std::size_t>(i)], want[static_cast<std::size_t>(i)])
+          << "trial " << trial << " row " << i;
+    }
+  }
+}
+
 TEST(PcNoneTest, IsIdentity) {
   PcNone pc;
   Vec z;
@@ -101,6 +243,32 @@ TEST(PcBlockJacobiTest, MatchesJacobiForUnitBlocks) {
   bj.apply(r, z1);
   j.apply(r, z2);
   for (std::size_t i = 0; i < r.size(); ++i) EXPECT_NEAR(z1[i], z2[i], 1e-12);
+}
+
+// Block-Jacobi on the repo's test matrices, random partitions: bitwise equal
+// to blocks factored and solved with every zero operation performed.
+TEST(PcBlockJacobiTest, MatchesReferenceLuBitwise) {
+  harmony::Rng rng(42);
+  const std::vector<CsrMatrix> mats{dense_block_matrix({40, 40, 40, 40}, 0.6),
+                                    dense_block_matrix({7, 19, 3, 11}, 0.1),
+                                    laplacian2d(9, 7), random_spd(90, 5, 11),
+                                    variable_band_spd(80, 1, 9)};
+  for (const auto& A : mats) {
+    const int n = A.rows();
+    for (int trial = 0; trial < 12; ++trial) {
+      const auto part = random_partition(n, rng);
+      Vec r(static_cast<std::size_t>(n));
+      for (auto& v : r) v = rng.uniform(-1.0, 1.0);
+      const PcBlockJacobi pc(A, part);
+      Vec z;
+      pc.apply(r, z);
+      const Vec want = ref_block_jacobi(A, part, r);
+      ASSERT_EQ(z.size(), want.size());
+      for (std::size_t i = 0; i < z.size(); ++i) {
+        EXPECT_EQ(z[i], want[i]) << "n=" << n << " trial " << trial << " row " << i;
+      }
+    }
+  }
 }
 
 TEST(PcBlockJacobiTest, SizeMismatchThrows) {

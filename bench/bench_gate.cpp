@@ -1,10 +1,12 @@
 // bench_gate: the CI benchmark regression gate.
 //
-// Runs two small, fully deterministic tuning workloads (a GS2 systematic
-// sweep through the parallel engine and a POP Nelder-Mead search through the
-// serial driver) plus a gate-sized tuning-server load test, writes one
-// BENCH_<name>.json report per workload, and compares the fresh results
-// against checked-in baselines:
+// Runs seven gate-sized workloads — three deterministic tuning searches (a
+// GS2 systematic sweep through the parallel engine, a POP Nelder-Mead search
+// through the serial driver, a model-guided GA+surrogate on the Fig. 6
+// space), three tuning-server loads (pipelined tail latency, a 1k-session
+// multi-tenant storm, evaluation-fleet scaling) and the eval hot path —
+// writes one BENCH_<name>.json report per workload, and compares the fresh
+// results against checked-in baselines:
 //
 //  * evaluations-to-best — how many distinct short runs the search needed
 //    before it first reached its final best objective. Deterministic: a
@@ -14,10 +16,10 @@
 //    ratios instead of raw seconds makes the baselines roughly
 //    machine-independent; each evaluation also performs a fixed amount of
 //    arithmetic so host-wide slowdowns cancel out of the ratio.
-//  * evals/sec ratio — for the server workload only: event-loop+pipelined
-//    throughput over legacy+blocking throughput (bench/server_load.hpp).
-//    Machine-portable for the same reason ratios are above; it must not
-//    drop below its baseline by more than --speedup-tol.
+//  * evals/sec ratio — for the fleet and hot-path workloads: two throughputs
+//    measured in the same run (4 workers over 1; index-space over
+//    string-keyed caching). Machine-portable for the same reason ratios are
+//    above; it must not drop below its baseline by more than --speedup-tol.
 //  * p99/p50 latency ratio — for the latency workload only: tail over median
 //    per-request latency of the pipelined server under gate-sized load. A
 //    ratio (not raw milliseconds) so the check survives host speed
@@ -25,7 +27,7 @@
 //    --latency-tol (a new lock, a quantile scan on the request path, or a
 //    stalled reactor widens the tail long before it moves the median).
 //
-// Exits nonzero when either metric regresses past its tolerance (default
+// Exits nonzero when any checked metric regresses past its tolerance (default
 // 20%, per --evals-tol / --wall-tol) or when the best objective itself gets
 // worse. `--update` rewrites the baselines instead of comparing.
 //
@@ -71,7 +73,7 @@ struct GateOptions {
   bool update = false;
   double evals_tol = 0.20;
   double wall_tol = 0.20;
-  double speedup_tol = 0.50;  // allowed drop in the server evals/s ratio
+  double speedup_tol = 0.50;  // allowed drop in an evals/s ratio
   double latency_tol = 1.00;  // allowed growth in the server p99/p50 ratio
   int reps = 3;  // wall time is the min over this many repetitions
 };
@@ -312,39 +314,7 @@ obs::BenchReport run_gate_model_guided(int reps) {
   return report;
 }
 
-// ---- workload 4: tuning-server throughput ratio ---------------------------
-
-obs::BenchReport run_gate_server_throughput(int reps) {
-  harmony::bench::LoadOptions load;
-  load.clients = 16;
-  load.evals = 100;
-  load.window = 8;
-  load.reactors = 2;
-  const auto epoll = harmony::bench::best_of(reps, [&] {
-    return harmony::bench::run_load(harmony::ServerThreading::kEventLoop,
-                                    /*pipelined=*/true, load);
-  });
-  const auto legacy = harmony::bench::best_of(reps, [&] {
-    return harmony::bench::run_load(harmony::ServerThreading::kLegacy,
-                                    /*pipelined=*/false, load);
-  });
-
-  obs::BenchReport report;
-  report.name = "gate_server_throughput";
-  report.evaluations = static_cast<int>(epoll.evals + legacy.evals);
-  report.wall_s = epoll.wall_s + legacy.wall_s;
-  report.speedup = legacy.evals_per_s() > 0.0
-                       ? epoll.evals_per_s() / legacy.evals_per_s()
-                       : 0.0;
-  report.metrics["evals_per_s_ratio"] = report.speedup;
-  report.metrics["epoll_evals_per_s"] = epoll.evals_per_s();
-  report.metrics["legacy_evals_per_s"] = legacy.evals_per_s();
-  report.metrics["epoll_p99_ms"] = epoll.p99_ms;
-  report.metrics["legacy_p99_ms"] = legacy.p99_ms;
-  return report;
-}
-
-// ---- workload 5: tuning-server tail latency -------------------------------
+// ---- workload 4: tuning-server tail latency -------------------------------
 
 obs::BenchReport run_gate_server_latency(int reps) {
   harmony::bench::LoadOptions load;
@@ -354,10 +324,8 @@ obs::BenchReport run_gate_server_latency(int reps) {
   load.reactors = 2;
   // Best run by throughput: the quietest rep, so its tail is protocol cost,
   // not scheduler noise.
-  const auto best = harmony::bench::best_of(reps, [&] {
-    return harmony::bench::run_load(harmony::ServerThreading::kEventLoop,
-                                    /*pipelined=*/true, load);
-  });
+  const auto best = harmony::bench::best_of(
+      reps, [&] { return harmony::bench::run_load(load); });
 
   obs::BenchReport report;
   report.name = "gate_server_latency";
@@ -372,7 +340,7 @@ obs::BenchReport run_gate_server_latency(int reps) {
   return report;
 }
 
-// ---- workload 6: 1k-session multi-tenant storm -----------------------------
+// ---- workload 5: 1k-session multi-tenant storm -----------------------------
 
 obs::BenchReport run_gate_server_sessions(int reps) {
   harmony::bench::StormOptions storm;
@@ -402,7 +370,7 @@ obs::BenchReport run_gate_server_sessions(int reps) {
   return report;
 }
 
-// ---- workload 7: evaluation-fleet scaling ratio ---------------------------
+// ---- workload 6: evaluation-fleet scaling ratio ---------------------------
 
 /// One fleet run: server + dispatcher + `nworkers` in-process WorkerClient
 /// threads, a gate-sized random search over the synthetic substrate (cache
@@ -488,7 +456,7 @@ obs::BenchReport run_gate_server_fleet(int reps) {
   return report;
 }
 
-// ---- workload 8: eval hot path — index-space vs string-keyed caching ------
+// ---- workload 7: eval hot path — index-space vs string-keyed caching ------
 
 /// The string key the index space replaced, reproduced exactly: one
 /// ostringstream per key and one per value (the pre-PointKey
@@ -820,7 +788,6 @@ int main(int argc, char** argv) {
           {"gate_gs2_sweep", &run_gate_gs2_sweep},
           {"gate_pop_nm", &run_gate_pop_nm},
           {"gate_model_guided", &run_gate_model_guided},
-          {"gate_server_throughput", &run_gate_server_throughput},
           {"gate_server_latency", &run_gate_server_latency},
           {"gate_server_sessions", &run_gate_server_sessions},
           {"gate_server_fleet", &run_gate_server_fleet},

@@ -2,17 +2,14 @@
 
 /// \file server_load.hpp
 /// Shared load generator for the tuning server's network stack, used by
-/// bench/server_throughput (the full benchmark) and bench/bench_gate (a
-/// gate-sized run whose epoll/legacy evals-per-second ratio is tracked
-/// against a checked-in baseline).
+/// bench/server_throughput and bench/server_sessions (the full benchmarks)
+/// and bench/bench_gate (gate-sized runs whose latency tails, and the
+/// storm's wall ratio, are tracked against checked-in baselines).
 ///
-/// Two client harnesses:
-///  * run_load(kEventLoop, pipelined=true)  — all K connections multiplexed
-///    over a few poll()-driven threads, each connection keeping a window of
-///    pipelined REPORT+FETCH lines in flight (the event-driven steady state).
-///  * run_load(kLegacy, pipelined=false)    — one blocking client thread per
-///    connection running the classic FETCH -> REPORT exchange against the
-///    thread-per-connection server (the pre-event-loop deployment).
+/// run_load() multiplexes all K connections over a few poll()-driven
+/// threads, each connection keeping a window of pipelined REPORT+FETCH lines
+/// in flight (the event-driven steady state). run_storm() drives thousands
+/// of short BATCH sessions with churn, tenants and slow readers.
 
 #include <poll.h>
 #include <sys/resource.h>
@@ -228,40 +225,6 @@ inline void run_mux_driver(int port, std::vector<MuxConn*> conns) {
   }
 }
 
-/// Blocking client: the classic exchange — FETCH, read, REPORT, read — two
-/// round trips per evaluation, no pipelining.
-inline void run_blocking_client(int port, int evals, ClientStats* out) {
-  out->latency_ms.reserve(static_cast<std::size_t>(evals) + 8);
-  net::Socket s = net::connect_loopback(port);
-  if (!s.valid()) return;
-  net::LineReader reader(s);
-  std::string line;
-
-  const auto transact = [&](const std::string& req) -> bool {
-    const auto t0 = LoadClock::now();
-    if (!s.send_all(req)) return false;
-    if (!reader.read_line(line)) return false;
-    out->latency_ms.push_back(1e3 * load_seconds_since(t0));
-    return line.rfind("ERR", 0) != 0;
-  };
-
-  if (!transact("HELLO bench\n")) return;
-  if (!transact("PARAM REAL x 0 10\n")) return;
-  if (!transact("PARAM REAL y 0 10\n")) return;
-  if (!transact("START " + std::to_string(evals + 8) + "\n")) return;
-  if (!transact("FETCH\n")) return;
-  for (int i = 0; i < evals; ++i) {
-    if (!transact("REPORT " + std::to_string(synthetic_objective(i)) + "\n")) {
-      return;
-    }
-    if (!transact("FETCH\n")) return;
-    out->evals = static_cast<std::uint64_t>(i + 1);
-    if (line.rfind("CONFIG", 0) != 0) return;
-  }
-  (void)s.send_all(std::string_view("BYE\n"));
-  out->completed = true;
-}
-
 struct LoadResult {
   double wall_s = 0.0;
   std::uint64_t evals = 0;
@@ -285,13 +248,10 @@ inline double latency_percentile(std::vector<double>& sorted, double p) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-/// One timed run: fresh server in `mode`, opt.clients sessions of opt.evals
-/// evaluations each, pipelined-multiplexed or blocking-thread-per-connection
-/// clients.
-inline LoadResult run_load(ServerThreading mode, bool pipelined,
-                           const LoadOptions& opt) {
+/// One timed run: fresh server, opt.clients pipelined sessions of opt.evals
+/// evaluations each, multiplexed over opt.reactors client threads.
+inline LoadResult run_load(const LoadOptions& opt) {
   ServerOptions sopts;
-  sopts.threading = mode;
   sopts.reactor_threads = opt.reactors;
   sopts.tracer = opt.tracer;
   sopts.slow_request_us = opt.slow_request_us;
@@ -306,32 +266,23 @@ inline LoadResult run_load(ServerThreading mode, bool pipelined,
   for (auto& st : stats) {
     st.latency_ms.reserve(static_cast<std::size_t>(opt.evals) + 8);
   }
-  std::vector<std::thread> threads;
-  std::vector<MuxConn> conns;
   const auto t0 = LoadClock::now();
-  if (pipelined) {
-    // All connections multiplexed over a few poll() threads — the client
-    // counterpart of the server's reactor shards.
-    conns.resize(stats.size());
-    const int drivers = std::clamp(opt.reactors, 1, opt.clients);
-    std::vector<std::vector<MuxConn*>> assigned(
-        static_cast<std::size_t>(drivers));
-    for (std::size_t i = 0; i < conns.size(); ++i) {
-      conns[i].stats = &stats[i];
-      conns[i].evals = opt.evals;
-      conns[i].window = opt.window;
-      conns[i].trace_sample = opt.trace_sample;
-      assigned[i % assigned.size()].push_back(&conns[i]);
-    }
-    threads.reserve(assigned.size());
-    for (auto& group : assigned) {
-      threads.emplace_back(run_mux_driver, server.port(), std::move(group));
-    }
-  } else {
-    threads.reserve(stats.size());
-    for (auto& st : stats) {
-      threads.emplace_back(run_blocking_client, server.port(), opt.evals, &st);
-    }
+  // All connections multiplexed over a few poll() threads — the client
+  // counterpart of the server's reactor shards.
+  std::vector<MuxConn> conns(stats.size());
+  const int drivers = std::clamp(opt.reactors, 1, opt.clients);
+  std::vector<std::vector<MuxConn*>> assigned(static_cast<std::size_t>(drivers));
+  for (std::size_t i = 0; i < conns.size(); ++i) {
+    conns[i].stats = &stats[i];
+    conns[i].evals = opt.evals;
+    conns[i].window = opt.window;
+    conns[i].trace_sample = opt.trace_sample;
+    assigned[i % assigned.size()].push_back(&conns[i]);
+  }
+  std::vector<std::thread> threads;
+  threads.reserve(assigned.size());
+  for (auto& group : assigned) {
+    threads.emplace_back(run_mux_driver, server.port(), std::move(group));
   }
   for (auto& t : threads) t.join();
   result.wall_s = load_seconds_since(t0);
@@ -589,10 +540,10 @@ inline void run_storm_driver(int port, std::vector<StormConn*> conns) {
   }
 }
 
-/// One timed storm run: a fresh event-mode server, `sessions` concurrent
-/// short sessions churning up to `total_sessions`, BATCH framing, mixed
-/// tenants, optional slow readers. LoadResult::sessions_completed counts
-/// finished sessions (incl. churn); latency quantiles are per BATCH line.
+/// One timed storm run: a fresh server, `sessions` concurrent short
+/// sessions churning up to `total_sessions`, BATCH framing, mixed tenants,
+/// optional slow readers. LoadResult::sessions_completed counts finished
+/// sessions (incl. churn); latency quantiles are per BATCH line.
 inline LoadResult run_storm(const StormOptions& opt) {
   StormOptions o = opt;
   if (o.total_sessions <= 0) o.total_sessions = o.sessions;
@@ -609,7 +560,6 @@ inline LoadResult run_storm(const StormOptions& opt) {
   if (o.total_sessions < o.sessions) o.total_sessions = o.sessions;
 
   ServerOptions sopts;
-  sopts.threading = ServerThreading::kEventLoop;
   sopts.reactor_threads = o.reactors;
   sopts.max_pending_out_bytes = o.per_conn_out_cap;
   sopts.idle_timeout_ms = o.idle_timeout_ms;

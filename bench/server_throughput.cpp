@@ -2,30 +2,18 @@
 //
 // Spawns K client sessions against a fresh in-process TuningServer; each
 // session registers two parameters and completes M evaluations, then the
-// whole exercise is timed. Two configurations are compared (see
-// bench/server_load.hpp for the harnesses):
-//
-//  * epoll     — ServerThreading::kEventLoop, all K connections multiplexed
-//                over a couple of poll()-driven client threads that pipeline
-//                REPORT+FETCH with a send window of W lines per connection
-//                (the steady state the event-driven stack is built for).
-//  * legacy    — ServerThreading::kLegacy (one blocking thread per
-//                connection) driven by one blocking client thread per
-//                connection running the classic FETCH -> REPORT exchange:
-//                two round trips, four syscalls, and two scheduled threads
-//                per evaluation — the pre-event-loop deployment.
+// whole exercise is timed. All K connections are multiplexed over a couple
+// of poll()-driven client threads that pipeline REPORT+FETCH with a send
+// window of W lines per connection (see bench/server_load.hpp).
 //
 // A second, single-client experiment isolates the wire-protocol win: one
 // TuningClient tuning synchronously via report_and_fetch() (one round trip
-// per evaluation) versus report() + fetch() (two), both against the
-// event-loop server.
+// per evaluation) versus report() + fetch() (two).
 //
 // Results go to stdout and to BENCH_server_throughput.json
-// (ah-bench-report/1): sessions/sec, evals/sec, p50/p95/p99 per-request
-// latency for each configuration, plus the two headline ratios
-// (`speedup` = pipelined-epoll over legacy evals/s, and `rf_speedup`). The
-// CI bench-smoke job runs a small K x M and uploads the report; bench_gate
-// tracks the epoll/legacy ratio against a baseline on a gate-sized workload.
+// (ah-bench-report/1): sessions/sec, evals/sec and p50/p95/p99 per-request
+// latency of the pipelined run, plus the single-client ratio `rf_speedup`.
+// The CI bench-smoke job runs a small K x M and uploads the report.
 //
 // --trace-sample F + --trace-out FILE turn on end-to-end request tracing for
 // the pipelined run: F of the REPORT+FETCH lines carry a wire trace token,
@@ -97,11 +85,11 @@ int usage(const char* argv0) {
       "          [--reps R] [--out DIR] [--trace-sample F]\n"
       "          [--trace-out FILE] [--slow-us N]\n\n"
       "Measures tuning-server throughput: K concurrent clients x M\n"
-      "evaluations each, event-loop+pipelined vs legacy+blocking, plus a\n"
-      "single-client REPORT+FETCH vs FETCH/REPORT comparison. Writes\n"
-      "BENCH_server_throughput.json into --out. --trace-sample F samples F\n"
-      "of the pipelined requests into spans written to --trace-out FILE;\n"
-      "--slow-us N logs requests over N microseconds.\n",
+      "pipelined evaluations each, plus a single-client REPORT+FETCH vs\n"
+      "FETCH/REPORT comparison. Writes BENCH_server_throughput.json into\n"
+      "--out. --trace-sample F samples F of the pipelined requests into\n"
+      "spans written to --trace-out FILE; --slow-us N logs requests over N\n"
+      "microseconds.\n",
       argv0);
   return 2;
 }
@@ -150,31 +138,13 @@ int main(int argc, char** argv) {
               opt.load.clients, opt.load.evals, opt.load.window,
               opt.load.reactors);
 
-  const auto epoll = bench::best_of(opt.reps, [&] {
-    return bench::run_load(harmony::ServerThreading::kEventLoop,
-                           /*pipelined=*/true, opt.load);
-  });
+  const auto epoll = bench::best_of(
+      opt.reps, [&] { return bench::run_load(opt.load); });
   std::printf("epoll+pipelined: %llu evals in %.3f s -> %.0f evals/s, "
               "%.1f sessions/s, p50 %.3f ms, p99 %.3f ms (%d/%d completed)\n",
               static_cast<unsigned long long>(epoll.evals), epoll.wall_s,
               epoll.evals_per_s(), epoll.sessions_per_s(), epoll.p50_ms,
               epoll.p99_ms, epoll.sessions_completed, opt.load.clients);
-
-  const auto legacy = bench::best_of(opt.reps, [&] {
-    return bench::run_load(harmony::ServerThreading::kLegacy,
-                           /*pipelined=*/false, opt.load);
-  });
-  std::printf("legacy+blocking: %llu evals in %.3f s -> %.0f evals/s, "
-              "%.1f sessions/s, p50 %.3f ms, p99 %.3f ms (%d/%d completed)\n",
-              static_cast<unsigned long long>(legacy.evals), legacy.wall_s,
-              legacy.evals_per_s(), legacy.sessions_per_s(), legacy.p50_ms,
-              legacy.p99_ms, legacy.sessions_completed, opt.load.clients);
-
-  const double pipeline_speedup =
-      legacy.evals_per_s() > 0.0 ? epoll.evals_per_s() / legacy.evals_per_s()
-                                 : 0.0;
-  std::printf("pipeline speedup (epoll/legacy evals/s): %.2fx\n",
-              pipeline_speedup);
 
   // The single-client runs are short, so the two sides of the ratio are
   // measured back to back within each rep and the best rep's ratio kept —
@@ -203,10 +173,9 @@ int main(int argc, char** argv) {
   report.name = "server_throughput";
   report.best_config = "";
   report.best_value = 0.0;
-  report.evaluations = static_cast<int>(epoll.evals + legacy.evals);
+  report.evaluations = static_cast<int>(epoll.evals);
   report.evals_to_best = 0;
-  report.wall_s = epoll.wall_s + legacy.wall_s;
-  report.speedup = pipeline_speedup;
+  report.wall_s = epoll.wall_s;
   report.metrics["clients"] = opt.load.clients;
   report.metrics["evals_per_client"] = opt.load.evals;
   report.metrics["window"] = opt.load.window;
@@ -216,11 +185,6 @@ int main(int argc, char** argv) {
   report.metrics["epoll_p50_ms"] = epoll.p50_ms;
   report.metrics["epoll_p95_ms"] = epoll.p95_ms;
   report.metrics["epoll_p99_ms"] = epoll.p99_ms;
-  report.metrics["legacy_evals_per_s"] = legacy.evals_per_s();
-  report.metrics["legacy_sessions_per_s"] = legacy.sessions_per_s();
-  report.metrics["legacy_p50_ms"] = legacy.p50_ms;
-  report.metrics["legacy_p95_ms"] = legacy.p95_ms;
-  report.metrics["legacy_p99_ms"] = legacy.p99_ms;
   report.metrics["rf_evals_per_s"] = rf.evals_per_s();
   report.metrics["fetch_report_evals_per_s"] = fr.evals_per_s();
   report.metrics["rf_speedup"] = rf_speedup;

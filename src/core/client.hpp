@@ -69,7 +69,7 @@ class TuningClient {
 
   /// Negotiate the batched framing: bare `BATCH` probe. Returns the server's
   /// per-line batch cap, or nullopt when the peer does not support batching
-  /// (the legacy transport, or a pre-batch server) — callers fall back to
+  /// (an older or foreign server answering ERR) — callers fall back to
   /// report_and_fetch() per evaluation.
   [[nodiscard]] std::optional<int> batch_limit();
 

@@ -149,9 +149,9 @@ class EvalCache {
   mutable PointKey scratch_;  ///< reused by the Config overloads
   mutable std::size_t hits_ = 0;
   mutable std::size_t misses_ = 0;
-#ifndef NDEBUG
-  mutable std::thread::id owner_{};  ///< default id = not yet claimed
-#endif
+  /// Claimed by check_thread() in debug builds; declared in every build so
+  /// the class layout does not depend on NDEBUG. Default id = not claimed.
+  mutable std::thread::id owner_{};
 };
 
 }  // namespace harmony

@@ -18,7 +18,7 @@ namespace harmony::net {
 
 /// RAII file-descriptor owner. The descriptor is stored atomically so one
 /// thread may shutdown()/close() a socket another thread is blocked in
-/// accept()/recv() on — the tuning server's stop path — without a data
+/// accept()/recv() on — a fleet worker's stop path — without a data
 /// race; ownership is still single-threaded (moves are not synchronized
 /// against concurrent moves).
 class Socket {
@@ -40,7 +40,7 @@ class Socket {
 
   /// Shut down both directions without releasing the fd. Unlike close(),
   /// this reliably wakes a thread blocked in accept()/recv() on this socket
-  /// — required to stop the tuning server's accept loop.
+  /// — how WorkerClient::stop() wakes its serving thread.
   void shutdown() noexcept;
 
   /// Send an entire buffer; returns false on error/peer close.
@@ -77,7 +77,7 @@ class LineReader {
 
   /// Allocation-free variant for hot paths: writes the line into `out`,
   /// reusing its capacity. Returns false on EOF/error/overflow (out is left
-  /// empty). The server's steady-state read path uses this overload.
+  /// empty).
   [[nodiscard]] bool read_line(std::string& out);
 
   /// True once a read failed because a line exceeded max_line_bytes. The

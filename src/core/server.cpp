@@ -103,9 +103,6 @@ void TuningServer::LoopShard::adopt(net::Socket client, int session_no) {
   if (!client.set_nonblocking()) return;  // dtor closes the socket
   const int fd = client.fd();
   auto conn = std::make_unique<Conn>(server->opts_, session_no, std::move(client));
-  // Batched framing is an event-stack capability (the legacy stack leaves it
-  // off and BATCH answers ERR there — that is the negotiation signal).
-  conn->session.enable_batch(true);
   conn->session.set_sender(
       [this, fd, session_no](std::string_view payload) {
         deliver(fd, session_no, std::string(payload));
@@ -303,9 +300,9 @@ void TuningServer::LoopShard::process_lines(Conn& c) {
     const bool unterminated = pos == std::string::npos;
     const std::size_t len = unterminated ? c.rbuf.size() - c.rpos : pos - c.rpos;
     if (max_line != 0 && len > max_line) {
-      // Same poisoned-overflow semantics as net::LineReader on the legacy
-      // path: answer once, then drop the connection — bytes past the
-      // overflow are not a trustworthy stream.
+      // Same poisoned-overflow semantics as net::LineReader: answer once,
+      // then drop the connection — bytes past the overflow are not a
+      // trustworthy stream.
       obs::log_warn("server", "line limit exceeded, disconnecting",
                     c.session.session_id());
       c.reply.append("ERR line too long\n");
@@ -386,20 +383,15 @@ bool TuningServer::start() {
   if (!lr.socket.valid()) return false;
   listener_ = std::move(lr.socket);
   port_ = lr.port;
-  if (opts_.threading == ServerThreading::kEventLoop) {
-    if (!start_event_mode()) {
-      listener_.close();
-      return false;
-    }
-  } else {
-    running_.store(true);
-    accept_thread_ = std::thread([this] { accept_loop(); });
+  if (!start_reactors()) {
+    listener_.close();
+    return false;
   }
   obs::log_info("server", "listening on port " + std::to_string(port_));
   return true;
 }
 
-bool TuningServer::start_event_mode() {
+bool TuningServer::start_reactors() {
   const int n = std::max(1, opts_.reactor_threads);
   const long long tick_ms = std::max<long long>(10, opts_.reap_tick_ms);
   const std::uint64_t idle_ticks =
@@ -470,136 +462,32 @@ void TuningServer::on_accept_ready() {
 }
 
 void TuningServer::stop() {
-  if (!running_.exchange(false)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
+  if (!running_.exchange(false)) return;
+  for (auto& shard : shards_) shard->loop.stop();
+  for (auto& t : reactor_threads_) {
+    if (t.joinable()) t.join();
   }
-  if (!shards_.empty()) {
-    for (auto& shard : shards_) shard->loop.stop();
-    for (auto& t : reactor_threads_) {
-      if (t.joinable()) t.join();
-    }
-    // Loop threads are joined: connection state is safe to tear down from
-    // here (no tick, wheel or deferred callback can fire anymore). Conn
-    // destructors close sockets and unpublish live status; settle the
-    // backpressure accounting for whatever output never drained.
-    auto& bp = obs::StatusRegistry::global().backpressure();
-    for (auto& shard : shards_) {
-      for (auto& [fd, conn] : shard->conns) {
-        if (!conn->wbuf.empty()) {
-          bp.pending_out_bytes.fetch_sub(
-              static_cast<std::int64_t>(conn->wbuf.size()),
-              std::memory_order_relaxed);
-        }
-        if (conn->reads_paused) bp.paused.fetch_sub(1, std::memory_order_relaxed);
+  // Loop threads are joined: connection state is safe to tear down from
+  // here (no tick, wheel or deferred callback can fire anymore). Conn
+  // destructors close sockets and unpublish live status; settle the
+  // backpressure accounting for whatever output never drained.
+  auto& bp = obs::StatusRegistry::global().backpressure();
+  for (auto& shard : shards_) {
+    for (auto& [fd, conn] : shard->conns) {
+      if (!conn->wbuf.empty()) {
+        bp.pending_out_bytes.fetch_sub(
+            static_cast<std::int64_t>(conn->wbuf.size()),
+            std::memory_order_relaxed);
       }
-      shard->conns.clear();
+      if (conn->reads_paused) bp.paused.fetch_sub(1, std::memory_order_relaxed);
     }
-    shards_.clear();
-    reactor_threads_.clear();
-    active_connections_.store(0);
-    listener_.close();
-    obs::log_info("server", "stopped");
-    return;
+    shard->conns.clear();
   }
-  // Legacy mode: shutdown() (not close()) is what reliably unblocks a
-  // pending accept().
-  listener_.shutdown();
+  shards_.clear();
+  reactor_threads_.clear();
+  active_connections_.store(0);
   listener_.close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::list<Worker> workers;
-  {
-    const std::lock_guard<std::mutex> lock(workers_mutex_);
-    workers.swap(workers_);
-  }
-  // Wake workers blocked in recv() on connections whose clients are idle:
-  // without this, stop() would wait for every client to hang up first.
-  for (auto& w : workers) {
-    if (w.socket) w.socket->shutdown();
-  }
-  for (auto& w : workers) {
-    if (w.thread.joinable()) w.thread.join();
-  }
   obs::log_info("server", "stopped");
-}
-
-void TuningServer::reap_finished_workers() {
-  // Caller holds workers_mutex_. Joining a finished thread is immediate, so
-  // the accept path stays O(live connections).
-  for (auto it = workers_.begin(); it != workers_.end();) {
-    if (it->done->load() && it->thread.joinable()) {
-      it->thread.join();
-      it = workers_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void TuningServer::accept_loop() {
-  while (running_.load()) {
-    net::Socket client = net::accept_connection(listener_);
-    if (!client.valid()) break;  // listener closed by stop()
-    if (opts_.max_connections > 0 &&
-        active_connections_.load() >= opts_.max_connections) {
-      obs::count("server.rejected_busy");
-      obs::log_warn("server", "connection limit reached, rejecting");
-      (void)client.send_line("ERR server busy");
-      continue;
-    }
-    const int session_no = ++sessions_;
-    obs::count("server.sessions");
-    active_connections_.fetch_add(1);
-    const std::lock_guard<std::mutex> lock(workers_mutex_);
-    reap_finished_workers();
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    auto sock = std::make_shared<net::Socket>(std::move(client));
-    Worker worker;
-    worker.done = done;
-    worker.socket = sock;
-    worker.thread = std::thread([this, sock, session_no, done] {
-      serve_client(sock, session_no);
-      // Close here, not at Worker teardown: the peer should see EOF as soon
-      // as its session ends, not when the worker entry is reaped.
-      sock->close();
-      active_connections_.fetch_sub(1);
-      done->store(true);
-    });
-    workers_.push_back(std::move(worker));
-  }
-}
-
-void TuningServer::serve_client(const std::shared_ptr<net::Socket>& client,
-                                int session_no) {
-  net::LineReader reader(*client, opts_.max_line_bytes);
-  ServerConnection session(opts_, session_no);
-  // Writes are serialized between this thread's replies and dispatcher WORK
-  // pushes arriving from arbitrary threads; the mutex is shared with the
-  // sender closure so it outlives this frame if a stale push races teardown.
-  auto write_mutex = std::make_shared<std::mutex>();
-  session.set_sender([client, write_mutex](std::string_view payload) {
-    const std::lock_guard<std::mutex> lock(*write_mutex);
-    return client->send_all(payload);
-  });
-  std::string line;
-  std::string out;
-  while (running_.load()) {
-    if (!reader.read_line(line)) {
-      if (reader.overflowed()) {
-        obs::log_warn("server", "line limit exceeded, disconnecting",
-                      session.session_id());
-        (void)client->send_line("ERR line too long");
-      }
-      break;  // peer closed (or misbehaved)
-    }
-    out.clear();
-    const bool keep_open = session.handle_line(line, out);
-    if (!out.empty()) {
-      const std::lock_guard<std::mutex> lock(*write_mutex);
-      if (!client->send_all(out)) break;
-    }
-    if (!keep_open) break;
-  }
 }
 
 }  // namespace harmony

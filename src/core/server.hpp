@@ -12,28 +12,20 @@
 /// can be tuned concurrently — the coordination role the paper contrasts
 /// against per-application adapters like AppLeS (Section VIII).
 ///
-/// Two threading modes (ServerOptions::threading):
-///
-///  * kEventLoop (default) — N net::EventLoop reactor threads multiplex all
-///    connections over epoll: non-blocking sockets, per-connection read
-///    buffers and ByteRing write queues flushed with vectored writes. Verbs
-///    arriving back-to-back (pipelined clients) are answered in order from
-///    one readable burst, so the steady-state cost per evaluation is one
-///    round trip and a couple of syscalls regardless of client count.
-///  * kLegacy — the original blocking accept loop with one thread per
-///    connection, kept for comparison benchmarks and as a fallback.
-///
-/// Both modes share the same per-connection protocol state machine
-/// (ServerConnection in server_session.hpp) and are live-introspectable via
-/// the STATUS / METRICS / LOG verbs — see protocol.hpp and
-/// examples/harmony_top.cpp.
+/// Connections are served by N net::EventLoop reactor threads that
+/// multiplex them over epoll: non-blocking sockets, per-connection read
+/// buffers and ByteRing write queues flushed with vectored writes. Verbs
+/// arriving back-to-back (pipelined clients) are answered in order from one
+/// readable burst, so the steady-state cost per evaluation is one round trip
+/// and a couple of syscalls regardless of client count. Each connection runs
+/// the protocol state machine in ServerConnection (server_session.hpp), and
+/// the server is live-introspectable via the STATUS / METRICS / LOG verbs —
+/// see protocol.hpp and examples/harmony_top.cpp.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -44,12 +36,6 @@
 namespace harmony {
 
 class WorkSink;  // work_sink.hpp — fleet dispatcher seam
-
-/// How the server schedules connections onto threads.
-enum class ServerThreading {
-  kEventLoop,  ///< epoll reactors, non-blocking sockets (default)
-  kLegacy,     ///< one blocking thread per connection
-};
 
 struct ServerOptions {
   int port = 0;  ///< 0 = pick an ephemeral port
@@ -67,18 +53,14 @@ struct ServerOptions {
   /// Default number of events a bare `LOG` / `LOG tail` serves.
   std::size_t log_tail_default = 20;
 
-  /// Threading mode; kEventLoop serves all connections from
-  /// `reactor_threads` epoll loops, kLegacy spawns a thread per connection.
-  ServerThreading threading = ServerThreading::kEventLoop;
-
-  /// Reactor thread count in kEventLoop mode (clamped to >= 1).
+  /// Number of epoll reactor threads serving connections (clamped to >= 1).
   int reactor_threads = 2;
 
-  /// Cap on concurrently served connections in either mode; connects over
-  /// the limit are answered `ERR server busy` and disconnected. 0 = no cap.
+  /// Cap on concurrently served connections; connects over the limit are
+  /// answered `ERR server busy` and disconnected. 0 = no cap.
   int max_connections = 0;
 
-  // ---- backpressure (event mode) ------------------------------------------
+  // ---- backpressure ---------------------------------------------------------
   // A client that writes requests faster than it reads replies grows its
   // connection's ByteRing without bound. Instead of buffering forever, the
   // shard stops reading from an over-cap connection (drops EPOLLIN) until
@@ -100,7 +82,7 @@ struct ServerOptions {
   /// drains (the tick sweep shrinks larger, now-idle buffers back to this).
   std::size_t buffer_keep_bytes = 16 * 1024;
 
-  // ---- admission / eviction (event mode) -----------------------------------
+  // ---- admission / eviction -------------------------------------------------
 
   /// Idle-session reaping: a connection with no inbound traffic for this
   /// long is answered `ERR idle timeout` and closed. Resolution is
@@ -153,7 +135,7 @@ class TuningServer {
   TuningServer& operator=(const TuningServer&) = delete;
 
   /// Bind and start serving. Returns false when the port could not be bound
-  /// (or, in event mode, when the reactor could not be set up).
+  /// or the reactors could not be set up.
   [[nodiscard]] bool start();
 
   /// Stop accepting, drop all connections and join every serving thread.
@@ -171,15 +153,9 @@ class TuningServer {
   }
 
  private:
-  struct LoopShard;  // event-mode reactor state (server.cpp)
+  struct LoopShard;  // reactor state (server.cpp)
 
-  // ---- legacy thread-per-connection mode ----
-  void accept_loop();
-  void serve_client(const std::shared_ptr<net::Socket>& client, int session_no);
-  void reap_finished_workers();
-
-  // ---- event-loop mode ----
-  [[nodiscard]] bool start_event_mode();
+  [[nodiscard]] bool start_reactors();
   void on_accept_ready();
 
   ServerOptions opts_;
@@ -192,21 +168,7 @@ class TuningServer {
   /// global-backpressure check reads it, shards add/sub as queues move.
   std::atomic<std::int64_t> pending_out_bytes_{0};
 
-  // Legacy mode: accept thread plus one worker per connection. Finished
-  // workers are reaped on the accept path so the list stays bounded by the
-  // number of *live* connections instead of growing per session served.
-  std::thread accept_thread_;
-  std::mutex workers_mutex_;
-  struct Worker {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-    // Shared with the worker thread so stop() can shutdown() a connection
-    // whose thread is blocked in recv() on an idle client.
-    std::shared_ptr<net::Socket> socket;
-  };
-  std::list<Worker> workers_;
-
-  // Event mode: reactor shards, one thread each.
+  // Reactor shards, one thread each.
   std::vector<std::unique_ptr<LoopShard>> shards_;
   std::vector<std::thread> reactor_threads_;
   std::atomic<std::size_t> next_shard_{0};

@@ -2,12 +2,10 @@
 
 /// \file server_session.hpp
 /// Transport-independent protocol state machine for one tuning-server
-/// connection. Both server threading modes drive the same ServerConnection:
-/// the legacy blocking path feeds it one line at a time off a LineReader,
-/// the event-loop path feeds it every complete line found in a readable
-/// burst (which is how pipelined clients get their verbs answered in order,
-/// in one write). Replies are appended to a caller-owned output buffer —
-/// the handler never touches a socket.
+/// connection. The server's reactor feeds it every complete line found in a
+/// readable burst (which is how pipelined clients get their verbs answered
+/// in order, in one write). Replies are appended to a caller-owned output
+/// buffer — the handler never touches a socket.
 ///
 /// Hot-path discipline: FETCH / REPORT / REPORT+FETCH parse through the
 /// zero-copy proto::MessageView tokenizer (scratch reused per connection)
@@ -21,9 +19,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#ifndef NDEBUG
 #include <thread>
-#endif
 #include <vector>
 
 #include "core/controller.hpp"
@@ -68,13 +64,6 @@ class ServerConnection {
 
   /// Nonzero once this connection ATTACHed as a fleet worker.
   [[nodiscard]] std::uint64_t worker_id() const noexcept { return worker_id_; }
-
-  /// Enable the batched REPORT+FETCH framing (BATCH verb). The event-loop
-  /// transport turns it on at adoption; the legacy stack leaves it off, so
-  /// BATCH there answers a clean ERR (the negotiation probe tells clients
-  /// which stack they reached). Set before any handle_line.
-  void enable_batch(bool on) noexcept { batch_enabled_ = on; }
-  [[nodiscard]] bool batch_enabled() const noexcept { return batch_enabled_; }
 
   /// Tenant rollup slot once a TENANT line was admitted (null otherwise).
   [[nodiscard]] const obs::StatusRegistry::TenantSlot* tenant() const noexcept {
@@ -136,19 +125,17 @@ class ServerConnection {
   std::uint64_t requests_ = 0;
   std::unique_ptr<obs::HdrHistogram> latency_;
 
-  // Multi-tenancy + batched framing. tenant_ is resolved once at TENANT
-  // time (registry table lock) and only its atomics are touched from then
-  // on — the request hot path stays free of shared mutexes.
+  // Multi-tenancy. tenant_ is resolved once at TENANT time (registry table
+  // lock) and only its atomics are touched from then on — the request hot
+  // path stays free of shared mutexes.
   obs::StatusRegistry::TenantSlot* tenant_ = nullptr;
-  bool batch_enabled_ = false;
 
-#ifndef NDEBUG
-  // Debug-build shard-affinity check: a session's verbs must all be handled
-  // by the thread that first touched it (its reactor shard, or its legacy
-  // worker thread). Crossing shards would mean connection state is shared
-  // without locks — assert instead of racing.
+  // Shard-affinity check (asserted in debug builds only): a session's verbs
+  // must all be handled by the thread that first touched it, its reactor
+  // shard. Crossing shards would mean connection state is shared without
+  // locks — assert instead of racing. Declared in every build so the class
+  // layout does not depend on NDEBUG.
   std::thread::id home_thread_{};
-#endif
 };
 
 }  // namespace harmony

@@ -4,9 +4,8 @@
 /// Native batch strategies for the parallel evaluation engine. The batch
 /// interface itself (BatchSearchStrategy) and the universal batch-size-1
 /// wrapper (SequentialBatchAdapter) live in core/strategy.hpp — they are the
-/// SearchController's native contract — and are aliased here for
-/// compatibility. This header adds the strategies that exploit real
-/// batching:
+/// SearchController's native contract. This header adds the strategies that
+/// exploit real batching:
 ///  * BatchRandomSearch / BatchSystematicSampler / BatchExhaustive propose up
 ///    to max_n points per batch. Their serial counterparts never consult
 ///    report() state when proposing, so the batched trajectory (the sequence
@@ -31,11 +30,6 @@
 #include "core/types.hpp"
 
 namespace harmony::engine {
-
-// The batch contract and the universal serial wrapper moved to
-// core/strategy.hpp; these aliases keep existing engine call sites valid.
-using BatchSearchStrategy = harmony::BatchSearchStrategy;
-using SequentialBatchAdapter = harmony::SequentialBatchAdapter;
 
 /// Batches a serial strategy whose proposals never depend on reports by
 /// pulling up to max_n proposals ahead, then reporting them in order. Base

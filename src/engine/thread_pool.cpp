@@ -45,8 +45,7 @@ void ThreadPool::shutdown() {
 }
 
 std::size_t ThreadPool::completed() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return completed_;
+  return completed_.load(std::memory_order_acquire);
 }
 
 void ThreadPool::worker_loop(std::uint32_t lane) {
@@ -81,10 +80,6 @@ void ThreadPool::worker_loop(std::uint32_t lane) {
     ++done;
     if (status.valid()) status.set(/*busy=*/false, done);
     obs::count("engine.pool.tasks");
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++completed_;
-    }
   }
 }
 

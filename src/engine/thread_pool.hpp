@@ -16,6 +16,7 @@
 ///    what makes the ParallelOfflineDriver's pool-size-1 determinism guard
 ///    possible.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -47,7 +48,14 @@ class ThreadPool {
   template <typename F>
   [[nodiscard]] std::future<std::invoke_result_t<std::decay_t<F>>> submit(F&& f) {
     using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
+    // The task counts itself on the way out (return or throw), before the
+    // packaged_task makes its future ready, so a ready future is always
+    // reflected in completed().
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [this, fn = std::forward<F>(f)]() mutable -> R {
+          const CountOnExit counted{completed_};
+          return fn();
+        });
     std::future<R> fut = task->get_future();
     post([task]() { (*task)(); });
     return fut;
@@ -59,7 +67,8 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Tasks executed over the pool's lifetime (for tests and reports).
+  /// Tasks executed over the pool's lifetime (for tests and reports). A task
+  /// is counted before its future becomes ready.
   [[nodiscard]] std::size_t completed() const;
 
   /// Identifier this pool's worker lanes publish under on the live-status
@@ -70,6 +79,11 @@ class ThreadPool {
   }
 
  private:
+  struct CountOnExit {
+    std::atomic<std::size_t>& n;
+    ~CountOnExit() { n.fetch_add(1, std::memory_order_release); }
+  };
+
   void post(std::function<void()> job);
   void worker_loop(std::uint32_t lane);
 
@@ -77,7 +91,7 @@ class ThreadPool {
   std::condition_variable cv_;
   std::queue<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  std::size_t completed_ = 0;
+  std::atomic<std::size_t> completed_{0};
   bool stopping_ = false;
   std::string status_name_;
 };

@@ -27,7 +27,6 @@ namespace {
 
 using harmony::Config;
 using harmony::ServerOptions;
-using harmony::ServerThreading;
 using harmony::TuningClient;
 using harmony::TuningServer;
 namespace net = harmony::net;
@@ -46,7 +45,7 @@ bool eventually(const std::function<bool()>& pred, int timeout_ms = 5000) {
 // ---- BATCH framing ---------------------------------------------------------
 
 TEST(BatchVerb, ProbeAdvertisesCapOnEventStack) {
-  TuningServer server;  // event loop is the default transport
+  TuningServer server;
   ASSERT_TRUE(server.start());
   net::Socket sock = net::connect_loopback(server.port());
   ASSERT_TRUE(sock.valid());
@@ -58,46 +57,57 @@ TEST(BatchVerb, ProbeAdvertisesCapOnEventStack) {
   server.stop();
 }
 
-TEST(BatchVerb, LegacyStackAnswersCleanErr) {
+TEST(BatchVerb, ClientNegotiatesServerCap) {
   ServerOptions opts;
-  opts.threading = ServerThreading::kLegacy;
-  TuningServer server(opts);
-  ASSERT_TRUE(server.start());
-  net::Socket sock = net::connect_loopback(server.port());
-  ASSERT_TRUE(sock.valid());
-  net::LineReader reader(sock);
-  // The probe's ERR is the negotiation signal; the connection stays usable.
-  ASSERT_TRUE(sock.send_line("BATCH"));
-  auto reply = reader.read_line();
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(*reply, "ERR batch unsupported on this transport");
-  ASSERT_TRUE(sock.send_line("HELLO still-alive"));
-  reply = reader.read_line();
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->rfind("OK", 0), 0u);
-  server.stop();
-}
-
-TEST(BatchVerb, ClientNegotiationFallsBackOnLegacy) {
-  ServerOptions opts;
-  opts.threading = ServerThreading::kLegacy;
+  opts.max_batch = 64;
   TuningServer server(opts);
   ASSERT_TRUE(server.start());
   TuningClient client;
   ASSERT_TRUE(client.connect(server.port(), "probe"));
-  EXPECT_FALSE(client.batch_limit().has_value());
+  const auto limit = client.batch_limit();
+  ASSERT_TRUE(limit.has_value());
+  EXPECT_EQ(*limit, 64);
   client.bye();
   server.stop();
+}
 
-  TuningServer event_server;
-  ASSERT_TRUE(event_server.start());
-  TuningClient event_client;
-  ASSERT_TRUE(event_client.connect(event_server.port(), "probe"));
-  const auto limit = event_client.batch_limit();
-  ASSERT_TRUE(limit.has_value());
-  EXPECT_GE(*limit, 1);
-  event_client.bye();
-  event_server.stop();
+/// A legacy (older or foreign) server answers the bare BATCH probe with ERR:
+/// the client reports "no batching" and the session stays usable, so callers
+/// fall back to per-evaluation REPORT+FETCH. The peer here is a scripted
+/// loopback socket that knows every verb except BATCH.
+TEST(BatchVerb, ClientNegotiationFallsBackOnLegacy) {
+  auto listener = net::listen_loopback(0);
+  ASSERT_TRUE(listener.socket.valid());
+  std::vector<std::string> seen;
+  std::thread peer([&listener, &seen] {
+    net::Socket conn = net::accept_connection(listener.socket);
+    net::LineReader reader(conn);
+    std::string line;
+    while (conn.valid() && reader.read_line(line)) {
+      seen.push_back(line);
+      (void)conn.send_line(line == "BATCH" ? "ERR unknown verb BATCH" : "OK");
+      if (line == "BYE") break;
+    }
+  });
+
+  TuningClient client;
+  const bool connected = client.connect(listener.port, "probe");
+  EXPECT_TRUE(connected);
+  if (connected) {
+    EXPECT_FALSE(client.batch_limit().has_value());
+    EXPECT_TRUE(client.ok());
+    EXPECT_EQ(client.last_error(), "ERR unknown verb BATCH");
+    EXPECT_TRUE(client.add_int("x", 0, 10));
+  } else {
+    listener.socket.shutdown();  // unblock the peer's accept()
+  }
+  client.bye();
+  peer.join();
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(seen[0], "HELLO probe");
+  EXPECT_EQ(seen[1], "BATCH");
+  EXPECT_EQ(seen[2].rfind("PARAM ", 0), 0u) << seen[2];
+  EXPECT_EQ(seen[3], "BYE");
 }
 
 /// A batched session must walk the exact trajectory the unbatched

@@ -1,8 +1,8 @@
 // Pipelined wire-protocol behaviour of the tuning server: many concurrent
 // clients writing batches of verbs before reading replies, strict reply
 // ordering, poisoned-connection isolation, REPORT+FETCH trajectory parity
-// with FETCH/REPORT, and the max_connections admission cap — on both the
-// event-loop and legacy threading modes.
+// with FETCH/REPORT, and the max_connections admission cap — under the
+// default two-reactor layout and with every connection on one reactor.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 namespace {
 
 using harmony::ServerOptions;
-using harmony::ServerThreading;
 using harmony::TuningClient;
 using harmony::TuningServer;
 
@@ -132,12 +131,25 @@ bool run_scripted_session(int port, int evals) {
   return true;
 }
 
-class PipelinedServer : public ::testing::TestWithParam<ServerThreading> {
+/// Reactor layouts the server cases run under: `EventLoop` is the server as
+/// configured by default (connections spread over two reactor threads),
+/// `SingleReactor` serves every connection from one reactor thread.
+enum class Reactors { kDefault, kSingle };
+
+ServerOptions options_for(Reactors reactors) {
+  ServerOptions opts;
+  if (reactors == Reactors::kSingle) opts.reactor_threads = 1;
+  return opts;
+}
+
+std::string reactors_name(const ::testing::TestParamInfo<Reactors>& info) {
+  return info.param == Reactors::kDefault ? "EventLoop" : "SingleReactor";
+}
+
+class PipelinedServer : public ::testing::TestWithParam<Reactors> {
  protected:
   void SetUp() override {
-    ServerOptions opts;
-    opts.threading = GetParam();
-    server_ = std::make_unique<TuningServer>(opts);
+    server_ = std::make_unique<TuningServer>(options_for(GetParam()));
     ASSERT_TRUE(server_->start());
   }
   void TearDown() override { server_->stop(); }
@@ -167,8 +179,7 @@ TEST_P(PipelinedServer, SixtyFourConcurrentPipelinedClients) {
 TEST_P(PipelinedServer, OverlongLinePoisonsOnlyThatConnection) {
   // A fresh server with a small line limit for this test.
   server_->stop();
-  ServerOptions opts;
-  opts.threading = GetParam();
+  ServerOptions opts = options_for(GetParam());
   opts.max_line_bytes = 128;
   TuningServer server(opts);
   ASSERT_TRUE(server.start());
@@ -215,13 +226,8 @@ TEST_P(PipelinedServer, GarbageVerbGetsErrButConnectionStaysUsable) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, PipelinedServer,
-                         ::testing::Values(ServerThreading::kEventLoop,
-                                           ServerThreading::kLegacy),
-                         [](const auto& info) {
-                           return info.param == ServerThreading::kEventLoop
-                                      ? "EventLoop"
-                                      : "Legacy";
-                         });
+                         ::testing::Values(Reactors::kDefault, Reactors::kSingle),
+                         reactors_name);
 
 /// REPORT+FETCH must walk the exact trajectory FETCH + REPORT walks: same
 /// proposals in the same order, same best. (The golden-trajectory fixtures
@@ -267,11 +273,10 @@ TEST(ReportAndFetch, MatchesSplitTrajectory) {
   }
 }
 
-class MaxConnections : public ::testing::TestWithParam<ServerThreading> {};
+class MaxConnections : public ::testing::TestWithParam<Reactors> {};
 
 TEST_P(MaxConnections, OverLimitConnectsRejectedThenRecovers) {
-  ServerOptions opts;
-  opts.threading = GetParam();
+  ServerOptions opts = options_for(GetParam());
   opts.max_connections = 2;
   TuningServer server(opts);
   ASSERT_TRUE(server.start());
@@ -315,36 +320,7 @@ TEST_P(MaxConnections, OverLimitConnectsRejectedThenRecovers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, MaxConnections,
-                         ::testing::Values(ServerThreading::kEventLoop,
-                                           ServerThreading::kLegacy),
-                         [](const auto& info) {
-                           return info.param == ServerThreading::kEventLoop
-                                      ? "EventLoop"
-                                      : "Legacy";
-                         });
-
-/// The legacy mode is still a fully working server, not just a code path
-/// that compiles: a complete tuning loop converges through it.
-TEST(LegacyServerMode, FetchReportLoopMinimizes) {
-  ServerOptions opts;
-  opts.threading = ServerThreading::kLegacy;
-  TuningServer server(opts);
-  ASSERT_TRUE(server.start());
-  TuningClient client;
-  ASSERT_TRUE(client.connect(server.port(), "legacy"));
-  ASSERT_TRUE(client.add_int("x", 0, 200));
-  ASSERT_TRUE(client.start(80));
-  auto config = client.fetch();
-  while (config) {
-    const auto x = std::get<std::int64_t>(config->values[0]);
-    config = client.report_and_fetch(static_cast<double>((x - 77) * (x - 77)));
-  }
-  const auto best = client.best();
-  ASSERT_TRUE(best.has_value());
-  EXPECT_NEAR(static_cast<double>(std::get<std::int64_t>(best->values[0])), 77.0,
-              10.0);
-  client.bye();
-  server.stop();
-}
+                         ::testing::Values(Reactors::kDefault, Reactors::kSingle),
+                         reactors_name);
 
 }  // namespace

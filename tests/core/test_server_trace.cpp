@@ -28,7 +28,6 @@
 namespace {
 
 using harmony::ServerOptions;
-using harmony::ServerThreading;
 using harmony::TuningServer;
 namespace obs = harmony::obs;
 
@@ -87,7 +86,6 @@ int run_traced_session(int port, std::uint64_t trace_base, int evals) {
 TEST(TraceContextPlumbing, PipelinedClientsProduceCompleteSpanChains) {
   obs::SearchTracer tracer;
   ServerOptions opts;
-  opts.threading = ServerThreading::kEventLoop;
   opts.tracer = &tracer;
   TuningServer server(opts);
   ASSERT_TRUE(server.start());

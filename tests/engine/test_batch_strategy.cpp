@@ -18,16 +18,16 @@
 
 namespace {
 
+using harmony::BatchSearchStrategy;
 using harmony::Config;
 using harmony::EvaluationResult;
 using harmony::Parameter;
 using harmony::ParamSpace;
 using harmony::SearchStrategy;
+using harmony::SequentialBatchAdapter;
 using harmony::engine::BatchExhaustive;
 using harmony::engine::BatchRandomSearch;
-using harmony::engine::BatchSearchStrategy;
 using harmony::engine::BatchSystematicSampler;
-using harmony::engine::SequentialBatchAdapter;
 using harmony::engine::SpeculativeNelderMead;
 
 ParamSpace grid2d(int nx, int ny) {

@@ -3,8 +3,7 @@
 // over loopback, and a SearchController driving WorkerEvalBackend. Covers
 // the identity guarantee (fleet trajectory == serial golden trajectory),
 // fault injection (worker death mid-search, straggler re-dispatch with
-// dedup), elastic membership, the legacy thread-per-connection transport,
-// status lanes and worker connect retry.
+// dedup), elastic membership, status lanes and worker connect retry.
 
 #include <gtest/gtest.h>
 
@@ -64,15 +63,13 @@ struct Fleet {
   std::vector<std::thread> threads;
   bool up = false;
 
-  Fleet(const ParamSpace& space, fleet::DispatcherOptions dopts,
-        harmony::ServerThreading threading = harmony::ServerThreading::kEventLoop)
-      : dispatcher(space, std::move(dopts)), server(make_options(threading)) {
+  Fleet(const ParamSpace& space, fleet::DispatcherOptions dopts)
+      : dispatcher(space, std::move(dopts)), server(make_options()) {
     up = server.start();
   }
 
-  harmony::ServerOptions make_options(harmony::ServerThreading threading) {
+  harmony::ServerOptions make_options() {
     harmony::ServerOptions sopts;
-    sopts.threading = threading;
     sopts.fleet = &dispatcher;
     return sopts;
   }
@@ -240,21 +237,6 @@ TEST(FleetIntegration, ElasticAttachAndGracefulDetachMidSearch) {
   EXPECT_EQ(result.evaluations, golden.evaluations);
   EXPECT_TRUE(eventually([&] { return f.dispatcher.worker_count() == 1; }));
   EXPECT_EQ(f.clients[1]->evals(), 5u);
-}
-
-TEST(FleetIntegration, LegacyTransportServesWorkers) {
-  const auto sub = fleet::make_substrate("synthetic");
-  Fleet f(sub->space, {}, harmony::ServerThreading::kLegacy);
-  ASSERT_TRUE(f.up);
-  f.add_worker(sub->space, sub->run);
-  f.add_worker(sub->space, sub->run);
-  ASSERT_TRUE(f.dispatcher.wait_for_workers(2, std::chrono::seconds(5)));
-
-  const auto golden = serial_golden(*sub, 6, 36);
-  const auto result = run_fleet_search(f, sub->space, 6, 36);
-  ASSERT_TRUE(result.best.has_value());
-  EXPECT_EQ(result.best_objective, golden.best_objective);
-  EXPECT_EQ(result.evaluations, golden.evaluations);
 }
 
 TEST(FleetIntegration, StatusLanesPublishWorkerState) {

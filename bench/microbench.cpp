@@ -228,20 +228,27 @@ void BM_PopStepModel(benchmark::State& state) {
 BENCHMARK(BM_PopStepModel);
 
 // BM_PopStepModel repeats one shape, so after the first iteration it times a
-// memo hit. This one walks the Fig. 4 block-size range without repeating a
-// shape (398k of them), so every call builds its decomposition.
+// memo hit. This one walks the whole Fig. 4 lattice (block_x 30..720 step 6,
+// block_y 24..600 step 4: 16,820 shapes) in a fixed shuffled order on the
+// perf ledger's machine, so every call builds its decomposition and the
+// shapes span the full range of block counts a tuning session visits.
 void BM_PopStepModelCold(benchmark::State& state) {
   const minipop::PopGrid grid = minipop::PopGrid::production();
   const minipop::PopModel model(grid);
-  const auto machine = simcluster::presets::nersc_sp3(60, 8);
+  const auto machine = simcluster::presets::nersc_sp3(30, 16);
   const auto space = minipop::make_param_space(32);
   const auto mult =
       minipop::evaluate_multipliers(space, minipop::default_config(space));
-  int k = 0;
+  std::vector<minipop::BlockShape> shapes;
+  for (int bx = 30; bx <= 720; bx += 6) {
+    for (int by = 24; by <= 600; by += 4) shapes.push_back({bx, by});
+  }
+  harmony::Rng rng(17);
+  std::shuffle(shapes.begin(), shapes.end(), rng);
+  std::size_t k = 0;
   for (auto _ : state) {
-    const minipop::BlockShape shape{30 + k % 691, 24 + (k / 691) % 577};
-    ++k;
-    benchmark::DoNotOptimize(model.step_time(machine, 8, shape, mult).total_s);
+    const auto shape = shapes[k++ % shapes.size()];
+    benchmark::DoNotOptimize(model.step_time(machine, 16, shape, mult).total_s);
   }
 }
 BENCHMARK(BM_PopStepModelCold);

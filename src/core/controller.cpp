@@ -1,6 +1,7 @@
 #include "core/controller.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -60,6 +61,18 @@ std::vector<EvalOutcome> ShortRunEvalBackend::evaluate(const std::vector<Config>
   }
   return out;
 }
+
+namespace {
+
+// Strategies order results by objective; a NaN would break that ordering
+// (std::stable_sort needs a strict weak order), and an infinite objective
+// already means infeasible. Every backend's measurements and every tell()
+// pass through here.
+void reject_non_finite(EvaluationResult& r) {
+  if (!std::isfinite(r.objective)) r.valid = false;
+}
+
+}  // namespace
 
 SearchController::SearchController(const ParamSpace& space, ControllerLimits limits,
                                    ControllerHooks hooks, obs::SearchTracer* tracer,
@@ -177,10 +190,10 @@ ControllerResult SearchController::run(BatchSearchStrategy& strategy,
         throw std::logic_error("SearchController: backend batch size mismatch");
       }
       for (std::size_t m = 0; m < misses.size(); ++m) {
-        outcomes[miss_at[m]] = std::move(measured[m]);
-        if (cache_ != nullptr && outcomes[miss_at[m]].ran) {
-          cache_->store(miss_keys[m], outcomes[miss_at[m]].result);
-        }
+        EvalOutcome& o = outcomes[miss_at[m]];
+        o = std::move(measured[m]);
+        reject_non_finite(o.result);
+        if (cache_ != nullptr && o.ran) cache_->store(miss_keys[m], o.result);
       }
     }
 
@@ -249,11 +262,12 @@ std::optional<Config> SearchController::ask(SearchStrategy& strategy) {
   return pending_;
 }
 
-void SearchController::tell(SearchStrategy& strategy, const EvaluationResult& r,
+void SearchController::tell(SearchStrategy& strategy, EvaluationResult r,
                             bool speculative) {
   if (!pending_) {
     throw std::logic_error("SearchController::tell without a pending ask");
   }
+  reject_non_finite(r);
   if (tracer_ != nullptr) {
     const double now = tracer_->now_us();
     tracer_->record({strategy.name(), space_->format(*pending_), r.objective,

@@ -201,9 +201,10 @@ class SearchController {
   /// A speculative tell() carries a model-predicted value: the strategy
   /// hears it, but it charges no budget, never becomes the incumbent and is
   /// not recorded in History — mirroring how the batch loop treats
-  /// EvalOutcome::speculative.
+  /// EvalOutcome::speculative. Both loops mark a non-finite objective
+  /// invalid before the strategy, the cache or History sees it.
   [[nodiscard]] std::optional<Config> ask(SearchStrategy& strategy);
-  void tell(SearchStrategy& strategy, const EvaluationResult& r,
+  void tell(SearchStrategy& strategy, EvaluationResult r,
             bool speculative = false);
   [[nodiscard]] bool awaiting_tell() const { return pending_.has_value(); }
 

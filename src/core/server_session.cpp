@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <sstream>
@@ -125,14 +124,13 @@ bool ServerConnection::handle_report_value(std::string_view field,
   (void)verb;
   EvaluationResult r;
   r.objective = *value;
-  r.valid = std::isfinite(*value);
   if (measure_stages_) {
     const auto t0 = std::chrono::steady_clock::now();
-    controller_->tell(*search_, r);
+    controller_->tell(*search_, std::move(r));
     stage_tell_us_ = us_since(t0);
     record_stage_span("server.tell", stage_tell_us_);
   } else {
-    controller_->tell(*search_, r);
+    controller_->tell(*search_, std::move(r));
   }
   // One completed FETCH -> REPORT pair is one tuning round trip.
   ++roundtrips_;

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "core/strategy_registry.hpp"
 #include "obs/metrics.hpp"
@@ -114,8 +115,7 @@ void Session::report(double performance) {
   obs::count("session.reports");
   EvaluationResult r;
   r.objective = performance;
-  r.valid = true;
-  controller_->tell(*strategy_, r);
+  controller_->tell(*strategy_, std::move(r));
 }
 
 bool Session::report_and_fetch(double performance) {

@@ -28,12 +28,22 @@ std::vector<int> assign_blocks(Distribution dist,
   const auto ranks = static_cast<std::size_t>(nranks);
   std::vector<int> assign(n);
   switch (dist) {
-    case Distribution::Cartesian:
-      // Equal block counts per rank (POP "cartesian").
+    case Distribution::Cartesian: {
+      // Equal block counts per rank (POP "cartesian"): block pos goes to
+      // rank pos * nranks / n, stepped without a division per block.
+      std::size_t rank = 0;
+      std::size_t rem = 0;  // pos * ranks == rank * n + rem
       for (std::size_t pos = 0; pos < n; ++pos) {
-        assign[pos] = static_cast<int>(pos * ranks / n);
+        assign[pos] = static_cast<int>(rank);
+        rank += ranks / n;
+        rem += ranks % n;
+        if (rem >= n) {
+          ++rank;
+          rem -= n;
+        }
       }
       break;
+    }
     case Distribution::RakeWork: {
       // Equal ocean work per rank (POP "rake"), still contiguous.
       const double target = static_cast<double>(total_ocean) / nranks;
@@ -91,41 +101,33 @@ BlockDecomposition::BlockDecomposition(const PopGrid& grid, BlockShape shape,
     throw std::invalid_argument("BlockDecomposition: non-positive block size");
   }
   if (nranks < 1) throw std::invalid_argument("BlockDecomposition: nranks < 1");
-  nbx_ = (grid.nx() + shape.bx - 1) / shape.bx;
-  nby_ = (grid.ny() + shape.by - 1) / shape.by;
-  blocks_.reserve(static_cast<std::size_t>(nbx_) * static_cast<std::size_t>(nby_));
-
+  const auto ocean = grid.ocean_points_lattice(shape.bx, shape.by);
+  nbx_ = (grid.nx() - 1) / shape.bx + 1;
+  nby_ = (grid.ny() - 1) / shape.by + 1;
+  blocks_.reserve(ocean.size());
+  // Eliminate all-land blocks, then deal the surviving ocean blocks to ranks.
+  // Work is quantized in whole blocks, so the residual imbalance is roughly
+  // one block's worth of points over the per-rank mean — the mechanism that
+  // makes block size a load-balance knob.
+  std::vector<std::int64_t> ocean_pts;
+  ocean_pts.reserve(ocean.size());
+  std::int64_t total_ocean = 0;
   for (int ix = 0; ix < nbx_; ++ix) {
     for (int iy = 0; iy < nby_; ++iy) {
       BlockInfo b;
       b.ix = ix;
       b.iy = iy;
-      const int i0 = ix * shape.bx;
-      const int j0 = iy * shape.by;
-      const int i1 = std::min(grid.nx(), i0 + shape.bx);
-      const int j1 = std::min(grid.ny(), j0 + shape.by);
-      b.width = i1 - i0;
-      b.height = j1 - j0;
-      b.ocean_points = grid.ocean_points_in(i0, i1, j0, j1);
+      b.width = std::min(grid.nx() - ix * shape.bx, shape.bx);
+      b.height = std::min(grid.ny() - iy * shape.by, shape.by);
+      b.ocean_points = ocean[blocks_.size()];
+      if (b.ocean_points > 0) {
+        ocean_pts.push_back(b.ocean_points);
+        total_ocean += b.ocean_points;
+      }
       blocks_.push_back(b);
     }
   }
-
-  // Eliminate all-land blocks, then deal the surviving ocean blocks to ranks.
-  // Work is quantized in whole blocks, so the residual imbalance is roughly
-  // one block's worth of points over the per-rank mean — the mechanism that
-  // makes block size a load-balance knob.
-  std::vector<std::size_t> ocean_idx;
-  std::vector<std::int64_t> ocean_pts;
-  std::int64_t total_ocean = 0;
-  for (std::size_t k = 0; k < blocks_.size(); ++k) {
-    if (blocks_[k].ocean_points > 0) {
-      ocean_idx.push_back(k);
-      ocean_pts.push_back(blocks_[k].ocean_points);
-      total_ocean += blocks_[k].ocean_points;
-    }
-  }
-  ocean_blocks_ = static_cast<int>(ocean_idx.size());
+  ocean_blocks_ = static_cast<int>(ocean_pts.size());
   if (ocean_blocks_ == 0) {
     throw std::invalid_argument("BlockDecomposition: grid is all land");
   }
@@ -159,8 +161,9 @@ BlockDecomposition::BlockDecomposition(const PopGrid& grid, BlockShape shape,
   } else {
     chosen = assign_blocks(dist_, ocean_pts, nranks_, total_ocean);
   }
-  for (std::size_t pos = 0; pos < ocean_idx.size(); ++pos) {
-    blocks_[ocean_idx[pos]].rank = chosen[pos];
+  std::size_t pos = 0;
+  for (auto& b : blocks_) {
+    if (b.ocean_points > 0) b.rank = chosen[pos++];
   }
 }
 
@@ -180,35 +183,38 @@ std::vector<std::int64_t> BlockDecomposition::ocean_points_per_rank() const {
   return out;
 }
 
-std::vector<int> BlockDecomposition::blocks_per_rank() const {
-  std::vector<int> out(static_cast<std::size_t>(nranks_), 0);
+double BlockDecomposition::RankLoads::inefficiency() const {
+  std::int64_t max_c = 0;
+  for (const auto c : computed_points) max_c = std::max(max_c, c);
+  const double mean_ocean = static_cast<double>(ocean_points) /
+                            static_cast<double>(computed_points.size());
+  return mean_ocean > 0.0 ? static_cast<double>(max_c) / mean_ocean : 1.0;
+}
+
+BlockDecomposition::RankLoads BlockDecomposition::rank_loads() const {
+  RankLoads out;
+  out.computed_points.assign(static_cast<std::size_t>(nranks_), 0);
+  out.blocks.assign(static_cast<std::size_t>(nranks_), 0);
   for (const auto& b : blocks_) {
-    if (b.rank >= 0) ++out[static_cast<std::size_t>(b.rank)];
+    if (b.rank < 0) continue;
+    const auto r = static_cast<std::size_t>(b.rank);
+    out.computed_points[r] += static_cast<std::int64_t>(b.width) * b.height;
+    ++out.blocks[r];
+    out.ocean_points += b.ocean_points;
   }
   return out;
+}
+
+std::vector<int> BlockDecomposition::blocks_per_rank() const {
+  return rank_loads().blocks;
 }
 
 std::vector<std::int64_t> BlockDecomposition::computed_points_per_rank() const {
-  std::vector<std::int64_t> out(static_cast<std::size_t>(nranks_), 0);
-  for (const auto& b : blocks_) {
-    if (b.rank >= 0) {
-      out[static_cast<std::size_t>(b.rank)] +=
-          static_cast<std::int64_t>(b.width) * b.height;
-    }
-  }
-  return out;
+  return rank_loads().computed_points;
 }
 
 double BlockDecomposition::compute_inefficiency() const {
-  const auto computed = computed_points_per_rank();
-  std::int64_t max_c = 0;
-  for (const auto c : computed) max_c = std::max(max_c, c);
-  std::int64_t ocean = 0;
-  for (const auto& b : blocks_) {
-    if (b.rank >= 0) ocean += b.ocean_points;
-  }
-  const double mean_ocean = static_cast<double>(ocean) / nranks_;
-  return mean_ocean > 0.0 ? static_cast<double>(max_c) / mean_ocean : 1.0;
+  return rank_loads().inefficiency();
 }
 
 double BlockDecomposition::imbalance() const {
@@ -227,7 +233,16 @@ BlockDecomposition::HaloStats
 BlockDecomposition::halo_stats(int ranks_per_node) const {
   if (ranks_per_node < 1) throw std::invalid_argument("halo_stats: bad ppn");
   HaloStats stats;
-  const auto node_of = [ranks_per_node](int rank) { return rank / ranks_per_node; };
+  // Node of each rank, laid out once rather than divided per neighbour pair.
+  const auto ppn = static_cast<std::size_t>(ranks_per_node);
+  std::vector<int> node(static_cast<std::size_t>(nranks_));
+  for (std::size_t first = 0, n = 0; first < node.size(); first += ppn, ++n) {
+    std::fill_n(node.begin() + static_cast<std::ptrdiff_t>(first),
+                std::min(ppn, node.size() - first), static_cast<int>(n));
+  }
+  const auto node_of = [&node](int rank) {
+    return node[static_cast<std::size_t>(rank)];
+  };
   std::vector<std::int64_t> rank_intra(static_cast<std::size_t>(nranks_), 0);
   std::vector<std::int64_t> rank_inter(static_cast<std::size_t>(nranks_), 0);
 
@@ -243,16 +258,18 @@ BlockDecomposition::halo_stats(int ranks_per_node) const {
     }
   };
 
-  for (const auto& b : blocks_) {
+  const auto column = static_cast<std::size_t>(nby_);
+  for (std::size_t k = 0; k < blocks_.size(); ++k) {
+    const auto& b = blocks_[k];
     if (b.rank < 0) continue;
     // East neighbor (x direction): exchange a column of `height` points.
     if (b.ix + 1 < nbx_) {
-      const auto& e = block(b.ix + 1, b.iy);
+      const auto& e = blocks_[k + column];
       if (e.rank >= 0 && e.rank != b.rank) account(b.rank, e.rank, b.height);
     }
     // North neighbor (y direction): exchange a row of `width` points.
     if (b.iy + 1 < nby_) {
-      const auto& n = block(b.ix, b.iy + 1);
+      const auto& n = blocks_[k + 1];
       if (n.rank >= 0 && n.rank != b.rank) account(b.rank, n.rank, b.width);
     }
   }

@@ -68,18 +68,30 @@ class BlockDecomposition {
   /// Ocean points assigned to each rank.
   [[nodiscard]] std::vector<std::int64_t> ocean_points_per_rank() const;
 
-  /// *Computed* points per rank: a surviving block computes its full
-  /// width x height (land points are masked, not skipped — POP's compute
-  /// loops run over whole blocks). This is what the baroclinic update costs;
-  /// the gap between computed and ocean points is the land waste that
-  /// smaller blocks recover along coastlines.
+  /// What the ranks' compute loads come to, from one pass over the blocks.
+  struct RankLoads {
+    /// *Computed* points per rank: a surviving block computes its full
+    /// width x height (land points are masked, not skipped — POP's compute
+    /// loops run over whole blocks). This is what the baroclinic update
+    /// costs; the gap between computed and ocean points is the land waste
+    /// that smaller blocks recover along coastlines.
+    std::vector<std::int64_t> computed_points;
+    std::vector<int> blocks;        ///< ocean blocks per rank
+    std::int64_t ocean_points = 0;  ///< over all ranks
+
+    /// max computed points per rank / mean *ocean* points per rank: combines
+    /// load imbalance and land waste into the figure tuning minimizes.
+    [[nodiscard]] double inefficiency() const;
+  };
+  [[nodiscard]] RankLoads rank_loads() const;
+
+  /// rank_loads().computed_points.
   [[nodiscard]] std::vector<std::int64_t> computed_points_per_rank() const;
 
-  /// max computed points per rank / mean *ocean* points per rank: combines
-  /// load imbalance and land waste into the figure tuning minimizes.
+  /// rank_loads().inefficiency().
   [[nodiscard]] double compute_inefficiency() const;
 
-  /// Ocean blocks assigned to each rank.
+  /// rank_loads().blocks.
   [[nodiscard]] std::vector<int> blocks_per_rank() const;
 
   /// max ocean points per rank / mean — load-balance figure of merit.

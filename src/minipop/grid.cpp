@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
+#include <vector>
 
 namespace minipop {
 
@@ -34,25 +36,37 @@ PopGrid::PopGrid(int nx, int ny, int depth_levels) : nx_(nx), ny_(ny), kz_(depth
                                                      at(ci + 1, cj) - at(ci, cj));
     }
   }
+  ocean_fraction_ = static_cast<double>(ocean_points_in(0, nx_, 0, ny_)) /
+                    (static_cast<double>(nx_) * static_cast<double>(ny_));
 }
 
-double PopGrid::coarse_sum(double ci, double cj) const {
-  // Bilinear interpolation of the prefix sum at fractional coarse coords.
-  const double cx = std::clamp(ci, 0.0, static_cast<double>(cnx_));
-  const double cy = std::clamp(cj, 0.0, static_cast<double>(cny_));
-  const int i0 = static_cast<int>(cx);
-  const int j0 = static_cast<int>(cy);
-  const int i1 = std::min(i0 + 1, cnx_);
-  const int j1 = std::min(j0 + 1, cny_);
-  const double fx = cx - i0;
-  const double fy = cy - j0;
+PopGrid::CoarseLine PopGrid::coarse_line(int x, int coarse_extent) const {
+  const double c = std::clamp(x / static_cast<double>(stride_), 0.0,
+                              static_cast<double>(coarse_extent));
+  CoarseLine line;
+  line.lo = static_cast<int>(c);
+  line.hi = std::min(line.lo + 1, coarse_extent);
+  line.frac = c - line.lo;
+  return line;
+}
+
+double PopGrid::corner(const CoarseLine& x, const CoarseLine& y) const {
   const auto at = [this](int a, int b) {
     return static_cast<double>(
         prefix_[static_cast<std::size_t>(b) * (cnx_ + 1) + a]);
   };
-  const double top = at(i0, j0) * (1 - fx) + at(i1, j0) * fx;
-  const double bot = at(i0, j1) * (1 - fx) + at(i1, j1) * fx;
-  return top * (1 - fy) + bot * fy;
+  const double top = at(x.lo, y.lo) * (1 - x.frac) + at(x.hi, y.lo) * x.frac;
+  const double bot = at(x.lo, y.hi) * (1 - x.frac) + at(x.hi, y.hi) * x.frac;
+  return top * (1 - y.frac) + bot * y.frac;
+}
+
+std::int64_t PopGrid::block_points(double c00, double c10, double c01, double c11,
+                                   std::int64_t total) const {
+  if (total == 0) return 0;
+  const double s = stride_;
+  const double cells = c11 - c01 - c10 + c00;
+  return std::min<std::int64_t>(
+      total, static_cast<std::int64_t>(std::llround(cells * s * s)));
 }
 
 bool PopGrid::is_ocean(int i, int j) const {
@@ -76,21 +90,52 @@ std::int64_t PopGrid::ocean_points_in(int i0, int i1, int j0, int j1) const {
   if (i0 < 0 || i1 > nx_ || j0 < 0 || j1 > ny_ || i0 > i1 || j0 > j1) {
     throw std::invalid_argument("ocean_points_in: bad rectangle");
   }
-  const std::int64_t total =
-      static_cast<std::int64_t>(i1 - i0) * static_cast<std::int64_t>(j1 - j0);
-  if (total == 0) return 0;
-
-  const double s = stride_;
-  const double cells = coarse_sum(i1 / s, j1 / s) - coarse_sum(i0 / s, j1 / s) -
-                       coarse_sum(i1 / s, j0 / s) + coarse_sum(i0 / s, j0 / s);
-  const double points = cells * s * s;
-  return std::min<std::int64_t>(total,
-                                static_cast<std::int64_t>(std::llround(points)));
+  const CoarseLine x0 = coarse_line(i0, cnx_);
+  const CoarseLine x1 = coarse_line(i1, cnx_);
+  const CoarseLine y0 = coarse_line(j0, cny_);
+  const CoarseLine y1 = coarse_line(j1, cny_);
+  return block_points(corner(x0, y0), corner(x1, y0), corner(x0, y1), corner(x1, y1),
+                      static_cast<std::int64_t>(i1 - i0) * (j1 - j0));
 }
 
-double PopGrid::ocean_fraction() const {
-  return static_cast<double>(ocean_points_in(0, nx_, 0, ny_)) /
-         (static_cast<double>(nx_) * static_cast<double>(ny_));
+std::vector<std::int64_t> PopGrid::ocean_points_lattice(int bx, int by) const {
+  if (bx < 1 || by < 1) {
+    throw std::invalid_argument("ocean_points_lattice: non-positive block size");
+  }
+  // Lattice lines 0, b, 2b, ..., clipped to the grid's extent.
+  const auto lines = [](int extent, int step) {
+    std::vector<int> at(static_cast<std::size_t>((extent - 1) / step + 2));
+    for (std::size_t k = 1; k < at.size(); ++k) {
+      at[k] = static_cast<int>(
+          std::min<std::int64_t>(extent, static_cast<std::int64_t>(k) * step));
+    }
+    return at;
+  };
+  const auto xs = lines(nx_, bx);
+  const auto ys = lines(ny_, by);
+  std::vector<CoarseLine> cols(xs.size());
+  for (std::size_t a = 0; a < xs.size(); ++a) cols[a] = coarse_line(xs[a], cnx_);
+
+  // Corner sums along the previous and the current row line, swept in the
+  // prefix table's memory order; each block takes the four corners it shares
+  // with its neighbours. Blocks are stored column-major.
+  const std::size_t nrows = ys.size() - 1;
+  std::vector<std::int64_t> out((xs.size() - 1) * nrows);
+  std::vector<double> prev(xs.size());
+  std::vector<double> cur(xs.size());
+  for (std::size_t l = 0; l < ys.size(); ++l) {
+    const CoarseLine row = coarse_line(ys[l], cny_);
+    for (std::size_t a = 0; a < xs.size(); ++a) cur[a] = corner(cols[a], row);
+    if (l > 0) {
+      const std::int64_t height = ys[l] - ys[l - 1];
+      for (std::size_t a = 1; a < xs.size(); ++a) {
+        out[(a - 1) * nrows + (l - 1)] = block_points(
+            prev[a - 1], prev[a], cur[a - 1], cur[a], (xs[a] - xs[a - 1]) * height);
+      }
+    }
+    std::swap(prev, cur);
+  }
+  return out;
 }
 
 }  // namespace minipop

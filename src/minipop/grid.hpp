@@ -32,15 +32,37 @@ class PopGrid {
   /// counts).
   [[nodiscard]] std::int64_t ocean_points_in(int i0, int i1, int j0, int j1) const;
 
+  /// Ocean points of every block of the bx x by lattice that tiles the grid
+  /// from (0, 0), edge blocks clipped to the grid, in column-major order
+  /// (index ix * nby + iy). Each count equals ocean_points_in over that
+  /// block, bit for bit, but corners shared by neighbouring blocks are
+  /// interpolated once.
+  [[nodiscard]] std::vector<std::int64_t> ocean_points_lattice(int bx, int by) const;
+
   /// Whole-grid ocean fraction estimate.
-  [[nodiscard]] double ocean_fraction() const;
+  [[nodiscard]] double ocean_fraction() const noexcept { return ocean_fraction_; }
 
   /// The paper's production grid.
   [[nodiscard]] static PopGrid production() { return PopGrid(3600, 2400); }
 
  private:
-  /// Prefix-sum lookup over the coarse mask (stride_ x stride_ cells).
-  [[nodiscard]] double coarse_sum(double ci, double cj) const;
+  /// A grid line's position on the coarse mask, clamped to it: the cell
+  /// index below it and the fraction of the way to the next one.
+  struct CoarseLine {
+    int lo = 0;
+    int hi = 0;
+    double frac = 0.0;
+  };
+  [[nodiscard]] CoarseLine coarse_line(int x, int coarse_extent) const;
+
+  /// Bilinear interpolation of the prefix sum where a column line crosses
+  /// a row line.
+  [[nodiscard]] double corner(const CoarseLine& x, const CoarseLine& y) const;
+
+  /// Ocean points of a block of `total` points from the corner sums at its
+  /// (low x, low y), (high x, low y), (low x, high y) and (high x, high y).
+  [[nodiscard]] std::int64_t block_points(double c00, double c10, double c01,
+                                          double c11, std::int64_t total) const;
 
   int nx_;
   int ny_;
@@ -52,6 +74,7 @@ class PopGrid {
   // bits suffice (checked at construction) and halve the largest allocation
   // of a production-grid model.
   std::vector<std::int32_t> prefix_;
+  double ocean_fraction_ = 0.0;
 };
 
 }  // namespace minipop

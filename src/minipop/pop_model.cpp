@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "simcluster/collectives.hpp"
 
@@ -25,10 +26,11 @@ std::shared_ptr<const PopModel::ShapeSummary> PopModel::summary(
 
   // Built outside the lock, so concurrent misses on other shapes overlap.
   const BlockDecomposition decomp(*grid_, block, nranks, dist);
+  auto loads = decomp.rank_loads();
   auto s = std::make_shared<ShapeSummary>();
-  s->inefficiency = decomp.compute_inefficiency();
-  s->computed_points = decomp.computed_points_per_rank();
-  s->blocks = decomp.blocks_per_rank();
+  s->inefficiency = loads.inefficiency();
+  s->computed_points = std::move(loads.computed_points);
+  s->blocks = std::move(loads.blocks);
   for (const int b : s->blocks) {
     s->max_blocks = std::max(s->max_blocks, static_cast<double>(b));
   }
@@ -70,17 +72,21 @@ PopStepReport PopModel::step_time(const simcluster::Machine& machine,
                             cost_.state_share * mult.state + cost_.other_share;
   const auto& pts = shape->computed_points;
   const auto& blocks = shape->blocks;
+  // A node's ranks share one rate, and dividing by a positive constant
+  // preserves order, so the node's busiest rank is found in flops and
+  // divided once.
   double max_t = 0.0;
   for (const auto& node : machine.nodes()) {
-    const double rate = cost_.ref_flops_per_s * node.speed;
+    double max_flops = 0.0;
     for (int r = node.first_rank; r < node.first_rank + node.cpus; ++r) {
       const double flops =
           static_cast<double>(pts[static_cast<std::size_t>(r)]) *
               grid_->depth_levels() * cost_.flops_per_point_level * phase_mult +
           static_cast<double>(blocks[static_cast<std::size_t>(r)]) *
               grid_->depth_levels() * cost_.block_overhead_flops;
-      max_t = std::max(max_t, flops / rate);
+      max_flops = std::max(max_flops, flops);
     }
+    max_t = std::max(max_t, max_flops / (cost_.ref_flops_per_s * node.speed));
   }
   rep.baroclinic_s = max_t;
 

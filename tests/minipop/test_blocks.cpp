@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -181,6 +184,115 @@ TEST(Blocks, MorePpnShiftsTrafficIntraNode) {
 TEST(Blocks, HaloBadPpnThrows) {
   const BlockDecomposition d(small_grid(), {90, 60}, 4);
   EXPECT_THROW((void)d.halo_stats(0), std::invalid_argument);
+}
+
+// Test-local reference, built block by block from ocean_points_in and read
+// back through the bounds-checked block(): the rank of every block under the
+// policies with a closed form, and the halo traffic under every policy.
+std::vector<int> reference_ranks(const PopGrid& g, BlockShape shape, int nranks,
+                                 Distribution dist) {
+  std::vector<std::int64_t> pts;  // every block, column-major
+  for (int i0 = 0; i0 < g.nx(); i0 += shape.bx) {
+    for (int j0 = 0; j0 < g.ny(); j0 += shape.by) {
+      pts.push_back(g.ocean_points_in(i0, std::min(g.nx(), i0 + shape.bx), j0,
+                                      std::min(g.ny(), j0 + shape.by)));
+    }
+  }
+  std::int64_t total = 0;
+  std::size_t n = 0;
+  for (const auto p : pts) {
+    total += p;
+    n += p > 0 ? 1 : 0;
+  }
+  // Land blocks stay -1; so does every ocean block under Balanced.
+  std::vector<int> ranks(pts.size(), -1);
+  const auto r = static_cast<std::size_t>(nranks);
+  std::size_t pos = 0;
+  std::int64_t cum = 0;
+  int rake = 0;
+  for (std::size_t k = 0; k < pts.size(); ++k) {
+    if (pts[k] == 0) continue;
+    if (dist == Distribution::Cartesian) {
+      ranks[k] = static_cast<int>(pos * r / n);
+    } else if (dist == Distribution::RoundRobin) {
+      ranks[k] = static_cast<int>(pos % r);
+    } else if (dist == Distribution::RakeWork) {
+      const double target = static_cast<double>(total) / nranks;
+      const double mid = static_cast<double>(cum) + 0.5 * static_cast<double>(pts[k]);
+      while (rake + 1 < nranks && mid >= target * (rake + 1)) ++rake;
+      ranks[k] = rake;
+      cum += pts[k];
+    }
+    ++pos;
+  }
+  return ranks;
+}
+
+BlockDecomposition::HaloStats reference_halo(const BlockDecomposition& d, int ppn) {
+  BlockDecomposition::HaloStats s;
+  std::vector<std::int64_t> intra(static_cast<std::size_t>(d.nranks()), 0);
+  std::vector<std::int64_t> inter(static_cast<std::size_t>(d.nranks()), 0);
+  const auto account = [&](int a, int b, std::int64_t points) {
+    if (a < 0 || b < 0 || a == b) return;
+    const bool same_node = a / ppn == b / ppn;
+    (same_node ? s.intra_node_points : s.inter_node_points) += 2 * points;
+    auto& per_rank = same_node ? intra : inter;
+    per_rank[static_cast<std::size_t>(a)] += points;
+    per_rank[static_cast<std::size_t>(b)] += points;
+  };
+  for (int ix = 0; ix < d.nbx(); ++ix) {
+    for (int iy = 0; iy < d.nby(); ++iy) {
+      const auto& b = d.block(ix, iy);
+      if (ix + 1 < d.nbx()) account(b.rank, d.block(ix + 1, iy).rank, b.height);
+      if (iy + 1 < d.nby()) account(b.rank, d.block(ix, iy + 1).rank, b.width);
+    }
+  }
+  s.max_rank_intra_points = *std::max_element(intra.begin(), intra.end());
+  s.max_rank_inter_points = *std::max_element(inter.begin(), inter.end());
+  return s;
+}
+
+TEST(Blocks, MatchesPerBlockReference) {
+  const PopGrid production = PopGrid::production();
+  struct Case {
+    const PopGrid* grid;
+    BlockShape shape;
+    int nranks;
+  };
+  const Case cases[] = {
+      {&small_grid(), {90, 60}, 16},  {&small_grid(), {37, 53}, 7},
+      {&small_grid(), {500, 300}, 4}, {&small_grid(), {30, 20}, 16},
+      {&production, {180, 100}, 480}, {&production, {30, 24}, 480},
+      {&production, {714, 596}, 480},
+  };
+  for (const auto& c : cases) {
+    for (const auto dist : {Distribution::Cartesian, Distribution::RakeWork,
+                            Distribution::RoundRobin, Distribution::Balanced,
+                            Distribution::Auto}) {
+      const BlockDecomposition d(*c.grid, c.shape, c.nranks, dist);
+      const auto ref = reference_ranks(*c.grid, c.shape, c.nranks, d.distribution());
+      const bool closed_form = d.distribution() != Distribution::Balanced;
+      ASSERT_EQ(d.blocks().size(), ref.size());
+      for (std::size_t k = 0; k < ref.size(); ++k) {
+        const int rank = d.blocks()[k].rank;
+        if (closed_form) {
+          ASSERT_EQ(rank, ref[k]) << to_string(dist) << " block " << k;
+        } else {
+          ASSERT_EQ(rank < 0, d.blocks()[k].ocean_points == 0)
+              << to_string(dist) << " block " << k;
+        }
+      }
+      for (const int ppn : {1, 2, 4, 8, 16}) {
+        const auto got = d.halo_stats(ppn);
+        const auto want = reference_halo(d, ppn);
+        const auto where = std::string(to_string(dist)) + " ppn " + std::to_string(ppn);
+        EXPECT_EQ(got.intra_node_points, want.intra_node_points) << where;
+        EXPECT_EQ(got.inter_node_points, want.inter_node_points) << where;
+        EXPECT_EQ(got.max_rank_intra_points, want.max_rank_intra_points) << where;
+        EXPECT_EQ(got.max_rank_inter_points, want.max_rank_inter_points) << where;
+      }
+    }
+  }
 }
 
 TEST(Blocks, BadArgsThrow) {

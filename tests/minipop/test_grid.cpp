@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 namespace {
 
 using minipop::PopGrid;
@@ -96,6 +101,79 @@ TEST(PopGridTest, OceanPointsNeverExceedArea) {
       EXPECT_LE(pts, static_cast<std::int64_t>(i1 - i) * (j1 - j));
     }
   }
+}
+
+// ocean_points_in over every block of the bx x by lattice, column-major.
+std::vector<std::int64_t> per_block(const PopGrid& g, int bx, int by) {
+  std::vector<std::int64_t> out;
+  for (int i0 = 0; i0 < g.nx(); i0 += bx) {
+    for (int j0 = 0; j0 < g.ny(); j0 += by) {
+      out.push_back(g.ocean_points_in(i0, std::min(g.nx(), i0 + bx), j0,
+                                      std::min(g.ny(), j0 + by)));
+    }
+  }
+  return out;
+}
+
+TEST(PopGridTest, LatticeMatchesPerBlockOnFig4Shapes) {
+  const auto g = PopGrid::production();
+  std::size_t blocks = 0;
+  for (int bx = 30; bx <= 720; bx += 6) {
+    for (int by = 24; by <= 600; by += 4) {
+      const auto lattice = g.ocean_points_lattice(bx, by);
+      ASSERT_EQ(lattice, per_block(g, bx, by)) << bx << "x" << by;
+      blocks += lattice.size();
+    }
+  }
+  EXPECT_GT(blocks, 3'000'000U);
+}
+
+TEST(PopGridTest, LatticeMatchesPerBlockOnStrideOneGrids) {
+  // A grid whose shorter side is under 1200 points keeps every mask point
+  // (coarse stride 1), so lattice lines land on whole coarse cells.
+  for (const auto& g : {PopGrid(97, 61), PopGrid(600, 600), PopGrid(1, 7)}) {
+    for (const int bx : {1, 2, 7, 10, 64, 97, 600, 1000}) {
+      for (const int by : {1, 3, 8, 59, 61, 600, 999}) {
+        EXPECT_EQ(g.ocean_points_lattice(bx, by), per_block(g, bx, by))
+            << g.nx() << "x" << g.ny() << " grid, " << bx << "x" << by << " blocks";
+      }
+    }
+  }
+}
+
+TEST(PopGridTest, LatticeMatchesPerBlockOnStrideThreeGrid) {
+  // Coarse stride 3: lattice lines fall between coarse cells, at fractions
+  // a double cannot hold exactly.
+  const PopGrid g(1900, 1800);
+  for (const int bx : {7, 30, 100, 301}) {
+    for (const int by : {5, 24, 97, 640}) {
+      EXPECT_EQ(g.ocean_points_lattice(bx, by), per_block(g, bx, by))
+          << bx << "x" << by << " blocks";
+    }
+  }
+}
+
+TEST(PopGridTest, LatticeEdgeBlocksNarrower) {
+  // 3600 = 7 * 500 + 100 and 2400 = 3 * 700 + 300: the last column and row
+  // are clipped to the grid.
+  const auto g = PopGrid::production();
+  const auto lattice = g.ocean_points_lattice(500, 700);
+  ASSERT_EQ(lattice.size(), 8U * 4U);
+  EXPECT_EQ(lattice, per_block(g, 500, 700));
+  EXPECT_EQ(lattice.back(), g.ocean_points_in(3500, 3600, 2100, 2400));
+}
+
+TEST(PopGridTest, LatticeSingleBlockIsWholeGrid) {
+  const auto g = PopGrid::production();
+  const std::vector<std::int64_t> whole{g.ocean_points_in(0, 3600, 0, 2400)};
+  EXPECT_EQ(g.ocean_points_lattice(3600, 2400), whole);
+  EXPECT_EQ(g.ocean_points_lattice(5000, 9000), whole);
+}
+
+TEST(PopGridTest, LatticeBadBlockSizeThrows) {
+  const auto g = PopGrid(100, 100);
+  EXPECT_THROW((void)g.ocean_points_lattice(0, 10), std::invalid_argument);
+  EXPECT_THROW((void)g.ocean_points_lattice(10, -1), std::invalid_argument);
 }
 
 TEST(PopGridTest, BadShapeThrows) {

@@ -264,6 +264,251 @@ TEST(PopModel, ConcurrentStepTimeMatchesSerial) {
   }
 }
 
+// step_time outputs recorded as hex floats, so any reordering of the
+// floating-point work shows. The tuples cover the Fig. 4 lattice corners, a
+// single whole-grid block, 60 seeded Fig. 4 shapes, all five distributions,
+// four namelist multiplier sets and six machines, two of them with nodes of
+// different speeds.
+enum PinnedMachine {
+  kSp3_30x16,
+  kSp3_60x8,
+  kHockney_8x4,
+  kSeaborg_4x16,
+  kCluster32Hetero,
+  kPentiumHetero,
+};
+
+const PhaseMultipliers kPinnedMults[] = {
+    {1.0, 1.0, 1.0, 1.0, 1},
+    {0.83, 0.91, 0.77, 1.12, 4},
+    {1.27, 1.05, 1.4, 0.95, 2},
+    {0.6, 1.3, 0.9, 1.5, 8},
+};
+
+struct PinnedStep {
+  PinnedMachine machine;
+  int ppn;
+  BlockShape shape;
+  Distribution dist;
+  int mult;  ///< index into kPinnedMults
+  double total_s, baroclinic_s, halo_s, imbalance;
+};
+
+const PinnedStep kPinnedSteps[] = {
+    {kSp3_30x16, 16, {3600, 2400}, Distribution::Cartesian, 0,
+     0x1.df96d2c99fd1ep+4, 0x1.df3eab367a0f9p+4,
+     0x1.c4fc1df3300dep-10, 0x1.1cbfda74423e3p+9},
+    {kSp3_60x8, 8, {720, 600}, Distribution::Cartesian, 0,
+     0x1.94e28733e4022p+0, 0x1.7f972474538efp+0,
+     0x1.03a2894b11b3ap-4, 0x1.c7995d86d0638p+4},
+    {kHockney_8x4, 4, {30, 24}, Distribution::RakeWork, 0,
+     0x1.c2902811f9eb3p+0, 0x1.fede3633852dep-1,
+     0x1.6148cb637779cp-1, 0x1.0db6f3c8a4538p+0},
+    {kSeaborg_4x16, 16, {180, 100}, Distribution::RakeWork, 1,
+     0x1.994395d1c4b37p-1, 0x1.5f12f57b16ccap-1,
+     0x1.1fa3eb883c5b5p-4, 0x1.e5f8ec4b88f2bp+0},
+    {kCluster32Hetero, 4, {222, 484}, Distribution::RoundRobin, 1,
+     0x1.7dc02b55c05b7p+0, 0x1.1fac8b5d7f396p+0,
+     0x1.205d6d99608ecp-2, 0x1.6a9dca992131bp+0},
+    {kPentiumHetero, 1, {126, 476}, Distribution::RoundRobin, 1,
+     0x1.a06a88225ad29p+6, 0x1.45a74bc87b3a8p+4,
+     0x1.48c34c1a8ac5cp+6, 0x1.3e7be7f4a35d9p+0},
+    {kSp3_30x16, 8, {474, 460}, Distribution::Balanced, 2,
+     0x1.d7b5aabc38dfp-1, 0x1.b5eb9fd44ed4dp-1,
+     0x1.8b315f9fb047ap-5, 0x1.cbe6e715e2005p+3},
+    {kSp3_60x8, 16, {84, 476}, Distribution::Balanced, 2,
+     0x1.bd9f9b16621bdp-3, 0x1.428f57018bc9cp-3,
+     0x1.5ad1c17468ec4p-5, 0x1.51588703cb398p+1},
+    {kHockney_8x4, 2, {138, 184}, Distribution::Auto, 2,
+     0x1.99884bebf3f6dp+0, 0x1.1a886ca79964ap+0,
+     0x1.b44c131694724p-2, 0x1.5941a0d1fe7a6p+0},
+    {kSeaborg_4x16, 3, {108, 260}, Distribution::Auto, 3,
+     0x1.c1da8b19f4422p-1, 0x1.3293dde54561p-1,
+     0x1.e1295c75e540bp-3, 0x1.89a33a476c5e3p+0},
+    {kCluster32Hetero, 2, {240, 164}, Distribution::Cartesian, 3,
+     0x1.5ea99c1c93d5ep+0, 0x1.0b4c8a8a10b5cp+0,
+     0x1.e64a4c546c68ep-3, 0x1.35f13f1847fb8p+0},
+    {kPentiumHetero, 2, {210, 256}, Distribution::Cartesian, 3,
+     0x1.b72708c34f3c5p+4, 0x1.63c4269126e5bp+4,
+     0x1.cf5da0c50705bp+1, 0x1.41481f0fcdbcep+0},
+    {kSp3_30x16, 4, {288, 384}, Distribution::RakeWork, 0,
+     0x1.c6e138c6542bdp-2, 0x1.8967f32e6065ap-2,
+     0x1.49a2e763b333ep-5, 0x1.d28890ec5a829p+2},
+    {kSp3_60x8, 2, {432, 180}, Distribution::RakeWork, 0,
+     0x1.57a845e098fb8p-2, 0x1.167ec7863beecp-2,
+     0x1.6724ad76fd688p-5, 0x1.480805e62fa3dp+2},
+    {kHockney_8x4, 1, {108, 216}, Distribution::RoundRobin, 0,
+     0x1.7eff60549cd5ep+0, 0x1.d515f95303035p-1,
+     0x1.03ef78c93f79ap-1, 0x1.43a857bd91fddp+0},
+    {kSeaborg_4x16, 16, {564, 576}, Distribution::RoundRobin, 1,
+     0x1.19882b3d76935p+0, 0x1.048429b4f611bp+0,
+     0x1.3cbe02b5aa7dap-5, 0x1.6d73829702a2p+1},
+    {kCluster32Hetero, 8, {420, 116}, Distribution::Balanced, 1,
+     0x1.79211113d10f4p+0, 0x1.05a0218cdc60bp+0,
+     0x1.7612abd42ec0ep-2, 0x1.48d75f0a26e88p+0},
+    {kPentiumHetero, 1, {498, 364}, Distribution::Balanced, 1,
+     0x1.9d3c1dd5eb133p+5, 0x1.471f23e832075p+4,
+     0x1.da63736cdf266p+4, 0x1.4101470161c9bp+0},
+    {kSp3_30x16, 16, {264, 228}, Distribution::Auto, 2,
+     0x1.1e8e715534ed5p-2, 0x1.e4c11d31b835bp-3,
+     0x1.9fff8e07ac708p-6, 0x1.fbd753169d30dp+1},
+    {kSp3_60x8, 8, {504, 544}, Distribution::Auto, 2,
+     0x1.25808b152adc2p+0, 0x1.1347c79f2361ep+0,
+     0x1.b5a91fe1fee94p-5, 0x1.21274f27d2c3ap+4},
+    {kHockney_8x4, 4, {360, 324}, Distribution::Cartesian, 2,
+     0x1.6cc29351a9bd8p+0, 0x1.3fb61c92d5ee9p+0,
+     0x1.b1f9c401e594ap-4, 0x1.89a33a476c5e3p+0},
+    {kSeaborg_4x16, 3, {288, 96}, Distribution::Cartesian, 3,
+     0x1.34162618293a9p-1, 0x1.e4088ed60266dp-2,
+     0x1.58ac44af93b2p-4, 0x1.3705b5f2e701cp+0},
+    {kCluster32Hetero, 4, {624, 172}, Distribution::RakeWork, 3,
+     0x1.d15089ce4f41p+0, 0x1.9a1dbada822fp+0,
+     0x1.04f8375ebbf82p-3, 0x1.dd55357690c0ep+0},
+    {kPentiumHetero, 2, {312, 404}, Distribution::RakeWork, 3,
+     0x1.afeb35029d5afp+4, 0x1.5cd3c20f9d0d5p+4,
+     0x1.cd0226cbc6bd7p+1, 0x1.3be1cccab29dcp+0},
+    {kSp3_30x16, 8, {36, 524}, Distribution::RoundRobin, 0,
+     0x1.dbd362f553532p-3, 0x1.0f22b2b26f537p-3,
+     0x1.484dbdd7d280ap-4, 0x1.3e4fd836986bcp+1},
+    {kSp3_60x8, 16, {384, 232}, Distribution::RoundRobin, 0,
+     0x1.656adb072286fp-2, 0x1.3d11d94657d32p-2,
+     0x1.41419154d542p-6, 0x1.77d191302c777p+2},
+    {kHockney_8x4, 2, {36, 200}, Distribution::Balanced, 0,
+     0x1.02fbb0c4ed485p+1, 0x1.bba25035064afp-1,
+     0x1.15a99228dbd3cp+0, 0x1.2baed5fb61405p+0},
+    {kSeaborg_4x16, 16, {54, 476}, Distribution::Balanced, 1,
+     0x1.bd22d63352281p-1, 0x1.19c4710384613p-1,
+     0x1.1a4484944ed7p-2, 0x1.8665d5b78f4b8p+0},
+    {kCluster32Hetero, 2, {432, 420}, Distribution::Auto, 1,
+     0x1.94aeb5f06605bp+0, 0x1.438965f76bab3p+0,
+     0x1.d9485b388ae0ep-3, 0x1.98377ececf324p+0},
+    {kPentiumHetero, 1, {636, 596}, Distribution::Auto, 1,
+     0x1.2699a23d42aa7p+5, 0x1.34b8d54e44946p+4,
+     0x1.ff0995aaf78fep+3, 0x1.320026e0b6be6p+0},
+    {kSp3_30x16, 4, {474, 156}, Distribution::Cartesian, 2,
+     0x1.6686e3a779707p-2, 0x1.2990cf24feadap-2,
+     0x1.56415534e5baep-5, 0x1.37eefa3b5d2fp+2},
+    {kSp3_60x8, 2, {288, 440}, Distribution::Cartesian, 2,
+     0x1.1d6518252ced1p-1, 0x1.fd5cc02801598p-2,
+     0x1.59fc3233d3a98p-5, 0x1.0b48e85cbe858p+3},
+    {kHockney_8x4, 1, {606, 136}, Distribution::RakeWork, 2,
+     0x1.aef81d4c3eef8p+0, 0x1.78c73a9d57fdap+0,
+     0x1.222041818be1ep-3, 0x1.cf904a1325317p+0},
+    {kSeaborg_4x16, 3, {246, 144}, Distribution::RakeWork, 3,
+     0x1.025c915e1e0d4p+0, 0x1.b14fa3135b75ap-1,
+     0x1.e3694c8d589ebp-4, 0x1.16f2b8c90d959p+1},
+    {kCluster32Hetero, 8, {690, 160}, Distribution::RoundRobin, 3,
+     0x1.84de3a63a4571p+0, 0x1.4015e15a6a207p+0,
+     0x1.71a4880a251cfp-3, 0x1.74942ca04f64cp+0},
+    {kPentiumHetero, 2, {708, 36}, Distribution::RoundRobin, 3,
+     0x1.0605cdf1d8f7ep+7, 0x1.43698178e670cp+4,
+     0x1.b4d36fff1676p+6, 0x1.225e54ddc5aaap+0},
+    {kSp3_30x16, 16, {228, 212}, Distribution::Balanced, 0,
+     0x1.c1d5cd31a4a98p-3, 0x1.58cfa4ee61721p-3,
+     0x1.01f15bb121e06p-5, 0x1.97cfd23cd38ffp+1},
+    {kSp3_60x8, 8, {558, 428}, Distribution::Balanced, 0,
+     0x1.cbf47070221d4p-1, 0x1.a84e6842df78ap-1,
+     0x1.98393d783f4dp-5, 0x1.f7bd9fd089653p+3},
+    {kHockney_8x4, 4, {372, 212}, Distribution::Auto, 0,
+     0x1.4bef6795f1245p+0, 0x1.fe80696df7063p-1,
+     0x1.d1945cc3d04eep-3, 0x1.62de290552983p+0},
+    {kSeaborg_4x16, 16, {126, 600}, Distribution::Auto, 1,
+     0x1.4e6d61d09b415p-1, 0x1.e642c3e3b3dddp-2,
+     0x1.143f73e46bdc2p-3, 0x1.542e3f01aca9ep+0},
+    {kCluster32Hetero, 4, {564, 552}, Distribution::Cartesian, 1,
+     0x1.32aaabcb862b1p+1, 0x1.15693af941b69p+1,
+     0x1.2434e894ff561p-3, 0x1.5e395d260d30ap+1},
+    {kPentiumHetero, 1, {282, 104}, Distribution::Cartesian, 1,
+     0x1.d5a4485353bd8p+4, 0x1.31dbc74b48665p+4,
+     0x1.15a5b9628cbdp+3, 0x1.29e17c71c17acp+0},
+    {kSp3_30x16, 8, {492, 436}, Distribution::RakeWork, 2,
+     0x1.d0e3a7b1ae438p-1, 0x1.aed75c936be79p-1,
+     0x1.8f5563053564p-5, 0x1.c475e41b72397p+3},
+    {kSp3_60x8, 16, {114, 560}, Distribution::RakeWork, 2,
+     0x1.8b879d008e191p-2, 0x1.4b091fb0c1cbbp-2,
+     0x1.72849b9f720f8p-5, 0x1.5a415b8f6b2cfp+2},
+    {kHockney_8x4, 2, {162, 152}, Distribution::RoundRobin, 2,
+     0x1.6be1bfed2c382p+0, 0x1.fc8bc3e569f4p-1,
+     0x1.6ebc0def0721fp-2, 0x1.36dc3db8825a6p+0},
+    {kSeaborg_4x16, 3, {372, 312}, Distribution::RoundRobin, 3,
+     0x1.d69f7fc433cbbp-1, 0x1.93c444476a934p-1,
+     0x1.5ef72b2c9d3bdp-4, 0x1.05210fb1cdaecp+1},
+    {kCluster32Hetero, 2, {168, 452}, Distribution::Balanced, 3,
+     0x1.a49e9272bb745p+0, 0x1.25d5c24b3caf1p+0,
+     0x1.a0d4207e24c9p-2, 0x1.7a4d6f5a33d29p+0},
+    {kPentiumHetero, 2, {66, 228}, Distribution::Balanced, 3,
+     0x1.a22bbda2413cp+6, 0x1.481b54458a0b9p+4,
+     0x1.49c71d0a7cdbap+6, 0x1.277b3790ce8c2p+0},
+    {kSp3_30x16, 4, {60, 576}, Distribution::Auto, 0,
+     0x1.9101d39601af1p-3, 0x1.ee02a77a2cecdp-4,
+     0x1.c5daba07c1e51p-5, 0x1.23955a93b891ap+1},
+    {kSp3_60x8, 2, {450, 340}, Distribution::Auto, 0,
+     0x1.30ad4147b1c58p-1, 0x1.0ff972474538fp-1,
+     0x1.6915aaaaddcc1p-5, 0x1.42b74cea28f13p+3},
+    {kHockney_8x4, 1, {174, 552}, Distribution::Cartesian, 0,
+     0x1.897791b90e3d4p+0, 0x1.36b4c7f349385p+0,
+     0x1.011889fd25b64p-2, 0x1.b0310090ffefcp+0},
+    {kSeaborg_4x16, 16, {150, 472}, Distribution::Cartesian, 1,
+     0x1.8a5f4c180d62p-1, 0x1.559e4bc9c6cccp-1,
+     0x1.e84dd68a039e5p-5, 0x1.dddf70e3e044p+0},
+    {kCluster32Hetero, 8, {510, 116}, Distribution::RakeWork, 1,
+     0x1.3c1d4df6ec8e4p+0, 0x1.087f0cfb66126p+0,
+     0x1.da1fc699d7d8p-4, 0x1.4cc18de2a75f1p+0},
+    {kPentiumHetero, 1, {54, 104}, Distribution::RakeWork, 1,
+     0x1.cf456402f5b54p+4, 0x1.264bd10a2711fp+4,
+     0x1.2007dd4413554p+3, 0x1.146593315c4a1p+0},
+    {kSp3_30x16, 16, {684, 556}, Distribution::RoundRobin, 2,
+     0x1.8a0b72c316041p+0, 0x1.7dc1b0b839dadp+0,
+     0x1.ef91e4f929934p-6, 0x1.91143d41dc251p+4},
+    {kSp3_60x8, 8, {648, 340}, Distribution::RoundRobin, 2,
+     0x1.cda55048715e7p-1, 0x1.ba7ed084562a4p-1,
+     0x1.41f15ac585cf5p-6, 0x1.d0b6085b6e281p+3},
+    {kHockney_8x4, 4, {312, 580}, Distribution::Balanced, 2,
+     0x1.8b8f2980f3351p+0, 0x1.4a7856e7520d1p+0,
+     0x1.794fc0d75d932p-3, 0x1.972307f4302c1p+0},
+    {kSeaborg_4x16, 3, {258, 120}, Distribution::Balanced, 3,
+     0x1.82496a16027ecp-1, 0x1.0ec351ced4b9dp-1,
+     0x1.722708bfe0dp-3, 0x1.5c47ba695558ap+0},
+    {kCluster32Hetero, 4, {444, 340}, Distribution::Auto, 3,
+     0x1.7ba2f02c2272cp+0, 0x1.239ef058b9846p+0,
+     0x1.05c0df2dcd6dap-2, 0x1.53a403945d26cp+0},
+    {kPentiumHetero, 2, {252, 332}, Distribution::Auto, 3,
+     0x1.b69a0b8a70469p+5, 0x1.511c4a5fcd0a3p+4,
+     0x1.01504f4dc6069p+5, 0x1.34ea9afbca826p+0},
+    {kSp3_30x16, 8, {660, 272}, Distribution::Cartesian, 0,
+     0x1.62d38a4a3b68dp-1, 0x1.3f0bae89eba6bp-1,
+     0x1.9a5676a911248p-5, 0x1.7aa7492e0de7cp+3},
+    {kSp3_60x8, 16, {390, 48}, Distribution::Cartesian, 0,
+     0x1.bcc34f46fc7c9p-4, 0x1.0d173fb7a5f42p-4,
+     0x1.7a61b38584268p-6, 0x1.3be1cccab29dcp+0},
+    {kHockney_8x4, 2, {630, 76}, Distribution::RakeWork, 0,
+     0x1.3ee82da1bf58ap+0, 0x1.0fb4cff528222p+0,
+     0x1.cb6b6661b9f1ep-4, 0x1.790896e61f5e7p+0},
+    {kSeaborg_4x16, 16, {390, 600}, Distribution::RakeWork, 1,
+     0x1.a4022bbcb45c2p-1, 0x1.776a3f63ee111p-1,
+     0x1.65bc9731fefa8p-5, 0x1.073c2aa8ea2e2p+1},
+};
+
+TEST(PopModel, StepTimeMatchesPinnedResults) {
+  const Machine machines[] = {
+      presets::nersc_sp3(30, 16), presets::nersc_sp3(60, 8),
+      presets::hockney(8, 4),     presets::seaborg(4, 16),
+      presets::cluster32_hetero(), presets::pentium_hetero(),
+  };
+  const PopModel model(grid());
+  for (const auto& p : kPinnedSteps) {
+    const auto rep = model.step_time(machines[p.machine], p.ppn, p.shape,
+                                     kPinnedMults[p.mult], p.dist);
+    const std::string what = std::to_string(p.shape.bx) + "x" +
+                             std::to_string(p.shape.by) + " machine " +
+                             std::to_string(p.machine) + " " + to_string(p.dist);
+    EXPECT_EQ(rep.total_s, p.total_s) << what;
+    EXPECT_EQ(rep.baroclinic_s, p.baroclinic_s) << what;
+    EXPECT_EQ(rep.halo_s, p.halo_s) << what;
+    EXPECT_EQ(rep.imbalance, p.imbalance) << what;
+  }
+}
+
 // Parameterized over the paper's six topologies: every topology must show a
 // block size at least a few percent better than the 180x100 default.
 class PopTopology : public ::testing::TestWithParam<std::pair<int, int>> {};

@@ -6,13 +6,16 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/harmony.hpp"
 #include "core/net.hpp"
 #include "engine/eval_cache.hpp"
+#include "engine/pool_backend.hpp"
 #include "fleet/substrates.hpp"
 #include "minigs2/minigs2.hpp"
 #include "minipetsc/minipetsc.hpp"
@@ -163,10 +166,29 @@ void BM_ConcurrentEvalCacheHit(benchmark::State& state) {
 }
 BENCHMARK(BM_ConcurrentEvalCacheHit);
 
-void BM_SpMV(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto A = minipetsc::laplacian2d(n, n);
-  minipetsc::Vec x(static_cast<std::size_t>(n) * n, 1.0);
+// One PoolEvalBackend::evaluate of a batch of trivial short runs on 3
+// workers, cache off: what is left is the backend's own hand-off cost. A
+// batch of one runs on the calling thread; larger batches go to the pool.
+void BM_PoolEvalBackend(benchmark::State& state) {
+  const auto batch_size = static_cast<std::size_t>(state.range(0));
+  const auto space = hotpath_space();
+  const harmony::ShortRunFn run = [](const harmony::Config&, int) {
+    return harmony::ShortRunResult{1e-3, 0.0, true};
+  };
+  harmony::engine::PoolEvalBackend pool(space, run, 1, 0.0, 3, batch_size, false);
+  harmony::Rng rng(5);
+  std::vector<harmony::Config> batch;
+  for (std::size_t i = 0; i < batch_size; ++i) {
+    batch.push_back(space.random_config(rng));
+  }
+  const harmony::EvalBackend::Context ctx{&space, nullptr, "bench"};
+  for (auto _ : state) benchmark::DoNotOptimize(pool.evaluate(batch, ctx));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PoolEvalBackend)->ArgName("batch")->Arg(1)->Arg(16);
+
+void spmv(benchmark::State& state, const minipetsc::CsrMatrix& A) {
+  minipetsc::Vec x(static_cast<std::size_t>(A.cols()), 1.0);
   minipetsc::Vec y;
   for (auto _ : state) {
     A.multiply(x, y);
@@ -174,7 +196,18 @@ void BM_SpMV(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * A.nnz());
 }
+
+void BM_SpMV(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  spmv(state, minipetsc::laplacian2d(n, n));
+}
 BENCHMARK(BM_SpMV)->Arg(64)->Arg(128)->Arg(256);
+
+// The petsc substrate's matrix: 160 rows of about 40 nonzeros each.
+void BM_SpMVDenseBlock(benchmark::State& state) {
+  spmv(state, minipetsc::dense_block_matrix({40, 40, 40, 40}, 0.6));
+}
+BENCHMARK(BM_SpMVDenseBlock);
 
 void BM_CgSolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -305,6 +338,43 @@ void BM_BlockJacobiSetup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlockJacobiSetup);
+
+// The same set-up through a BlockFactorMemo. Hit: the memo already holds
+// every block of the 8 partitions cycled. Miss: a fresh memo per set-up, so
+// every block is factored and inserted.
+void BM_BlockJacobiSetupMemo(benchmark::State& state) {
+  const bool hit = state.range(0) != 0;
+  const auto A = minipetsc::dense_block_matrix({40, 40, 40, 40}, 0.6);
+  std::vector<minipetsc::RowPartition> parts;
+  for (auto& b : petsc_partitions()) {
+    parts.push_back(
+        minipetsc::RowPartition::from_boundaries(A.rows(), 4, std::move(b)));
+  }
+  if (hit) parts.resize(8);
+  const minipetsc::BlockFactorMemo warm(A);
+  std::set<std::pair<int, int>> ranges;
+  for (const auto& part : parts) {
+    (void)minipetsc::PcBlockJacobi(warm, part);
+    for (int rank = 0; rank < 4; ++rank) ranges.insert(part.range(rank));
+  }
+  if (hit && warm.entries() != ranges.size()) {
+    state.SkipWithError("the warm memo does not hold every block");
+    return;
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const auto& part = parts[k++ % parts.size()];
+    if (hit) {
+      const minipetsc::PcBlockJacobi pc(warm, part);
+      benchmark::DoNotOptimize(&pc);
+    } else {
+      const minipetsc::BlockFactorMemo cold(A);
+      const minipetsc::PcBlockJacobi pc(cold, part);
+      benchmark::DoNotOptimize(&pc);
+    }
+  }
+}
+BENCHMARK(BM_BlockJacobiSetupMemo)->ArgName("hit")->Arg(1)->Arg(0);
 
 void BM_Gs2StepModel(benchmark::State& state) {
   const minigs2::Gs2Model model;

@@ -3,11 +3,12 @@
 /// \file pool_backend.hpp
 /// Thread-pool EvalBackend for the SearchController: measures a whole batch
 /// of candidate configurations concurrently with representative short runs.
-/// Every batch element is submitted to the pool; a concurrent memoizing
-/// cache with in-flight deduplication makes duplicate configurations (inside
-/// one batch or across batches) cost a single short run. Trace events are
-/// recorded from the worker threads, so an exported Chrome trace shows one
-/// lane per pool worker.
+/// Every element of a larger batch is submitted to the pool; a batch of one
+/// runs on the calling thread (counted as engine.pool.inline). A concurrent
+/// memoizing cache with in-flight deduplication makes duplicate
+/// configurations (inside one batch or across batches) cost a single short
+/// run. Trace events are recorded from the threads that run the
+/// evaluations, so an exported Chrome trace shows one lane per pool worker.
 
 #include <cstddef>
 

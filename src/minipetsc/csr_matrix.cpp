@@ -52,16 +52,44 @@ void CsrMatrix::multiply(const Vec& x, Vec& y) const {
   if (static_cast<int>(x.size()) != cols_) {
     throw std::invalid_argument("CsrMatrix::multiply: x size mismatch");
   }
-  y.assign(static_cast<std::size_t>(rows_), 0.0);
-  for (int r = 0; r < rows_; ++r) {
-    double sum = 0.0;
-    for (auto k = row_ptr_[static_cast<std::size_t>(r)];
-         k < row_ptr_[static_cast<std::size_t>(r) + 1]; ++k) {
-      sum += vals_[static_cast<std::size_t>(k)] *
-             x[static_cast<std::size_t>(col_idx_[static_cast<std::size_t>(k)])];
+  y.resize(static_cast<std::size_t>(rows_));
+  const std::int64_t* rp = row_ptr_.data();
+  const int* ci = col_idx_.data();
+  const double* v = vals_.data();
+  const double* xp = x.data();
+  double* yp = y.data();
+  // Four rows at a time, so four independent sums are in flight instead of
+  // one latency-bound chain. Each row keeps its own accumulator and adds its
+  // terms in ascending k, as the one-row loop does, so every y[r] is bitwise
+  // the same; a row's terms past the shortest of the four are added after.
+  const auto finish = [&](double s, std::int64_t k, std::int64_t end) {
+    for (; k < end; ++k) s += v[k] * xp[ci[k]];
+    return s;
+  };
+  int r = 0;
+  for (; r + 4 <= rows_; r += 4) {
+    const std::int64_t k0 = rp[r];
+    const std::int64_t k1 = rp[r + 1];
+    const std::int64_t k2 = rp[r + 2];
+    const std::int64_t k3 = rp[r + 3];
+    const std::int64_t k4 = rp[r + 4];
+    const std::int64_t len = std::min({k1 - k0, k2 - k1, k3 - k2, k4 - k3});
+    double s0 = 0.0;
+    double s1 = 0.0;
+    double s2 = 0.0;
+    double s3 = 0.0;
+    for (std::int64_t i = 0; i < len; ++i) {
+      s0 += v[k0 + i] * xp[ci[k0 + i]];
+      s1 += v[k1 + i] * xp[ci[k1 + i]];
+      s2 += v[k2 + i] * xp[ci[k2 + i]];
+      s3 += v[k3 + i] * xp[ci[k3 + i]];
     }
-    y[static_cast<std::size_t>(r)] = sum;
+    yp[r] = finish(s0, k0 + len, k1);
+    yp[r + 1] = finish(s1, k1 + len, k2);
+    yp[r + 2] = finish(s2, k2 + len, k3);
+    yp[r + 3] = finish(s3, k3 + len, k4);
   }
+  for (; r < rows_; ++r) yp[r] = finish(0.0, rp[r], rp[r + 1]);
 }
 
 void CsrMatrix::multiply_transpose(const Vec& x, Vec& y) const {

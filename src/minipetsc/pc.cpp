@@ -118,29 +118,93 @@ void DenseLu::solve(double* b) const {
   }
 }
 
+std::size_t DenseLu::bytes() const noexcept {
+  return sizeof(DenseLu) + lu_.capacity() * sizeof(double) +
+         (piv_.capacity() + l_first_.capacity() + u_end_.capacity()) * sizeof(int);
+}
+
+DenseLu factor_block(const CsrMatrix& A, int lo, int hi) {
+  if (lo < 0 || hi > A.rows() || hi > A.cols() || lo >= hi) {
+    throw std::invalid_argument("factor_block: bad row range");
+  }
+  const auto& row_ptr = A.row_ptr();
+  const auto& col_idx = A.col_idx();
+  const auto& vals = A.values();
+  const int b = hi - lo;
+  std::vector<double> dense(static_cast<std::size_t>(b) * b, 0.0);
+  for (int r = lo; r < hi; ++r) {
+    for (auto k = row_ptr[static_cast<std::size_t>(r)];
+         k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
+      const int c = col_idx[static_cast<std::size_t>(k)];
+      if (c >= lo && c < hi) {
+        dense[static_cast<std::size_t>(r - lo) * b + (c - lo)] =
+            vals[static_cast<std::size_t>(k)];
+      }
+    }
+  }
+  return DenseLu(std::move(dense), b);
+}
+
+std::shared_ptr<const DenseLu> BlockFactorMemo::factor(int lo, int hi) const {
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(lo)) << 32) |
+      static_cast<std::uint32_t>(hi);
+  const auto touch = [this](std::list<Entry>::iterator e) {
+    lru_.splice(lru_.begin(), lru_, e);
+    return e->lu;
+  };
+  {
+    const std::lock_guard lock(mu_);
+    if (const auto it = index_.find(key); it != index_.end()) return touch(it->second);
+  }
+
+  auto lu = std::make_shared<const DenseLu>(factor_block(*A_, lo, hi));
+  const std::size_t bytes = lu->bytes();
+  const std::lock_guard lock(mu_);
+  // A concurrent miss on the same range may have filled it meanwhile.
+  if (const auto it = index_.find(key); it != index_.end()) return touch(it->second);
+  if (bytes > kBudgetBytes) return lu;
+  while (bytes_ + bytes > kBudgetBytes) {
+    bytes_ -= lru_.back().lu->bytes();
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
+  }
+  lru_.push_front(Entry{key, lu});
+  index_.emplace(key, lru_.begin());
+  bytes_ += bytes;
+  return lu;
+}
+
+std::size_t BlockFactorMemo::resident_bytes() const {
+  const std::lock_guard lock(mu_);
+  return bytes_;
+}
+
+std::size_t BlockFactorMemo::entries() const {
+  const std::lock_guard lock(mu_);
+  return lru_.size();
+}
+
 PcBlockJacobi::PcBlockJacobi(const CsrMatrix& A, const RowPartition& part) {
   if (A.rows() != part.rows()) {
     throw std::invalid_argument("PcBlockJacobi: size mismatch");
   }
   blocks_.reserve(static_cast<std::size_t>(part.nranks()));
-  const auto& row_ptr = A.row_ptr();
-  const auto& col_idx = A.col_idx();
-  const auto& vals = A.values();
   for (int rank = 0; rank < part.nranks(); ++rank) {
     const auto [lo, hi] = part.range(rank);
-    const int b = hi - lo;
-    std::vector<double> dense(static_cast<std::size_t>(b) * b, 0.0);
-    for (int r = lo; r < hi; ++r) {
-      for (auto k = row_ptr[static_cast<std::size_t>(r)];
-           k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
-        const int c = col_idx[static_cast<std::size_t>(k)];
-        if (c >= lo && c < hi) {
-          dense[static_cast<std::size_t>(r - lo) * b + (c - lo)] =
-              vals[static_cast<std::size_t>(k)];
-        }
-      }
-    }
-    blocks_.push_back(Block{lo, hi, DenseLu(std::move(dense), b)});
+    blocks_.push_back(
+        Block{lo, hi, std::make_shared<const DenseLu>(factor_block(A, lo, hi))});
+  }
+}
+
+PcBlockJacobi::PcBlockJacobi(const BlockFactorMemo& memo, const RowPartition& part) {
+  if (memo.matrix().rows() != part.rows()) {
+    throw std::invalid_argument("PcBlockJacobi: size mismatch");
+  }
+  blocks_.reserve(static_cast<std::size_t>(part.nranks()));
+  for (int rank = 0; rank < part.nranks(); ++rank) {
+    const auto [lo, hi] = part.range(rank);
+    blocks_.push_back(Block{lo, hi, memo.factor(lo, hi)});
   }
 }
 
@@ -149,7 +213,7 @@ void PcBlockJacobi::apply(const Vec& r, Vec& z) const {
     throw std::invalid_argument("PcBlockJacobi::apply: size mismatch");
   }
   z = r;
-  for (const auto& block : blocks_) block.lu.solve(z.data() + block.lo);
+  for (const auto& block : blocks_) block.lu->solve(z.data() + block.lo);
 }
 
 }  // namespace minipetsc

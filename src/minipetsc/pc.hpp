@@ -6,7 +6,12 @@
 /// quality shows up numerically (blocks that respect the matrix's dense
 /// sub-structure make far better local solves).
 
+#include <cstddef>
+#include <cstdint>
+#include <list>
 #include <memory>
+#include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "minipetsc/csr_matrix.hpp"
@@ -63,6 +68,9 @@ class DenseLu {
 
   [[nodiscard]] int size() const noexcept { return n_; }
 
+  /// Heap and object bytes the factor holds.
+  [[nodiscard]] std::size_t bytes() const noexcept;
+
  private:
   std::vector<double> lu_;
   std::vector<int> piv_;
@@ -71,18 +79,65 @@ class DenseLu {
   int n_ = 0;
 };
 
+/// Factor of A's diagonal block on rows and columns [lo, hi). Throws
+/// std::invalid_argument for an empty or out-of-range block.
+[[nodiscard]] DenseLu factor_block(const CsrMatrix& A, int lo, int hi);
+
+/// Thread-safe memo of the block factors of one matrix, keyed by row range.
+///
+/// A factor depends only on the matrix and its [lo, hi) range, so a memoized
+/// factor is bitwise the one a fresh factor_block() would build. The memo
+/// evicts the least recently used ranges to keep the bytes of the factors it
+/// holds within kBudgetBytes; a range can be as large as the whole matrix, so
+/// a cap on the entry count alone would not bound memory. Factors are shared,
+/// so an evicted one stays alive while a preconditioner still uses it. The
+/// memo holds a mutex and a pointer to the matrix, which must outlive it.
+class BlockFactorMemo {
+ public:
+  static constexpr std::size_t kBudgetBytes = std::size_t{512} << 10;
+
+  explicit BlockFactorMemo(const CsrMatrix& A) : A_(&A) {}
+  BlockFactorMemo(const BlockFactorMemo&) = delete;
+  BlockFactorMemo& operator=(const BlockFactorMemo&) = delete;
+
+  /// The factor of rows [lo, hi), built on a miss (outside the lock, so
+  /// concurrent misses on other ranges overlap).
+  [[nodiscard]] std::shared_ptr<const DenseLu> factor(int lo, int hi) const;
+
+  [[nodiscard]] const CsrMatrix& matrix() const noexcept { return *A_; }
+
+  /// Bytes of the factors held now; never above kBudgetBytes.
+  [[nodiscard]] std::size_t resident_bytes() const;
+  [[nodiscard]] std::size_t entries() const;
+
+ private:
+  struct Entry {
+    std::uint64_t key;
+    std::shared_ptr<const DenseLu> lu;
+  };
+
+  const CsrMatrix* A_;
+  mutable std::mutex mu_;
+  mutable std::list<Entry> lru_;  ///< most recently used first
+  mutable std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+  mutable std::size_t bytes_ = 0;
+};
+
 /// Block-Jacobi: exact dense solves on the diagonal blocks induced by a row
 /// partition (one block per rank, PETSc's default PCBJACOBI shape).
 class PcBlockJacobi final : public Pc {
  public:
   PcBlockJacobi(const CsrMatrix& A, const RowPartition& part);
+  /// Same preconditioner, with the block factors taken from `memo` (bound to
+  /// the matrix the partition splits).
+  PcBlockJacobi(const BlockFactorMemo& memo, const RowPartition& part);
   void apply(const Vec& r, Vec& z) const override;
 
  private:
   struct Block {
     int lo;
     int hi;
-    DenseLu lu;
+    std::shared_ptr<const DenseLu> lu;
   };
   std::vector<Block> blocks_;
 };

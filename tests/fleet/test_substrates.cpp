@@ -3,15 +3,21 @@
 // literals. Any change to the block-Jacobi factor, the CG solve, analyze()
 // or simulate_sles that moves an objective by one ulp, or turns a feasible
 // partition infeasible (or the reverse), fails here. A threaded run over the
-// same triples must equal the serial one: pool workers share one substrate.
+// same triples and a longer seeded walk must equal the serial one: pool
+// workers share one substrate and its block-factor memo.
 
 #include "fleet/substrates.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include "core/rng.hpp"
+#include "minipetsc/pc.hpp"
 
 namespace fleet = harmony::fleet;
 using harmony::Config;
@@ -118,34 +124,59 @@ TEST(PetscSubstrate, RunMatchesPinnedResults) {
   }
 }
 
+// Three threads share one substrate, and so its block-factor memo. Besides
+// the pinned triples they walk seeded partitions whose distinct row ranges
+// hold several times the memo's byte budget, so evictions race with lookups
+// of the same ranges. Serial results come from a second substrate with its
+// own memo.
 TEST(PetscSubstrate, ConcurrentRunsMatchSerial) {
   const auto s = fleet::make_substrate("petsc");
-  ASSERT_TRUE(s.has_value());
+  const auto fresh = fleet::make_substrate("petsc");
+  ASSERT_TRUE(s.has_value() && fresh.has_value());
+  std::vector<Config> configs;
+  for (const auto& p : kPins) configs.push_back(config_of(p));
+  harmony::Rng rng(1202);
+  std::set<std::pair<int, int>> ranges;
+  std::size_t range_bytes = 0;
+  while (configs.size() < kPins.size() + 240) {
+    std::set<int> cuts;
+    while (cuts.size() < 3) cuts.insert(static_cast<int>(rng.uniform_int(1, 159)));
+    const std::vector<int> b(cuts.begin(), cuts.end());
+    configs.push_back(config_of({b[0], b[1], b[2], true, 0.0}));
+    for (const auto& range : {std::pair{0, b[0]}, std::pair{b[0], b[1]},
+                              std::pair{b[1], b[2]}, std::pair{b[2], 160}}) {
+      if (ranges.insert(range).second) {
+        const auto rows = static_cast<std::size_t>(range.second - range.first);
+        range_bytes += rows * rows * sizeof(double);
+      }
+    }
+  }
+  ASSERT_GT(range_bytes, 4 * minipetsc::BlockFactorMemo::kBudgetBytes);
   std::vector<ShortRunResult> serial;
-  for (const auto& p : kPins) serial.push_back(s->run(config_of(p), s->steps));
+  for (const auto& c : configs) serial.push_back(fresh->run(c, fresh->steps));
 
   constexpr int kThreads = 3;
   std::vector<std::vector<ShortRunResult>> got(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&s, &out = got[static_cast<std::size_t>(t)], t] {
-      // Each thread walks the triples from a different offset so the same
-      // partition is solved on several threads at overlapping times.
-      const std::size_t n = kPins.size();
+    threads.emplace_back([&s, &configs, &out = got[static_cast<std::size_t>(t)], t] {
+      // Each thread walks the configurations from a different offset so the
+      // same partition is solved on several threads at overlapping times.
+      const std::size_t n = configs.size();
       out.resize(n);
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t k = (i + static_cast<std::size_t>(t) * n / kThreads) % n;
-        out[k] = s->run(config_of(kPins[k]), s->steps);
+        out[k] = s->run(configs[k], s->steps);
       }
     });
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) {
-    for (std::size_t k = 0; k < kPins.size(); ++k) {
+    for (std::size_t k = 0; k < configs.size(); ++k) {
       const auto& r = got[static_cast<std::size_t>(t)][k];
-      EXPECT_EQ(r.ok, serial[k].ok) << "thread " << t << " triple " << k;
+      EXPECT_EQ(r.ok, serial[k].ok) << "thread " << t << " config " << k;
       EXPECT_EQ(r.measured_s, serial[k].measured_s)
-          << "thread " << t << " triple " << k;
+          << "thread " << t << " config " << k;
     }
   }
 }

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <thread>
 #include <utility>
 
 #include "core/rng.hpp"
@@ -275,6 +277,154 @@ TEST(PcBlockJacobiTest, SizeMismatchThrows) {
   const auto A = laplacian1d(6);
   const auto part = RowPartition::even(8, 2);
   EXPECT_THROW(PcBlockJacobi(A, part), std::invalid_argument);
+}
+
+/// A seeded walk over 4-rank partitions of an n-row matrix, the way a tuning
+/// session moves: most steps move one boundary by a few rows, some jump to a
+/// fresh random partition, and every few steps an earlier partition returns.
+std::vector<RowPartition> partition_walk(int n, int steps, harmony::Rng& rng) {
+  std::vector<RowPartition> walk;
+  std::vector<int> b{n / 4, n / 2, 3 * n / 4};
+  for (int s = 0; s < steps; ++s) {
+    if (s % 7 == 6) {
+      walk.push_back(walk[static_cast<std::size_t>(rng.uniform_int(0, s - 1))]);
+      continue;
+    }
+    if (s % 5 == 4) {
+      std::set<int> cuts;
+      while (cuts.size() < 3) cuts.insert(static_cast<int>(rng.uniform_int(1, n - 1)));
+      b.assign(cuts.begin(), cuts.end());
+    } else {
+      const auto i = static_cast<std::size_t>(rng.uniform_int(0, 2));
+      const int lo = i == 0 ? 1 : b[i - 1] + 1;
+      const int hi = i == 2 ? n - 1 : b[i + 1] - 1;
+      if (lo <= hi) {
+        b[i] = std::clamp(b[i] + static_cast<int>(rng.uniform_int(-4, 4)), lo, hi);
+      }
+    }
+    walk.push_back(RowPartition::from_boundaries(n, 4, b));
+  }
+  return walk;
+}
+
+// A preconditioner built from memoized factors applies bitwise like one that
+// factors every block afresh, while the walk's distinct ranges far exceed the
+// budget, so hits, misses and evictions all occur.
+TEST(BlockFactorMemo, MemoizedApplyMatchesFreshBitwise) {
+  harmony::Rng rng(716);
+  const std::vector<CsrMatrix> mats{dense_block_matrix({40, 40, 40, 40}, 0.6),
+                                    laplacian2d(16, 12), random_spd(150, 6, 3)};
+  for (const auto& A : mats) {
+    const int n = A.rows();
+    const BlockFactorMemo memo(A);
+    std::set<std::pair<int, int>> ranges;
+    std::size_t distinct_bytes = 0;
+    for (const auto& part : partition_walk(n, 300, rng)) {
+      for (int rank = 0; rank < part.nranks(); ++rank) {
+        const auto range = part.range(rank);
+        if (ranges.insert(range).second) {
+          const auto b = static_cast<std::size_t>(range.second - range.first);
+          distinct_bytes += b * b * sizeof(double);
+        }
+      }
+      Vec r(static_cast<std::size_t>(n));
+      for (auto& v : r) v = rng.uniform(-1.0, 1.0);
+      Vec got;
+      Vec want;
+      PcBlockJacobi(memo, part).apply(r, got);
+      PcBlockJacobi(A, part).apply(r, want);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], want[i]) << "n=" << n << " row " << i;
+      }
+    }
+    EXPECT_LT(memo.entries(), ranges.size());
+    if (n == 160) {
+      EXPECT_GT(distinct_bytes, 3 * BlockFactorMemo::kBudgetBytes);
+    }
+  }
+}
+
+// Three threads share one memo and walk the same partitions from different
+// offsets, so misses, hits and evictions of the same ranges overlap.
+TEST(BlockFactorMemo, ConcurrentLookupsMatchFresh) {
+  harmony::Rng rng(303);
+  const auto A = dense_block_matrix({40, 40, 40, 40}, 0.6);
+  const int n = A.rows();
+  const auto walk = partition_walk(n, 240, rng);
+  Vec r(static_cast<std::size_t>(n));
+  for (auto& v : r) v = rng.uniform(-1.0, 1.0);
+  std::vector<Vec> want(walk.size());
+  for (std::size_t i = 0; i < walk.size(); ++i) {
+    PcBlockJacobi(A, walk[i]).apply(r, want[i]);
+  }
+
+  const BlockFactorMemo memo(A);
+  constexpr std::size_t kThreads = 3;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < walk.size(); ++i) {
+        const std::size_t k = (i + t * walk.size() / kThreads) % walk.size();
+        Vec z;
+        PcBlockJacobi(memo, walk[k]).apply(r, z);
+        mismatches[t] += z != want[k];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+  EXPECT_LE(memo.resident_bytes(), BlockFactorMemo::kBudgetBytes);
+}
+
+TEST(BlockFactorMemo, HitReturnsTheStoredFactor) {
+  const auto A = laplacian2d(9, 7);
+  const BlockFactorMemo memo(A);
+  const auto f = memo.factor(3, 20);
+  EXPECT_EQ(memo.factor(3, 20).get(), f.get());
+  EXPECT_NE(memo.factor(3, 21).get(), f.get());
+  EXPECT_NE(memo.factor(4, 20).get(), f.get());
+  EXPECT_EQ(memo.factor(3, 21)->size(), 18);
+  EXPECT_EQ(memo.factor(4, 20)->size(), 16);
+  EXPECT_EQ(memo.entries(), 3u);
+}
+
+// Distinct large ranges: the memo keeps filling up to its byte budget and
+// never beyond it; a range bigger than the whole budget is built but not held.
+TEST(BlockFactorMemo, ResidentBytesStayWithinBudget) {
+  // Factors of 60 to 240 rows: 29 KB to 460 KB each.
+  const auto A = dense_block_matrix({160, 160, 160, 160, 160, 160}, 0.5);
+  const BlockFactorMemo memo(A);
+  harmony::Rng rng(9);
+  std::size_t peak = 0;
+  for (int i = 0; i < 60; ++i) {
+    const int len = static_cast<int>(rng.uniform_int(60, 240));
+    const int lo = static_cast<int>(rng.uniform_int(0, A.rows() - len));
+    const auto lu = memo.factor(lo, lo + len);
+    EXPECT_EQ(lu->size(), len);
+    EXPECT_LE(memo.resident_bytes(), BlockFactorMemo::kBudgetBytes) << "range " << i;
+    peak = std::max(peak, memo.resident_bytes());
+  }
+  EXPECT_GT(peak, BlockFactorMemo::kBudgetBytes / 2);
+  EXPECT_LT(memo.entries(), 60u);
+
+  const auto whole = memo.factor(0, A.rows());
+  EXPECT_GT(whole->bytes(), BlockFactorMemo::kBudgetBytes);
+  EXPECT_LE(memo.resident_bytes(), BlockFactorMemo::kBudgetBytes);
+  EXPECT_NE(memo.factor(0, A.rows()).get(), whole.get());
+}
+
+TEST(BlockFactorMemo, BadRangesThrow) {
+  const auto A = laplacian1d(6);
+  const BlockFactorMemo memo(A);
+  EXPECT_THROW(PcBlockJacobi(memo, RowPartition::even(8, 2)), std::invalid_argument);
+  EXPECT_THROW((void)memo.factor(-1, 3), std::invalid_argument);
+  EXPECT_THROW((void)memo.factor(2, 7), std::invalid_argument);
+  EXPECT_THROW((void)memo.factor(3, 3), std::invalid_argument);
+  EXPECT_EQ(memo.entries(), 0u);
 }
 
 }  // namespace

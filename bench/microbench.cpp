@@ -51,6 +51,48 @@ void BM_NelderMeadCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_NelderMeadCycle)->Arg(2)->Arg(8)->Arg(32);
 
+// The offline POP tuner's own round, without the POP model: one
+// 200-evaluation session of Nelder–Mead with restarts over block_x, block_y
+// and the Tables I/II namelist (22 dimensions), through a controller
+// EvalCache and the serial backend, with a cheap deterministic objective.
+// Items are proposals, cache hits included, so items/s is the tuner's
+// propose/cache/record/report rate.
+void BM_ControllerRoundPop(benchmark::State& state) {
+  harmony::ParamSpace space;
+  space.add(harmony::Parameter::Integer("block_x", 30, 720, 6));
+  space.add(harmony::Parameter::Integer("block_y", 24, 600, 4));
+  const auto namelist = minipop::make_param_space(32);
+  for (const auto& p : namelist.params()) space.add(p);
+  const harmony::Evaluator evaluate = [](const harmony::Config& c) {
+    const auto bx = static_cast<double>(std::get<std::int64_t>(c.values[0]));
+    const auto by = static_cast<double>(std::get<std::int64_t>(c.values[1]));
+    double v = ((bx - 300) * (bx - 300) + (by - 200) * (by - 200)) * 1e-4;
+    for (std::size_t i = 3; i < c.values.size(); ++i) {
+      v += static_cast<double>(std::get<std::string>(c.values[i]).size() % 3) * 1e-2;
+    }
+    harmony::EvaluationResult r;
+    r.objective = v;
+    return r;
+  };
+  harmony::SerialEvalBackend backend(evaluate);
+  std::int64_t proposals = 0;
+  std::uint64_t session = 0;
+  for (auto _ : state) {
+    // Cycle over 64 seeded sessions (random start, NM seed).
+    session = session % 64 + 1;
+    harmony::Rng rng(session);
+    harmony::NelderMeadOptions opts;
+    opts.max_restarts = 16;
+    opts.seed = session;
+    harmony::NelderMead nm(space, opts, space.random_config(rng));
+    harmony::EvalCache cache(space);
+    harmony::SearchController controller(space, {200, 200 * 64}, {}, nullptr, &cache);
+    proposals += controller.run(nm, backend).proposals;
+  }
+  state.SetItemsProcessed(proposals);
+}
+BENCHMARK(BM_ControllerRoundPop);
+
 void BM_EvalCacheLookup(benchmark::State& state) {
   harmony::ParamSpace space;
   space.add(harmony::Parameter::Integer("a", 0, 1000));

@@ -153,24 +153,24 @@ ControllerResult SearchController::run(BatchSearchStrategy& strategy,
     // Resolve the batch against the controller cache; only misses reach the
     // backend (element order within the miss sub-batch is preserved). All
     // bookkeeping lives in reused scratch: each candidate's PointKey is
-    // derived once and reused for the lookup and the post-measurement store,
-    // and no per-batch vector is reallocated in steady state.
+    // derived once, straight into the next free miss_keys slot, and reused
+    // for the lookup and the post-measurement store; no per-batch vector or
+    // key is reallocated in steady state.
     auto& outcomes = scratch_.outcomes;
     auto& t_start_us = scratch_.t_start_us;
-    auto& misses = scratch_.misses;
     auto& miss_at = scratch_.miss_at;
     auto& miss_keys = scratch_.miss_keys;
     outcomes.clear();
     outcomes.resize(batch.size());
     t_start_us.assign(batch.size(), 0.0);
-    misses.clear();
     miss_at.clear();
-    miss_keys.clear();
     for (std::size_t i = 0; i < batch.size(); ++i) {
       t_start_us[i] = tracer_ != nullptr ? tracer_->now_us() : 0.0;
       if (cache_ != nullptr) {
-        scratch_.key.assign(*space_, batch[i]);
-        if (const EvaluationResult* cached = cache_->lookup(scratch_.key)) {
+        if (miss_keys.size() == miss_at.size()) miss_keys.emplace_back();
+        PointKey& key = miss_keys[miss_at.size()];
+        key.assign(*space_, batch[i]);
+        if (const EvaluationResult* cached = cache_->lookup(key)) {
           outcomes[i].result = *cached;
           outcomes[i].ran = false;
           ++cache_hits_;
@@ -179,12 +179,18 @@ ControllerResult SearchController::run(BatchSearchStrategy& strategy,
           }
           continue;
         }
-        miss_keys.push_back(scratch_.key);
       }
-      misses.push_back(batch[i]);
       miss_at.push_back(i);
     }
-    if (!misses.empty()) {
+    if (!miss_at.empty()) {
+      // An all-miss batch (every serial batch, and every batch without a
+      // controller cache) goes to the backend as it is.
+      const bool all_miss = miss_at.size() == batch.size();
+      if (!all_miss) {
+        scratch_.misses.clear();
+        for (const std::size_t i : miss_at) scratch_.misses.push_back(batch[i]);
+      }
+      const std::vector<Config>& misses = all_miss ? batch : scratch_.misses;
       auto measured = backend.evaluate(misses, ctx);
       if (measured.size() != misses.size()) {
         throw std::logic_error("SearchController: backend batch size mismatch");
@@ -212,13 +218,20 @@ ControllerResult SearchController::run(BatchSearchStrategy& strategy,
         ++evaluations_;
         out.total_cost_s += o.cost_s;
       }
+      results[i] = o.result;
+    }
+    // Report first, then move each config into History, as tell() does: the
+    // strategy needs the batch intact, and History then takes it copy-free.
+    strategy.report_batch(batch, results);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const EvalOutcome& o = outcomes[i];
       // Speculative (model-predicted) outcomes reach the strategy only:
       // History and the incumbent record measurements exclusively, so the
       // reported best is always a real evaluation.
-      if (!o.speculative) note_result(batch[i], o.result, /*cached=*/!o.ran);
-      results[i] = o.result;
+      if (!o.speculative) {
+        note_result(std::move(batch[i]), o.result, /*cached=*/!o.ran);
+      }
     }
-    strategy.report_batch(batch, results);
 
     if (status.valid()) {
       status.update([&](obs::SessionStatus& s) {

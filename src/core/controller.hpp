@@ -215,10 +215,9 @@ class SearchController {
   [[nodiscard]] History take_history() { return std::move(history_); }
 
  private:
-  /// Record a measurement. Takes the config by value: the batch loop copies
-  /// it (the batch is reported to the strategy afterwards), the tell() path
-  /// moves its pending config in — steady-state ask/tell round trips then
-  /// perform no Config copy at all.
+  /// Record a measurement. Takes the config by value: both loops report to
+  /// the strategy first and then move the config in, so a steady-state
+  /// round performs no Config copy.
   void note_result(Config c, const EvaluationResult& r, bool cached);
 
   const ParamSpace* space_;
@@ -244,11 +243,13 @@ class SearchController {
   struct BatchScratch {
     std::vector<EvalOutcome> outcomes;
     std::vector<double> t_start_us;
-    std::vector<Config> misses;            ///< cache misses, in batch order
+    std::vector<Config> misses;            ///< misses of a mixed batch, in order
     std::vector<std::size_t> miss_at;      ///< batch index of each miss
-    std::vector<PointKey> miss_keys;       ///< index-space keys of the misses
+    /// Index-space key of miss m at [m], then one slot the next candidate is
+    /// derived into. Entries outlive the batch, so a key wider than
+    /// PointKey's inline slots keeps its heap block.
+    std::vector<PointKey> miss_keys;
     std::vector<EvaluationResult> results; ///< per-slot results for report_batch
-    PointKey key;                          ///< per-candidate derivation scratch
   };
   BatchScratch scratch_;
 };

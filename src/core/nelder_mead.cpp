@@ -30,9 +30,15 @@ NelderMead::NelderMead(const ParamSpace& space, NelderMeadOptions opts,
 
 void NelderMead::seed_simplex(const std::vector<double>& center,
                               double step_fraction) {
+  // A restart re-seeds the vertices in place, keeping their coordinate
+  // storage.
   const std::size_t n = space_->dim();
-  simplex_.assign(n + 1, Vertex{});
-  simplex_[0].coords = center;
+  simplex_.resize(n + 1);
+  for (auto& v : simplex_) {
+    v.coords = center;
+    v.value = 0.0;
+    v.evaluated = false;
+  }
   for (std::size_t i = 0; i < n; ++i) {
     const auto& p = space_->param(i);
     const double range = p.coord_max() - p.coord_min();
@@ -40,7 +46,7 @@ void NelderMead::seed_simplex(const std::vector<double>& center,
     // keeps the simplex non-flat in this dimension.
     double step = std::max(step_fraction * range, range > 0.0 ? 1.0 : 0.0);
     if (p.type() == ParamType::Real) step = std::max(step_fraction * range, 1e-9 * range);
-    auto coords = center;
+    auto& coords = simplex_[i + 1].coords;
     // Step towards whichever side has room.
     if (coords[i] + step <= p.coord_max()) {
       coords[i] += step;
@@ -48,7 +54,6 @@ void NelderMead::seed_simplex(const std::vector<double>& center,
       coords[i] -= step;
     }
     coords[i] = std::clamp(coords[i], p.coord_min(), p.coord_max());
-    simplex_[i + 1].coords = std::move(coords);
   }
   phase_ = Phase::BuildSimplex;
   pending_index_ = 0;
@@ -56,7 +61,9 @@ void NelderMead::seed_simplex(const std::vector<double>& center,
   stall_count_ = 0;
 }
 
-Config NelderMead::make_config(std::vector<double> coords) const {
+Config NelderMead::make_config(const std::vector<double>& coords_in) const {
+  auto& coords = project_scratch_;
+  coords = coords_in;
   constraints_.project(*space_, coords);
   for (std::size_t i = 0; i < coords.size(); ++i) {
     const auto& p = space_->param(i);
@@ -125,60 +132,56 @@ void NelderMead::report(const Config& c, const EvaluationResult& r) {
       return;
     }
     case Phase::Reflect: {
+      // The next candidate is built in place in pending_coords_ from the
+      // centroid begin_iteration() left in centroid_ (the simplex has not
+      // changed since).
       reflected_value_ = value;
       reflected_coords_ = pending_coords_;
       const std::size_t n = simplex_.size() - 1;
       const double f_best = simplex_.front().value;
       const double f_second_worst = simplex_[n - 1].value;
       const double f_worst = simplex_[n].value;
+      const auto& centroid = centroid_;
       if (value < f_best) {
         // Try to expand further along the same direction.
-        const auto centroid = centroid_excluding_worst();
-        std::vector<double> xe(centroid.size());
-        for (std::size_t i = 0; i < xe.size(); ++i) {
-          xe[i] = centroid[i] +
-                  opts_.expansion * (reflected_coords_[i] - centroid[i]);
+        for (std::size_t i = 0; i < centroid.size(); ++i) {
+          pending_coords_[i] = centroid[i] +
+                               opts_.expansion * (reflected_coords_[i] - centroid[i]);
         }
-        pending_coords_ = std::move(xe);
         phase_ = Phase::Expand;
         return;
       }
       if (value < f_second_worst) {
-        simplex_[n] = Vertex{reflected_coords_, value, true};
+        replace_worst(reflected_coords_, value);
         ++transformations_;
         obs::count("nm.reflect");
         begin_iteration();
         return;
       }
-      const auto centroid = centroid_excluding_worst();
       if (value < f_worst) {
         // Outside contraction between centroid and reflected point.
-        std::vector<double> xc(centroid.size());
-        for (std::size_t i = 0; i < xc.size(); ++i) {
-          xc[i] = centroid[i] +
-                  opts_.contraction * (reflected_coords_[i] - centroid[i]);
+        for (std::size_t i = 0; i < centroid.size(); ++i) {
+          pending_coords_[i] = centroid[i] +
+                               opts_.contraction * (reflected_coords_[i] - centroid[i]);
         }
-        pending_coords_ = std::move(xc);
         phase_ = Phase::ContractOutside;
       } else {
         // Inside contraction between centroid and the worst vertex.
-        std::vector<double> xcc(centroid.size());
-        for (std::size_t i = 0; i < xcc.size(); ++i) {
-          xcc[i] = centroid[i] -
-                   opts_.contraction * (centroid[i] - simplex_.back().coords[i]);
+        const auto& worst = simplex_.back().coords;
+        for (std::size_t i = 0; i < centroid.size(); ++i) {
+          pending_coords_[i] = centroid[i] -
+                               opts_.contraction * (centroid[i] - worst[i]);
         }
-        pending_coords_ = std::move(xcc);
         phase_ = Phase::ContractInside;
       }
       return;
     }
     case Phase::Expand: {
-      const std::size_t n = simplex_.size() - 1;
       if (value < reflected_value_) {
-        simplex_[n] = Vertex{pending_coords_, value, true};
+        replace_worst(pending_coords_, value);
         obs::count("nm.expand");
       } else {
-        simplex_[n] = Vertex{reflected_coords_, reflected_value_, true};
+        replace_worst(reflected_coords_, reflected_value_);
         obs::count("nm.reflect");
       }
       ++transformations_;
@@ -186,9 +189,8 @@ void NelderMead::report(const Config& c, const EvaluationResult& r) {
       return;
     }
     case Phase::ContractOutside: {
-      const std::size_t n = simplex_.size() - 1;
       if (value <= reflected_value_) {
-        simplex_[n] = Vertex{pending_coords_, value, true};
+        replace_worst(pending_coords_, value);
         ++transformations_;
         obs::count("nm.contract_outside");
         begin_iteration();
@@ -198,9 +200,8 @@ void NelderMead::report(const Config& c, const EvaluationResult& r) {
       return;
     }
     case Phase::ContractInside: {
-      const std::size_t n = simplex_.size() - 1;
-      if (value < simplex_[n].value) {
-        simplex_[n] = Vertex{pending_coords_, value, true};
+      if (value < simplex_.back().value) {
+        replace_worst(pending_coords_, value);
         ++transformations_;
         obs::count("nm.contract_inside");
         begin_iteration();
@@ -230,7 +231,7 @@ std::vector<Config> NelderMead::speculative_candidates() const {
       // function of the centroid and the worst vertex. All four use exactly
       // the formulas report() would apply, so speculative results replayed
       // through report() are bitwise-identical to a serial drive.
-      const auto centroid = centroid_excluding_worst();
+      const auto& centroid = centroid_;
       const auto& xr = pending_coords_;
       const auto& worst = simplex_.back().coords;
       std::vector<double> xe(centroid.size());
@@ -258,19 +259,26 @@ std::vector<Config> NelderMead::speculative_candidates() const {
   return out;
 }
 
-void NelderMead::order_simplex() {
-  std::stable_sort(simplex_.begin(), simplex_.end(),
-                   [](const Vertex& a, const Vertex& b) { return a.value < b.value; });
+void NelderMead::replace_worst(const std::vector<double>& coords, double value) {
+  Vertex& worst = simplex_.back();
+  worst.coords = coords;
+  worst.value = value;
+  worst.evaluated = true;
 }
 
-std::vector<double> NelderMead::centroid_excluding_worst() const {
-  const std::size_t n = simplex_.size() - 1;
-  std::vector<double> c(space_->dim(), 0.0);
-  for (std::size_t v = 0; v < n; ++v) {
-    for (std::size_t i = 0; i < c.size(); ++i) c[i] += simplex_[v].coords[i];
+void NelderMead::order_simplex() {
+  // Stable insertion sort by value. A stable sort's output is unique, so
+  // this orders exactly as std::stable_sort, without its temporary buffer;
+  // moving a Vertex only moves its coordinate storage.
+  for (std::size_t i = 1; i < simplex_.size(); ++i) {
+    if (!(simplex_[i].value < simplex_[i - 1].value)) continue;
+    Vertex v = std::move(simplex_[i]);
+    std::size_t j = i;
+    for (; j > 0 && v.value < simplex_[j - 1].value; --j) {
+      simplex_[j] = std::move(simplex_[j - 1]);
+    }
+    simplex_[j] = std::move(v);
   }
-  for (auto& x : c) x /= static_cast<double>(n);
-  return c;
 }
 
 double NelderMead::simplex_diameter() const {
@@ -301,14 +309,20 @@ void NelderMead::begin_iteration() {
     // maybe_restart seeded a fresh simplex; evaluation resumes there.
     return;
   }
-  // Prepare the reflection candidate.
-  const auto centroid = centroid_excluding_worst();
-  const auto& worst = simplex_.back().coords;
-  std::vector<double> xr(centroid.size());
-  for (std::size_t i = 0; i < xr.size(); ++i) {
-    xr[i] = centroid[i] + opts_.reflection * (centroid[i] - worst[i]);
+  // Centroid of every vertex but the worst, then the reflection candidate.
+  const std::size_t n = simplex_.size() - 1;
+  centroid_.assign(space_->dim(), 0.0);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t i = 0; i < centroid_.size(); ++i) {
+      centroid_[i] += simplex_[v].coords[i];
+    }
   }
-  pending_coords_ = std::move(xr);
+  for (auto& x : centroid_) x /= static_cast<double>(n);
+  const auto& worst = simplex_.back().coords;
+  pending_coords_.resize(centroid_.size());
+  for (std::size_t i = 0; i < centroid_.size(); ++i) {
+    pending_coords_[i] = centroid_[i] + opts_.reflection * (centroid_[i] - worst[i]);
+  }
   phase_ = Phase::Reflect;
 }
 
@@ -339,7 +353,10 @@ void NelderMead::maybe_restart() {
                                     1e-3);
   // Jitter the restart center slightly so a re-seeded simplex does not
   // retrace the identical lattice path.
-  auto center = space_->coords(*best_);
+  // The centroid buffer is free outside the Reflect phase; reuse it for the
+  // restart center.
+  auto& center = centroid_;
+  space_->coords(*best_, center);
   for (std::size_t i = 0; i < center.size(); ++i) {
     const auto& p = space_->param(i);
     const double range = p.coord_max() - p.coord_min();

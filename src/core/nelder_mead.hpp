@@ -118,10 +118,12 @@ class NelderMead final : public SearchStrategy {
   };
 
   /// Project + snap a coordinate vector into a feasible configuration.
-  [[nodiscard]] Config make_config(std::vector<double> coords) const;
+  [[nodiscard]] Config make_config(const std::vector<double>& coords) const;
+
+  /// Overwrite the worst vertex in place with an evaluated point.
+  void replace_worst(const std::vector<double>& coords, double value);
 
   void order_simplex();
-  [[nodiscard]] std::vector<double> centroid_excluding_worst() const;
   void begin_iteration();
   void begin_shrink();
   void maybe_restart();
@@ -132,12 +134,21 @@ class NelderMead final : public SearchStrategy {
   ConstraintSet constraints_;
   Rng rng_;
 
+  // Every working vector below keeps its capacity across iterations: after
+  // the first iteration a propose/report round allocates only the Config it
+  // hands out.
   std::vector<Vertex> simplex_;
   Phase phase_ = Phase::BuildSimplex;
   std::size_t pending_index_ = 0;       // vertex being evaluated in Build/Shrink
   std::vector<double> pending_coords_;  // candidate point awaiting a report
   double reflected_value_ = 0.0;
   std::vector<double> reflected_coords_;
+  /// Centroid of all vertices but the worst, computed by begin_iteration()
+  /// and valid for the whole Reflect phase it starts (a restart borrows it
+  /// for the new simplex's center).
+  std::vector<double> centroid_;
+  /// make_config's projection buffer (make_config is const, hence mutable).
+  mutable std::vector<double> project_scratch_;
 
   std::optional<Config> best_;
   double best_value_ = 0.0;

@@ -101,7 +101,10 @@ class SequentialBatchAdapter final : public BatchSearchStrategy {
     if (max_n == 0) return {};
     auto c = inner_->propose();
     if (!c) return {};
-    return {std::move(*c)};
+    // push_back moves; a braced list would copy the Config out of it.
+    std::vector<Config> batch;
+    batch.push_back(std::move(*c));
+    return batch;
   }
 
   void report_batch(const std::vector<Config>& configs,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <variant>
 
 namespace minipop {
 
@@ -75,10 +76,21 @@ harmony::Config default_config(const harmony::ParamSpace& space) {
 
 PhaseMultipliers evaluate_multipliers(const harmony::ParamSpace& space,
                                       const harmony::Config& c) {
+  // make_param_space's layout puts num_iotasks first and table entry k at
+  // position k + 1. A space in that layout is read by position; any other
+  // space, or a parameter whose name differs, falls back to the by-name
+  // lookup. Both read the same value, so the result is the same.
+  const auto& table = parameter_table();
+  const bool standard = space.dim() == table.size() + 1 && c.size() == space.dim() &&
+                        space.param(0).name() == "num_iotasks";
   PhaseMultipliers m;
-  m.num_iotasks = static_cast<int>(space.get_int(c, "num_iotasks"));
-  for (const auto& spec : parameter_table()) {
-    const std::string& choice = space.get_enum(c, spec.name);
+  m.num_iotasks = static_cast<int>(standard ? std::get<std::int64_t>(c.values[0])
+                                            : space.get_int(c, "num_iotasks"));
+  for (std::size_t k = 0; k < table.size(); ++k) {
+    const auto& spec = table[k];
+    const std::string& choice = standard && space.param(k + 1).name() == spec.name
+                                    ? std::get<std::string>(c.values[k + 1])
+                                    : space.get_enum(c, spec.name);
     const auto it = std::find(spec.choices.begin(), spec.choices.end(), choice);
     if (it == spec.choices.end()) {
       throw std::invalid_argument("evaluate_multipliers: bad choice for " + spec.name);

@@ -5,15 +5,20 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/nelder_mead.hpp"
 #include "core/rng.hpp"
 
 namespace {
 
+using harmony::BatchSearchStrategy;
 using harmony::Config;
 using harmony::ControllerLimits;
+using harmony::EvalBackend;
 using harmony::EvalCache;
+using harmony::EvalOutcome;
 using harmony::EvaluationResult;
 using harmony::History;
 using harmony::NelderMead;
@@ -84,6 +89,100 @@ TEST(SearchController, TellRejectsNonFiniteObjectives) {
     controller.tell(nm, faulty_bowl(space, *c));
   }
   expect_non_finite_rejected(controller.history());
+}
+
+// Proposes a fixed script of batches over (x, label): each batch mixes
+// points the controller has cached with new ones.
+class ScriptedBatches final : public BatchSearchStrategy {
+ public:
+  ScriptedBatches(const ParamSpace& space, std::vector<std::vector<int>> script)
+      : space_(&space), script_(std::move(script)) {}
+
+  std::vector<Config> propose_batch(std::size_t max_n) override {
+    if (next_ == script_.size()) return {};
+    std::vector<Config> batch;
+    for (const int x : script_[next_++]) batch.push_back(point(x));
+    EXPECT_LE(batch.size(), max_n);
+    proposed.insert(proposed.end(), batch.begin(), batch.end());
+    return batch;
+  }
+  void report_batch(const std::vector<Config>& configs,
+                    const std::vector<EvaluationResult>& results) override {
+    ASSERT_EQ(configs.size(), results.size());
+    reported.insert(reported.end(), configs.begin(), configs.end());
+  }
+  [[nodiscard]] bool converged() const override { return next_ == script_.size(); }
+  [[nodiscard]] std::optional<Config> best() const override { return std::nullopt; }
+  [[nodiscard]] double best_objective() const override { return 0.0; }
+  [[nodiscard]] std::string name() const override { return "scripted"; }
+
+  [[nodiscard]] Config point(int x) const {
+    Config c = space_->default_config();
+    space_->set(c, "x", std::int64_t{x});
+    space_->set(c, "label", std::string(x % 2 == 0 ? "even" : "odd"));
+    return c;
+  }
+
+  std::vector<Config> proposed;
+  std::vector<Config> reported;
+
+ private:
+  const ParamSpace* space_;
+  std::vector<std::vector<int>> script_;
+  std::size_t next_ = 0;
+};
+
+// Measures x, and records every batch it is handed.
+class RecordingBackend final : public EvalBackend {
+ public:
+  std::vector<EvalOutcome> evaluate(const std::vector<Config>& batch,
+                                    const Context& /*ctx*/) override {
+    seen.push_back(batch);
+    std::vector<EvalOutcome> out(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      out[i].result.objective = static_cast<double>(std::get<std::int64_t>(batch[i].values[0]));
+    }
+    return out;
+  }
+  [[nodiscard]] std::size_t concurrency() const override { return 4; }
+
+  std::vector<std::vector<Config>> seen;
+};
+
+TEST(SearchController, MixedBatchesSendOnlyMissesAndRecordEveryProposal) {
+  ParamSpace space;
+  space.add(Parameter::Integer("x", 0, 100));
+  space.add(Parameter::Enum("label", {"odd", "even"}));
+  ScriptedBatches strategy(space, {{1, 2, 3}, {2, 4, 1, 5}, {4, 5}, {7, 3, 8}});
+  RecordingBackend backend;
+  EvalCache cache(space);
+  SearchController controller(space, {}, {}, nullptr, &cache);
+  const auto out = controller.run(strategy, backend);
+
+  // Only the misses reach the backend, in batch order; the all-miss first
+  // batch arrives as proposed, and the all-hit third batch not at all.
+  const std::vector<std::vector<int>> want_seen = {{1, 2, 3}, {4, 5}, {7, 8}};
+  ASSERT_EQ(backend.seen.size(), want_seen.size());
+  for (std::size_t b = 0; b < want_seen.size(); ++b) {
+    ASSERT_EQ(backend.seen[b].size(), want_seen[b].size()) << "batch " << b;
+    for (std::size_t i = 0; i < want_seen[b].size(); ++i) {
+      EXPECT_EQ(backend.seen[b][i], strategy.point(want_seen[b][i]))
+          << "batch " << b << " slot " << i;
+    }
+  }
+  EXPECT_EQ(out.evaluations, 7);
+  EXPECT_EQ(out.cache_hits, 5U);
+
+  // The strategy hears every proposal intact, and History holds each one
+  // (not a moved-from husk) in proposal order.
+  EXPECT_EQ(strategy.reported, strategy.proposed);
+  const auto& entries = controller.history().entries();
+  ASSERT_EQ(entries.size(), strategy.proposed.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_FALSE(entries[i].config.empty()) << "entry " << i;
+    EXPECT_EQ(entries[i].config, strategy.proposed[i]) << "entry " << i;
+  }
+  EXPECT_EQ(out.best, strategy.point(1));
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <string>
 
 #include "core/tuner.hpp"
+#include "minipop/pop_params.hpp"
 
 namespace {
 
@@ -288,6 +292,50 @@ TEST(NelderMead, StartsFromProvidedInitialConfig) {
   const auto first = nm.propose();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(std::get<std::int64_t>(first->values[0]), 900);
+}
+
+// An objective with few distinct values on the 22-dimension POP space (the
+// block shape, then the Tables I/II namelist): only the block shape moves
+// it, in coarse steps, and a seeded seventh of the shapes is invalid (+inf
+// to the simplex). order_simplex therefore sorts many equal values, and the
+// order of tied vertices decides the trajectory.
+EvaluationResult tie_objective(const Config& c) {
+  const auto bx = std::get<std::int64_t>(c.values[0]);
+  const auto by = std::get<std::int64_t>(c.values[1]);
+  if ((bx / 6 + by / 4) % 7 == 0) return EvaluationResult::infeasible();
+  return eval_of(static_cast<double>(std::abs(bx - 300) / 120 + std::abs(by - 200) / 100));
+}
+
+TEST(NelderMead, TiedValuesKeepTheirTrajectory) {
+  ParamSpace space;
+  space.add(Parameter::Integer("block_x", 30, 720, 6));
+  space.add(Parameter::Integer("block_y", 24, 600, 4));
+  const ParamSpace namelist = minipop::make_param_space(32);
+  for (const auto& p : namelist.params()) space.add(p);
+  NelderMeadOptions opts;
+  opts.max_restarts = 1000;
+  opts.seed = 7;
+  NelderMead nm(space, opts);
+
+  // FNV-1a over the first 300 proposal keys, one per line.
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  int proposals = 0;
+  int invalid = 0;
+  std::string last;
+  for (; proposals < 300; ++proposals) {
+    const auto p = nm.propose();
+    ASSERT_TRUE(p.has_value()) << "stopped after " << proposals << " proposals";
+    last = space.key(*p);
+    for (const char ch : last + '\n') {
+      hash = (hash ^ static_cast<unsigned char>(ch)) * 0x100000001b3ULL;
+    }
+    const auto r = tie_objective(*p);
+    if (!r.valid) ++invalid;
+    nm.report(*p, r);
+  }
+  EXPECT_GT(invalid, 0);
+  EXPECT_GT(nm.restarts_used(), 0);
+  EXPECT_EQ(hash, 0xf543e7fa597d0f68ULL) << "last key " << last;
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
+
+#include "core/rng.hpp"
 
 namespace {
 
@@ -133,6 +137,80 @@ TEST(PopParams, DefaultsAlreadyOptimalForExtendedParams) {
     if (def_mult == best) ++already_best;
   }
   EXPECT_GE(already_best, 6);
+}
+
+// The by-name computation evaluate_multipliers must reproduce: one lookup
+// per table entry, multiplied in table order.
+PhaseMultipliers by_name(const harmony::ParamSpace& space, const harmony::Config& c) {
+  PhaseMultipliers m;
+  m.num_iotasks = static_cast<int>(space.get_int(c, "num_iotasks"));
+  for (const auto& spec : parameter_table()) {
+    const auto& choice = space.get_enum(c, spec.name);
+    const auto at = std::find(spec.choices.begin(), spec.choices.end(), choice) -
+                    spec.choices.begin();
+    const double mult = spec.multipliers.at(static_cast<std::size_t>(at));
+    switch (spec.phase) {
+      case PopPhase::Momentum: m.momentum *= mult; break;
+      case PopPhase::Tracer: m.tracer *= mult; break;
+      case PopPhase::State: m.state *= mult; break;
+      case PopPhase::Forcing: m.forcing *= mult; break;
+      case PopPhase::Io: break;
+    }
+  }
+  return m;
+}
+
+void expect_bitwise(const PhaseMultipliers& a, const PhaseMultipliers& b) {
+  EXPECT_EQ(std::memcmp(&a.momentum, &b.momentum, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&a.tracer, &b.tracer, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&a.state, &b.state, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&a.forcing, &b.forcing, sizeof(double)), 0);
+  EXPECT_EQ(a.num_iotasks, b.num_iotasks);
+}
+
+// `from`'s values carried over by name into `to` (extra parameters keep
+// their defaults).
+harmony::Config translate(const harmony::ParamSpace& from, const harmony::Config& c,
+                          const harmony::ParamSpace& to) {
+  harmony::Config out = to.default_config();
+  for (const auto& p : from.params()) to.set(out, p.name(), from.get(c, p.name()));
+  return out;
+}
+
+TEST(PopParams, MultipliersAreTheSameInEveryLayout) {
+  const auto standard = make_param_space(32);
+  const auto& params = standard.params();
+  harmony::ParamSpace reversed;  // every parameter away from its position
+  for (auto it = params.rbegin(); it != params.rend(); ++it) reversed.add(*it);
+  harmony::ParamSpace extra;  // the offline tuning's layout: block shape first
+  extra.add(harmony::Parameter::Integer("block_x", 30, 720, 6));
+  for (const auto& p : params) extra.add(p);
+  harmony::ParamSpace swapped;  // standard size, two names out of place
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    swapped.add(params[i == 3 ? 4 : i == 4 ? 3 : i]);
+  }
+  harmony::Rng rng(5);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto c = standard.random_config(rng);
+    const auto want = by_name(standard, c);
+    expect_bitwise(evaluate_multipliers(standard, c), want);
+    for (const auto* other : {&reversed, &extra, &swapped}) {
+      expect_bitwise(evaluate_multipliers(*other, translate(standard, c, *other)), want);
+    }
+  }
+}
+
+TEST(PopParams, UnknownChoiceThrowsInEveryLayout) {
+  const auto standard = make_param_space(32);
+  harmony::ParamSpace reversed;
+  for (auto it = standard.params().rbegin(); it != standard.params().rend(); ++it) {
+    reversed.add(*it);
+  }
+  auto c = default_config(standard);
+  c.values[5] = std::string("bogus");
+  EXPECT_THROW((void)evaluate_multipliers(standard, c), std::invalid_argument);
+  std::reverse(c.values.begin(), c.values.end());
+  EXPECT_THROW((void)evaluate_multipliers(reversed, c), std::invalid_argument);
 }
 
 }  // namespace

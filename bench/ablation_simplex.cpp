@@ -77,10 +77,10 @@ int main() {
     opts.shrink = v.sigma;
     opts.max_restarts = 3;
     harmony::NelderMead nm(p.space, opts, p.start);
-    harmony::TunerOptions topts;
-    topts.max_iterations = 80;
-    harmony::Tuner tuner(p.space, topts);
-    const auto result = tuner.run(nm, p.evaluate);
+    harmony::EvalCache cache(p.space);
+    harmony::SearchController controller(p.space, {80}, {}, nullptr, &cache);
+    harmony::SerialEvalBackend backend(p.evaluate);
+    const auto result = controller.run(nm, backend);
     t1.add_row({v.label, harmony::fmt(result.best_result.objective, 4),
                 harmony::percent_improvement(t_default,
                                              result.best_result.objective)});
@@ -93,16 +93,16 @@ int main() {
     harmony::NelderMeadOptions opts;
     opts.max_restarts = 3;
     harmony::NelderMead nm(p.space, opts, p.start);
-    harmony::TunerOptions topts;
-    topts.max_iterations = 80;
-    topts.use_cache = use_cache;
-    harmony::Tuner tuner(p.space, topts);
+    harmony::EvalCache cache(p.space);
+    harmony::SearchController controller(p.space, {80}, {}, nullptr,
+                                         use_cache ? &cache : nullptr);
     int runs = 0;
-    const auto counted = [&](const Config& c) {
+    const harmony::Evaluator counted = [&](const Config& c) {
       ++runs;
       return p.evaluate(c);
     };
-    const auto result = tuner.run(nm, counted);
+    harmony::SerialEvalBackend backend(counted);
+    const auto result = controller.run(nm, backend);
     t2.add_row({use_cache ? "on" : "off", std::to_string(result.proposals),
                 std::to_string(runs)});
   }

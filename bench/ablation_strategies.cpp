@@ -118,11 +118,11 @@ double run_strategy(const Problem& p, const std::string& name, int budget) {
   auto strat = harmony::StrategyRegistry::make(name, p.space,
                                                options_for(name, budget),
                                                p.start);
-  harmony::TunerOptions topts;
-  topts.max_iterations = budget;
-  topts.max_proposals = budget * 64;
-  harmony::Tuner tuner(p.space, topts);
-  const auto result = tuner.run(*strat, p.evaluate);
+  harmony::EvalCache cache(p.space);
+  harmony::SearchController controller(p.space, {budget, budget * 64}, {}, nullptr,
+                                       &cache);
+  harmony::SerialEvalBackend backend(p.evaluate);
+  const auto result = controller.run(*strat, backend);
   return result.best ? result.best_result.objective
                      : std::numeric_limits<double>::infinity();
 }

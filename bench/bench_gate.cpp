@@ -126,7 +126,7 @@ obs::BenchReport run_gate_gs2_sweep(int reps) {
   space.add(harmony::Parameter::Integer("nodes", 1, 64));
   const std::vector<int> plan{4, 4, 23};  // 368 evenly spaced points
 
-  const auto short_run = [&](const Config& c, int steps) {
+  const harmony::ShortRunFn short_run = [&](const Config& c, int steps) {
     minigs2::Resolution res;
     res.negrid = static_cast<int>(space.get_int(c, "negrid"));
     res.ntheta = static_cast<int>(space.get_int(c, "ntheta"));
@@ -144,21 +144,18 @@ obs::BenchReport run_gate_gs2_sweep(int reps) {
   report.name = "gate_gs2_sweep";
   double wall = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
-    harmony::engine::ParallelOfflineOptions opts;
-    opts.max_runs = 368;
-    opts.pool_size = 4;
-    opts.max_batch = 16;
-    harmony::engine::ParallelOfflineDriver driver(space, opts);
+    harmony::SearchController controller(space, {368, 368 * 64 + 256});
     harmony::engine::BatchSystematicSampler sweep(space, plan);
     const auto t0 = Clock::now();
-    const auto result = driver.tune(sweep, short_run);
+    harmony::engine::PoolEvalBackend pool(space, short_run, 10, 0.0, 4, 16, true);
+    const auto result = controller.run(sweep, pool);
     wall = std::min(wall, seconds_since(t0));
     report.best_config = space.format(*result.best);
-    report.best_value = result.best_measured_s;
-    report.evaluations = result.runs;
-    report.evals_to_best = driver.history().evals_to_best();
+    report.best_value = result.best_objective;
+    report.evaluations = result.evaluations;
+    report.evals_to_best = controller.history().evals_to_best();
     report.metrics["cache_hits"] =
-        static_cast<double>(result.cache_hits + result.cache_coalesced);
+        static_cast<double>(pool.cache_hits() + pool.cache_coalesced());
     report.metrics["batches"] = result.batches;
   }
   report.wall_s = wall;
@@ -182,7 +179,7 @@ obs::BenchReport run_gate_pop_nm(int reps) {
   space.set(start, "block_x", std::int64_t{180});
   space.set(start, "block_y", std::int64_t{100});
 
-  const auto short_run = [&](const Config& c, int) {
+  const harmony::ShortRunFn short_run = [&](const Config& c, int) {
     const minipop::BlockShape shape{
         static_cast<int>(space.get_int(c, "block_x")),
         static_cast<int>(space.get_int(c, "block_y"))};
@@ -196,21 +193,22 @@ obs::BenchReport run_gate_pop_nm(int reps) {
   report.name = "gate_pop_nm";
   double wall = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
-    harmony::OfflineOptions opts;
-    opts.max_runs = 400;
-    harmony::OfflineDriver driver(space, opts);
+    harmony::EvalCache cache(space);
+    harmony::SearchController controller(space, {400, 400 * 64 + 256}, {}, nullptr,
+                                         &cache);
+    harmony::ShortRunEvalBackend backend(short_run, 10, 0.0);
     harmony::NelderMeadOptions nm_opts;
     nm_opts.max_restarts = 2;
     harmony::NelderMead nm(space, nm_opts, start);
     const auto t0 = Clock::now();
-    const auto result = driver.tune(nm, short_run);
+    const auto result = controller.run(nm, backend);
     wall = std::min(wall, seconds_since(t0));
     report.best_config = space.format(*result.best);
-    report.best_value = result.best_measured_s;
-    report.evaluations = result.runs;
-    report.evals_to_best = driver.history().evals_to_best();
+    report.best_value = result.best_objective;
+    report.evaluations = result.evaluations;
+    report.evals_to_best = controller.history().evals_to_best();
     report.metrics["cache_hits"] =
-        static_cast<double>(driver.history().cached_count());
+        static_cast<double>(controller.history().cached_count());
   }
   report.wall_s = wall;
   return report;
@@ -238,18 +236,18 @@ obs::BenchReport run_gate_model_guided(int reps) {
   // Untimed reference pass: the 368-point sweep fixes the top-5% threshold
   // the guided search is gated against (deterministic, so computed once).
   harmony::SystematicSampler sweep(space, std::vector<int>{4, 4, 23});
-  harmony::TunerOptions sweep_opts;
-  sweep_opts.max_iterations = 368;
-  sweep_opts.max_proposals = 4000;
-  harmony::Tuner sweep_tuner(space, sweep_opts);
+  harmony::EvalCache sweep_cache(space);
+  harmony::SearchController sweep_controller(space, {368, 4000}, {}, nullptr,
+                                             &sweep_cache);
   const harmony::Evaluator plain_eval = [&](const Config& c) {
     harmony::EvaluationResult r;
     r.objective = objective(c);
     return r;
   };
-  const auto sweep_out = sweep_tuner.run(sweep, plain_eval);
+  harmony::SerialEvalBackend sweep_backend(plain_eval);
+  const auto sweep_out = sweep_controller.run(sweep, sweep_backend);
   std::vector<double> times;
-  for (const auto& e : sweep_tuner.history().entries()) {
+  for (const auto& e : sweep_controller.history().entries()) {
     if (!e.cached && e.result.valid) times.push_back(e.result.objective);
   }
   std::sort(times.begin(), times.end());

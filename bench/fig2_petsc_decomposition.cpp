@@ -64,11 +64,10 @@ CaseResult tune_case(const std::vector<int>& block_sizes, int nranks,
   }
 
   harmony::CoordinateDescent search(space, start, 10, line_samples);
-  harmony::TunerOptions topts;
-  topts.max_iterations = budget;
-  topts.max_proposals = budget * 64;
-  harmony::Tuner tuner(space, topts);
-  const auto result = tuner.run(search, [&](const Config& c) {
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {budget, budget * 64}, {}, nullptr,
+                                       &cache);
+  const harmony::Evaluator evaluate = [&](const Config& c) {
     std::vector<int> bounds;
     for (const auto& v : c.values) {
       bounds.push_back(static_cast<int>(std::get<std::int64_t>(v)));
@@ -80,12 +79,14 @@ CaseResult tune_case(const std::vector<int>& block_sizes, int nranks,
       return harmony::EvaluationResult::infeasible();
     }
     return r;
-  });
+  };
+  harmony::SerialEvalBackend backend(evaluate);
+  const auto result = controller.run(search, backend);
 
   CaseResult out;
   out.t_default = t_default;
   out.t_tuned = result.best_result.objective;
-  out.iterations = result.iterations;
+  out.iterations = result.evaluations;
   out.boundaries = space.format(*result.best);
   return out;
 }
@@ -172,28 +173,24 @@ int main() {
     harmony::NelderMeadOptions nm_opts;
     nm_opts.max_restarts = 8;
     harmony::NelderMead nm(space, nm_opts, start);
-    harmony::TunerOptions topts;
-    topts.max_iterations = 400;
-    const auto tune_start = std::chrono::steady_clock::now();
-    harmony::Tuner tuner(space, topts);
-    const auto result = tuner.run(nm, [&](const Config& c) {
+    const harmony::Evaluator evaluate = [&](const Config& c) {
       harmony::EvaluationResult r;
       r.objective = time_of(to_partition(c));
       return r;
-    });
+    };
+    harmony::SerialEvalBackend backend(evaluate);
+    const auto tune_start = std::chrono::steady_clock::now();
+    harmony::EvalCache cache(space);
+    harmony::SearchController controller(space, {400}, {}, nullptr, &cache);
+    const auto result = controller.run(nm, backend);
 
     // Greedy per-weight refinement from the simplex result (the paper's
     // iterative mechanism keeps tuning as long as the budget allows).
     harmony::CoordinateDescent polish(space, *result.best, 4, /*line_samples=*/12);
-    harmony::TunerOptions popts;
-    popts.max_iterations = 800;
-    popts.max_proposals = 60000;
-    harmony::Tuner polisher(space, popts);
-    const auto polished = polisher.run(polish, [&](const Config& c) {
-      harmony::EvaluationResult r;
-      r.objective = time_of(to_partition(c));
-      return r;
-    });
+    harmony::EvalCache polish_cache(space);
+    harmony::SearchController polisher(space, {800, 60000}, {}, nullptr,
+                                       &polish_cache);
+    const auto polished = polisher.run(polish, backend);
     const double t_tuned =
         std::min(result.best_result.objective, polished.best_result.objective);
 
@@ -204,7 +201,7 @@ int main() {
     t.print(std::cout);
     std::printf("  tuning cost: %d distinct runs (paper: 120 iterations, "
                 "15-20%% improvement)\n",
-                result.iterations);
+                result.evaluations);
     const double log10_space = 31.0 * std::log10(21024.0);
     std::printf("  raw search space: O(10^%.0f) points (paper: O(10^100))\n",
                 log10_space);
@@ -216,8 +213,8 @@ int main() {
             ? "polished weights"
             : "simplex weights";
     report.best_value = t_tuned;
-    report.evaluations = result.iterations + polished.iterations;
-    report.evals_to_best = tuner.history().evals_to_best();
+    report.evaluations = result.evaluations + polished.evaluations;
+    report.evals_to_best = controller.history().evals_to_best();
     report.wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       tune_start)

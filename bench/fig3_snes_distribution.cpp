@@ -124,20 +124,21 @@ CaseResult tune_distribution(int nx, int ny, int nranks,
   harmony::NelderMeadOptions nm_opts;
   nm_opts.max_restarts = 4;
   harmony::NelderMead nm(space, nm_opts, start);
-  harmony::TunerOptions topts;
-  topts.max_iterations = budget;
-  topts.max_proposals = budget * 64;
-  harmony::Tuner tuner(space, topts);
-  const auto result = tuner.run(nm, [&](const Config& c) {
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {budget, budget * 64}, {}, nullptr,
+                                       &cache);
+  const harmony::Evaluator evaluate = [&](const Config& c) {
     harmony::EvaluationResult r;
     r.objective = time_of(to_da(c));
     return r;
-  });
+  };
+  harmony::SerialEvalBackend backend(evaluate);
+  const auto result = controller.run(nm, backend);
 
   CaseResult out;
   out.t_default = t_default;
   out.t_tuned = result.best_result.objective;
-  out.iterations = result.iterations;
+  out.iterations = result.evaluations;
   out.tuned_points = to_da(*result.best).points_per_rank();
   return out;
 }

@@ -64,18 +64,17 @@ int main() {
     space.set(start, "block_y", std::int64_t{100});
 
     harmony::CoordinateDescent search(space, start, 10, /*line_samples=*/40);
-    harmony::TunerOptions topts;
-    topts.max_iterations = 400;
-    topts.max_proposals = 40000;
-    topts.tracer = &tracer;
-    harmony::Tuner tuner(space, topts);
-    const auto result = tuner.run(search, [&](const Config& c) {
+    harmony::EvalCache cache(space);
+    harmony::SearchController controller(space, {400, 40000}, {}, &tracer, &cache);
+    const harmony::Evaluator evaluate = [&](const Config& c) {
       const BlockShape shape{static_cast<int>(space.get_int(c, "block_x")),
                              static_cast<int>(space.get_int(c, "block_y"))};
       harmony::EvaluationResult r;
       r.objective = model.step_time(machine, ppn, shape, mult).total_s;
       return r;
-    });
+    };
+    harmony::SerialEvalBackend backend(evaluate);
+    const auto result = controller.run(search, backend);
 
     const double t_tuned = result.best_result.objective;
     const std::string topo =
@@ -91,9 +90,9 @@ int main() {
 
     if (!report.best_config.empty()) report.best_config += "; ";
     report.best_config += topo + ":" + block;
-    report.evaluations += result.iterations;
+    report.evaluations += result.evaluations;
     report.evals_to_best =
-        std::max(report.evals_to_best, tuner.history().evals_to_best());
+        std::max(report.evals_to_best, controller.history().evals_to_best());
     total_tuned += t_tuned;
     total_default += t_default;
   }

@@ -29,18 +29,19 @@ std::string tune_layout(const Gs2Model& model, const simcluster::Machine& machin
   harmony::NelderMeadOptions nm_opts;
   nm_opts.max_restarts = 4;
   harmony::NelderMead nm(space, nm_opts, start);
-  harmony::TunerOptions topts;
-  topts.max_iterations = 50;
-  harmony::Tuner tuner(space, topts);
-  const auto result = tuner.run(nm, [&](const Config& c) {
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {50}, {}, nullptr, &cache);
+  const harmony::Evaluator evaluate = [&](const Config& c) {
     harmony::EvaluationResult r;
     r.objective = model.run_time(machine, nranks, res,
                                  Layout(std::get<std::string>(c.values[0])),
                                  collisions, 10);
     return r;
-  });
+  };
+  harmony::SerialEvalBackend backend(evaluate);
+  const auto result = controller.run(nm, backend);
   *best_time = result.best_result.objective;
-  *iterations = result.iterations;
+  *iterations = result.evaluations;
   return std::get<std::string>(result.best->values[0]);
 }
 

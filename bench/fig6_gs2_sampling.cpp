@@ -30,7 +30,7 @@ int main() {
   std::printf("full lattice: %.0f configurations (x 120 layouts ~ O(10^5) raw)\n",
               space.total_points());
 
-  const auto evaluate = [&](const Config& c) {
+  const harmony::Evaluator evaluate = [&](const Config& c) {
     Resolution res;
     res.negrid = static_cast<int>(space.get_int(c, "negrid"));
     res.ntheta = static_cast<int>(space.get_int(c, "ntheta"));
@@ -45,13 +45,13 @@ int main() {
   // Systematic sampling of the whole space (all 13 x 12 x 64 = 9,984 points
   // here — the space is small enough to sweep densely).
   harmony::SystematicSampler sampler(space, std::vector<int>{13, 12, 64});
-  harmony::TunerOptions sopts;
-  sopts.max_iterations = 20000;
-  sopts.max_proposals = 40000;
-  harmony::Tuner sample_tuner(space, sopts);
-  const auto sampled_result = sample_tuner.run(sampler, evaluate);
+  harmony::SerialEvalBackend backend(evaluate);
+  harmony::EvalCache sample_cache(space);
+  harmony::SearchController sample_controller(space, {20000, 40000}, {}, nullptr,
+                                              &sample_cache);
+  const auto sampled_result = sample_controller.run(sampler, backend);
   std::vector<double> times;
-  for (const auto& e : sample_tuner.history().entries()) {
+  for (const auto& e : sample_controller.history().entries()) {
     if (!e.cached && e.result.valid) times.push_back(e.result.objective);
   }
   std::printf("systematically sampled %zu configurations\n\n", times.size());
@@ -94,11 +94,10 @@ int main() {
   harmony::NelderMeadOptions nm_opts;
   nm_opts.max_restarts = 8;
   harmony::NelderMead nm(space, nm_opts, start);
-  harmony::TunerOptions hopts;
-  hopts.max_iterations = 90;
-  harmony::Tuner tuner(space, hopts);
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {90}, {}, nullptr, &cache);
   const auto t0 = std::chrono::steady_clock::now();
-  const auto result = tuner.run(nm, evaluate);
+  const auto result = controller.run(nm, backend);
   const double search_wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -108,7 +107,7 @@ int main() {
       times.begin());
   std::printf("\nActive Harmony found %s = %.1f s in %d evaluations\n",
               space.format(*result.best).c_str(), result.best_result.objective,
-              result.iterations);
+              result.evaluations);
   std::printf("that is within the top %.1f%% of the sampled distribution "
               "(paper: top 5%%)\n",
               100.0 * rank / static_cast<double>(times.size()));
@@ -117,8 +116,8 @@ int main() {
   report.name = "fig6_gs2_sampling";
   report.best_config = space.format(*result.best);
   report.best_value = result.best_result.objective;
-  report.evaluations = result.iterations;
-  report.evals_to_best = tuner.history().evals_to_best();
+  report.evaluations = result.evaluations;
+  report.evals_to_best = controller.history().evals_to_best();
   report.wall_s = search_wall_s;
   // How close the budgeted search got to the densely sampled optimum.
   report.speedup = best_sampled / result.best_result.objective;

@@ -69,23 +69,24 @@ int main() {
   }
 
   // --- off-line: representative short runs -----------------------------
-  harmony::OfflineOptions oopts;
-  oopts.short_run_steps = 10;
-  oopts.max_runs = budget;
-  oopts.restart_overhead_s = 30.0;  // batch-queue relaunch
-  harmony::OfflineDriver driver(space, oopts);
-  // Same kernel as the on-line session, built through the one registry path.
-  const auto nm = harmony::StrategyRegistry::make(
-      "nelder-mead", space,
-      {{"max_restarts", "4"}, {"max_stall", std::to_string(2 * budget)}}, start);
-  const auto offline = driver.tune(*nm, [&](const Config& c, int steps) {
+  // 10-step short runs; every one pays a 30 s batch-queue relaunch.
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {budget, budget * 64 + 256}, {},
+                                       nullptr, &cache);
+  const harmony::ShortRunFn short_run = [&](const Config& c, int steps) {
     harmony::ShortRunResult r;
     r.measured_s = steps * model.step_time(machine, 4, {180, 100},
                                            evaluate_multipliers(space, c))
                                .total_s;
     r.warmup_s = 0.2 * r.measured_s;
     return r;
-  });
+  };
+  harmony::ShortRunEvalBackend backend(short_run, 10, 30.0);
+  // Same kernel as the on-line session, built through the one registry path.
+  const auto nm = harmony::StrategyRegistry::make(
+      "nelder-mead", space,
+      {{"max_restarts", "4"}, {"max_stall", std::to_string(2 * budget)}}, start);
+  const auto offline = controller.run(*nm, backend);
 
   harmony::TextTable t({"mode", "best step time (s)", "improvement",
                         "total tuning cost (s)", "iterations"});
@@ -93,11 +94,11 @@ int main() {
   t.add_row({"on-line", harmony::fmt(online_best, 4),
              harmony::percent_improvement(t_default, online_best),
              harmony::fmt(online_cost, 1), std::to_string(online_steps)});
-  t.add_row({"off-line", harmony::fmt(offline.best_measured_s / 10.0, 4),
+  t.add_row({"off-line", harmony::fmt(offline.best_objective / 10.0, 4),
              harmony::percent_improvement(t_default,
-                                          offline.best_measured_s / 10.0),
-             harmony::fmt(offline.total_tuning_cost_s, 1),
-             std::to_string(offline.runs)});
+                                          offline.best_objective / 10.0),
+             harmony::fmt(offline.total_cost_s, 1),
+             std::to_string(offline.evaluations)});
   t.print(std::cout);
 
   std::printf("\nboth modes find comparable configurations; the off-line bill "
@@ -105,6 +106,6 @@ int main() {
               "alone), which is the paper's\nrationale for preferring on-line "
               "tuning whenever a parameter can be changed\nduring the run "
               "(Section VII).\n",
-              30.0 * offline.runs);
+              30.0 * offline.evaluations);
   return 0;
 }

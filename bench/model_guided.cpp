@@ -67,20 +67,20 @@ int main() {
 
   // ---- contender 1: the 368-point systematic sweep -------------------------
   harmony::SystematicSampler sweep(space, std::vector<int>{4, 4, 23});
-  harmony::TunerOptions sweep_opts;
-  sweep_opts.max_iterations = 368;
-  sweep_opts.max_proposals = 4000;
-  harmony::Tuner sweep_tuner(space, sweep_opts);
-  const auto sweep_out = sweep_tuner.run(sweep, evaluate);
+  harmony::EvalCache sweep_cache(space);
+  harmony::SearchController sweep_controller(space, {368, 4000}, {}, nullptr,
+                                             &sweep_cache);
+  harmony::SerialEvalBackend sweep_backend(evaluate);
+  const auto sweep_out = sweep_controller.run(sweep, sweep_backend);
 
   std::vector<double> times;
-  for (const auto& e : sweep_tuner.history().entries()) {
+  for (const auto& e : sweep_controller.history().entries()) {
     if (!e.cached && e.result.valid) times.push_back(e.result.objective);
   }
   std::sort(times.begin(), times.end());
   const double top5 =
       times[static_cast<std::size_t>(0.05 * static_cast<double>(times.size()))];
-  const int sweep_to_top5 = evals_to_threshold(sweep_tuner.history(), top5);
+  const int sweep_to_top5 = evals_to_threshold(sweep_controller.history(), top5);
   std::printf("sweep:        %zu evals, best %.1f s, top-5%% threshold %.1f s, "
               "%d evals to top-5%%\n",
               times.size(), sweep_out.best_result.objective, top5,

@@ -62,7 +62,7 @@ int main() {
     space.add(harmony::Parameter::Integer("nodes", 1, 64));
     const std::vector<int> plan{4, 4, 23};  // 368 evenly spaced points
 
-    const auto short_run = [&](const Config& c, int steps) {
+    const harmony::ShortRunFn short_run = [&](const Config& c, int steps) {
       minigs2::Resolution res;
       res.negrid = static_cast<int>(space.get_int(c, "negrid"));
       res.ntheta = static_cast<int>(space.get_int(c, "ntheta"));
@@ -77,42 +77,41 @@ int main() {
       return r;
     };
 
-    harmony::OfflineOptions serial_opts;
-    serial_opts.max_runs = 368;
     const auto t0 = Clock::now();
-    harmony::OfflineDriver serial_driver(space, serial_opts);
+    harmony::EvalCache serial_cache(space);
+    harmony::SearchController serial_controller(space, {368, 368 * 64 + 256}, {},
+                                                nullptr, &serial_cache);
+    harmony::ShortRunEvalBackend serial_backend(short_run, 10, 0.0);
     harmony::SystematicSampler serial_sweep(space, plan);
-    const auto serial_result = serial_driver.tune(serial_sweep, short_run);
+    const auto serial_result = serial_controller.run(serial_sweep, serial_backend);
     const double serial_wall = seconds_since(t0);
     const std::string serial_best = space.format(*serial_result.best);
     std::printf("serial: %d runs, best %s = %.1f s (wall %.2f s)\n",
-                serial_result.runs, serial_best.c_str(),
-                serial_result.best_measured_s, serial_wall);
+                serial_result.evaluations, serial_best.c_str(),
+                serial_result.best_objective, serial_wall);
 
     harmony::TextTable table(
         {"pool", "runs", "wall (s)", "speedup", "best config", "best (s)"});
     double wall8 = serial_wall;
-    int runs8 = serial_result.runs;
+    int runs8 = serial_result.evaluations;
     harmony::obs::SearchTracer tracer;  // attached to the pool-8 run
     for (const int pool : {1, 2, 4, 8}) {
-      harmony::engine::ParallelOfflineOptions opts;
-      opts.max_runs = 368;
-      opts.pool_size = pool;
-      opts.max_batch = 4 * pool;
-      if (pool == 8) opts.tracer = &tracer;
       const auto t1 = Clock::now();
-      harmony::engine::ParallelOfflineDriver driver(space, opts);
+      harmony::SearchController controller(space, {368, 368 * 64 + 256}, {},
+                                           pool == 8 ? &tracer : nullptr);
+      harmony::engine::PoolEvalBackend backend(
+          space, short_run, 10, 0.0, pool, static_cast<std::size_t>(4 * pool), true);
       harmony::engine::BatchSystematicSampler sweep(space, plan);
-      const auto result = driver.tune(sweep, short_run);
+      const auto result = controller.run(sweep, backend);
       const double wall = seconds_since(t1);
       if (pool == 8) {
         wall8 = wall;
-        runs8 = result.runs;
+        runs8 = result.evaluations;
       }
       const std::string best = space.format(*result.best);
-      table.add_row({std::to_string(pool), std::to_string(result.runs),
+      table.add_row({std::to_string(pool), std::to_string(result.evaluations),
                      harmony::fmt(wall), harmony::speedup(serial_wall, wall),
-                     best, harmony::fmt(result.best_measured_s, 1)});
+                     best, harmony::fmt(result.best_objective, 1)});
       if (best != serial_best) {
         std::printf("ERROR: pool %d best %s != serial best %s\n", pool,
                     best.c_str(), serial_best.c_str());
@@ -139,9 +138,9 @@ int main() {
     harmony::obs::BenchReport report;
     report.name = "parallel_speedup_gs2_sweep";
     report.best_config = serial_best;
-    report.best_value = serial_result.best_measured_s;
+    report.best_value = serial_result.best_objective;
     report.evaluations = runs8;
-    report.evals_to_best = serial_driver.history().evals_to_best();
+    report.evals_to_best = serial_controller.history().evals_to_best();
     report.wall_s = wall8;
     report.speedup = sweep_speedup;
     report.metrics["serial_wall_s"] = serial_wall;
@@ -168,7 +167,7 @@ int main() {
     space.set(start, "block_x", std::int64_t{180});
     space.set(start, "block_y", std::int64_t{100});
 
-    const auto short_run = [&](const Config& c, int) {
+    const harmony::ShortRunFn short_run = [&](const Config& c, int) {
       const minipop::BlockShape shape{
           static_cast<int>(space.get_int(c, "block_x")),
           static_cast<int>(space.get_int(c, "block_y"))};
@@ -181,36 +180,36 @@ int main() {
     harmony::NelderMeadOptions nm_opts;
     nm_opts.max_restarts = 2;
 
-    harmony::OfflineOptions serial_opts;
-    serial_opts.max_runs = 400;
     const auto t0 = Clock::now();
-    harmony::OfflineDriver serial_driver(space, serial_opts);
+    harmony::EvalCache serial_cache(space);
+    harmony::SearchController serial_controller(space, {400, 400 * 64 + 256}, {},
+                                                nullptr, &serial_cache);
+    harmony::ShortRunEvalBackend serial_backend(short_run, 10, 0.0);
     harmony::NelderMead serial_nm(space, nm_opts, start);
-    const auto serial_result = serial_driver.tune(serial_nm, short_run);
+    const auto serial_result = serial_controller.run(serial_nm, serial_backend);
     const double serial_wall = seconds_since(t0);
     const std::string serial_best = space.format(*serial_result.best);
     std::printf("serial: %d runs, best %s = %.4f s/step (wall %.2f s)\n",
-                serial_result.runs, serial_best.c_str(),
-                serial_result.best_measured_s, serial_wall);
+                serial_result.evaluations, serial_best.c_str(),
+                serial_result.best_objective, serial_wall);
 
     harmony::TextTable table(
         {"pool", "runs", "wall (s)", "speedup", "best config"});
     double wall8 = serial_wall;
-    int runs8 = serial_result.runs;
+    int runs8 = serial_result.evaluations;
     for (const int pool : {1, 2, 4, 8}) {
-      harmony::engine::ParallelOfflineOptions opts;
-      opts.max_runs = 400;
-      opts.pool_size = pool;
       const auto t1 = Clock::now();
-      harmony::engine::ParallelOfflineDriver driver(space, opts);
+      harmony::SearchController controller(space, {400, 400 * 64 + 256});
+      harmony::engine::PoolEvalBackend backend(
+          space, short_run, 10, 0.0, pool, static_cast<std::size_t>(pool), true);
       harmony::engine::SpeculativeNelderMead spec(space, nm_opts, start);
-      const auto result = driver.tune(spec, short_run);
+      const auto result = controller.run(spec, backend);
       const double wall = seconds_since(t1);
       if (pool == 8) {
         wall8 = wall;
-        runs8 = result.runs;
+        runs8 = result.evaluations;
       }
-      table.add_row({std::to_string(pool), std::to_string(result.runs),
+      table.add_row({std::to_string(pool), std::to_string(result.evaluations),
                      harmony::fmt(wall), harmony::speedup(serial_wall, wall),
                      space.format(*result.best)});
       if (space.format(*result.best) != serial_best) {
@@ -226,9 +225,9 @@ int main() {
     harmony::obs::BenchReport report;
     report.name = "parallel_speedup_pop_nm";
     report.best_config = serial_best;
-    report.best_value = serial_result.best_measured_s;
+    report.best_value = serial_result.best_objective;
     report.evaluations = runs8;
-    report.evals_to_best = serial_driver.history().evals_to_best();
+    report.evals_to_best = serial_controller.history().evals_to_best();
     report.wall_s = wall8;
     report.speedup = serial_wall / wall8;
     report.metrics["serial_wall_s"] = serial_wall;

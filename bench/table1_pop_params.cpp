@@ -22,7 +22,7 @@ int main() {
   const auto space = make_param_space(32);
   const auto start = default_config(space);
 
-  const auto evaluate = [&](const Config& c) {
+  const harmony::Evaluator evaluate = [&](const Config& c) {
     harmony::EvaluationResult r;
     r.objective =
         model.step_time(machine, 4, {180, 100}, evaluate_multipliers(space, c))
@@ -36,16 +36,15 @@ int main() {
   // descent, and num_iotasks can jump straight across its range the way the
   // paper's first iteration jumps 1 -> 32.
   harmony::CoordinateDescent search(space, start, 60, /*line_samples=*/8);
-  harmony::TunerOptions topts;
-  topts.max_iterations = 600;
-  topts.max_proposals = 60000;
-  harmony::Tuner tuner(space, topts);
-  const auto result = tuner.run(search, evaluate);
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {600, 60000}, {}, nullptr, &cache);
+  harmony::SerialEvalBackend backend(evaluate);
+  const auto result = controller.run(search, backend);
 
   // --- Table I: parameter changes through iterations -------------------
   std::printf("Table I: parameter changes through iterations\n");
   harmony::TextTable t1({"Iteration", "Parameter", "Change from", "To"});
-  const auto trace = tuner.history().improvement_trace();
+  const auto trace = controller.history().improvement_trace();
   for (const auto& change : trace) {
     t1.add_row({std::to_string(change.iteration), change.param, change.from,
                 change.to});
@@ -65,8 +64,8 @@ int main() {
   t2.print(std::cout);
 
   // --- Headline numbers --------------------------------------------------
-  const double after12 = tuner.history().best_after(12);
-  const double after27 = tuner.history().best_after(27);
+  const double after12 = controller.history().best_after(12);
+  const double after27 = controller.history().best_after(27);
   const double final_best = result.best_result.objective;
   std::printf("\nstep time default: %.4f s\n", t_default);
   std::printf("after 12 iterations: %.4f s (%s; paper: 12.1%%)\n", after12,
@@ -74,7 +73,7 @@ int main() {
   std::printf("after 27 iterations: %.4f s (%s)\n", after27,
               harmony::percent_improvement(t_default, after27).c_str());
   std::printf("best found (%d iterations): %.4f s (%s; paper: 16.7%% after 27)\n",
-              result.iterations, final_best,
+              result.evaluations, final_best,
               harmony::percent_improvement(t_default, final_best).c_str());
   return 0;
 }

@@ -47,22 +47,23 @@ TuneOutcome tune_resolution(const Gs2Model& model, const Layout& layout,
                           nsteps);
   };
 
-  harmony::OfflineOptions oopts;
-  oopts.short_run_steps = steps;
-  oopts.max_runs = 30;
-  harmony::OfflineDriver driver(space, oopts);
-  harmony::NelderMeadOptions nm_opts;
-  nm_opts.max_restarts = 3;
-  harmony::NelderMead nm(space, nm_opts, start);
-  const auto result = driver.tune(nm, [&](const Config& c, int nsteps) {
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {30, 30 * 64 + 256}, {}, nullptr,
+                                       &cache);
+  const harmony::ShortRunFn short_run = [&](const Config& c, int nsteps) {
     harmony::ShortRunResult r;
     r.measured_s = run_with(c, nsteps);
     return r;
-  });
+  };
+  harmony::ShortRunEvalBackend backend(short_run, steps, 0.0);
+  harmony::NelderMeadOptions nm_opts;
+  nm_opts.max_restarts = 3;
+  harmony::NelderMead nm(space, nm_opts, start);
+  const auto result = controller.run(nm, backend);
 
   out.t_default = run_with(start, steps);
-  out.t_tuned = result.best_measured_s;
-  out.runs = result.runs;
+  out.t_tuned = result.best_objective;
+  out.runs = result.evaluations;
   out.best = *result.best;
   std::ostringstream tuned;
   tuned << '(' << space.get_int(*result.best, "negrid") << ','

@@ -35,16 +35,17 @@ int main() {
   harmony::NelderMeadOptions nm_opts;
   nm_opts.max_restarts = 4;
   harmony::NelderMead nm(space, nm_opts, start);
-  harmony::TunerOptions topts;
-  topts.max_iterations = 50;
-  harmony::Tuner tuner(space, topts);
-  const auto result = tuner.run(nm, [&](const harmony::Config& c) {
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {50}, {}, nullptr, &cache);
+  const harmony::Evaluator evaluate = [&](const harmony::Config& c) {
     harmony::EvaluationResult r;
     r.objective = model.run_time(machine, nranks, res,
                                  Layout(std::get<std::string>(c.values[0])),
                                  CollisionModel::None, 10);
     return r;
-  });
+  };
+  harmony::SerialEvalBackend backend(evaluate);
+  const auto result = controller.run(nm, backend);
 
   const auto& best_layout = std::get<std::string>(result.best->values[0]);
   std::printf("tuned layout %s: %.2f s (speedup %s; paper: 3.4x)\n",
@@ -55,6 +56,6 @@ int main() {
   std::printf("distributed dims: %s  (velocity space local: %s)\n",
               info.distributed.c_str(),
               info.l_local && info.e_local ? "yes" : "no");
-  std::printf("tuning cost: %d distinct short runs\n", result.iterations);
+  std::printf("tuning cost: %d distinct short runs\n", result.evaluations);
   return 0;
 }

@@ -42,31 +42,36 @@ int main() {
   std::printf("default (negrid=16, ntheta=26, nodes=32): %.2f s benchmark run\n",
               t_default);
 
-  harmony::OfflineOptions opts;
-  opts.short_run_steps = 10;      // benchmarking runs, as in Table III
-  opts.max_runs = 30;
-  opts.restart_overhead_s = 15.0; // job relaunch on the cluster is not free
-  harmony::OfflineDriver driver(space, opts);
+  const int steps = 10;             // benchmarking runs, as in Table III
+  const int max_runs = 30;
+  const double restart_s = 15.0;    // job relaunch on the cluster is not free
+  const harmony::ShortRunFn short_run = [&](const harmony::Config& c, int n) {
+    harmony::ShortRunResult r;
+    r.measured_s = run_with(c, n);
+    r.warmup_s = 0.2 * r.measured_s;
+    return r;
+  };
 
   // Strategies are built by name through the registry — the same path the
   // tuning server's STRATEGY verb uses, with textual key=value options.
   const auto nm = harmony::StrategyRegistry::make(
       "nelder-mead", space, {{"max_restarts", "3"}}, start);
 
-  const auto result = driver.tune(*nm, [&](const harmony::Config& c, int steps) {
-    harmony::ShortRunResult r;
-    r.measured_s = run_with(c, steps);
-    r.warmup_s = 0.2 * r.measured_s;
-    return r;
-  });
+  // One short run per distinct candidate, memoized for this tuning session;
+  // the proposal cap is only a loop guard.
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {max_runs, max_runs * 64 + 256}, {},
+                                       nullptr, &cache);
+  harmony::ShortRunEvalBackend backend(short_run, steps, restart_s);
+  const auto result = controller.run(*nm, backend);
 
   std::printf("tuned: %s\n", space.format(*result.best).c_str());
   std::printf("benchmark run: %.2f s (improvement %s; paper Table III: 57.9%%)\n",
-              result.best_measured_s,
-              harmony::percent_improvement(t_default, result.best_measured_s)
+              result.best_objective,
+              harmony::percent_improvement(t_default, result.best_objective)
                   .c_str());
   std::printf("tuning consumed %d short runs costing %.1f s in total\n",
-              result.runs, result.total_tuning_cost_s);
+              result.evaluations, result.total_cost_s);
 
   // The payoff shows at production scale (1,000 steps, Table IV).
   const double prod_default = run_with(start, 1000);
@@ -80,27 +85,20 @@ int main() {
   // concurrently across a worker pool, landing on the identical simplex
   // trajectory while short runs overlap in wall-clock time. Duplicate or
   // revisited configurations are served by the engine's concurrent cache.
-  harmony::engine::ParallelOfflineOptions popts;
-  popts.short_run_steps = opts.short_run_steps;
-  popts.max_runs = opts.max_runs;
-  popts.restart_overhead_s = opts.restart_overhead_s;
-  popts.pool_size = 4;
-  harmony::engine::ParallelOfflineDriver pdriver(space, popts);
+  // The pool backend keeps its own cache, so this controller runs without one.
+  const int pool_size = 4;
+  harmony::engine::PoolEvalBackend pool(space, short_run, steps, restart_s,
+                                        pool_size, pool_size, /*use_cache=*/true);
+  harmony::SearchController pcontroller(space, {max_runs, max_runs * 64 + 256});
   harmony::NelderMeadOptions nm_opts;
   nm_opts.max_restarts = 3;
   harmony::engine::SpeculativeNelderMead spec(space, nm_opts, start);
-  const auto presult = pdriver.tune(spec, [&](const harmony::Config& c, int steps) {
-    harmony::ShortRunResult r;
-    r.measured_s = run_with(c, steps);
-    r.warmup_s = 0.2 * r.measured_s;
-    return r;
-  });
-  std::printf("\nparallel engine (pool of %d, speculative simplex):\n",
-              popts.pool_size);
+  const auto presult = pcontroller.run(spec, pool);
+  std::printf("\nparallel engine (pool of %d, speculative simplex):\n", pool_size);
   std::printf("tuned: %s = %.2f s in %d short runs over %d batches "
               "(%zu cache hits, %zu coalesced)\n",
-              space.format(*presult.best).c_str(), presult.best_measured_s,
-              presult.runs, presult.batches, presult.cache_hits,
-              presult.cache_coalesced);
+              space.format(*presult.best).c_str(), presult.best_objective,
+              presult.evaluations, presult.batches, pool.cache_hits(),
+              pool.cache_coalesced());
   return 0;
 }

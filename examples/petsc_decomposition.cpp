@@ -52,11 +52,9 @@ int main() {
   }
 
   harmony::CoordinateDescent search(space, start, 20, /*line_samples=*/399);
-  harmony::TunerOptions topts;
-  topts.max_iterations = 5000;
-  topts.max_proposals = 200000;
-  harmony::Tuner tuner(space, topts);
-  const auto result = tuner.run(search, [&](const harmony::Config& c) {
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {5000, 200000}, {}, nullptr, &cache);
+  const harmony::Evaluator evaluate = [&](const harmony::Config& c) {
     std::vector<int> bounds;
     for (const auto& v : c.values) {
       bounds.push_back(static_cast<int>(std::get<std::int64_t>(v)));
@@ -69,9 +67,11 @@ int main() {
       return harmony::EvaluationResult::infeasible();
     }
     return r;
-  });
+  };
+  harmony::SerialEvalBackend backend(evaluate);
+  const auto result = controller.run(search, backend);
 
-  std::printf("tuned decomposition after %d distinct runs:\n", result.iterations);
+  std::printf("tuned decomposition after %d distinct runs:\n", result.evaluations);
   std::printf("  boundaries: %s\n", space.format(*result.best).c_str());
   std::printf("  simulated solve time: %.4f ms\n", 1e3 * result.best_result.objective);
   std::printf("  improvement: %s (paper reports up to 18%%)\n",

@@ -35,32 +35,33 @@ int main() {
   space.set(start, "block_x", std::int64_t{180});
   space.set(start, "block_y", std::int64_t{100});
 
-  harmony::OfflineOptions oopts;
-  oopts.short_run_steps = 10;   // "typical benchmarking run of 10 time steps"
-  oopts.max_runs = 60;
-  oopts.restart_overhead_s = 2.0;
-  harmony::OfflineDriver driver(space, oopts);
-
-  harmony::NelderMeadOptions nm_opts;
-  nm_opts.max_restarts = 3;
-  harmony::NelderMead nm(space, nm_opts, start);
-
-  const auto result = driver.tune(nm, [&](const harmony::Config& c, int steps) {
+  // Up to 60 distinct short runs, memoized for this tuning session.
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {60, 60 * 64 + 256}, {}, nullptr,
+                                       &cache);
+  const harmony::ShortRunFn short_run = [&](const harmony::Config& c, int steps) {
     harmony::ShortRunResult r;
     const BlockShape shape{static_cast<int>(space.get_int(c, "block_x")),
                            static_cast<int>(space.get_int(c, "block_y"))};
     r.measured_s = model.run_time(machine, ppn, shape, mult, steps);
     r.warmup_s = 0.1 * r.measured_s;  // spin-up before the measured window
     return r;
-  });
+  };
+  // "typical benchmarking run of 10 time steps", 2 s per restart
+  harmony::ShortRunEvalBackend backend(short_run, 10, 2.0);
+
+  harmony::NelderMeadOptions nm_opts;
+  nm_opts.max_restarts = 3;
+  harmony::NelderMead nm(space, nm_opts, start);
+  const auto result = controller.run(nm, backend);
 
   std::printf("tuned block size: %s after %d short runs\n",
-              space.format(*result.best).c_str(), result.runs);
+              space.format(*result.best).c_str(), result.evaluations);
   std::printf("tuned run time: %.3f s  (improvement %s; paper: up to 15%%)\n",
-              result.best_measured_s,
-              harmony::percent_improvement(t_default, result.best_measured_s)
+              result.best_objective,
+              harmony::percent_improvement(t_default, result.best_objective)
                   .c_str());
   std::printf("total tuning bill (restarts + warmups + runs): %.1f s\n",
-              result.total_tuning_cost_s);
+              result.total_cost_s);
   return 0;
 }

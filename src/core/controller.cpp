@@ -1,7 +1,9 @@
 #include "core/controller.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -30,15 +32,13 @@ std::vector<EvalOutcome> SerialEvalBackend::evaluate(const std::vector<Config>& 
 }
 
 ShortRunEvalBackend::ShortRunEvalBackend(const ShortRunFn& run, int steps,
-                                         double restart_overhead_s,
-                                         std::string runs_counter,
-                                         std::string run_histogram)
-    : run_(&run),
-      steps_(steps),
-      restart_overhead_s_(restart_overhead_s),
-      runs_counter_(std::move(runs_counter)),
-      run_histogram_(std::move(run_histogram)) {
+                                         double restart_overhead_s)
+    : run_(&run), steps_(steps), restart_overhead_s_(restart_overhead_s) {
   if (!run) throw std::invalid_argument("ShortRunEvalBackend: null run function");
+  if (steps < 1) throw std::invalid_argument("ShortRunEvalBackend: steps < 1");
+  if (restart_overhead_s < 0) {
+    throw std::invalid_argument("ShortRunEvalBackend: negative restart overhead");
+  }
 }
 
 std::vector<EvalOutcome> ShortRunEvalBackend::evaluate(const std::vector<Config>& batch,
@@ -53,10 +53,8 @@ std::vector<EvalOutcome> ShortRunEvalBackend::evaluate(const std::vector<Config>
     o.result.objective =
         r.ok ? r.measured_s : std::numeric_limits<double>::infinity();
     o.result.metrics["warmup_s"] = r.warmup_s;
-    if (!runs_counter_.empty()) obs::count(runs_counter_);
-    if (!run_histogram_.empty()) {
-      obs::observe(run_histogram_, r.warmup_s + r.measured_s);
-    }
+    obs::count("offline.runs");
+    obs::observe("offline.short_run_s", r.warmup_s + r.measured_s);
     out.push_back(std::move(o));
   }
   return out;
@@ -75,11 +73,10 @@ void reject_non_finite(EvaluationResult& r) {
 }  // namespace
 
 SearchController::SearchController(const ParamSpace& space, ControllerLimits limits,
-                                   ControllerHooks hooks, obs::SearchTracer* tracer,
-                                   EvalCache* cache)
+                                   ControllerHooks /*hooks*/,
+                                   obs::SearchTracer* tracer, EvalCache* cache)
     : space_(&space),
       limits_(limits),
-      hooks_(std::move(hooks)),
       tracer_(tracer),
       cache_(cache),
       history_(space),
@@ -120,15 +117,14 @@ ControllerResult SearchController::run(BatchSearchStrategy& strategy,
   ctx.tracer = tracer_;
   ctx.strategy_name = strategy_name;
 
-  // Live-status slot. The facade only hands us an id while observability is
-  // on, so the disabled path publishes nothing.
+  // Live-status slot, published only while observability is on, so the
+  // disabled path costs one relaxed load here.
   obs::StatusRegistry::SessionHandle status;
-  if (!hooks_.status_id.empty()) {
-    status = obs::StatusRegistry::global().publish_session(hooks_.status_id);
-    status.update([&](obs::SessionStatus& s) {
-      s.strategy = strategy_name;
-      s.phase = hooks_.status_phase;
-    });
+  if (obs::enabled()) {
+    static std::atomic<std::uint64_t> next_id{0};
+    status = obs::StatusRegistry::global().publish_session(
+        "run/" + std::to_string(next_id.fetch_add(1)));
+    status.update([&](obs::SessionStatus& s) { s.strategy = strategy_name; });
   }
 
   while (evaluations_ < limits_.max_evaluations &&
@@ -145,10 +141,6 @@ ControllerResult SearchController::run(BatchSearchStrategy& strategy,
     if (batch.size() > want) batch.resize(want);  // defensive prefix cut
     proposals_ += static_cast<int>(batch.size());
     ++out.batches;
-    if (!hooks_.batches_counter.empty()) obs::count(hooks_.batches_counter);
-    if (!hooks_.proposals_counter.empty()) {
-      obs::count(hooks_.proposals_counter, batch.size());
-    }
 
     // Resolve the batch against the controller cache; only misses reach the
     // backend (element order within the miss sub-batch is preserved). All
@@ -164,6 +156,7 @@ ControllerResult SearchController::run(BatchSearchStrategy& strategy,
     outcomes.resize(batch.size());
     t_start_us.assign(batch.size(), 0.0);
     miss_at.clear();
+    const std::size_t hits_before = cache_hits_;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       t_start_us[i] = tracer_ != nullptr ? tracer_->now_us() : 0.0;
       if (cache_ != nullptr) {
@@ -174,13 +167,17 @@ ControllerResult SearchController::run(BatchSearchStrategy& strategy,
           outcomes[i].result = *cached;
           outcomes[i].ran = false;
           ++cache_hits_;
-          if (!hooks_.cache_hits_counter.empty()) {
-            obs::count(hooks_.cache_hits_counter);
-          }
           continue;
         }
       }
       miss_at.push_back(i);
+    }
+    if (obs::enabled()) {
+      obs::count("controller.batches");
+      obs::count("controller.proposals", batch.size());
+      if (cache_hits_ != hits_before) {
+        obs::count("controller.cache_hits", cache_hits_ - hits_before);
+      }
     }
     if (!miss_at.empty()) {
       // An all-miss batch (every serial batch, and every batch without a
@@ -235,11 +232,7 @@ ControllerResult SearchController::run(BatchSearchStrategy& strategy,
 
     if (status.valid()) {
       status.update([&](obs::SessionStatus& s) {
-        if (hooks_.status_batch_phase) {
-          std::string phase = "batch ";
-          phase += std::to_string(out.batches);
-          s.phase = std::move(phase);
-        }
+        s.phase = "batch " + std::to_string(out.batches);
         s.iterations = static_cast<std::uint64_t>(evaluations_);
         s.cache_hits =
             static_cast<std::uint64_t>(cache_hits_ + backend.cache_hits());

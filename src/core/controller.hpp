@@ -1,19 +1,27 @@
 #pragma once
 
 /// \file controller.hpp
-/// The one Adaptation Controller (paper Fig. 1). SearchController owns the
-/// whole tuning loop — proposal budgeting (distinct-evaluation vs proposal
-/// caps), EvalCache memoization, History recording, SearchTracer events and
-/// obs metrics — and is parameterized by an EvalBackend that knows how a
-/// candidate configuration is actually measured:
+/// The one Adaptation Controller (paper Fig. 1) and the one tuning entry
+/// point. SearchController owns the whole tuning loop — proposal budgeting
+/// (distinct-evaluation vs proposal caps), EvalCache memoization, History
+/// recording, SearchTracer events and obs metrics — and is parameterized by
+/// an EvalBackend that knows how a candidate configuration is actually
+/// measured:
 ///
-///  * SerialEvalBackend      — call an Evaluator in-process (Tuner facade).
+///  * SerialEvalBackend      — call an Evaluator in-process.
 ///  * ShortRunEvalBackend    — one representative short run per candidate,
-///                             with restart/warm-up cost accounting
-///                             (OfflineDriver facade).
+///                             with restart/warm-up cost accounting (the
+///                             paper's off-line tuning, Section III).
 ///  * engine::PoolEvalBackend — dispatch a whole batch across a thread pool
-///                             with a concurrent, coalescing cache
-///                             (ParallelOfflineDriver facade).
+///                             with a concurrent, coalescing cache.
+///
+/// Every caller builds a backend and calls run():
+///
+///   harmony::EvalCache cache(space);
+///   harmony::SearchController controller(space, {40, 40 * 64 + 256}, {},
+///                                        nullptr, &cache);
+///   harmony::ShortRunEvalBackend backend(run, /*steps=*/10, /*restart_s=*/0);
+///   const auto result = controller.run(strategy, backend);
 ///
 /// The controller is batch-native: it drives a BatchSearchStrategy, and any
 /// serial SearchStrategy rides along through SequentialBatchAdapter with
@@ -40,20 +48,6 @@ class SearchTracer;
 }  // namespace harmony::obs
 
 namespace harmony {
-
-/// Loop options shared by every facade (TunerOptions, OfflineOptions,
-/// engine::ParallelOfflineOptions all inherit these fields).
-struct ControllerOptions {
-  /// Memoize evaluations per lattice point.
-  bool use_cache = true;
-
-  /// Optional per-evaluation tracer (not owned; may be null). When set, one
-  /// TraceEvent is recorded per proposal — strategy, point, objective, cache
-  /// hit/miss, wall-clock span — independent of obs::enabled(), which only
-  /// gates the aggregate metrics. Feed the JSONL export to tools/report_gen
-  /// for the HTML convergence report.
-  obs::SearchTracer* tracer = nullptr;
-};
 
 /// One representative short run of the application under configuration `c`,
 /// executing `steps` time steps. Returns per-run measurements.
@@ -111,10 +105,13 @@ class EvalBackend {
   [[nodiscard]] virtual std::size_t cache_coalesced() const { return 0; }
 };
 
-/// In-process evaluation of an Evaluator callback (the Tuner facade).
+/// In-process evaluation of an Evaluator callback.
 class SerialEvalBackend final : public EvalBackend {
  public:
+  /// `evaluate` is not owned and must outlive the backend; a temporary would
+  /// dangle, so rvalues do not compile.
   explicit SerialEvalBackend(const Evaluator& evaluate);
+  explicit SerialEvalBackend(Evaluator&&) = delete;
 
   [[nodiscard]] std::vector<EvalOutcome> evaluate(const std::vector<Config>& batch,
                                                   const Context& ctx) override;
@@ -125,12 +122,15 @@ class SerialEvalBackend final : public EvalBackend {
 
 /// One representative short run per candidate (paper Section III): stop the
 /// application, apply the configuration, restart, warm up, measure. Every
-/// component of that cost is charged to the tuning bill. Emits the
-/// configured run counter / histogram per fresh run.
+/// component of that cost is charged to the tuning bill. Counts
+/// offline.runs and observes offline.short_run_s per fresh run.
 class ShortRunEvalBackend final : public EvalBackend {
  public:
-  ShortRunEvalBackend(const ShortRunFn& run, int steps, double restart_overhead_s,
-                      std::string runs_counter, std::string run_histogram);
+  /// `run` is not owned and must outlive the backend (rvalues do not
+  /// compile). Throws std::invalid_argument for a null `run`, `steps < 1` or
+  /// a negative restart overhead.
+  ShortRunEvalBackend(const ShortRunFn& run, int steps, double restart_overhead_s);
+  ShortRunEvalBackend(ShortRunFn&&, int, double) = delete;
 
   [[nodiscard]] std::vector<EvalOutcome> evaluate(const std::vector<Config>& batch,
                                                   const Context& ctx) override;
@@ -139,8 +139,6 @@ class ShortRunEvalBackend final : public EvalBackend {
   const ShortRunFn* run_;
   int steps_;
   double restart_overhead_s_;
-  std::string runs_counter_;
-  std::string run_histogram_;
 };
 
 /// Budgets for one controller run.
@@ -153,16 +151,9 @@ struct ControllerLimits {
   int max_proposals = 100000;
 };
 
-/// Deployment-specific obs wiring. Empty names disable the corresponding
-/// counter; an empty status_id disables live-status publishing.
-struct ControllerHooks {
-  std::string proposals_counter;  ///< counted once per proposal
-  std::string batches_counter;    ///< counted once per dispatched batch
-  std::string cache_hits_counter; ///< counted once per controller-cache hit
-  std::string status_id;          ///< live-status session id ("offline/3")
-  std::string status_phase;       ///< initial phase label
-  bool status_batch_phase = false;///< relabel the phase "batch K" per batch
-};
+/// Empty: kept only so existing callers that pass `{}` as the third
+/// constructor argument still compile.
+struct ControllerHooks {};
 
 struct ControllerResult {
   std::optional<Config> best;
@@ -182,7 +173,9 @@ class SearchController {
   /// `cache` (not owned, may be null) is the controller-level memoization
   /// table; null disables it. Backends with their own cache (the thread-pool
   /// backend) run without a controller cache so every candidate reaches the
-  /// backend.
+  /// backend. While observability is on, run() counts controller.proposals,
+  /// controller.batches and controller.cache_hits and publishes a live-status
+  /// slot "run/<n>" whose phase reads "batch K".
   SearchController(const ParamSpace& space, ControllerLimits limits,
                    ControllerHooks hooks = {}, obs::SearchTracer* tracer = nullptr,
                    EvalCache* cache = nullptr);
@@ -222,7 +215,6 @@ class SearchController {
 
   const ParamSpace* space_;
   ControllerLimits limits_;
-  ControllerHooks hooks_;
   obs::SearchTracer* tracer_;
   EvalCache* cache_;
   History history_;

@@ -7,8 +7,12 @@
 ///   harmony::ParamSpace space;
 ///   space.add(harmony::Parameter::Integer("block_x", 15, 1800));
 ///   harmony::NelderMead search(space);
-///   harmony::Tuner tuner(space);
-///   auto result = tuner.run(search, [&](const harmony::Config& c) { ... });
+///   harmony::EvalCache cache(space);
+///   harmony::SearchController controller(space, {100, 100000}, {}, nullptr,
+///                                        &cache);
+///   const harmony::Evaluator evaluate = [&](const harmony::Config& c) { ... };
+///   harmony::SerialEvalBackend backend(evaluate);
+///   auto result = controller.run(search, backend);
 
 #include "core/client.hpp"
 #include "core/constraint.hpp"
@@ -19,7 +23,6 @@
 #include "core/genetic_search.hpp"
 #include "core/history.hpp"
 #include "core/nelder_mead.hpp"
-#include "core/offline_driver.hpp"
 #include "core/flat_map.hpp"
 #include "core/param_space.hpp"
 #include "core/parameter.hpp"
@@ -34,5 +37,4 @@
 #include "core/strategy.hpp"
 #include "core/strategy_registry.hpp"
 #include "core/systematic_sampler.hpp"
-#include "core/tuner.hpp"
 #include "core/types.hpp"

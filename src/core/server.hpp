@@ -4,7 +4,7 @@
 /// The Harmony tuning server (paper Fig. 1): applications connect over
 /// loopback TCP, register their tunable parameters, then drive FETCH/REPORT
 /// (or pipelined REPORT+FETCH) rounds while a per-client SearchController
-/// (the same Adaptation Controller behind Tuner and the off-line drivers)
+/// (the same Adaptation Controller that in-process and off-line tuning run)
 /// steers the configuration through its ask/tell surface. The search
 /// algorithm is Nelder-Mead by default and selectable per session with the
 /// STRATEGY verb (any StrategyRegistry name plus key=value options). Each

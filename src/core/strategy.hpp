@@ -2,10 +2,10 @@
 
 /// \file strategy.hpp
 /// Search-strategy interfaces. The Adaptation Controller (paper Fig. 1) is
-/// implemented once, as core::SearchController, and drives every deployment
-/// — the in-process Tuner, the off-line short-run drivers, and the TCP
-/// tuning server are thin facades over that one loop. Strategies plug into
-/// the controller through two interfaces:
+/// implemented once, as core::SearchController, and drives every deployment:
+/// in-process and off-line short-run tuning call its run() with an
+/// EvalBackend, and the TCP tuning server drives its ask/tell surface.
+/// Strategies plug into the controller through two interfaces:
 ///
 ///  * SearchStrategy — the classic serial ask/tell contract: propose() one
 ///    configuration, have it evaluated, report() the observed performance.

@@ -88,7 +88,7 @@ std::vector<Config> SpeculativeNelderMead::propose_batch(std::size_t max_n) {
   }
   // speculative_candidates() lists the serially-needed point first and
   // drive() guarantees it is not in results_, so `batch` is never empty here
-  // and any prefix truncation by the driver's budget guard keeps it.
+  // and any prefix truncation by the controller's budget guard keeps it.
   return batch;
 }
 

@@ -5,8 +5,11 @@
 ///
 ///   harmony::ParamSpace space = ...;
 ///   harmony::engine::BatchSystematicSampler sweep(space, 8);
-///   harmony::engine::ParallelOfflineDriver driver(space, {.pool_size = 8});
-///   auto result = driver.tune(sweep, short_run);
+///   harmony::engine::PoolEvalBackend pool(space, short_run, /*steps=*/10,
+///                                         /*restart_s=*/0, /*pool_size=*/8,
+///                                         /*batch_cap=*/8, /*use_cache=*/true);
+///   harmony::SearchController controller(space, {40, 40 * 64 + 256});
+///   auto result = controller.run(sweep, pool);
 ///
 /// The engine layers on top of the serial core: any SearchStrategy runs
 /// unchanged through SequentialBatchAdapter; random/systematic/exhaustive
@@ -14,7 +17,7 @@
 
 #include "engine/batch_strategy.hpp"
 #include "engine/eval_cache.hpp"
-#include "engine/parallel_driver.hpp"
+#include "engine/pool_backend.hpp"
 #include "engine/surrogate.hpp"
 #include "engine/surrogate_backend.hpp"
 #include "engine/thread_pool.hpp"

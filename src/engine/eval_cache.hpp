@@ -22,7 +22,7 @@
 /// table probe (low bits). The old string-keyed design hashed every key
 /// twice: once in shard_for and again inside unordered_map.
 ///
-/// The driver maps `ran == false` outcomes to History's existing `cached`
+/// The controller maps `ran == false` outcomes to History's existing `cached`
 /// flag, so batch histories stay comparable with serial ones.
 
 #include <atomic>

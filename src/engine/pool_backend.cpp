@@ -2,6 +2,7 @@
 
 #include <future>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -9,11 +10,28 @@
 
 namespace harmony::engine {
 
+namespace {
+
+// Runs before any member is built, so a bad pool size never reaches the
+// ThreadPool.
+const ShortRunFn* checked(const ShortRunFn& run, int steps,
+                          double restart_overhead_s, int pool_size) {
+  if (!run) throw std::invalid_argument("PoolEvalBackend: null run function");
+  if (steps < 1) throw std::invalid_argument("PoolEvalBackend: steps < 1");
+  if (restart_overhead_s < 0) {
+    throw std::invalid_argument("PoolEvalBackend: negative restart overhead");
+  }
+  if (pool_size < 1) throw std::invalid_argument("PoolEvalBackend: pool_size < 1");
+  return &run;
+}
+
+}  // namespace
+
 PoolEvalBackend::PoolEvalBackend(const ParamSpace& space, const ShortRunFn& run,
                                  int steps, double restart_overhead_s,
                                  int pool_size, std::size_t batch_cap,
                                  bool use_cache)
-    : run_(&run),
+    : run_(checked(run, steps, restart_overhead_s, pool_size)),
       steps_(steps),
       restart_overhead_s_(restart_overhead_s),
       use_cache_(use_cache),

@@ -21,11 +21,15 @@ namespace harmony::engine {
 
 class PoolEvalBackend final : public EvalBackend {
  public:
-  /// `run` is not owned and must outlive the backend. `batch_cap` is what
-  /// concurrency() reports — the controller's per-batch candidate cap.
+  /// `run` is not owned and must outlive the backend (rvalues do not
+  /// compile). `batch_cap` is what concurrency() reports — the controller's
+  /// per-batch candidate cap. Throws std::invalid_argument for a null `run`,
+  /// `steps < 1`, a negative restart overhead or `pool_size < 1`.
   PoolEvalBackend(const ParamSpace& space, const ShortRunFn& run, int steps,
                   double restart_overhead_s, int pool_size, std::size_t batch_cap,
                   bool use_cache);
+  PoolEvalBackend(const ParamSpace&, ShortRunFn&&, int, double, int, std::size_t,
+                  bool) = delete;
 
   [[nodiscard]] std::vector<EvalOutcome> evaluate(const std::vector<Config>& batch,
                                                   const Context& ctx) override;

@@ -13,8 +13,7 @@
 ///    new work, drains every task already queued, then joins the workers —
 ///    a future obtained from submit() therefore always becomes ready.
 ///  * A pool of size 1 executes tasks strictly in submission order, which is
-///    what makes the ParallelOfflineDriver's pool-size-1 determinism guard
-///    possible.
+///    what makes PoolEvalBackend's pool-size-1 determinism guard possible.
 
 #include <atomic>
 #include <condition_variable>

@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file status.hpp
-/// Live introspection board for the tuning system: drivers, server sessions
-/// and the thread pool publish their current state here, and pollers (the
-/// server's STATUS verb, the `harmony_top` example) read cheap consistent
-/// snapshots while the search is still running. This is the "ask the running
+/// Live introspection board for the tuning system: controller runs, server
+/// sessions and the thread pool publish their current state here, and
+/// pollers (the server's STATUS verb, the `harmony_top` example) read cheap
+/// consistent snapshots while the search is still running. This is the "ask the running
 /// system what it is doing" counterpart to the post-mortem exports in
 /// trace.hpp / bench_report.hpp.
 ///
@@ -20,10 +20,10 @@
 ///    lists live sessions/workers; `sessions_started()` keeps the lifetime
 ///    total.
 ///
-/// Publishing through the gated convenience path (drivers, pool) costs one
-/// relaxed atomic load when observability is off (see obs::enabled()); the
-/// tuning server publishes unconditionally because the STATUS verb is part
-/// of its protocol surface, not passive instrumentation.
+/// Publishing through the gated convenience path (controller runs, pool)
+/// costs one relaxed atomic load when observability is off (see
+/// obs::enabled()); the tuning server publishes unconditionally because the
+/// STATUS verb is part of its protocol surface, not passive instrumentation.
 
 #include <atomic>
 #include <cstdint>
@@ -40,10 +40,11 @@
 
 namespace harmony::obs {
 
-/// Live state of one tuning session (a server connection or an offline
-/// driver run). Publishers own the write side; snapshots copy it out.
+/// Live state of one tuning session (a server connection or a
+/// SearchController::run). Publishers own the write side; snapshots copy it
+/// out.
 struct SessionStatus {
-  std::string id;           ///< unique id, e.g. "server/3" or "offline/1"
+  std::string id;           ///< unique id, e.g. "server/3" or "run/1"
   std::string app;          ///< application / bench name when known
   std::string tenant;       ///< TENANT name the session admitted under ("" none)
   std::string strategy;     ///< SearchStrategy::name() steering the session

@@ -9,8 +9,8 @@
 ///  * JSON-lines (one event object per line), the machine-readable
 ///    trajectory log behind the paper's Tables I-IV / Fig. 6 analyses;
 ///  * Chrome trace format (chrome://tracing or https://ui.perfetto.dev),
-///    where each recording thread gets its own lane, so a
-///    ParallelOfflineDriver run shows one lane per pool worker with the
+///    where each recording thread gets its own lane, so a controller run
+///    on engine::PoolEvalBackend shows one lane per pool worker with the
 ///    short runs laid out on the wall clock.
 ///
 /// Recording is thread-safe and cheap: events append to lock-sharded

@@ -24,22 +24,25 @@ TEST(NdebugConsumer, TunerHistoryMatchesEvaluations) {
   space.add(harmony::Parameter::Integer("x", 0, 3));
   space.add(harmony::Parameter::Integer("y", 0, 2));
   harmony::Exhaustive search(space);
-  harmony::Tuner tuner(space);
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {}, {}, nullptr, &cache);
 
   int evaluations = 0;
-  const auto result = tuner.run(search, [&](const harmony::Config& c) {
+  const harmony::Evaluator evaluate = [&](const harmony::Config& c) {
     ++evaluations;
     const auto x = std::get<std::int64_t>(c.values[0]);
     const auto y = std::get<std::int64_t>(c.values[1]);
     harmony::EvaluationResult r;
     r.objective = static_cast<double>((x - 2) * (x - 2) + (y - 1) * (y - 1));
     return r;
-  });
+  };
+  harmony::SerialEvalBackend backend(evaluate);
+  const auto result = controller.run(search, backend);
 
   ASSERT_EQ(evaluations, 12) << "consumer NDEBUG=" << kConsumerNdebug;
-  EXPECT_EQ(result.iterations, evaluations);
-  EXPECT_EQ(tuner.cache().size(), static_cast<std::size_t>(evaluations));
-  EXPECT_EQ(tuner.history().size(), static_cast<std::size_t>(evaluations));
+  EXPECT_EQ(result.evaluations, evaluations);
+  EXPECT_EQ(cache.size(), static_cast<std::size_t>(evaluations));
+  EXPECT_EQ(controller.history().size(), static_cast<std::size_t>(evaluations));
   EXPECT_EQ(result.best_result.objective, 0.0);
 }
 

@@ -6,10 +6,12 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/nelder_mead.hpp"
 #include "core/rng.hpp"
+#include "engine/pool_backend.hpp"
 
 namespace {
 
@@ -26,6 +28,23 @@ using harmony::Parameter;
 using harmony::ParamSpace;
 using harmony::SearchController;
 using harmony::SerialEvalBackend;
+using harmony::ShortRunEvalBackend;
+using harmony::ShortRunFn;
+using harmony::engine::PoolEvalBackend;
+
+// Backends keep a pointer to the callable they are given, so a temporary
+// would dangle once the constructor returns: rvalues must not compile.
+static_assert(std::is_constructible_v<SerialEvalBackend, const harmony::Evaluator&>);
+static_assert(!std::is_constructible_v<SerialEvalBackend, harmony::Evaluator&&>);
+static_assert(std::is_constructible_v<ShortRunEvalBackend, const ShortRunFn&, int,
+                                      double>);
+static_assert(!std::is_constructible_v<ShortRunEvalBackend, ShortRunFn&&, int, double>);
+static_assert(std::is_constructible_v<PoolEvalBackend, const ParamSpace&,
+                                      const ShortRunFn&, int, double, int,
+                                      std::size_t, bool>);
+static_assert(!std::is_constructible_v<PoolEvalBackend, const ParamSpace&,
+                                       ShortRunFn&&, int, double, int,
+                                       std::size_t, bool>);
 
 ParamSpace bowl_space() {
   ParamSpace s;

@@ -21,7 +21,7 @@
 
 #include "core/harmony.hpp"
 #include "engine/batch_strategy.hpp"
-#include "engine/parallel_driver.hpp"
+#include "engine/pool_backend.hpp"
 #include "minigs2/minigs2.hpp"
 #include "minipetsc/minipetsc.hpp"
 #include "minipop/minipop.hpp"
@@ -244,13 +244,13 @@ void run_serial_goldens(const GoldenObjective& o) {
   for (const char* kind : kSerialKinds) {
     SCOPED_TRACE(std::string(o.name) + "/" + kind);
     auto strategy = make_serial_strategy(kind, o.space, o.start);
-    harmony::TunerOptions topts;
-    topts.max_iterations = kBudget;
-    topts.max_proposals = kBudget * 64;
-    harmony::Tuner tuner(o.space, topts);
-    const auto result = tuner.run(*strategy, o.eval);
+    harmony::EvalCache cache(o.space);
+    harmony::SearchController controller(o.space, {kBudget, kBudget * 64}, {},
+                                         nullptr, &cache);
+    harmony::SerialEvalBackend backend(o.eval);
+    const auto result = controller.run(*strategy, backend);
     check_golden(o.name + "_" + kind,
-                 serialize(o.space, tuner.history(), result.best,
+                 serialize(o.space, controller.history(), result.best,
                            result.best_result.objective));
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -274,18 +274,20 @@ TEST(GoldenTrajectories, SerialPop) { run_serial_goldens(pop_objective()); }
 TEST(GoldenTrajectories, SerialGs2) { run_serial_goldens(gs2_objective()); }
 
 // The off-line short-run loop must walk the same trajectory as the fixtures
-// captured from the pre-controller OfflineDriver.
+// captured before the controller existed.
 TEST(GoldenTrajectories, OfflineShortRun) {
   for (const auto& o : all_objectives()) {
     SCOPED_TRACE(o.name);
     auto strategy = make_serial_strategy("nelder-mead", o.space, o.start);
-    harmony::OfflineOptions opts;
-    opts.max_runs = kBudget;
-    opts.restart_overhead_s = 2.0;
-    harmony::OfflineDriver driver(o.space, opts);
-    const auto out = driver.tune(*strategy, as_short_run(o));
+    harmony::EvalCache cache(o.space);
+    harmony::SearchController controller(o.space, {kBudget, kBudget * 64 + 256}, {},
+                                         nullptr, &cache);
+    const harmony::ShortRunFn run = as_short_run(o);
+    harmony::ShortRunEvalBackend backend(run, 10, 2.0);
+    const auto out = controller.run(*strategy, backend);
     check_golden(o.name + "_offline_nelder-mead",
-                 serialize(o.space, driver.history(), out.best, out.best_measured_s));
+                 serialize(o.space, controller.history(), out.best,
+                           out.best_objective));
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -300,14 +302,13 @@ TEST(GoldenTrajectories, ParallelSpeculativeNelderMead) {
     nmo.max_stall = 30;
     nmo.max_restarts = 2;
     harmony::engine::SpeculativeNelderMead strategy(o.space, nmo, o.start);
-    harmony::engine::ParallelOfflineOptions opts;
-    opts.max_runs = kBudget;
-    opts.pool_size = 3;
-    opts.restart_overhead_s = 2.0;
-    harmony::engine::ParallelOfflineDriver driver(o.space, opts);
-    const auto out = driver.tune(strategy, as_short_run(o));
+    harmony::SearchController controller(o.space, {kBudget, kBudget * 64 + 256});
+    const harmony::ShortRunFn run = as_short_run(o);
+    harmony::engine::PoolEvalBackend pool(o.space, run, 10, 2.0, 3, 3, true);
+    const auto out = controller.run(strategy, pool);
     check_golden(o.name + "_parallel_speculative-nm",
-                 serialize(o.space, driver.history(), out.best, out.best_measured_s));
+                 serialize(o.space, controller.history(), out.best,
+                           out.best_objective));
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

@@ -2,24 +2,29 @@
 
 #include <sstream>
 
+#include "core/controller.hpp"
 #include "core/exhaustive.hpp"
 #include "core/history.hpp"
 #include "core/nelder_mead.hpp"
 #include "core/random_search.hpp"
-#include "core/tuner.hpp"
 
 namespace {
 
 using harmony::Config;
+using harmony::ControllerLimits;
+using harmony::ControllerResult;
+using harmony::EvalCache;
 using harmony::EvaluationResult;
+using harmony::Evaluator;
 using harmony::Exhaustive;
 using harmony::History;
 using harmony::NelderMead;
 using harmony::Parameter;
 using harmony::ParamSpace;
 using harmony::RandomSearch;
-using harmony::Tuner;
-using harmony::TunerOptions;
+using harmony::SearchController;
+using harmony::SearchStrategy;
+using harmony::SerialEvalBackend;
 
 ParamSpace line_space(int n) {
   ParamSpace s;
@@ -31,6 +36,19 @@ EvaluationResult eval_of(double v) {
   EvaluationResult r;
   r.objective = v;
   return r;
+}
+
+EvaluationResult eval_x(const Config& c) {
+  return eval_of(static_cast<double>(std::get<std::int64_t>(c.values[0])));
+}
+
+/// One in-process tuning run; `cache` (caller-owned, may be null) memoizes.
+ControllerResult tune(const ParamSpace& s, SearchStrategy& strategy,
+                      const Evaluator& evaluate, EvalCache* cache,
+                      ControllerLimits limits = {}) {
+  SearchController controller(s, limits, {}, nullptr, cache);
+  SerialEvalBackend backend(evaluate);
+  return controller.run(strategy, backend);
 }
 
 TEST(History, CountsDistinctIterationsOnly) {
@@ -105,52 +123,50 @@ TEST(History, CsvHasHeaderAndRows) {
   EXPECT_NE(csv.find("1,0,1,1.5,2"), std::string::npos);
 }
 
+// The in-process tuner: a SearchController over a SerialEvalBackend.
+
 TEST(Tuner, StopsAtIterationBudget) {
   const auto s = line_space(1000);
   RandomSearch rs(s, 10000, 3);
-  TunerOptions opts;
-  opts.max_iterations = 17;
-  Tuner tuner(s, opts);
-  const auto result = tuner.run(rs, [](const Config&) { return eval_of(1.0); });
-  EXPECT_EQ(result.iterations, 17);
+  EvalCache cache(s);
+  const Evaluator one = [](const Config&) { return eval_of(1.0); };
+  const auto result = tune(s, rs, one, &cache, {17});
+  EXPECT_EQ(result.evaluations, 17);
 }
 
 TEST(Tuner, CacheAvoidsReevaluation) {
   const auto s = line_space(3);  // tiny space, random search will repeat
   RandomSearch rs(s, 100, 5);
-  Tuner tuner(s);
+  EvalCache cache(s);
   int calls = 0;
-  const auto result = tuner.run(rs, [&](const Config& c) {
+  const Evaluator counted = [&](const Config& c) {
     ++calls;
-    return eval_of(static_cast<double>(std::get<std::int64_t>(c.values[0])));
-  });
+    return eval_x(c);
+  };
+  const auto result = tune(s, rs, counted, &cache);
   EXPECT_LE(calls, 3);
-  EXPECT_EQ(result.iterations, calls);
+  EXPECT_EQ(result.evaluations, calls);
   EXPECT_GT(result.cache_hits, 0u);
 }
 
 TEST(Tuner, CacheDisabledReevaluates) {
   const auto s = line_space(3);
   RandomSearch rs(s, 50, 5);
-  TunerOptions opts;
-  opts.use_cache = false;
-  opts.max_iterations = 50;
-  Tuner tuner(s, opts);
   int calls = 0;
-  (void)tuner.run(rs, [&](const Config&) {
+  const Evaluator counted = [&](const Config&) {
     ++calls;
     return eval_of(1.0);
-  });
+  };
+  (void)tune(s, rs, counted, /*cache=*/nullptr, {50});
   EXPECT_EQ(calls, 50);
 }
 
 TEST(Tuner, ReportsStrategyConvergence) {
   const auto s = line_space(4);
   Exhaustive ex(s);
-  Tuner tuner(s);
-  const auto result = tuner.run(ex, [](const Config& c) {
-    return eval_of(static_cast<double>(std::get<std::int64_t>(c.values[0])));
-  });
+  EvalCache cache(s);
+  const Evaluator evaluate = eval_x;
+  const auto result = tune(s, ex, evaluate, &cache);
   EXPECT_TRUE(result.strategy_converged);
   EXPECT_EQ(std::get<std::int64_t>(result.best->values[0]), 0);
   EXPECT_DOUBLE_EQ(result.best_result.objective, 0.0);
@@ -159,78 +175,77 @@ TEST(Tuner, ReportsStrategyConvergence) {
 TEST(Tuner, HistoryAccessibleAfterRun) {
   const auto s = line_space(6);
   Exhaustive ex(s);
-  Tuner tuner(s);
-  (void)tuner.run(ex, [](const Config& c) {
-    return eval_of(static_cast<double>(std::get<std::int64_t>(c.values[0])));
-  });
-  EXPECT_EQ(tuner.history().iterations(), 6);
+  EvalCache cache(s);
+  SearchController controller(s, {}, {}, nullptr, &cache);
+  const Evaluator evaluate = eval_x;
+  SerialEvalBackend backend(evaluate);
+  (void)controller.run(ex, backend);
+  EXPECT_EQ(controller.history().iterations(), 6);
 }
 
 TEST(Tuner, CachePersistsAcrossRuns) {
+  // A caller-owned cache outlives the controller, so a second strategy
+  // reuses earlier measurements (the paper's prior-runs work [12]).
   const auto s = line_space(6);
-  Tuner tuner(s);
+  EvalCache cache(s);
   int calls = 0;
-  const auto count_eval = [&](const Config& c) {
+  const Evaluator counted = [&](const Config& c) {
     ++calls;
-    return eval_of(static_cast<double>(std::get<std::int64_t>(c.values[0])));
+    return eval_x(c);
   };
   Exhaustive ex1(s);
-  (void)tuner.run(ex1, count_eval);
+  (void)tune(s, ex1, counted, &cache);
   EXPECT_EQ(calls, 6);
   Exhaustive ex2(s);
-  (void)tuner.run(ex2, count_eval);  // all cached
+  (void)tune(s, ex2, counted, &cache);  // all cached
   EXPECT_EQ(calls, 6);
 }
 
 TEST(Tuner, ClearCacheForcesReevaluation) {
   const auto s = line_space(4);
-  Tuner tuner(s);
+  EvalCache cache(s);
   int calls = 0;
-  const auto count_eval = [&](const Config&) {
+  const Evaluator counted = [&](const Config&) {
     ++calls;
     return eval_of(1.0);
   };
   Exhaustive ex1(s);
-  (void)tuner.run(ex1, count_eval);
-  tuner.clear_cache();
+  (void)tune(s, ex1, counted, &cache);
+  cache.clear();
   Exhaustive ex2(s);
-  (void)tuner.run(ex2, count_eval);
+  (void)tune(s, ex2, counted, &cache);
   EXPECT_EQ(calls, 8);
 }
 
 TEST(Tuner, NullEvaluatorThrows) {
-  const auto s = line_space(4);
-  Exhaustive ex(s);
-  Tuner tuner(s);
-  EXPECT_THROW((void)tuner.run(ex, nullptr), std::invalid_argument);
+  const Evaluator none;
+  EXPECT_THROW(SerialEvalBackend{none}, std::invalid_argument);
 }
 
 TEST(Tuner, BadOptionsThrow) {
   const auto s = line_space(4);
-  TunerOptions opts;
-  opts.max_iterations = 0;
-  EXPECT_THROW(Tuner(s, opts), std::invalid_argument);
+  EXPECT_THROW(SearchController(s, {0}), std::invalid_argument);
+  EXPECT_THROW(SearchController(s, {1, 0}), std::invalid_argument);
 }
 
 TEST(Tuner, NelderMeadIterationCountMatchesPaperStyle) {
   // The paper counts tuning cost in distinct configurations tried; the
-  // tuner must report that number, not raw proposals.
+  // controller must report that number, not raw proposals.
   ParamSpace s;
   s.add(Parameter::Integer("a", 0, 100));
   s.add(Parameter::Integer("b", 0, 100));
   harmony::NelderMeadOptions nopts;
   nopts.max_restarts = 2;
   NelderMead nm(s, nopts);
-  TunerOptions topts;
-  topts.max_iterations = 30;
-  Tuner tuner(s, topts);
-  const auto result = tuner.run(nm, [](const Config& c) {
+  EvalCache cache(s);
+  const Evaluator bowl = [](const Config& c) {
     const auto a = std::get<std::int64_t>(c.values[0]);
     const auto b = std::get<std::int64_t>(c.values[1]);
     return eval_of(static_cast<double>((a - 60) * (a - 60) + (b - 10) * (b - 10)));
-  });
-  EXPECT_LE(result.iterations, 30);
-  EXPECT_GE(result.proposals, result.iterations);
+  };
+  const auto result = tune(s, nm, bowl, &cache, {30});
+  EXPECT_LE(result.evaluations, 30);
+  EXPECT_GE(result.proposals, result.evaluations);
 }
 
 }  // namespace

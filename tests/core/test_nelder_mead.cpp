@@ -7,7 +7,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/tuner.hpp"
+#include "core/controller.hpp"
 #include "minipop/pop_params.hpp"
 
 namespace {
@@ -20,8 +20,6 @@ using harmony::NelderMead;
 using harmony::NelderMeadOptions;
 using harmony::Parameter;
 using harmony::ParamSpace;
-using harmony::Tuner;
-using harmony::TunerOptions;
 
 EvaluationResult eval_of(double v) {
   EvaluationResult r;
@@ -29,7 +27,7 @@ EvaluationResult eval_of(double v) {
   return r;
 }
 
-/// Drive a strategy directly (no Tuner) with a deterministic function.
+/// Drive a strategy directly (no controller) with a deterministic function.
 template <typename Fn>
 int drive(NelderMead& nm, const Fn& fn, int max_steps = 2000) {
   int steps = 0;
@@ -250,21 +248,22 @@ TEST(NelderMead, WorksViaTunerWithCache) {
   NelderMeadOptions nm_opts;
   nm_opts.max_restarts = 2;
   NelderMead nm(s, nm_opts);
-  TunerOptions topts;
-  topts.max_iterations = 60;
-  Tuner tuner(s, topts);
+  harmony::EvalCache cache(s);
+  harmony::SearchController controller(s, {60}, {}, nullptr, &cache);
   int calls = 0;
-  const auto result = tuner.run(nm, [&](const Config& c) {
+  const harmony::Evaluator evaluate = [&](const Config& c) {
     ++calls;
     const auto x = std::get<std::int64_t>(c.values[0]);
     EvaluationResult r;
     r.objective = static_cast<double>((x - 42) * (x - 42));
     return r;
-  });
+  };
+  harmony::SerialEvalBackend backend(evaluate);
+  const auto result = controller.run(nm, backend);
   ASSERT_TRUE(result.best.has_value());
   EXPECT_NEAR(static_cast<double>(std::get<std::int64_t>(result.best->values[0])),
               42, 2);
-  EXPECT_EQ(calls, result.iterations);  // evaluator only sees distinct points
+  EXPECT_EQ(calls, result.evaluations);  // evaluator only sees distinct points
 }
 
 TEST(NelderMead, CoefficientOptionsRespected) {

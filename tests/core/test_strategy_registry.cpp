@@ -5,7 +5,7 @@
 #include <string>
 
 #include "core/strategy_registry.hpp"
-#include "core/tuner.hpp"
+#include "core/controller.hpp"
 
 namespace {
 
@@ -220,16 +220,17 @@ TEST(StrategyRegistry, RegistryStrategyDrivesTunerEndToEnd) {
   const auto space = small_space();
   auto s = StrategyRegistry::make("systematic", space,
                                   {{"samples_per_dim", "5"}});
-  harmony::TunerOptions topts;
-  topts.max_iterations = 25;
-  harmony::Tuner tuner(space, topts);
-  const auto out = tuner.run(*s, [&](const Config& c) {
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {25}, {}, nullptr, &cache);
+  const harmony::Evaluator evaluate = [&](const Config& c) {
     harmony::EvaluationResult r;
     const double x = static_cast<double>(space.get_int(c, "x")) - 9.0;
     const double y = static_cast<double>(space.get_int(c, "y")) - 4.0;
     r.objective = x * x + y * y;
     return r;
-  });
+  };
+  harmony::SerialEvalBackend backend(evaluate);
+  const auto out = controller.run(*s, backend);
   ASSERT_TRUE(out.best.has_value());
   EXPECT_LE(out.best_result.objective, 2.0 + 1.0);
 }

@@ -11,7 +11,6 @@
 #include "core/controller.hpp"
 #include "core/genetic_search.hpp"
 #include "core/systematic_sampler.hpp"
-#include "core/tuner.hpp"
 #include "engine/surrogate_backend.hpp"
 #include "minigs2/minigs2.hpp"
 #include "simcluster/simcluster.hpp"
@@ -313,11 +312,11 @@ TEST(ModelGuidedSearch, MatchesSweepQualityAtQuarterBudget) {
 
   // Reference: the paper-style 368-point systematic sweep.
   harmony::SystematicSampler sweep(space, std::vector<int>{4, 4, 23});
-  harmony::TunerOptions topts;
-  topts.max_iterations = 368;
-  topts.max_proposals = 4000;
-  harmony::Tuner sweep_tuner(space, topts);
-  const auto sweep_out = sweep_tuner.run(sweep, evaluate);
+  harmony::EvalCache sweep_cache(space);
+  harmony::SearchController sweep_controller(space, {368, 4000}, {}, nullptr,
+                                             &sweep_cache);
+  harmony::SerialEvalBackend sweep_backend(evaluate);
+  const auto sweep_out = sweep_controller.run(sweep, sweep_backend);
   ASSERT_TRUE(sweep_out.best.has_value());
   const double sweep_best = sweep_out.best_result.objective;
 

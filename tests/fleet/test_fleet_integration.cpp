@@ -50,7 +50,7 @@ harmony::ControllerResult serial_golden(const fleet::Substrate& sub,
   limits.max_proposals = 100000;
   harmony::engine::BatchSystematicSampler plan(sub.space, samples_per_dim);
   harmony::SearchController controller(sub.space, limits);
-  harmony::ShortRunEvalBackend backend(sub.run, sub.steps, 0.0, "", "");
+  harmony::ShortRunEvalBackend backend(sub.run, sub.steps, 0.0);
   return controller.run(plan, backend);
 }
 

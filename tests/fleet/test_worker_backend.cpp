@@ -133,7 +133,7 @@ TEST(WorkerEvalBackend, ControllerRunMatchesSerialReference) {
 
   harmony::engine::BatchSystematicSampler serial_plan(space, 11);
   harmony::SearchController serial_ctl(space, limits);
-  harmony::ShortRunEvalBackend serial_backend(run, 1, 0.0, "", "");
+  harmony::ShortRunEvalBackend serial_backend(run, 1, 0.0);
   const auto serial = serial_ctl.run(serial_plan, serial_backend);
 
   // Fleet run: same plan through the dispatcher + echo worker.

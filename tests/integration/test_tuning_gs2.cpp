@@ -34,7 +34,7 @@ TEST(TuningGs2Integration, LayoutSearchFindsVelocityLocalLayout) {
   for (const auto& l : layouts) names.push_back(l.order());
   space.add(Parameter::Enum("layout", names));
 
-  const auto evaluate = [&](const Config& c) {
+  const Evaluator evaluate = [&](const Config& c) {
     EvaluationResult r;
     r.objective = model.run_time(machine, 128, paper_res(),
                                  Layout(std::get<std::string>(c.values[0])),
@@ -48,10 +48,10 @@ TEST(TuningGs2Integration, LayoutSearchFindsVelocityLocalLayout) {
   NelderMeadOptions nm_opts;
   nm_opts.max_restarts = 4;
   NelderMead nm(space, nm_opts, start);
-  TunerOptions topts;
-  topts.max_iterations = 60;
-  Tuner tuner(space, topts);
-  const auto result = tuner.run(nm, evaluate);
+  EvalCache cache(space);
+  SearchController controller(space, {60}, {}, nullptr, &cache);
+  SerialEvalBackend backend(evaluate);
+  const auto result = controller.run(nm, backend);
 
   ASSERT_TRUE(result.best.has_value());
   const double speedup = t_default / result.best_result.objective;
@@ -86,21 +86,21 @@ TEST(TuningGs2Integration, ResolutionAndNodesTuning) {
   };
   const double t_default = run_with(start, 1000);
 
-  OfflineOptions oopts;
-  oopts.short_run_steps = 1000;
-  oopts.max_runs = 40;
-  OfflineDriver driver(space, oopts);
-  NelderMeadOptions nm_opts;
-  nm_opts.max_restarts = 3;
-  NelderMead nm(space, nm_opts, start);
-  const auto result = driver.tune(nm, [&](const Config& c, int steps) {
+  EvalCache cache(space);
+  SearchController controller(space, {40, 40 * 64 + 256}, {}, nullptr, &cache);
+  const ShortRunFn run = [&](const Config& c, int steps) {
     ShortRunResult r;
     r.measured_s = run_with(c, steps);
     return r;
-  });
+  };
+  ShortRunEvalBackend backend(run, 1000, 0.0);  // production-length runs
+  NelderMeadOptions nm_opts;
+  nm_opts.max_restarts = 3;
+  NelderMead nm(space, nm_opts, start);
+  const auto result = controller.run(nm, backend);
 
   ASSERT_TRUE(result.best.has_value());
-  const double improvement = (t_default - result.best_measured_s) / t_default;
+  const double improvement = (t_default - result.best_objective) / t_default;
   EXPECT_GT(improvement, 0.4);  // paper: 83.5% for production runs
 }
 
@@ -114,7 +114,7 @@ TEST(TuningGs2Integration, HarmonyWithinTopFractionOfSampledSpace) {
   space.add(Parameter::Integer("ntheta", 16, 32, 2));
   space.add(Parameter::Integer("nodes", 1, 64));
 
-  const auto evaluate = [&](const Config& c) {
+  const Evaluator evaluate = [&](const Config& c) {
     Resolution res;
     res.negrid = static_cast<int>(space.get_int(c, "negrid"));
     res.ntheta = static_cast<int>(space.get_int(c, "ntheta"));
@@ -128,14 +128,13 @@ TEST(TuningGs2Integration, HarmonyWithinTopFractionOfSampledSpace) {
 
   // Systematic sample of the space.
   SystematicSampler sampler(space, std::vector<int>{5, 5, 16});
-  TunerOptions sample_opts;
-  sample_opts.max_iterations = 2000;
-  sample_opts.max_proposals = 5000;
-  sample_opts.use_cache = true;
-  Tuner sample_tuner(space, sample_opts);
-  (void)sample_tuner.run(sampler, evaluate);
+  EvalCache sample_cache(space);
+  SearchController sample_controller(space, {2000, 5000}, {}, nullptr,
+                                     &sample_cache);
+  SerialEvalBackend backend(evaluate);
+  (void)sample_controller.run(sampler, backend);
   std::vector<double> sampled;
-  for (const auto& e : sample_tuner.history().entries()) {
+  for (const auto& e : sample_controller.history().entries()) {
     if (!e.cached && e.result.valid) sampled.push_back(e.result.objective);
   }
   ASSERT_GE(sampled.size(), 100u);
@@ -148,10 +147,9 @@ TEST(TuningGs2Integration, HarmonyWithinTopFractionOfSampledSpace) {
   NelderMeadOptions nm_opts;
   nm_opts.max_restarts = 3;
   NelderMead nm(space, nm_opts, start);
-  TunerOptions topts;
-  topts.max_iterations = 60;
-  Tuner tuner(space, topts);
-  const auto result = tuner.run(nm, evaluate);
+  EvalCache cache(space);
+  SearchController controller(space, {60}, {}, nullptr, &cache);
+  const auto result = controller.run(nm, backend);
   ASSERT_TRUE(result.best.has_value());
 
   std::sort(sampled.begin(), sampled.end());

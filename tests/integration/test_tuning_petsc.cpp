@@ -60,11 +60,9 @@ TEST(TuningPetscIntegration, DecompositionTuningBeatsDefault) {
 
   (void)constraints;  // boundaries move one at a time; order is preserved
   CoordinateDescent cd(space, start, 20, /*line_samples=*/99);
-  TunerOptions topts;
-  topts.max_iterations = 900;
-  topts.max_proposals = 100000;
-  Tuner tuner(space, topts);
-  const auto result = tuner.run(cd, [&](const Config& c) {
+  EvalCache cache(space);
+  SearchController controller(space, {900, 100000}, {}, nullptr, &cache);
+  const Evaluator evaluate = [&](const Config& c) {
     std::vector<int> bounds;
     for (const auto& v : c.values) {
       bounds.push_back(static_cast<int>(std::get<std::int64_t>(v)));
@@ -77,7 +75,9 @@ TEST(TuningPetscIntegration, DecompositionTuningBeatsDefault) {
       return EvaluationResult::infeasible();
     }
     return r;
-  });
+  };
+  SerialEvalBackend backend(evaluate);
+  const auto result = controller.run(cd, backend);
 
   ASSERT_TRUE(result.best.has_value());
   EXPECT_LT(result.best_result.objective, t_default);
@@ -124,10 +124,9 @@ TEST(TuningPetscIntegration, HeterogeneousCavityDistribution) {
   NelderMeadOptions nm_opts;
   nm_opts.max_restarts = 3;
   NelderMead nm(space, nm_opts, std::nullopt, std::move(constraints));
-  TunerOptions topts;
-  topts.max_iterations = 100;
-  Tuner tuner(space, topts);
-  const auto result = tuner.run(nm, [&](const Config& c) {
+  EvalCache cache(space);
+  SearchController controller(space, {100}, {}, nullptr, &cache);
+  const Evaluator evaluate = [&](const Config& c) {
     EvaluationResult r;
     try {
       const Da2D da = Da2D::from_cuts(
@@ -140,7 +139,9 @@ TEST(TuningPetscIntegration, HeterogeneousCavityDistribution) {
       return EvaluationResult::infeasible();
     }
     return r;
-  });
+  };
+  SerialEvalBackend backend(evaluate);
+  const auto result = controller.run(nm, backend);
 
   ASSERT_TRUE(result.best.has_value());
   EXPECT_LT(result.best_result.objective, t_default);
@@ -178,10 +179,9 @@ TEST(TuningPetscIntegration, HomogeneousCavityStaysNearEven) {
   NelderMeadOptions nm_opts;
   nm_opts.max_restarts = 2;
   NelderMead nm(space, nm_opts, std::nullopt, std::move(constraints));
-  TunerOptions topts;
-  topts.max_iterations = 80;
-  Tuner tuner(space, topts);
-  const auto result = tuner.run(nm, [&](const Config& c) {
+  EvalCache cache(space);
+  SearchController controller(space, {80}, {}, nullptr, &cache);
+  const Evaluator evaluate = [&](const Config& c) {
     EvaluationResult r;
     try {
       const Da2D da = Da2D::from_cuts(
@@ -194,7 +194,9 @@ TEST(TuningPetscIntegration, HomogeneousCavityStaysNearEven) {
       return EvaluationResult::infeasible();
     }
     return r;
-  });
+  };
+  SerialEvalBackend backend(evaluate);
+  const auto result = controller.run(nm, backend);
   ASSERT_TRUE(result.best.has_value());
   EXPECT_GE(t_default, result.best_result.objective);
   EXPECT_LT((t_default - result.best_result.objective) / t_default, 0.05);

@@ -23,7 +23,7 @@ TEST(TuningPopIntegration, ParameterTuningRecoversPaperBand) {
   const auto space = make_param_space(32);
   const auto start = default_config(space);
 
-  const auto evaluate = [&](const Config& c) {
+  const Evaluator evaluate = [&](const Config& c) {
     EvaluationResult r;
     r.objective =
         model.step_time(machine, 4, {180, 100}, evaluate_multipliers(space, c))
@@ -33,10 +33,10 @@ TEST(TuningPopIntegration, ParameterTuningRecoversPaperBand) {
   const double t_default = evaluate(start).objective;
 
   CoordinateDescent cd(space, start, 50);
-  TunerOptions topts;
-  topts.max_iterations = 300;
-  Tuner tuner(space, topts);
-  const auto result = tuner.run(cd, evaluate);
+  EvalCache cache(space);
+  SearchController controller(space, {300}, {}, nullptr, &cache);
+  SerialEvalBackend backend(evaluate);
+  const auto result = controller.run(cd, backend);
 
   ASSERT_TRUE(result.best.has_value());
   const double improvement =
@@ -55,17 +55,18 @@ TEST(TuningPopIntegration, ImprovementTraceChangesOneParamAtATime) {
   const auto start = default_config(space);
 
   CoordinateDescent cd(space, start, 50);
-  TunerOptions topts;
-  topts.max_iterations = 200;
-  Tuner tuner(space, topts);
-  (void)tuner.run(cd, [&](const Config& c) {
+  EvalCache cache(space);
+  SearchController controller(space, {200}, {}, nullptr, &cache);
+  const Evaluator evaluate = [&](const Config& c) {
     EvaluationResult r;
     r.objective =
         model.step_time(machine, 4, {180, 100}, evaluate_multipliers(space, c))
             .total_s;
     return r;
-  });
-  const auto trace = tuner.history().improvement_trace();
+  };
+  SerialEvalBackend backend(evaluate);
+  (void)controller.run(cd, backend);
+  const auto trace = controller.history().improvement_trace();
   ASSERT_GE(trace.size(), 8u);  // the paper lists 12 changes
   // Coordinate descent changes exactly one parameter per improvement, so
   // consecutive trace entries must have strictly increasing iterations.
@@ -81,7 +82,7 @@ TEST(TuningPopIntegration, NelderMeadAlsoImprovesParameters) {
   const auto space = make_param_space(32);
   const auto start = default_config(space);
 
-  const auto evaluate = [&](const Config& c) {
+  const Evaluator evaluate = [&](const Config& c) {
     EvaluationResult r;
     r.objective =
         model.step_time(machine, 4, {180, 100}, evaluate_multipliers(space, c))
@@ -94,15 +95,15 @@ TEST(TuningPopIntegration, NelderMeadAlsoImprovesParameters) {
   nm_opts.max_restarts = 3;
   nm_opts.max_stall = 60;
   NelderMead nm(space, nm_opts, start);
-  TunerOptions topts;
-  topts.max_iterations = 250;
-  Tuner tuner(space, topts);
-  const auto result = tuner.run(nm, evaluate);
+  EvalCache cache(space);
+  SearchController controller(space, {250}, {}, nullptr, &cache);
+  SerialEvalBackend backend(evaluate);
+  const auto result = controller.run(nm, backend);
   ASSERT_TRUE(result.best.has_value());
   EXPECT_LT(result.best_result.objective, t_default * 0.95);
 }
 
-TEST(TuningPopIntegration, BlockSizeTuningViaOfflineDriver) {
+TEST(TuningPopIntegration, BlockSizeTuningViaShortRuns) {
   // Fig. 4 scenario at one topology, driven through the off-line
   // representative-short-run mechanism.
   const PopGrid grid = PopGrid::production();
@@ -121,26 +122,25 @@ TEST(TuningPopIntegration, BlockSizeTuningViaOfflineDriver) {
   const double t_default =
       model.run_time(machine, 8, {180, 100}, mult, /*steps=*/10);
 
-  OfflineOptions oopts;
-  oopts.short_run_steps = 10;
-  oopts.max_runs = 60;
-  oopts.restart_overhead_s = 1.0;
-  OfflineDriver driver(space, oopts);
-  NelderMeadOptions nm_opts;
-  nm_opts.max_restarts = 3;
-  NelderMead nm(space, nm_opts, start);
-  const auto result = driver.tune(nm, [&](const Config& c, int steps) {
+  EvalCache cache(space);
+  SearchController controller(space, {60, 60 * 64 + 256}, {}, nullptr, &cache);
+  const ShortRunFn run = [&](const Config& c, int steps) {
     ShortRunResult r;
     const BlockShape shape{static_cast<int>(space.get_int(c, "bx")),
                            static_cast<int>(space.get_int(c, "by"))};
     r.measured_s = model.run_time(machine, 8, shape, mult, steps);
     r.warmup_s = 0.1 * r.measured_s;
     return r;
-  });
+  };
+  ShortRunEvalBackend backend(run, 10, 1.0);
+  NelderMeadOptions nm_opts;
+  nm_opts.max_restarts = 3;
+  NelderMead nm(space, nm_opts, start);
+  const auto result = controller.run(nm, backend);
 
   ASSERT_TRUE(result.best.has_value());
-  EXPECT_LT(result.best_measured_s, t_default);
-  EXPECT_GT(result.total_tuning_cost_s, result.best_measured_s);  // bills add up
+  EXPECT_LT(result.best_objective, t_default);
+  EXPECT_GT(result.total_cost_s, result.best_objective);  // bills add up
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// End-to-end checks that the instrumented components (offline drivers, the
-// concurrent cache, the thread pool, Nelder-Mead, Session) actually record
+// End-to-end checks that the instrumented components (the controller, the
+// short-run backend, the concurrent cache, the thread pool, Nelder-Mead,
+// Session) actually record
 // into the global MetricsRegistry when observability is enabled — and leave
 // the registry untouched when disabled.
 
@@ -36,45 +37,52 @@ class MetricsInstrumentation : public ::testing::Test {
   bool was_enabled_ = false;
 };
 
-harmony::ShortRunResult quadratic_run(const harmony::ParamSpace& space,
-                                      const harmony::Config& c) {
-  const auto a = static_cast<double>(space.get_int(c, "a"));
-  const auto b = static_cast<double>(space.get_int(c, "b"));
+harmony::ShortRunResult quadratic_run(const harmony::Config& c, int /*steps*/) {
+  const auto a = static_cast<double>(std::get<std::int64_t>(c.values[0]));
+  const auto b = static_cast<double>(std::get<std::int64_t>(c.values[1]));
   harmony::ShortRunResult r;
   r.measured_s = 1.0 + (a - 3) * (a - 3) + (b - 5) * (b - 5);
   return r;
+}
+const harmony::ShortRunFn quadratic = quadratic_run;
+
+/// Off-line short-run tuning: a fresh controller cache, the serial backend.
+harmony::ControllerResult tune_serial(const harmony::ParamSpace& space,
+                                      harmony::SearchStrategy& strategy,
+                                      int max_runs, harmony::History* history) {
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {max_runs, max_runs * 64 + 256}, {},
+                                       nullptr, &cache);
+  harmony::ShortRunEvalBackend backend(quadratic, 10, 0.0);
+  const auto result = controller.run(strategy, backend);
+  if (history != nullptr) *history = controller.take_history();
+  return result;
 }
 
 }  // namespace
 
 TEST_F(MetricsInstrumentation, SerialDriverCountsRunsAndCacheHits) {
   const auto space = small_space();
-  harmony::OfflineOptions opts;
-  opts.max_runs = 25;
-  harmony::OfflineDriver driver(space, opts);
   harmony::NelderMead nm(space);
-  const auto result = driver.tune(
-      nm, [&](const harmony::Config& c, int) { return quadratic_run(space, c); });
+  harmony::History history(space);
+  const auto result = tune_serial(space, nm, 25, &history);
 
-  EXPECT_EQ(counter("offline.runs"), static_cast<std::uint64_t>(result.runs));
-  EXPECT_EQ(counter("offline.proposals"),
-            static_cast<std::uint64_t>(driver.history().size()));
-  EXPECT_EQ(counter("offline.cache_hits"),
-            static_cast<std::uint64_t>(driver.history().cached_count()));
+  EXPECT_EQ(counter("offline.runs"), static_cast<std::uint64_t>(result.evaluations));
+  EXPECT_EQ(counter("controller.proposals"),
+            static_cast<std::uint64_t>(history.size()));
+  EXPECT_EQ(counter("controller.batches"), static_cast<std::uint64_t>(result.batches));
+  EXPECT_EQ(counter("controller.cache_hits"),
+            static_cast<std::uint64_t>(history.cached_count()));
   EXPECT_EQ(obs::MetricsRegistry::global().histogram("offline.short_run_s").count(),
-            static_cast<std::uint64_t>(result.runs));
+            static_cast<std::uint64_t>(result.evaluations));
 }
 
 TEST_F(MetricsInstrumentation, NelderMeadCountsSimplexOperations) {
   const auto space = small_space();
-  harmony::OfflineOptions opts;
-  opts.max_runs = 60;
-  harmony::OfflineDriver driver(space, opts);
   harmony::NelderMeadOptions nm_opts;
   nm_opts.max_restarts = 2;
   harmony::NelderMead nm(space, nm_opts);
-  (void)driver.tune(
-      nm, [&](const harmony::Config& c, int) { return quadratic_run(space, c); });
+  (void)tune_serial(space, nm, 60, nullptr);
 
   const auto ops = counter("nm.reflect") + counter("nm.expand") +
                    counter("nm.contract_outside") + counter("nm.contract_inside") +
@@ -86,24 +94,29 @@ TEST_F(MetricsInstrumentation, NelderMeadCountsSimplexOperations) {
 
 TEST_F(MetricsInstrumentation, ParallelEngineCountsPoolAndCacheActivity) {
   const auto space = small_space();
-  harmony::engine::ParallelOfflineOptions opts;
-  opts.max_runs = 40;
-  opts.pool_size = 4;
-  harmony::engine::ParallelOfflineDriver driver(space, opts);
-  harmony::engine::BatchRandomSearch search(space, 200, 3);
-  const auto result = driver.tune(search, [&](const harmony::Config& c, int) {
-    return quadratic_run(space, c);
-  });
+  harmony::ControllerResult result;
+  std::size_t proposals = 0;
+  std::size_t pool_hits = 0;
+  {
+    harmony::SearchController controller(space, {40, 40 * 64 + 256});
+    harmony::engine::PoolEvalBackend pool(space, quadratic, 10, 0.0, 4, 4, true);
+    harmony::engine::BatchRandomSearch search(space, 200, 3);
+    result = controller.run(search, pool);
+    proposals = controller.history().size();
+    pool_hits = pool.cache_hits() + pool.cache_coalesced();
+  }  // workers count a task after finishing it: join them before reading
 
-  EXPECT_EQ(counter("engine.driver.runs"), static_cast<std::uint64_t>(result.runs));
-  EXPECT_EQ(counter("engine.driver.batches"),
-            static_cast<std::uint64_t>(result.batches));
+  EXPECT_EQ(counter("engine.driver.runs"),
+            static_cast<std::uint64_t>(result.evaluations));
+  EXPECT_EQ(counter("controller.batches"), static_cast<std::uint64_t>(result.batches));
+  EXPECT_EQ(counter("controller.proposals"), static_cast<std::uint64_t>(proposals));
   EXPECT_EQ(counter("engine.cache.hits") + counter("engine.cache.coalesced"),
-            static_cast<std::uint64_t>(result.cache_hits + result.cache_coalesced));
-  EXPECT_EQ(counter("engine.cache.misses"), static_cast<std::uint64_t>(result.runs));
+            static_cast<std::uint64_t>(pool_hits));
+  EXPECT_EQ(counter("engine.cache.misses"),
+            static_cast<std::uint64_t>(result.evaluations));
   // Every evaluation went through the pool, or ran inline as a batch of one.
   EXPECT_GE(counter("engine.pool.tasks") + counter("engine.pool.inline"),
-            static_cast<std::uint64_t>(driver.history().size()));
+            static_cast<std::uint64_t>(proposals));
   EXPECT_DOUBLE_EQ(obs::MetricsRegistry::global().gauge("engine.pool.size").value(),
                    4.0);
 }
@@ -124,12 +137,8 @@ TEST_F(MetricsInstrumentation, SessionCountsFetchReportPairs) {
 TEST_F(MetricsInstrumentation, DisabledLeavesRegistryUntouched) {
   obs::set_enabled(false);
   const auto space = small_space();
-  harmony::OfflineOptions opts;
-  opts.max_runs = 10;
-  harmony::OfflineDriver driver(space, opts);
   harmony::NelderMead nm(space);
-  (void)driver.tune(
-      nm, [&](const harmony::Config& c, int) { return quadratic_run(space, c); });
+  (void)tune_serial(space, nm, 10, nullptr);
   EXPECT_EQ(counter("offline.runs"), 0u);
-  EXPECT_EQ(counter("offline.proposals"), 0u);
+  EXPECT_EQ(counter("controller.proposals"), 0u);
 }

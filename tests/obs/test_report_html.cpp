@@ -276,18 +276,17 @@ TEST(ReportHtml, Fig4StyleTraceRendersConvergenceReport) {
 
   obs::SearchTracer tracer;
   harmony::CoordinateDescent search(space, start, 10, /*line_samples=*/20);
-  harmony::TunerOptions topts;
-  topts.max_iterations = 120;
-  topts.max_proposals = 12000;
-  topts.tracer = &tracer;
-  harmony::Tuner tuner(space, topts);
-  const auto result = tuner.run(search, [&](const harmony::Config& c) {
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {120, 12000}, {}, &tracer, &cache);
+  const harmony::Evaluator evaluate = [&](const harmony::Config& c) {
     const BlockShape shape{static_cast<int>(space.get_int(c, "block_x")),
                            static_cast<int>(space.get_int(c, "block_y"))};
     harmony::EvaluationResult r;
     r.objective = model.step_time(machine, 16, shape, mult).total_s;
     return r;
-  });
+  };
+  harmony::SerialEvalBackend backend(evaluate);
+  const auto result = controller.run(search, backend);
   ASSERT_TRUE(result.best.has_value());
   ASSERT_GT(tracer.size(), 0u);
 
@@ -304,7 +303,7 @@ TEST(ReportHtml, Fig4StyleTraceRendersConvergenceReport) {
   bench.name = "fig4_pop_blocksize";
   bench.best_config = space.format(*result.best);
   bench.best_value = result.best_result.objective;
-  bench.evaluations = result.iterations;
+  bench.evaluations = result.evaluations;
 
   obs::HtmlReportOptions opts;
   opts.title = "Session report: fig4_pop_blocksize";

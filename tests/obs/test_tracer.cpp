@@ -31,7 +31,7 @@ obs::TraceEvent make_event(obs::SearchTracer& tracer, const std::string& point,
   return e;
 }
 
-/// Tiny two-parameter space with a deterministic objective for driver tests.
+/// Tiny two-parameter space with a deterministic objective for the controller-run tests.
 harmony::ParamSpace small_space() {
   harmony::ParamSpace space;
   space.add(harmony::Parameter::Integer("a", 0, 15));
@@ -178,23 +178,24 @@ TEST(SearchTracer, ConcurrentRecordersGetDistinctLanes) {
   EXPECT_EQ(lanes_by_thread.size(), static_cast<std::size_t>(kThreads));
 }
 
-TEST(SearchTracer, SerialOfflineDriverTracesEveryProposal) {
+TEST(SearchTracer, SerialShortRunsTraceEveryProposal) {
   const auto space = small_space();
   obs::SearchTracer tracer;
-  harmony::OfflineOptions opts;
-  opts.max_runs = 30;
-  opts.tracer = &tracer;
-  harmony::OfflineDriver driver(space, opts);
-  harmony::RandomSearch search(space, 200, 7);
-  const auto result = driver.tune(search, [&](const harmony::Config& c, int) {
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {30, 30 * 64 + 256}, {}, &tracer,
+                                       &cache);
+  const harmony::ShortRunFn run = [&](const harmony::Config& c, int) {
     harmony::ShortRunResult r;
     r.measured_s =
         1.0 + static_cast<double>(space.get_int(c, "a") + space.get_int(c, "b"));
     return r;
-  });
+  };
+  harmony::ShortRunEvalBackend backend(run, 10, 0.0);
+  harmony::RandomSearch search(space, 200, 7);
+  const auto result = controller.run(search, backend);
 
-  EXPECT_EQ(tracer.size(), driver.history().size());
-  EXPECT_EQ(tracer.lanes(), 1u);  // serial driver records from one thread
+  EXPECT_EQ(tracer.size(), controller.history().size());
+  EXPECT_EQ(tracer.lanes(), 1u);  // the serial loop records from one thread
   const auto events = tracer.events();
   std::size_t cached = 0;
   for (const auto& e : events) {
@@ -203,20 +204,14 @@ TEST(SearchTracer, SerialOfflineDriverTracesEveryProposal) {
     EXPECT_GE(e.t_end_us, e.t_start_us);
     if (e.cache_hit) ++cached;
   }
-  EXPECT_EQ(static_cast<int>(events.size() - cached), result.runs);
+  EXPECT_EQ(static_cast<int>(events.size() - cached), result.evaluations);
 }
 
 TEST(SearchTracer, ParallelDriverProducesOneLanePerPoolThread) {
   const auto space = small_space();
   obs::SearchTracer tracer;
-  harmony::engine::ParallelOfflineOptions opts;
-  opts.max_runs = 64;
-  opts.pool_size = 4;
-  opts.use_cache = false;  // every proposal runs -> all workers get busy
-  opts.tracer = &tracer;
-  harmony::engine::ParallelOfflineDriver driver(space, opts);
-  harmony::engine::BatchRandomSearch search(space, 400, 11);
-  const auto result = driver.tune(search, [&](const harmony::Config& c, int) {
+  harmony::SearchController controller(space, {64, 64 * 64 + 256}, {}, &tracer);
+  const harmony::ShortRunFn run = [&](const harmony::Config& c, int) {
     harmony::ShortRunResult r;
     r.measured_s =
         1.0 + static_cast<double>(space.get_int(c, "a") * space.get_int(c, "b"));
@@ -226,10 +221,14 @@ TEST(SearchTracer, ParallelDriverProducesOneLanePerPoolThread) {
     while (std::chrono::steady_clock::now() < until) {
     }
     return r;
-  });
-  ASSERT_EQ(result.runs, 64);
+  };
+  // No cache: every proposal runs, so all workers get busy.
+  harmony::engine::PoolEvalBackend pool(space, run, 10, 0.0, 4, 4, false);
+  harmony::engine::BatchRandomSearch search(space, 400, 11);
+  const auto result = controller.run(search, pool);
+  ASSERT_EQ(result.evaluations, 64);
 
-  EXPECT_EQ(tracer.size(), driver.history().size());
+  EXPECT_EQ(tracer.size(), controller.history().size());
   // Events are recorded from the pool workers: no more lanes than workers,
   // and (with 16 batches of 4 queued tasks) almost surely all of them.
   EXPECT_LE(tracer.lanes(), 4u);

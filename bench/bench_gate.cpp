@@ -145,7 +145,7 @@ obs::BenchReport run_gate_gs2_sweep(int reps) {
   double wall = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     harmony::SearchController controller(space, {368, 368 * 64 + 256});
-    harmony::engine::BatchSystematicSampler sweep(space, plan);
+    harmony::SystematicSampler sweep(space, plan);
     const auto t0 = Clock::now();
     harmony::engine::PoolEvalBackend pool(space, short_run, 10, 0.0, 4, 16, true);
     const auto result = controller.run(sweep, pool);
@@ -283,8 +283,7 @@ obs::BenchReport run_gate_model_guided(int reps) {
     limits.max_proposals = 100000;
     harmony::SearchController controller(space, limits, {}, nullptr, &cache);
     const auto t0 = Clock::now();
-    const auto result = controller.run(
-        static_cast<harmony::BatchSearchStrategy&>(ga), backend);
+    const auto result = controller.run(ga, backend);
     wall = std::min(wall, seconds_since(t0));
 
     report.best_config = space.format(*result.best);
@@ -414,7 +413,7 @@ double run_fleet_point(int nworkers, int evals) {
     limits.max_evaluations = evals;
     limits.max_proposals = evals * 8;
     harmony::SearchController controller(sub->space, limits);
-    harmony::engine::BatchRandomSearch strategy(sub->space, evals * 8,
+    harmony::RandomSearch strategy(sub->space, evals * 8,
                                                 /*seed=*/7);
     const auto t0 = Clock::now();
     const auto result = controller.run(strategy, backend);

@@ -104,8 +104,7 @@ int main() {
   limits.max_evaluations = kBudget;
   limits.max_proposals = 100000;
   harmony::SearchController plain(space, limits, {}, nullptr, &plain_cache);
-  const auto plain_out = plain.run(
-      static_cast<harmony::BatchSearchStrategy&>(ga_plain), plain_backend);
+  const auto plain_out = plain.run(ga_plain, plain_backend);
   const int plain_to_top5 = evals_to_threshold(plain.history(), top5);
   std::printf("GA:           %d evals, best %.1f s, %d evals to top-5%%\n",
               plain_out.evaluations, plain_out.best_objective, plain_to_top5);
@@ -120,8 +119,7 @@ int main() {
   harmony::EvalCache guided_cache(space);
   harmony::SearchController guided(space, limits, {}, nullptr, &guided_cache);
   const auto t0 = Clock::now();
-  const auto guided_out = guided.run(
-      static_cast<harmony::BatchSearchStrategy&>(ga_guided), guided_backend);
+  const auto guided_out = guided.run(ga_guided, guided_backend);
   const double guided_wall_s =
       std::chrono::duration<double>(Clock::now() - t0).count();
   const int guided_to_top5 = evals_to_threshold(guided.history(), top5);

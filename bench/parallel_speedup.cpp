@@ -2,8 +2,8 @@
 // off-line driver, on the two searches the paper spends the most runs on:
 //
 //  * the Fig. 6 GS2 systematic-sampling sweep (the paper's whole-space
-//    sample; here the 368-point 4 x 4 x 23 plan) driven by the native
-//    BatchSystematicSampler, and
+//    sample; here the 368-point 4 x 4 x 23 plan) driven by
+//    SystematicSampler, which fills whole batches, and
 //  * the Fig. 4 POP block-size search driven by the speculative Nelder-Mead.
 //
 // Every short run holds its worker for a small fixed wall-clock latency
@@ -101,7 +101,7 @@ int main() {
                                            pool == 8 ? &tracer : nullptr);
       harmony::engine::PoolEvalBackend backend(
           space, short_run, 10, 0.0, pool, static_cast<std::size_t>(4 * pool), true);
-      harmony::engine::BatchSystematicSampler sweep(space, plan);
+      harmony::SystematicSampler sweep(space, plan);
       const auto result = controller.run(sweep, backend);
       const double wall = seconds_since(t1);
       if (pool == 8) {

@@ -34,8 +34,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/random_search.hpp"
 #include "core/server.hpp"
-#include "engine/batch_strategy.hpp"
 #include "fleet/dispatcher.hpp"
 #include "fleet/substrates.hpp"
 #include "fleet/worker_backend.hpp"
@@ -163,7 +163,7 @@ PointResult run_point(const Options& opt, const fleet::Substrate& sub,
     limits.max_evaluations = opt.evals;
     limits.max_proposals = opt.evals * 8;
     harmony::SearchController controller(sub.space, limits);
-    harmony::engine::BatchRandomSearch strategy(sub.space, opt.evals * 8,
+    harmony::RandomSearch strategy(sub.space, opt.evals * 8,
                                                 /*seed=*/7);
     const auto t0 = Clock::now();
     const auto result = controller.run(strategy, backend);
@@ -221,7 +221,7 @@ int serve_mode(const Options& opt, const fleet::Substrate& sub) {
     limits.max_evaluations = opt.evals;
     limits.max_proposals = opt.evals * 8;
     harmony::SearchController controller(sub.space, limits);
-    harmony::engine::BatchRandomSearch strategy(sub.space, opt.evals * 8,
+    harmony::RandomSearch strategy(sub.space, opt.evals * 8,
                                                 /*seed=*/7);
     const auto t0 = Clock::now();
     const auto result = controller.run(strategy, backend);

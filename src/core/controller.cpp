@@ -100,12 +100,6 @@ void SearchController::note_result(Config c, const EvaluationResult& r,
   history_.record(std::move(c), r, cached);
 }
 
-ControllerResult SearchController::run(SearchStrategy& strategy,
-                                       EvalBackend& backend) {
-  SequentialBatchAdapter adapter(strategy);
-  return run(adapter, backend);
-}
-
 ControllerResult SearchController::run(BatchSearchStrategy& strategy,
                                        EvalBackend& backend) {
   ControllerResult out;

@@ -23,12 +23,12 @@
 ///   harmony::ShortRunEvalBackend backend(run, /*steps=*/10, /*restart_s=*/0);
 ///   const auto result = controller.run(strategy, backend);
 ///
-/// The controller is batch-native: it drives a BatchSearchStrategy, and any
-/// serial SearchStrategy rides along through SequentialBatchAdapter with
-/// batch size 1, which keeps trajectories bitwise-identical to a serial
-/// loop. It also exposes an incremental ask/tell surface for deployments
-/// where the measurement happens elsewhere (the TCP tuning server and the
-/// in-application Session facade).
+/// The controller is batch-native: it drives a BatchSearchStrategy. Every
+/// serial SearchStrategy is one, proposing batches of at most one, which
+/// keeps trajectories bitwise-identical to a serial loop. It also exposes an
+/// incremental ask/tell surface for deployments where the measurement
+/// happens elsewhere (the TCP tuning server and the in-application Session
+/// facade).
 
 #include <functional>
 #include <limits>
@@ -183,9 +183,6 @@ class SearchController {
   /// Drive the full loop: propose a batch, resolve it against the cache,
   /// measure the misses through the backend, record history, report back.
   ControllerResult run(BatchSearchStrategy& strategy, EvalBackend& backend);
-
-  /// Serial strategies ride the same loop through SequentialBatchAdapter.
-  ControllerResult run(SearchStrategy& strategy, EvalBackend& backend);
 
   /// Incremental surface for deployments that measure elsewhere (tuning
   /// server, in-application Session). ask() is idempotent while a proposal

@@ -105,7 +105,7 @@ void EventLoop::run() {
   // Resolve the hot-path metric handles once; recording stays gated on
   // obs::enabled() so a disabled run costs one relaxed load per iteration.
   auto& iterations = obs::MetricsRegistry::global().counter("net.loop.iterations");
-  auto& ready_depth = obs::MetricsRegistry::global().histogram("net.loop.ready");
+  auto& ready_depth = obs::MetricsRegistry::global().hdr("net.loop.ready");
 
   constexpr int kMaxEvents = 128;
   epoll_event events[kMaxEvents];

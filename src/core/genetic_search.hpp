@@ -5,12 +5,12 @@
 /// evolutionary tuner shape: a population of configurations evolved by
 /// tournament selection, per-parameter uniform crossover and index-space
 /// mutation). The whole point of a population is that its members are
-/// independent until the generation boundary, so GeneticSearch implements
-/// BatchSearchStrategy natively: propose_batch() hands out the unevaluated
-/// members of the current generation in chunks of any size, and breeding
-/// only happens once every member has been reported. The proposal sequence
-/// is therefore identical for every batch size — a pool-8 run evaluates the
-/// exact configurations a serial run would, in the same order.
+/// independent until the generation boundary, so GeneticSearch overrides
+/// propose_batch() to hand out the unevaluated members of the current
+/// generation in chunks of any size, and breeding only happens once every
+/// member has been reported. The proposal sequence is therefore identical
+/// for every batch size — a pool-8 run evaluates the exact configurations a
+/// serial run would, in the same order.
 ///
 /// Genomes live in the ParamSpace coordinate embedding (lattice index for
 /// integer/enum parameters, raw value for real ones). Mutation re-samples a
@@ -21,9 +21,10 @@
 /// members. All randomness flows from one seeded rng.hpp stream consumed in
 /// a fixed order, so trajectories are deterministic.
 ///
-/// The serial SearchStrategy facade (propose/report alternation) delegates
-/// to the batch interface with chunks of one, which is what the tuning
-/// server's ask()/tell() surface and the STRATEGY wire verb drive.
+/// GeneticSearch is a SearchStrategy like every other strategy: it overrides
+/// the batch half of the contract, and its propose()/report() delegate to
+/// it with chunks of one, which is what the tuning server's ask()/tell()
+/// surface and the STRATEGY wire verb drive.
 
 #include <cstdint>
 #include <deque>
@@ -46,7 +47,7 @@ struct GeneticOptions {
   std::uint64_t seed = 11;
 };
 
-class GeneticSearch final : public SearchStrategy, public BatchSearchStrategy {
+class GeneticSearch final : public SearchStrategy {
  public:
   /// Throws std::invalid_argument on out-of-range options (population < 2,
   /// elite >= population, mutation/crossover outside [0, 1], ...). `initial`
@@ -55,7 +56,7 @@ class GeneticSearch final : public SearchStrategy, public BatchSearchStrategy {
                 std::optional<Config> initial = std::nullopt,
                 ConstraintSet constraints = {});
 
-  // Batch-native interface (the controller's native contract).
+  // Up to max_n unproposed members of the current generation per batch.
   [[nodiscard]] std::vector<Config> propose_batch(std::size_t max_n) override;
   void report_batch(const std::vector<Config>& configs,
                     const std::vector<EvaluationResult>& results) override;

@@ -5,6 +5,7 @@
 /// the simplex search buys over naive exploration.
 
 #include <optional>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "core/strategy.hpp"
@@ -17,6 +18,10 @@ class RandomSearch final : public SearchStrategy {
 
   [[nodiscard]] std::optional<Config> propose() override;
   void report(const Config& c, const EvaluationResult& r) override;
+  /// Proposals never depend on reports: up to max_n of them at once.
+  [[nodiscard]] std::vector<Config> propose_batch(std::size_t max_n) override {
+    return propose_up_to(max_n);
+  }
   [[nodiscard]] bool converged() const override;
   [[nodiscard]] std::optional<Config> best() const override;
   [[nodiscard]] double best_objective() const override;

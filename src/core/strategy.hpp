@@ -5,31 +5,30 @@
 /// implemented once, as core::SearchController, and drives every deployment:
 /// in-process and off-line short-run tuning call its run() with an
 /// EvalBackend, and the TCP tuning server drives its ask/tell surface.
-/// Strategies plug into the controller through two interfaces:
+/// There is one strategy contract, BatchSearchStrategy: propose_batch()
+/// names up to n candidates at once and report_batch() returns their results
+/// element-wise, so on deterministic substrates independent candidates can
+/// be evaluated concurrently (src/engine's thread-pool backend).
 ///
-///  * SearchStrategy — the classic serial ask/tell contract: propose() one
-///    configuration, have it evaluated, report() the observed performance.
-///    propose() and report() alternate strictly.
-///  * BatchSearchStrategy — the batch-native contract the controller
-///    actually speaks: propose_batch() names up to n candidates at once and
-///    report_batch() returns their results element-wise. On deterministic
-///    substrates independent candidates can then be evaluated concurrently
-///    (src/engine's thread-pool backend).
-///
-/// Any SearchStrategy rides the batch pathway unchanged through
-/// SequentialBatchAdapter, which emits batches of exactly one configuration
-/// and therefore preserves the serial contract to the letter — propose()
-/// and report() still alternate strictly, in the same order a serial loop
-/// would call them, so trajectories are bitwise-identical. Strategies whose
-/// proposals are independent of reports (random, systematic, exhaustive)
-/// additionally get native batch wrappers in src/engine, and NelderMead
-/// exposes speculative_candidates() so the engine can evaluate all possible
-/// next simplex points concurrently without changing the search trajectory.
+/// SearchStrategy is the serial form of that contract: propose() one
+/// configuration, have it evaluated, report() the observed performance, with
+/// propose() and report() alternating strictly. Its default propose_batch()
+/// makes at most one propose() call and report_batch() reports element by
+/// element, so a serial strategy handed to the controller sees exactly the
+/// alternation a serial loop would produce and its trajectory is
+/// bitwise-identical. Strategies whose proposals never depend on reports
+/// (random, systematic, exhaustive) override propose_batch() with
+/// propose_up_to(), and GeneticSearch hands out a whole generation; the
+/// server's ask()/tell() keeps calling propose()/report() directly.
+/// NelderMead exposes speculative_candidates() so
+/// engine::SpeculativeNelderMead can evaluate all possible next simplex
+/// points concurrently without changing the search trajectory.
 ///
 /// Strategies are constructed by name through StrategyRegistry
 /// (strategy_registry.hpp) — the single construction path used by sessions,
 /// the server's STRATEGY protocol verb, benches and examples.
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -42,32 +41,9 @@
 
 namespace harmony {
 
-class SearchStrategy {
- public:
-  virtual ~SearchStrategy() = default;
-
-  /// Next configuration the strategy wants evaluated, or nullopt when the
-  /// strategy has converged / exhausted its plan.
-  [[nodiscard]] virtual std::optional<Config> propose() = 0;
-
-  /// Report the evaluation of the most recently proposed configuration.
-  /// Strategies are sequential: propose() and report() alternate strictly.
-  virtual void report(const Config& c, const EvaluationResult& r) = 0;
-
-  /// True once the strategy considers the search finished.
-  [[nodiscard]] virtual bool converged() const = 0;
-
-  /// Best configuration observed so far (nullopt before any report).
-  [[nodiscard]] virtual std::optional<Config> best() const = 0;
-  [[nodiscard]] virtual double best_objective() const = 0;
-
-  /// Short identifier for logs ("nelder-mead", "random", ...).
-  [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// Batched counterpart of SearchStrategy — the interface the controller is
-/// native in. One batch is a set of candidates whose evaluations may run
-/// concurrently; the controller reports the whole batch back in order.
+/// The strategy contract the controller drives. One batch is a set of
+/// candidates whose evaluations may run concurrently; the controller reports
+/// the whole batch back in order.
 class BatchSearchStrategy {
  public:
   virtual ~BatchSearchStrategy() = default;
@@ -83,15 +59,65 @@ class BatchSearchStrategy {
   virtual void report_batch(const std::vector<Config>& configs,
                             const std::vector<EvaluationResult>& results) = 0;
 
+  /// True once the strategy considers the search finished.
   [[nodiscard]] virtual bool converged() const = 0;
+
+  /// Best configuration observed so far (nullopt before any report).
   [[nodiscard]] virtual std::optional<Config> best() const = 0;
   [[nodiscard]] virtual double best_objective() const = 0;
+
+  /// Short identifier for logs ("nelder-mead", "random", ...).
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Batch size 1 wrapper around any serial strategy: the controller sees
-/// batches, the wrapped strategy sees exactly the serial propose/report
-/// alternation.
+/// A strategy that proposes one configuration at a time. Unless a subclass
+/// overrides propose_batch(), it emits batches of at most one, so propose()
+/// and report() alternate strictly however the controller drives it.
+class SearchStrategy : public BatchSearchStrategy {
+ public:
+  /// Next configuration the strategy wants evaluated, or nullopt when the
+  /// strategy has converged / exhausted its plan.
+  [[nodiscard]] virtual std::optional<Config> propose() = 0;
+
+  /// Report the evaluation of the most recently proposed configuration.
+  virtual void report(const Config& c, const EvaluationResult& r) = 0;
+
+  /// At most one propose(); nothing at all for max_n == 0.
+  [[nodiscard]] std::vector<Config> propose_batch(std::size_t max_n) override {
+    return propose_up_to(std::min<std::size_t>(max_n, 1));
+  }
+
+  /// report() per element, in order. Throws std::invalid_argument when the
+  /// two vectors differ in length.
+  void report_batch(const std::vector<Config>& configs,
+                    const std::vector<EvaluationResult>& results) override {
+    if (configs.size() != results.size()) {
+      throw std::invalid_argument(name() + ": batch size mismatch");
+    }
+    for (std::size_t i = 0; i < configs.size(); ++i) report(configs[i], results[i]);
+  }
+
+ protected:
+  /// Up to `n` consecutive propose() calls, stopping at the first nullopt.
+  /// A strategy whose proposals never depend on reports returns this from
+  /// propose_batch(n): reporting the batch afterwards, in order, gives the
+  /// serial trajectory.
+  [[nodiscard]] std::vector<Config> propose_up_to(std::size_t n) {
+    std::vector<Config> batch;
+    batch.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      auto c = propose();
+      if (!c) break;
+      batch.push_back(std::move(*c));
+    }
+    return batch;
+  }
+};
+
+/// Non-owning batch view of a serial strategy, with the same behaviour as
+/// SearchStrategy's own propose_batch()/report_batch(). Nothing in the
+/// library needs it any more; it stays, unchanged, for the perf ledger's
+/// offline_pop workload, which wraps NelderMead in it.
 class SequentialBatchAdapter final : public BatchSearchStrategy {
  public:
   /// Non-owning; `inner` must outlive the adapter.

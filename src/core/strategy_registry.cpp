@@ -210,34 +210,6 @@ CoordinateParams parse_coordinate(const StrategyOptions& opts) {
   return p;
 }
 
-/// Owning counterpart of SequentialBatchAdapter for registry-built serial
-/// strategies riding the batch pathway.
-class OwningSequentialAdapter final : public BatchSearchStrategy {
- public:
-  explicit OwningSequentialAdapter(std::unique_ptr<SearchStrategy> inner)
-      : inner_(std::move(inner)), adapter_(*inner_) {}
-
-  [[nodiscard]] std::vector<Config> propose_batch(std::size_t max_n) override {
-    return adapter_.propose_batch(max_n);
-  }
-  void report_batch(const std::vector<Config>& configs,
-                    const std::vector<EvaluationResult>& results) override {
-    adapter_.report_batch(configs, results);
-  }
-  [[nodiscard]] bool converged() const override { return adapter_.converged(); }
-  [[nodiscard]] std::optional<Config> best() const override {
-    return adapter_.best();
-  }
-  [[nodiscard]] double best_objective() const override {
-    return adapter_.best_objective();
-  }
-  [[nodiscard]] std::string name() const override { return adapter_.name(); }
-
- private:
-  std::unique_ptr<SearchStrategy> inner_;
-  SequentialBatchAdapter adapter_;
-};
-
 }  // namespace
 
 const std::vector<std::string>& StrategyRegistry::names() {
@@ -319,12 +291,7 @@ std::unique_ptr<SearchStrategy> StrategyRegistry::make(const std::string& name,
 std::unique_ptr<BatchSearchStrategy> StrategyRegistry::make_batch(
     const std::string& name, const ParamSpace& space, const StrategyOptions& opts,
     std::optional<Config> initial) {
-  if (name == "genetic") {
-    return std::make_unique<GeneticSearch>(space, parse_genetic(opts),
-                                           std::move(initial));
-  }
-  return std::make_unique<OwningSequentialAdapter>(
-      make(name, space, opts, std::move(initial)));
+  return make(name, space, opts, std::move(initial));
 }
 
 std::unique_ptr<SearchStrategy> StrategyRegistry::make_default(

@@ -6,7 +6,10 @@
 /// and the STRATEGY protocol verb), benches and examples. Options arrive as
 /// textual key=value pairs (exactly what the wire protocol carries), are
 /// validated with precise error messages, and unknown names/keys are
-/// rejected rather than ignored.
+/// rejected rather than ignored. Every strategy make() returns is also a
+/// BatchSearchStrategy, so the same object serves SearchController::run()
+/// (batch-native for random, systematic, exhaustive and genetic; batches of
+/// one otherwise) and the server's ask()/tell().
 ///
 ///   auto s = StrategyRegistry::make("annealing", space,
 ///                                   {{"cooling", "0.9"}, {"seed", "3"}});
@@ -64,11 +67,9 @@ class StrategyRegistry {
       const StrategyOptions& opts = {},
       std::optional<Config> initial = std::nullopt);
 
-  /// Construct the batch-native form of a strategy. Strategies with a native
-  /// batch implementation (genetic) are returned directly, so a concurrent
-  /// backend can evaluate a whole population at once; every other name is
-  /// wrapped in an owning batch-size-1 adapter that preserves its serial
-  /// propose/report semantics to the letter.
+  /// make() typed as the batch contract. Every strategy is a
+  /// BatchSearchStrategy, so this only changes the pointer type; it is kept
+  /// for the perf ledger, which constructs its pool_petsc strategies here.
   [[nodiscard]] static std::unique_ptr<BatchSearchStrategy> make_batch(
       const std::string& name, const ParamSpace& space,
       const StrategyOptions& opts = {},

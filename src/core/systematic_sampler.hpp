@@ -27,6 +27,10 @@ class SystematicSampler final : public SearchStrategy {
 
   [[nodiscard]] std::optional<Config> propose() override;
   void report(const Config& c, const EvaluationResult& r) override;
+  /// Proposals never depend on reports: up to max_n of them at once.
+  [[nodiscard]] std::vector<Config> propose_batch(std::size_t max_n) override {
+    return propose_up_to(max_n);
+  }
   [[nodiscard]] bool converged() const override;
   [[nodiscard]] std::optional<Config> best() const override;
   [[nodiscard]] double best_objective() const override;

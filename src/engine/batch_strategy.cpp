@@ -3,58 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/exhaustive.hpp"
-#include "core/random_search.hpp"
-#include "core/systematic_sampler.hpp"
-
 namespace harmony::engine {
-
-IndependentBatchStrategy::IndependentBatchStrategy(
-    std::unique_ptr<SearchStrategy> inner)
-    : inner_(std::move(inner)) {
-  if (!inner_) throw std::invalid_argument("IndependentBatchStrategy: null inner");
-}
-
-std::vector<Config> IndependentBatchStrategy::propose_batch(std::size_t max_n) {
-  std::vector<Config> batch;
-  batch.reserve(max_n);
-  for (std::size_t i = 0; i < max_n; ++i) {
-    auto c = inner_->propose();
-    if (!c) break;
-    batch.push_back(std::move(*c));
-  }
-  return batch;
-}
-
-void IndependentBatchStrategy::report_batch(
-    const std::vector<Config>& configs, const std::vector<EvaluationResult>& results) {
-  if (configs.size() != results.size()) {
-    throw std::invalid_argument("IndependentBatchStrategy: batch size mismatch");
-  }
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    inner_->report(configs[i], results[i]);
-  }
-}
-
-bool IndependentBatchStrategy::converged() const { return inner_->converged(); }
-
-BatchRandomSearch::BatchRandomSearch(const ParamSpace& space, int max_samples,
-                                     std::uint64_t seed)
-    : IndependentBatchStrategy(
-          std::make_unique<RandomSearch>(space, max_samples, seed)) {}
-
-BatchSystematicSampler::BatchSystematicSampler(const ParamSpace& space,
-                                               std::vector<int> samples_per_dim)
-    : IndependentBatchStrategy(std::make_unique<SystematicSampler>(
-          space, std::move(samples_per_dim))) {}
-
-BatchSystematicSampler::BatchSystematicSampler(const ParamSpace& space,
-                                               int samples_per_dim)
-    : IndependentBatchStrategy(
-          std::make_unique<SystematicSampler>(space, samples_per_dim)) {}
-
-BatchExhaustive::BatchExhaustive(const ParamSpace& space, std::uint64_t max_points)
-    : IndependentBatchStrategy(std::make_unique<Exhaustive>(space, max_points)) {}
 
 SpeculativeNelderMead::SpeculativeNelderMead(const ParamSpace& space,
                                              NelderMeadOptions opts,

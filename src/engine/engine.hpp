@@ -4,16 +4,17 @@
 /// Umbrella header for the parallel evaluation engine:
 ///
 ///   harmony::ParamSpace space = ...;
-///   harmony::engine::BatchSystematicSampler sweep(space, 8);
+///   harmony::SystematicSampler sweep(space, 8);  // core/systematic_sampler.hpp
 ///   harmony::engine::PoolEvalBackend pool(space, short_run, /*steps=*/10,
 ///                                         /*restart_s=*/0, /*pool_size=*/8,
 ///                                         /*batch_cap=*/8, /*use_cache=*/true);
 ///   harmony::SearchController controller(space, {40, 40 * 64 + 256});
 ///   auto result = controller.run(sweep, pool);
 ///
-/// The engine layers on top of the serial core: any SearchStrategy runs
-/// unchanged through SequentialBatchAdapter; random/systematic/exhaustive
-/// searches and Nelder–Mead get genuinely parallel batch implementations.
+/// The engine layers on top of the core's one strategy contract: every
+/// strategy is a BatchSearchStrategy, the random/systematic/exhaustive and
+/// genetic searches fill whole batches, and SpeculativeNelderMead gives the
+/// simplex a parallel form.
 
 #include "engine/batch_strategy.hpp"
 #include "engine/eval_cache.hpp"

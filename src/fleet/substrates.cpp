@@ -120,7 +120,10 @@ Substrate make_petsc(int spin_us) {
   Substrate s;
   s.name = "petsc";
   for (int i = 0; i < 3; ++i) {
-    s.space.add(Parameter::Integer("b" + std::to_string(i), 1, st->n - 1));
+    // Appended, not "b" + to_string: g++ 12 flags that with a false -Wrestrict.
+    std::string name = "b";
+    name += std::to_string(i);
+    s.space.add(Parameter::Integer(name, 1, st->n - 1));
   }
   s.run = [st, spin_us](const Config& c, int) {
     std::vector<int> bounds;

@@ -37,61 +37,6 @@ void set_enabled(bool on) noexcept {
   g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
-// ---- Histogram ------------------------------------------------------------
-
-int Histogram::bucket_index(double v) noexcept {
-  if (!(v > kBucketFloor)) return 0;  // also catches NaN and negatives
-  // log2(v) - log2(floor) rather than log2(v / floor): the quotient can
-  // overflow to inf for huge v (1e300 / 1e-9 > DBL_MAX).
-  const int idx =
-      1 + static_cast<int>(std::floor(std::log2(v) - std::log2(kBucketFloor)));
-  return std::clamp(idx, 0, kBuckets - 1);
-}
-
-void Histogram::record(double v) noexcept {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  // C++20 atomic<double>::fetch_add; compiled to a CAS loop where needed.
-  sum_.fetch_add(v, std::memory_order_relaxed);
-  buckets_[static_cast<std::size_t>(bucket_index(v))].fetch_add(
-      1, std::memory_order_relaxed);
-
-  // min/max via CAS; the any_ flag handles the empty->first-value race by
-  // letting the first recorder seed both extrema before relaxing into CAS.
-  if (!any_.exchange(true, std::memory_order_acq_rel)) {
-    min_.store(v, std::memory_order_release);
-    max_.store(v, std::memory_order_release);
-    return;
-  }
-  double cur = min_.load(std::memory_order_acquire);
-  while (v < cur && !min_.compare_exchange_weak(cur, v, std::memory_order_acq_rel)) {
-  }
-  cur = max_.load(std::memory_order_acquire);
-  while (v > cur && !max_.compare_exchange_weak(cur, v, std::memory_order_acq_rel)) {
-  }
-}
-
-double Histogram::min() const noexcept {
-  return any_.load(std::memory_order_acquire) ? min_.load(std::memory_order_acquire) : 0.0;
-}
-
-double Histogram::max() const noexcept {
-  return any_.load(std::memory_order_acquire) ? max_.load(std::memory_order_acquire) : 0.0;
-}
-
-double Histogram::mean() const noexcept {
-  const auto n = count();
-  return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-}
-
-void Histogram::reset() noexcept {
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-  any_.store(false, std::memory_order_relaxed);
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-}
-
 // ---- HdrHistogram ---------------------------------------------------------
 
 int HdrHistogram::bucket_index(double v) noexcept {
@@ -201,11 +146,10 @@ MetricsRegistry::Entry& MetricsRegistry::entry_for(std::string_view name,
   const std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.table.find(std::string(name));
   if (it == shard.table.end()) {
-    Entry e{kind, nullptr, nullptr, nullptr, nullptr};
+    Entry e{kind, nullptr, nullptr, nullptr};
     switch (kind) {
       case Entry::Kind::Counter: e.counter = std::make_unique<Counter>(); break;
       case Entry::Kind::Gauge: e.gauge = std::make_unique<Gauge>(); break;
-      case Entry::Kind::Histogram: e.histogram = std::make_unique<Histogram>(); break;
       case Entry::Kind::Hdr: e.hdr = std::make_unique<HdrHistogram>(); break;
     }
     it = shard.table.emplace(std::string(name), std::move(e)).first;
@@ -222,10 +166,6 @@ Counter& MetricsRegistry::counter(std::string_view name) {
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
   return *entry_for(name, Entry::Kind::Gauge).gauge;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name) {
-  return *entry_for(name, Entry::Kind::Histogram).histogram;
 }
 
 HdrHistogram& MetricsRegistry::hdr(std::string_view name) {
@@ -248,7 +188,6 @@ void MetricsRegistry::reset_values() {
       switch (entry.kind) {
         case Entry::Kind::Counter: entry.counter->reset(); break;
         case Entry::Kind::Gauge: entry.gauge->reset(); break;
-        case Entry::Kind::Histogram: entry.histogram->reset(); break;
         case Entry::Kind::Hdr: entry.hdr->reset(); break;
       }
     }
@@ -274,13 +213,6 @@ void MetricsRegistry::write_json(std::ostream& os) const {
         case Entry::Kind::Gauge:
           body << "{\"type\":\"gauge\",\"value\":" << entry.gauge->value() << "}";
           break;
-        case Entry::Kind::Histogram: {
-          const Histogram& h = *entry.histogram;
-          body << "{\"type\":\"histogram\",\"count\":" << h.count()
-               << ",\"sum\":" << h.sum() << ",\"min\":" << h.min()
-               << ",\"max\":" << h.max() << ",\"mean\":" << h.mean() << "}";
-          break;
-        }
         case Entry::Kind::Hdr: {
           const HdrHistogram& h = *entry.hdr;
           body << "{\"type\":\"hdr\",\"count\":" << h.count()
@@ -321,7 +253,7 @@ std::uint64_t now_ns() {
 }
 }  // namespace
 
-ScopedTimer::ScopedTimer(Histogram* h) noexcept : histogram_(h) {
+ScopedTimer::ScopedTimer(HdrHistogram* h) noexcept : histogram_(h) {
   if (histogram_ != nullptr) start_ns_ = now_ns();
 }
 
@@ -332,21 +264,7 @@ ScopedTimer::~ScopedTimer() {
 }
 
 ScopedTimer time_scope(std::string_view name) {
-  return ScopedTimer(enabled() ? &MetricsRegistry::global().histogram(name) : nullptr);
-}
-
-HdrScopedTimer::HdrScopedTimer(HdrHistogram* h) noexcept : histogram_(h) {
-  if (histogram_ != nullptr) start_ns_ = now_ns();
-}
-
-HdrScopedTimer::~HdrScopedTimer() {
-  if (histogram_ != nullptr) {
-    histogram_->record(static_cast<double>(now_ns() - start_ns_) * 1e-9);
-  }
-}
-
-HdrScopedTimer hdr_time_scope(std::string_view name) {
-  return HdrScopedTimer(enabled() ? &MetricsRegistry::global().hdr(name) : nullptr);
+  return ScopedTimer(enabled() ? &MetricsRegistry::global().hdr(name) : nullptr);
 }
 
 }  // namespace harmony::obs

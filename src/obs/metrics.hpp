@@ -2,7 +2,8 @@
 
 /// \file metrics.hpp
 /// Process-wide metrics for the tuning core and the parallel engine: named
-/// counters, gauges and histogram timers behind a zero-cost-when-disabled
+/// counters, gauges and HDR histograms (the one distribution type, behind
+/// observe() and the time_scope() timers) with a zero-cost-when-disabled
 /// API. Design constraints, in order:
 ///
 ///  * recording must be safe and cheap from the thread-pool workers — metric
@@ -69,46 +70,14 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Distribution summary: count/sum/min/max plus base-2 log-scale buckets
-/// (values below 1e-9 land in bucket 0; each bucket doubles). All updates
-/// are atomic, so concurrent record() calls never lose counts.
-class Histogram {
- public:
-  static constexpr int kBuckets = 64;
-  static constexpr double kBucketFloor = 1e-9;  ///< bucket 0 upper bound
-
-  void record(double v) noexcept;
-
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
-  [[nodiscard]] double min() const noexcept;  ///< 0 when empty
-  [[nodiscard]] double max() const noexcept;  ///< 0 when empty
-  [[nodiscard]] double mean() const noexcept;
-  [[nodiscard]] std::uint64_t bucket(int i) const noexcept {
-    return buckets_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
-  }
-  /// Index of the log-2 bucket a value falls into (exposed for tests).
-  [[nodiscard]] static int bucket_index(double v) noexcept;
-  void reset() noexcept;
-
- private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
-  std::atomic<bool> any_{false};
-  std::atomic<std::uint64_t> buckets_[kBuckets] = {};
-};
-
 /// High-dynamic-range distribution: log-linear buckets — 64 linear
 /// sub-buckets per power-of-two octave — bound the relative quantile error at
-/// ~1.6% anywhere in the range [1e-9, ~1.8e4] (seconds, say), which the
-/// base-2 Histogram's factor-of-two buckets cannot do. quantile(q) scans the
-/// cumulative counts and returns the matched bucket's midpoint clamped to the
-/// observed [min, max], so a single-valued distribution reports that value
-/// exactly. All updates are relaxed/CAS atomics; record() never allocates.
+/// ~1.6% anywhere in the range [1e-9, ~1.76e4] (seconds, say). Values at or
+/// below 1e-9 (zero, negatives, NaN) land in bucket 0 and values above the
+/// top octave (~1.76e4) in the last bucket; count, sum, min and max stay
+/// exact either way. quantile(q) scans the cumulative counts and returns the
+/// matched bucket's midpoint clamped to the observed [min, max], so a
+/// single-valued distribution reports that value exactly. All updates are relaxed/CAS atomics; record() never allocates.
 class HdrHistogram {
  public:
   static constexpr int kSubBits = 6;  ///< 2^6 linear sub-buckets per octave
@@ -160,7 +129,6 @@ class MetricsRegistry {
   /// the same name as a different kind throws std::logic_error.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name);
   HdrHistogram& hdr(std::string_view name);
 
   [[nodiscard]] std::size_t size() const;
@@ -175,19 +143,18 @@ class MetricsRegistry {
 
   /// Prometheus text exposition format (one # HELP/# TYPE block per metric,
   /// names sorted): counters become `ah_<name>_total`, gauges `ah_<name>`,
-  /// histograms the full cumulative `_bucket{le=...}/_sum/_count` family
-  /// rendered from the log-2 buckets. Dots in metric names map to
-  /// underscores. Served by the tuning server's METRICS verb; implemented in
-  /// prometheus.cpp.
+  /// HDR histograms a cumulative `_bucket{le=...}/_sum/_count` family over
+  /// their non-empty buckets plus an `_quantile` gauge family. Dots in metric
+  /// names map to underscores. Served by the tuning server's METRICS verb;
+  /// implemented in prometheus.cpp.
   void write_prometheus(std::ostream& os) const;
   [[nodiscard]] std::string to_prometheus() const;
 
  private:
   struct Entry {
-    enum class Kind { Counter, Gauge, Histogram, Hdr } kind;
+    enum class Kind { Counter, Gauge, Hdr } kind;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
     std::unique_ptr<HdrHistogram> hdr;
   };
   struct Shard {
@@ -217,48 +184,28 @@ inline void gauge_set(std::string_view name, double v) {
   MetricsRegistry::global().gauge(name).set(v);
 }
 
+/// Record `v` into the HDR histogram `name`. Values above ~1.76e4 land in
+/// its last bucket (see HdrHistogram).
 inline void observe(std::string_view name, double v) {
-  if (!enabled()) return;
-  MetricsRegistry::global().histogram(name).record(v);
-}
-
-inline void hdr_observe(std::string_view name, double v) {
   if (!enabled()) return;
   MetricsRegistry::global().hdr(name).record(v);
 }
 
-/// RAII wall-clock timer recording seconds into a histogram on destruction.
-/// Construct via time_scope(); holds nullptr (and touches no clock) when
-/// observability is disabled at construction time.
+/// RAII wall-clock timer recording seconds into an HDR histogram on
+/// destruction. Construct via time_scope(); holds nullptr (and touches no
+/// clock) when observability is disabled at construction time.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Histogram* h) noexcept;
+  explicit ScopedTimer(HdrHistogram* h) noexcept;
   ~ScopedTimer();
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* histogram_;
-  std::uint64_t start_ns_ = 0;
-};
-
-[[nodiscard]] ScopedTimer time_scope(std::string_view name);
-
-/// RAII wall-clock timer recording seconds into an HdrHistogram on
-/// destruction. Same contract as ScopedTimer: holds nullptr (and touches no
-/// clock) when observability is disabled at construction time.
-class HdrScopedTimer {
- public:
-  explicit HdrScopedTimer(HdrHistogram* h) noexcept;
-  ~HdrScopedTimer();
-  HdrScopedTimer(const HdrScopedTimer&) = delete;
-  HdrScopedTimer& operator=(const HdrScopedTimer&) = delete;
 
  private:
   HdrHistogram* histogram_;
   std::uint64_t start_ns_ = 0;
 };
 
-[[nodiscard]] HdrScopedTimer hdr_time_scope(std::string_view name);
+[[nodiscard]] ScopedTimer time_scope(std::string_view name);
 
 }  // namespace harmony::obs

@@ -265,8 +265,7 @@ TEST(GeneticSearch, RunsThroughSearchControllerWithBudget) {
   harmony::ControllerLimits limits;
   limits.max_evaluations = 40;
   harmony::SearchController controller(space, limits);
-  const auto out = controller.run(static_cast<harmony::BatchSearchStrategy&>(ga),
-                                  backend);
+  const auto out = controller.run(ga, backend);
   EXPECT_LE(out.evaluations, 40);
   ASSERT_TRUE(out.best.has_value());
   EXPECT_LE(out.best_objective, 60.0);

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/strategy_registry.hpp"
 #include "core/controller.hpp"
+#include "engine/pool_backend.hpp"
 
 namespace {
 
@@ -156,20 +160,60 @@ TEST(StrategyRegistry, GeneticBadNumericValuesRejected) {
   }
 }
 
-TEST(StrategyRegistry, MakeBatchReturnsNativeGeneticAndAdaptedSerial) {
+TEST(StrategyRegistry, EveryStrategyBatchesAtItsWidthAndReplaysOnAPool) {
   const auto space = small_space();
-  auto genetic = StrategyRegistry::make_batch(
-      "genetic", space, {{"population", "6"}, {"generations", "2"}});
-  ASSERT_NE(genetic, nullptr);
-  EXPECT_EQ(genetic->name(), "genetic");
-  // Native batch width: the whole population at once.
-  EXPECT_EQ(genetic->propose_batch(32).size(), 6u);
+  // Widths of make_batch(name)->propose_batch(32) with default options:
+  // strategies whose proposals never depend on reports fill the batch (the
+  // GA up to its population of 24); the others propose one at a time.
+  const std::vector<std::pair<std::string, std::size_t>> widths = {
+      {"nelder-mead", 1}, {"random", 32},  {"systematic", 32},
+      {"exhaustive", 32}, {"annealing", 1}, {"genetic", 24},
+      {"coordinate-descent", 1}};
+  ASSERT_EQ(widths.size(), StrategyRegistry::names().size());
+  for (const auto& [name, width] : widths) {
+    auto s = StrategyRegistry::make_batch(name, space);
+    ASSERT_NE(s, nullptr) << name;
+    EXPECT_EQ(s->name(), name);
+    EXPECT_EQ(s->propose_batch(32).size(), width) << name;
+  }
 
-  auto serial = StrategyRegistry::make_batch("random", space, {{"samples", "8"}});
-  ASSERT_NE(serial, nullptr);
-  EXPECT_EQ(serial->name(), "random");
-  // Serial strategies ride the batch-size-1 adapter.
-  EXPECT_EQ(serial->propose_batch(32).size(), 1u);
+  // Whatever the width, a 3-worker pool records the configurations a serial
+  // run records, in the same order.
+  const auto bowl = [](const Config& c) {
+    const auto x = static_cast<double>(std::get<std::int64_t>(c.values[0]));
+    const auto y = static_cast<double>(std::get<std::int64_t>(c.values[1]));
+    return (x - 5) * (x - 5) + 2 * (y - 11) * (y - 11) + 1;
+  };
+  const harmony::Evaluator evaluate = [&](const Config& c) {
+    harmony::EvaluationResult r;
+    r.objective = bowl(c);
+    return r;
+  };
+  const harmony::ShortRunFn run = [&](const Config& c, int) {
+    harmony::ShortRunResult r;
+    r.measured_s = bowl(c);
+    return r;
+  };
+  const harmony::ControllerLimits limits{40, 40 * 64 + 256};
+  for (const auto& name : StrategyRegistry::names()) {
+    harmony::EvalCache cache(space);
+    harmony::SearchController serial(space, limits, {}, nullptr, &cache);
+    harmony::SerialEvalBackend serial_backend(evaluate);
+    auto a = StrategyRegistry::make_batch(name, space);
+    (void)serial.run(*a, serial_backend);
+
+    harmony::SearchController pooled(space, limits);
+    harmony::engine::PoolEvalBackend pool(space, run, 1, 0.0, 3, 3, true);
+    auto b = StrategyRegistry::make_batch(name, space);
+    (void)pooled.run(*b, pool);
+
+    const auto& want = serial.history().entries();
+    const auto& got = pooled.history().entries();
+    ASSERT_EQ(got.size(), want.size()) << name;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].config, want[i].config) << name << " entry " << i;
+    }
+  }
 }
 
 TEST(StrategyRegistry, OptionsReachTheStrategy) {

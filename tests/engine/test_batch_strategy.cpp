@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -25,9 +26,6 @@ using harmony::Parameter;
 using harmony::ParamSpace;
 using harmony::SearchStrategy;
 using harmony::SequentialBatchAdapter;
-using harmony::engine::BatchExhaustive;
-using harmony::engine::BatchRandomSearch;
-using harmony::engine::BatchSystematicSampler;
 using harmony::engine::SpeculativeNelderMead;
 
 ParamSpace grid2d(int nx, int ny) {
@@ -63,14 +61,16 @@ std::vector<Config> drain_serial(SearchStrategy& s,
   return seq;
 }
 
-/// Drain a batch strategy with the given batch width.
+/// Drain a batch strategy with the given batch width; `widest` (if set)
+/// receives the largest batch the strategy returned.
 std::vector<Config> drain_batch(BatchSearchStrategy& s, std::size_t width,
                                 const std::function<double(const Config&)>& f,
-                                int cap = 100000) {
+                                int cap = 100000, std::size_t* widest = nullptr) {
   std::vector<Config> seq;
   while (!s.converged() && static_cast<int>(seq.size()) < cap) {
     auto batch = s.propose_batch(width);
     if (batch.empty()) break;
+    if (widest != nullptr) *widest = std::max(*widest, batch.size());
     std::vector<EvaluationResult> results;
     results.reserve(batch.size());
     for (const auto& c : batch) results.push_back(eval_of(f(c)));
@@ -116,13 +116,29 @@ TEST(SequentialBatchAdapter, BatchSizeMismatchThrows) {
   EXPECT_THROW(adapter.report_batch(batch, {}), std::invalid_argument);
 }
 
-TEST(BatchRandomSearch, SameStreamAsSerialRandomSearch) {
+TEST(SearchStrategy, DefaultBatchIsAtMostOneProposal) {
+  const auto s = grid2d(8, 8);
+  harmony::NelderMead nm(s);
+  // max_n == 0 asks nothing of the strategy: the first real batch is the
+  // same point a fresh NelderMead proposes first.
+  EXPECT_TRUE(nm.propose_batch(0).empty());
+  const auto batch = nm.propose_batch(16);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0], *harmony::NelderMead(s).propose());
+  EXPECT_THROW(nm.report_batch(batch, {}), std::invalid_argument);
+  nm.report_batch(batch, {eval_of(quadratic(batch[0]))});
+  EXPECT_EQ(nm.propose_batch(16).size(), 1u);
+}
+
+TEST(RandomSearch, BatchesKeepTheSerialStream) {
   const auto s = grid2d(100, 100);
   harmony::RandomSearch serial(s, 80, 99);
-  BatchRandomSearch batched(s, 80, 99);
+  harmony::RandomSearch batched(s, 80, 99);
 
   const auto serial_seq = drain_serial(serial, quadratic);
-  const auto batch_seq = drain_batch(batched, 13, quadratic);
+  std::size_t widest = 0;
+  const auto batch_seq = drain_batch(batched, 13, quadratic, 100000, &widest);
+  EXPECT_EQ(widest, 13u);
   ASSERT_EQ(serial_seq.size(), batch_seq.size());
   for (std::size_t i = 0; i < serial_seq.size(); ++i) {
     EXPECT_EQ(serial_seq[i], batch_seq[i]);
@@ -130,13 +146,15 @@ TEST(BatchRandomSearch, SameStreamAsSerialRandomSearch) {
   EXPECT_EQ(batched.best_objective(), serial.best_objective());
 }
 
-TEST(BatchSystematicSampler, SamePlanAsSerialSampler) {
+TEST(SystematicSampler, BatchesKeepTheSerialPlan) {
   const auto s = grid2d(15, 9);
   harmony::SystematicSampler serial(s, std::vector<int>{5, 4});
-  BatchSystematicSampler batched(s, std::vector<int>{5, 4});
+  harmony::SystematicSampler batched(s, std::vector<int>{5, 4});
 
   const auto serial_seq = drain_serial(serial, quadratic);
-  const auto batch_seq = drain_batch(batched, 6, quadratic);
+  std::size_t widest = 0;
+  const auto batch_seq = drain_batch(batched, 6, quadratic, 100000, &widest);
+  EXPECT_EQ(widest, 6u);
   ASSERT_EQ(serial_seq.size(), 20u);
   ASSERT_EQ(batch_seq.size(), 20u);
   for (std::size_t i = 0; i < serial_seq.size(); ++i) {
@@ -145,13 +163,15 @@ TEST(BatchSystematicSampler, SamePlanAsSerialSampler) {
   EXPECT_EQ(*batched.best(), *serial.best());
 }
 
-TEST(BatchExhaustive, VisitsWholeLatticeInSerialOrder) {
+TEST(Exhaustive, BatchesVisitWholeLatticeInSerialOrder) {
   const auto s = grid2d(6, 7);
   harmony::Exhaustive serial(s);
-  BatchExhaustive batched(s);
+  harmony::Exhaustive batched(s);
 
   const auto serial_seq = drain_serial(serial, quadratic);
-  const auto batch_seq = drain_batch(batched, 10, quadratic);
+  std::size_t widest = 0;
+  const auto batch_seq = drain_batch(batched, 10, quadratic, 100000, &widest);
+  EXPECT_EQ(widest, 10u);
   ASSERT_EQ(serial_seq.size(), 42u);
   ASSERT_EQ(batch_seq.size(), 42u);
   for (std::size_t i = 0; i < serial_seq.size(); ++i) {

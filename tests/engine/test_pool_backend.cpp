@@ -34,8 +34,8 @@ using harmony::ShortRunEvalBackend;
 using harmony::ShortRunFn;
 using harmony::ShortRunResult;
 using harmony::SystematicSampler;
-using harmony::engine::BatchRandomSearch;
-using harmony::engine::BatchSystematicSampler;
+using harmony::RandomSearch;
+using harmony::SystematicSampler;
 using harmony::engine::PoolEvalBackend;
 using harmony::engine::SpeculativeNelderMead;
 
@@ -76,8 +76,7 @@ Tuned serial(const ParamSpace& s, SearchStrategy& strategy, int max_runs,
 }
 
 /// The same loop on a pool: the backend's concurrent cache memoizes, so the
-/// controller runs without one and every candidate reaches the pool. Serial
-/// strategies ride SearchController::run's batch-of-one adapter.
+/// controller runs without one and every candidate reaches the pool.
 template <typename Strategy>
 Tuned pooled(const ParamSpace& s, Strategy& strategy, int max_runs,
              int pool_size, double restart_s = 0.0) {
@@ -148,7 +147,7 @@ TEST(PoolEvalBackend, PoolSize1MatchesSerialSystematic) {
 
 TEST(PoolEvalBackend, BudgetNeverExceededWithWideBatches) {
   const auto s = grid2d(100, 100);
-  BatchRandomSearch batched(s, 1000, 5);
+  RandomSearch batched(s, 1000, 5);
   std::atomic<int> launches{0};
   const ShortRunFn run = [&](const Config& c, int steps) {
     ++launches;
@@ -166,7 +165,7 @@ TEST(PoolEvalBackend, DuplicateConfigsInBatchRunOnce) {
   // A tiny space with a wide random batch: duplicates inside one batch must
   // coalesce onto a single short run (or hit the completed entry).
   const auto s = grid2d(3, 2);
-  BatchRandomSearch batched(s, 48, 21);
+  RandomSearch batched(s, 48, 21);
   std::atomic<int> launches{0};
   const ShortRunFn run = [&](const Config& c, int steps) {
     ++launches;
@@ -188,7 +187,7 @@ TEST(PoolEvalBackend, WidePoolFindsSameBestAsSerialSweep) {
   const auto s = grid2d(25, 20);
   SystematicSampler serial_sweep(s, std::vector<int>{25, 20});
   const auto a = serial(s, serial_sweep, 500);
-  BatchSystematicSampler batched(s, std::vector<int>{25, 20});
+  SystematicSampler batched(s, std::vector<int>{25, 20});
   const auto b = pooled(s, batched, 500, 8);
 
   ASSERT_TRUE(b.result.best.has_value());

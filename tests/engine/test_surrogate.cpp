@@ -264,8 +264,7 @@ TEST(SurrogateEvalBackend, SpeculativeResultsDoNotChargeControllerBudget) {
   harmony::ControllerLimits limits;
   limits.max_evaluations = 25;
   harmony::SearchController controller(space, limits);
-  const auto result = controller.run(
-      static_cast<harmony::BatchSearchStrategy&>(ga), backend);
+  const auto result = controller.run(ga, backend);
 
   // Budget counts only real measurements, and it is respected.
   EXPECT_EQ(result.evaluations, static_cast<int>(inner.evals()));
@@ -341,8 +340,7 @@ TEST(ModelGuidedSearch, MatchesSweepQualityAtQuarterBudget) {
   limits.max_proposals = 100000;
   harmony::EvalCache cache(space);
   harmony::SearchController controller(space, limits, {}, nullptr, &cache);
-  const auto out = controller.run(
-      static_cast<harmony::BatchSearchStrategy&>(ga), backend);
+  const auto out = controller.run(ga, backend);
 
   ASSERT_TRUE(out.best.has_value());
   EXPECT_LE(out.evaluations, 92);

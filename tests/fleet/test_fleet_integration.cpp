@@ -17,7 +17,7 @@
 
 #include "core/controller.hpp"
 #include "core/server.hpp"
-#include "engine/batch_strategy.hpp"
+#include "core/systematic_sampler.hpp"
 #include "fleet/dispatcher.hpp"
 #include "fleet/substrates.hpp"
 #include "fleet/worker_backend.hpp"
@@ -48,7 +48,7 @@ harmony::ControllerResult serial_golden(const fleet::Substrate& sub,
   harmony::ControllerLimits limits;
   limits.max_evaluations = max_evals;
   limits.max_proposals = 100000;
-  harmony::engine::BatchSystematicSampler plan(sub.space, samples_per_dim);
+  harmony::SystematicSampler plan(sub.space, samples_per_dim);
   harmony::SearchController controller(sub.space, limits);
   harmony::ShortRunEvalBackend backend(sub.run, sub.steps, 0.0);
   return controller.run(plan, backend);
@@ -99,7 +99,7 @@ harmony::ControllerResult run_fleet_search(Fleet& f, const ParamSpace& space,
   harmony::ControllerLimits limits;
   limits.max_evaluations = max_evals;
   limits.max_proposals = 100000;
-  harmony::engine::BatchSystematicSampler plan(space, samples_per_dim);
+  harmony::SystematicSampler plan(space, samples_per_dim);
   harmony::SearchController controller(space, limits);
   fleet::WorkerEvalBackend backend(f.dispatcher, space);
   return controller.run(plan, backend);

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "core/controller.hpp"
-#include "engine/batch_strategy.hpp"
+#include "core/systematic_sampler.hpp"
 #include "fleet/dispatcher.hpp"
 
 namespace fleet = harmony::fleet;
@@ -131,7 +131,7 @@ TEST(WorkerEvalBackend, ControllerRunMatchesSerialReference) {
   limits.max_evaluations = 121;
   limits.max_proposals = 1000;
 
-  harmony::engine::BatchSystematicSampler serial_plan(space, 11);
+  harmony::SystematicSampler serial_plan(space, 11);
   harmony::SearchController serial_ctl(space, limits);
   harmony::ShortRunEvalBackend serial_backend(run, 1, 0.0);
   const auto serial = serial_ctl.run(serial_plan, serial_backend);
@@ -141,7 +141,7 @@ TEST(WorkerEvalBackend, ControllerRunMatchesSerialReference) {
   EchoWorker w;
   w.attach(d, 4);
   fleet::WorkerEvalBackend backend(d, space);
-  harmony::engine::BatchSystematicSampler fleet_plan(space, 11);
+  harmony::SystematicSampler fleet_plan(space, 11);
   harmony::SearchController fleet_ctl(space, limits);
   const auto fleet_result = fleet_ctl.run(fleet_plan, backend);
 

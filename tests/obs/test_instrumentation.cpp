@@ -73,7 +73,7 @@ TEST_F(MetricsInstrumentation, SerialDriverCountsRunsAndCacheHits) {
   EXPECT_EQ(counter("controller.batches"), static_cast<std::uint64_t>(result.batches));
   EXPECT_EQ(counter("controller.cache_hits"),
             static_cast<std::uint64_t>(history.cached_count()));
-  EXPECT_EQ(obs::MetricsRegistry::global().histogram("offline.short_run_s").count(),
+  EXPECT_EQ(obs::MetricsRegistry::global().hdr("offline.short_run_s").count(),
             static_cast<std::uint64_t>(result.evaluations));
 }
 
@@ -100,7 +100,7 @@ TEST_F(MetricsInstrumentation, ParallelEngineCountsPoolAndCacheActivity) {
   {
     harmony::SearchController controller(space, {40, 40 * 64 + 256});
     harmony::engine::PoolEvalBackend pool(space, quadratic, 10, 0.0, 4, 4, true);
-    harmony::engine::BatchRandomSearch search(space, 200, 3);
+    harmony::RandomSearch search(space, 200, 3);
     result = controller.run(search, pool);
     proposals = controller.history().size();
     pool_hits = pool.cache_hits() + pool.cache_coalesced();

@@ -39,7 +39,7 @@ TEST(MetricsRegistry, CounterGaugeHistogramBasics) {
   g.set(4.0);
   EXPECT_DOUBLE_EQ(g.value(), 4.0);
 
-  auto& h = reg.histogram("short_run_s");
+  auto& h = reg.hdr("short_run_s");
   h.record(0.5);
   h.record(2.0);
   h.record(0.125);
@@ -65,30 +65,7 @@ TEST(MetricsRegistry, KindMismatchThrows) {
   obs::MetricsRegistry reg;
   reg.counter("x");
   EXPECT_THROW(reg.gauge("x"), std::logic_error);
-  EXPECT_THROW(reg.histogram("x"), std::logic_error);
-}
-
-TEST(MetricsRegistry, HistogramBucketsAreLogScale) {
-  using H = obs::Histogram;
-  EXPECT_EQ(H::bucket_index(0.0), 0);
-  EXPECT_EQ(H::bucket_index(-1.0), 0);
-  EXPECT_EQ(H::bucket_index(H::kBucketFloor), 0);
-  // Each doubling advances one bucket.
-  const int b1 = H::bucket_index(1e-6);
-  EXPECT_EQ(H::bucket_index(2e-6), b1 + 1);
-  EXPECT_EQ(H::bucket_index(4e-6), b1 + 2);
-  // Huge values clamp into the last bucket instead of overflowing.
-  EXPECT_EQ(H::bucket_index(1e300), H::kBuckets - 1);
-
-  // Buckets are power-of-2 aligned to the floor: 1e-6 (1000x floor) and
-  // 0.7e-6 (700x) both land in the (512x, 1024x] bucket.
-  obs::Histogram h;
-  h.record(1e-6);
-  h.record(0.7e-6);
-  EXPECT_EQ(h.bucket(b1), 2u);
-  EXPECT_EQ(h.bucket(b1 + 1), 0u);
-  h.record(2e-6);
-  EXPECT_EQ(h.bucket(b1 + 1), 1u);
+  EXPECT_THROW(reg.hdr("x"), std::logic_error);
 }
 
 TEST(MetricsRegistry, HdrBucketsBoundRelativeError) {
@@ -142,7 +119,7 @@ TEST(MetricsRegistry, HdrRegistryEntryKindIsDistinct) {
   auto& h = reg.hdr("lat");
   auto& again = reg.hdr("lat");
   EXPECT_EQ(&h, &again);
-  EXPECT_THROW(reg.histogram("lat"), std::logic_error);
+  EXPECT_THROW(reg.gauge("lat"), std::logic_error);
   EXPECT_THROW(reg.counter("lat"), std::logic_error);
   h.record(0.5);
   reg.reset_values();
@@ -178,20 +155,20 @@ TEST(MetricsRegistry, ResetValuesKeepsRegistrations) {
   obs::MetricsRegistry reg;
   reg.counter("a").add(7);
   reg.gauge("b").set(1.5);
-  reg.histogram("c").record(3.0);
+  reg.hdr("c").record(3.0);
   reg.reset_values();
   EXPECT_EQ(reg.size(), 3u);
   EXPECT_EQ(reg.counter("a").value(), 0u);
   EXPECT_DOUBLE_EQ(reg.gauge("b").value(), 0.0);
-  EXPECT_EQ(reg.histogram("c").count(), 0u);
-  EXPECT_DOUBLE_EQ(reg.histogram("c").min(), 0.0);
+  EXPECT_EQ(reg.hdr("c").count(), 0u);
+  EXPECT_DOUBLE_EQ(reg.hdr("c").min(), 0.0);
 }
 
 TEST(MetricsRegistry, JsonSnapshotIsValidAndSorted) {
   obs::MetricsRegistry reg;
   reg.counter("z.count").add(2);
   reg.gauge("a.gauge").set(-1.25);
-  reg.histogram("m.hist").record(4.0);
+  reg.hdr("m.hist").record(4.0);
   const std::string json = reg.to_json();
 
   const auto doc = obs::json_parse(json);
@@ -223,7 +200,7 @@ TEST(MetricsRegistry, ConcurrentCountersLoseNothing) {
       for (int i = 0; i < kIncrements; ++i) {
         shared.add();
         own.add();
-        reg.histogram("hist").record(1e-6 * (t + 1));
+        reg.hdr("hist").record(1e-6 * (t + 1));
       }
     });
   }
@@ -234,7 +211,7 @@ TEST(MetricsRegistry, ConcurrentCountersLoseNothing) {
     EXPECT_EQ(reg.counter("own." + std::to_string(t)).value(),
               static_cast<std::uint64_t>(kIncrements));
   }
-  auto& h = reg.histogram("hist");
+  auto& h = reg.hdr("hist");
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kIncrements);
   EXPECT_DOUBLE_EQ(h.min(), 1e-6);
   EXPECT_DOUBLE_EQ(h.max(), 8e-6);
@@ -297,8 +274,24 @@ TEST(MetricsRegistry, EnabledHelpersRecordIntoGlobal) {
   }
   auto& reg = obs::MetricsRegistry::global();
   EXPECT_GE(reg.counter("test.enabled.counter").value(), 2u);
-  EXPECT_GE(reg.histogram("test.enabled.hist").count(), 1u);
-  auto& timer_hist = reg.histogram("test.enabled.timer_s");
+  EXPECT_GE(reg.hdr("test.enabled.hist").count(), 1u);
+  auto& timer_hist = reg.hdr("test.enabled.timer_s");
   EXPECT_GE(timer_hist.count(), 1u);
   EXPECT_GE(timer_hist.max(), 0.0005);
+}
+
+TEST(MetricsRegistry, ObserveAndTimeScopeLandInHdrEntries) {
+  const MetricsEnabledGuard guard;
+  obs::set_enabled(true);
+  obs::observe("test.hdr.observe", 2.5e-3);
+  { const auto timer = obs::time_scope("test.hdr.timer_s"); }
+  const auto doc = obs::json_parse(obs::MetricsRegistry::global().to_json());
+  ASSERT_TRUE(doc.has_value());
+  for (const char* name : {"test.hdr.observe", "test.hdr.timer_s"}) {
+    const auto* entry = doc->find(name);
+    ASSERT_NE(entry, nullptr) << name;
+    EXPECT_EQ(entry->string_or("type", ""), "hdr") << name;
+    EXPECT_GE(entry->number_or("count", 0), 1.0) << name;
+  }
+  EXPECT_DOUBLE_EQ(doc->find("test.hdr.observe")->number_or("p50", -1), 2.5e-3);
 }

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -46,7 +45,7 @@ TEST(Prometheus, GaugeRendersPlainName) {
 
 TEST(Prometheus, HistogramFamilyIsCumulativeAndConsistent) {
   obs::MetricsRegistry reg;
-  auto& h = reg.histogram("short_run_s");
+  auto& h = reg.hdr("short_run_s");
   h.record(0.125);
   h.record(0.125);
   h.record(2.0);
@@ -74,12 +73,12 @@ TEST(Prometheus, HistogramFamilyIsCumulativeAndConsistent) {
   EXPECT_GE(buckets, 2) << text;  // 0.125 and 2.0 land in distinct buckets
   EXPECT_EQ(last, 3u);            // +Inf bucket covers everything
 
-  // The le bound of the bucket a value lands in is >= the value itself
-  // (upper bounds are kBucketFloor * 2^i, matching Histogram::bucket_index).
-  const int idx = obs::Histogram::bucket_index(2.0);
-  const double ub = obs::Histogram::kBucketFloor * std::ldexp(1.0, idx);
+  // The le bound of the bucket a value lands in is >= the value itself, and
+  // tight within one of the octave's 64 sub-buckets.
+  const double ub =
+      obs::HdrHistogram::bucket_upper(obs::HdrHistogram::bucket_index(2.0));
   EXPECT_GE(ub, 2.0);
-  EXPECT_LT(ub / 2.0, 2.0 + 1e-12);  // and is tight within one doubling
+  EXPECT_LE(ub - 2.0, 2.0 / 64.0);
 }
 
 TEST(Prometheus, NamesAreSanitizedAndPrefixed) {
@@ -99,7 +98,7 @@ TEST(Prometheus, OutputIsSortedByMetricName) {
   obs::MetricsRegistry reg;
   reg.counter("zeta").add(1);
   reg.gauge("alpha").set(1.0);
-  reg.histogram("mid").record(1.0);
+  reg.hdr("mid").record(1.0);
   const std::string text = reg.to_prometheus();
   const auto a = text.find("ah_alpha");
   const auto m = text.find("ah_mid");
@@ -115,7 +114,7 @@ TEST(Prometheus, EveryLineIsCommentOrSample) {
   obs::MetricsRegistry reg;
   reg.counter("c").add(2);
   reg.gauge("g").set(-1.25);
-  reg.histogram("h").record(1e-3);
+  reg.hdr("h").record(1e-3);
   reg.hdr("q").record(2e-3);
   for (const auto& line : lines_of(reg.to_prometheus())) {
     if (line.rfind("# TYPE ah_", 0) == 0) continue;
@@ -135,7 +134,7 @@ TEST(Prometheus, EveryFamilyHasHelpAndTypeBeforeSamples) {
   obs::MetricsRegistry reg;
   reg.counter("server.roundtrips").add(2);
   reg.gauge("pool.size").set(8);
-  reg.histogram("short_run_s").record(0.25);
+  reg.hdr("short_run_s").record(0.25);
   reg.hdr("server.verb.report_s").record(1e-3);
 
   std::string current_family;  // family announced by the last HELP/TYPE pair
@@ -171,7 +170,7 @@ TEST(Prometheus, EveryFamilyHasHelpAndTypeBeforeSamples) {
     ASSERT_FALSE(current_family.empty()) << "sample before any HELP: " << line;
     EXPECT_EQ(line.rfind(current_family, 0), 0u) << line;
   }
-  EXPECT_EQ(announced.size(), 5u);  // 4 metrics + the hdr quantile family
+  EXPECT_EQ(announced.size(), 6u);  // 4 metrics + 2 hdr quantile families
 }
 
 TEST(Prometheus, LabelValuesAreEscapedPerSpec) {

@@ -224,7 +224,7 @@ TEST(SearchTracer, ParallelDriverProducesOneLanePerPoolThread) {
   };
   // No cache: every proposal runs, so all workers get busy.
   harmony::engine::PoolEvalBackend pool(space, run, 10, 0.0, 4, 4, false);
-  harmony::engine::BatchRandomSearch search(space, 400, 11);
+  harmony::RandomSearch search(space, 400, 11);
   const auto result = controller.run(search, pool);
   ASSERT_EQ(result.evaluations, 64);
 

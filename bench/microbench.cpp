@@ -6,7 +6,9 @@
 #include <sys/socket.h>
 
 #include <algorithm>
-#include <set>
+#include <cmath>
+#include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -381,11 +383,16 @@ void BM_BlockJacobiSetup(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockJacobiSetup);
 
-// The same set-up through a BlockFactorMemo. Hit: the memo already holds
-// every block of the 8 partitions cycled. Miss: a fresh memo per set-up, so
-// every block is factored and inserted.
+// The same set-up through a BlockFactorMemo. Hit: the memo holds what
+// set-ups of the 8 partitions cycled leave in it, one factor per start row, so
+// each block is served exactly or as a leading part of a longer factor.
+// Prefix: the memo holds, for each start row, a factor 8 rows longer than the
+// longest block there (capped at the matrix), so every block that does not
+// end on the last row is a strict leading part. Miss: a fresh memo per
+// set-up, so every block is factored and inserted.
 void BM_BlockJacobiSetupMemo(benchmark::State& state) {
   const bool hit = state.range(0) != 0;
+  const bool prefix = state.range(1) != 0;
   const auto A = minipetsc::dense_block_matrix({40, 40, 40, 40}, 0.6);
   std::vector<minipetsc::RowPartition> parts;
   for (auto& b : petsc_partitions()) {
@@ -394,14 +401,38 @@ void BM_BlockJacobiSetupMemo(benchmark::State& state) {
   }
   if (hit) parts.resize(8);
   const minipetsc::BlockFactorMemo warm(A);
-  std::set<std::pair<int, int>> ranges;
-  for (const auto& part : parts) {
-    (void)minipetsc::PcBlockJacobi(warm, part);
-    for (int rank = 0; rank < 4; ++rank) ranges.insert(part.range(rank));
+  if (prefix) {
+    std::map<int, int> longest;
+    for (const auto& part : parts) {
+      for (int rank = 0; rank < 4; ++rank) {
+        const auto [lo, hi] = part.range(rank);
+        longest[lo] = std::max(longest[lo], hi);
+      }
+    }
+    for (const auto& [lo, hi] : longest) {
+      (void)warm.factor(lo, std::min(A.rows(), hi + 8));
+    }
+  } else {
+    for (const auto& part : parts) (void)minipetsc::PcBlockJacobi(warm, part);
   }
-  if (hit && warm.entries() != ranges.size()) {
-    state.SkipWithError("the warm memo does not hold every block");
-    return;
+  if (hit) {
+    // A miss would build a new factor and change the bytes held.
+    const auto lookups = [&] {
+      std::vector<std::shared_ptr<const minipetsc::DenseLu>> out;
+      for (const auto& part : parts) {
+        for (int rank = 0; rank < 4; ++rank) {
+          const auto [lo, hi] = part.range(rank);
+          out.push_back(warm.factor(lo, hi));
+        }
+      }
+      return out;
+    };
+    const std::size_t bytes = warm.resident_bytes();
+    const auto first = lookups();
+    if (lookups() != first || warm.resident_bytes() != bytes) {
+      state.SkipWithError("a warm set-up is not served from the memo");
+      return;
+    }
   }
   std::size_t k = 0;
   for (auto _ : state) {
@@ -416,7 +447,35 @@ void BM_BlockJacobiSetupMemo(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_BlockJacobiSetupMemo)->ArgName("hit")->Arg(1)->Arg(0);
+BENCHMARK(BM_BlockJacobiSetupMemo)
+    ->ArgNames({"hit", "prefix"})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({0, 0});
+
+// A CG solve as the petsc substrate runs it: its matrix and right-hand side,
+// a block-Jacobi preconditioner from a warm memo, and a zero start. Cycles
+// over the 8 partitions of BM_BlockJacobiSetupMemo/hit:1.
+void BM_CgSolveDenseBlock(benchmark::State& state) {
+  const auto A = minipetsc::dense_block_matrix({40, 40, 40, 40}, 0.6);
+  const minipetsc::BlockFactorMemo memo(A);
+  auto bounds = petsc_partitions();
+  bounds.resize(8);
+  std::vector<minipetsc::PcBlockJacobi> pcs;
+  for (auto& b : bounds) {
+    pcs.emplace_back(memo, minipetsc::RowPartition::from_boundaries(A.rows(), 4,
+                                                                   std::move(b)));
+  }
+  minipetsc::Vec rhs(static_cast<std::size_t>(A.rows()));
+  for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] = std::sin(0.05 * i);
+  std::size_t k = 0;
+  for (auto _ : state) {
+    minipetsc::Vec x;
+    const auto ksp = minipetsc::cg_solve(A, rhs, x, pcs[k++ % pcs.size()]);
+    benchmark::DoNotOptimize(ksp.iterations);
+  }
+}
+BENCHMARK(BM_CgSolveDenseBlock);
 
 void BM_Gs2StepModel(benchmark::State& state) {
   const minigs2::Gs2Model model;

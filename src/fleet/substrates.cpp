@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -105,7 +106,7 @@ Substrate make_petsc(int spin_us) {
   // Fig. 2(a)-shaped dense-block solve, 4 ranks: tune the three row-partition
   // boundaries of a block-structured matrix.
   // One factor memo serves every run: an NM step moves one boundary, so
-  // most of a partition's blocks keep their row range.
+  // most of a partition's blocks keep their row range or their start row.
   struct State {
     minipetsc::CsrMatrix A = minipetsc::dense_block_matrix({40, 40, 40, 40}, 0.6);
     minipetsc::BlockFactorMemo factors{A};
@@ -132,22 +133,26 @@ Substrate make_petsc(int spin_us) {
       bounds.push_back(static_cast<int>(std::get<std::int64_t>(v)));
     }
     ShortRunResult r;
+    std::optional<minipetsc::RowPartition> part;
     try {
-      const auto part =
-          minipetsc::RowPartition::from_boundaries(st->n, 4, bounds);
+      part = minipetsc::RowPartition::from_boundaries(st->n, 4, std::move(bounds));
+    } catch (const std::invalid_argument&) {
+      r.ok = false;  // crossing/degenerate boundaries: infeasible candidate
+    }
+    if (part) {
+      // Anything the set-up, the solve or analyze() throws is a fault, not
+      // an infeasible candidate, so it propagates.
       minipetsc::Vec x;
-      const minipetsc::PcBlockJacobi pc(st->factors, part);
+      const minipetsc::PcBlockJacobi pc(st->factors, *part);
       const auto ksp = minipetsc::cg_solve(st->A, st->b, x, pc);
       if (!ksp.converged) {
         r.ok = false;
       } else {
         r.measured_s = minipetsc::simulate_sles(
-                           st->machine, minipetsc::analyze(st->A, part),
+                           st->machine, minipetsc::analyze(st->A, *part),
                            ksp.iterations)
                            .total_s;
       }
-    } catch (const std::invalid_argument&) {
-      r.ok = false;  // crossing/degenerate boundaries: infeasible candidate
     }
     spin_for(spin_us);
     return r;

@@ -30,7 +30,9 @@ struct KspResult {
 };
 
 /// Preconditioned conjugate gradients; requires a symmetric positive-definite
-/// operator and a symmetric positive-definite preconditioner.
+/// operator and a symmetric positive-definite preconditioner. An x of the
+/// wrong size (an empty one, say) starts CG from zero: x is zero-filled and
+/// the initial residual is b, without a product with A.
 [[nodiscard]] KspResult cg_solve(const LinearOp& A, const Vec& b, Vec& x,
                                  const Pc& pc, const KspOptions& opts = {});
 

@@ -2,9 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 
 namespace minipetsc {
+
+namespace {
+
+bool bad_block(const CsrMatrix& A, int lo, int hi) {
+  return lo < 0 || hi > A.rows() || hi > A.cols() || lo >= hi;
+}
+
+}  // namespace
 
 PcJacobi::PcJacobi(const CsrMatrix& A) : inv_diag_(A.diagonal()) {
   for (auto& d : inv_diag_) {
@@ -66,6 +75,7 @@ DenseLu::DenseLu(std::vector<double> a, int n) : lu_(std::move(a)), n_(n) {
     }
     if (pmax == 0.0) throw std::runtime_error("DenseLu: singular block");
     piv_[K] = p;
+    if (p == k && unpivoted_ == k) unpivoted_ = k + 1;
     if (p != k) {
       const auto P = static_cast<std::size_t>(p);
       std::swap_ranges(lu_.begin() + static_cast<std::ptrdiff_t>(K * N),
@@ -94,26 +104,31 @@ void DenseLu::solve(std::vector<double>& b) const {
   if (b.size() != static_cast<std::size_t>(n_)) {
     throw std::invalid_argument("DenseLu::solve: size mismatch");
   }
-  solve(b.data());
+  solve_leading(b.data(), n_);
 }
 
-void DenseLu::solve(double* b) const {
+void DenseLu::solve_leading(double* b, int m) const {
+  if (m != n_ && (m < 1 || m > unpivoted_)) {
+    throw std::invalid_argument("DenseLu::solve_leading: not a leading factor");
+  }
   // LAPACK getrs order: the factor swapped whole rows, multipliers included,
-  // so every interchange is applied before the forward substitution.
+  // so every interchange is applied before the forward substitution. A step
+  // from m on swaps only rows from m on, so it does not touch b[0, m).
   const auto N = static_cast<std::size_t>(n_);
-  for (int k = 0; k < n_; ++k) std::swap(b[k], b[piv_[static_cast<std::size_t>(k)]]);
-  for (int i = 1; i < n_; ++i) {
+  for (int k = 0; k < m; ++k) std::swap(b[k], b[piv_[static_cast<std::size_t>(k)]]);
+  for (int i = 1; i < m; ++i) {
     const auto I = static_cast<std::size_t>(i);
     const double* row = lu_.data() + I * N;
     double s = b[i];
     for (int k = l_first_[I]; k < i; ++k) s -= row[k] * b[k];
     b[i] = s;
   }
-  for (int i = n_ - 1; i >= 0; --i) {
+  for (int i = m - 1; i >= 0; --i) {
     const auto I = static_cast<std::size_t>(i);
     const double* row = lu_.data() + I * N;
+    const int end = std::min(u_end_[I], m);
     double s = b[i];
-    for (int j = i + 1; j < u_end_[I]; ++j) s -= row[j] * b[j];
+    for (int j = i + 1; j < end; ++j) s -= row[j] * b[j];
     b[i] = s / row[i];
   }
 }
@@ -124,9 +139,7 @@ std::size_t DenseLu::bytes() const noexcept {
 }
 
 DenseLu factor_block(const CsrMatrix& A, int lo, int hi) {
-  if (lo < 0 || hi > A.rows() || hi > A.cols() || lo >= hi) {
-    throw std::invalid_argument("factor_block: bad row range");
-  }
+  if (bad_block(A, lo, hi)) throw std::invalid_argument("factor_block: bad row range");
   const auto& row_ptr = A.row_ptr();
   const auto& col_idx = A.col_idx();
   const auto& vals = A.values();
@@ -146,31 +159,43 @@ DenseLu factor_block(const CsrMatrix& A, int lo, int hi) {
 }
 
 std::shared_ptr<const DenseLu> BlockFactorMemo::factor(int lo, int hi) const {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(lo)) << 32) |
-      static_cast<std::uint32_t>(hi);
-  const auto touch = [this](std::list<Entry>::iterator e) {
-    lru_.splice(lru_.begin(), lru_, e);
-    return e->lu;
+  // Checked before the lookup: a reversed range would otherwise "fit" inside
+  // a held factor.
+  if (bad_block(*A_, lo, hi)) {
+    throw std::invalid_argument("BlockFactorMemo::factor: bad row range");
+  }
+  const int rows = hi - lo;
+  // The held factor serves [lo, hi) when its leading `rows` rows are the
+  // factor of [lo, hi): it has exactly that many, or no interchange among its
+  // first `rows` steps (so at least that many).
+  const auto held = [this, lo, rows]() -> std::shared_ptr<const DenseLu> {
+    const auto it = index_.find(lo);
+    if (it == index_.end()) return nullptr;
+    const auto& lu = it->second->lu;
+    if (lu->size() != rows && lu->unpivoted() < rows) return nullptr;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return lu;
   };
   {
     const std::lock_guard lock(mu_);
-    if (const auto it = index_.find(key); it != index_.end()) return touch(it->second);
+    if (auto lu = held()) return lu;
   }
 
   auto lu = std::make_shared<const DenseLu>(factor_block(*A_, lo, hi));
   const std::size_t bytes = lu->bytes();
   const std::lock_guard lock(mu_);
-  // A concurrent miss on the same range may have filled it meanwhile.
-  if (const auto it = index_.find(key); it != index_.end()) return touch(it->second);
+  // A concurrent miss on the same start row may have filled it meanwhile.
+  if (auto fit = held()) return fit;
   if (bytes > kBudgetBytes) return lu;
-  while (bytes_ + bytes > kBudgetBytes) {
-    bytes_ -= lru_.back().lu->bytes();
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-  }
-  lru_.push_front(Entry{key, lu});
-  index_.emplace(key, lru_.begin());
+  const auto drop = [this](std::list<Entry>::iterator e) {
+    bytes_ -= e->lu->bytes();
+    index_.erase(e->lo);
+    lru_.erase(e);
+  };
+  if (const auto it = index_.find(lo); it != index_.end()) drop(it->second);
+  while (bytes_ + bytes > kBudgetBytes) drop(std::prev(lru_.end()));
+  lru_.push_front(Entry{lo, lu});
+  index_.emplace(lo, lru_.begin());
   bytes_ += bytes;
   return lu;
 }
@@ -213,7 +238,9 @@ void PcBlockJacobi::apply(const Vec& r, Vec& z) const {
     throw std::invalid_argument("PcBlockJacobi::apply: size mismatch");
   }
   z = r;
-  for (const auto& block : blocks_) block.lu->solve(z.data() + block.lo);
+  for (const auto& block : blocks_) {
+    block.lu->solve_leading(z.data() + block.lo, block.hi - block.lo);
+  }
 }
 
 }  // namespace minipetsc

@@ -7,7 +7,6 @@
 /// sub-structure make far better local solves).
 
 #include <cstddef>
-#include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -54,6 +53,13 @@ class PcJacobi final : public Pc {
 /// skipped operations are x -= m*0 and s -= 0*b, so for finite inputs every
 /// value equals that of the full O(n^3) algorithm, while a block made of
 /// dense sub-blocks costs the sum of their cubes.
+///
+/// The factorization is right-looking: an entry (i, j) with i, j < m is
+/// updated only by steps k < min(i, j), from operands inside the leading
+/// m x m block, in the same order. So when the first m steps make no row
+/// interchange (m <= unpivoted()), the leading m x m block of the factor is,
+/// bit for bit, the factor of the matrix's leading m x m block, and
+/// solve_leading() solves with it.
 class DenseLu {
  public:
   /// Factor an n x n row-major dense matrix. Throws std::runtime_error on
@@ -63,10 +69,15 @@ class DenseLu {
   /// Solve LU x = b (b overwritten with x).
   void solve(std::vector<double>& b) const;
 
-  /// Same, in place on size() entries starting at b.
-  void solve(double* b) const;
+  /// Solve with the factor of the leading m x m block, in place on m entries
+  /// starting at b; m == size() solves with the whole factor. Throws
+  /// std::invalid_argument unless m == size(), or 1 <= m <= unpivoted().
+  void solve_leading(double* b, int m) const;
 
   [[nodiscard]] int size() const noexcept { return n_; }
+
+  /// The number of leading elimination steps that made no row interchange.
+  [[nodiscard]] int unpivoted() const noexcept { return unpivoted_; }
 
   /// Heap and object bytes the factor holds.
   [[nodiscard]] std::size_t bytes() const noexcept;
@@ -77,21 +88,28 @@ class DenseLu {
   std::vector<int> l_first_;  ///< row i of L is zero left of this column
   std::vector<int> u_end_;    ///< row i of U is zero from this column on
   int n_ = 0;
+  int unpivoted_ = 0;
 };
 
 /// Factor of A's diagonal block on rows and columns [lo, hi). Throws
 /// std::invalid_argument for an empty or out-of-range block.
 [[nodiscard]] DenseLu factor_block(const CsrMatrix& A, int lo, int hi);
 
-/// Thread-safe memo of the block factors of one matrix, keyed by row range.
+/// Thread-safe memo of the block factors of one matrix, keyed by start row.
 ///
-/// A factor depends only on the matrix and its [lo, hi) range, so a memoized
-/// factor is bitwise the one a fresh factor_block() would build. The memo
-/// evicts the least recently used ranges to keep the bytes of the factors it
-/// holds within kBudgetBytes; a range can be as large as the whole matrix, so
-/// a cap on the entry count alone would not bound memory. Factors are shared,
-/// so an evicted one stays alive while a preconditioner still uses it. The
-/// memo holds a mutex and a pointer to the matrix, which must outlive it.
+/// A factor depends only on the matrix and its [lo, hi) range, and the factor
+/// of [lo, hi) holds that of every [lo, lo + m) with m <= unpivoted() as its
+/// leading block (see DenseLu). So the memo holds at most one factor per start
+/// row, and serves [lo, hi) from it when it has exactly hi - lo rows, or more
+/// rows and unpivoted() >= hi - lo; the caller solves with
+/// solve_leading(b, hi - lo), which is bitwise a fresh factor_block()'s solve.
+/// Otherwise [lo, hi) is factored, and the new factor replaces the held one.
+/// The memo evicts the least recently used start rows to keep the bytes of
+/// the factors it holds within kBudgetBytes; a range can be as large as the
+/// whole matrix, so a cap on the entry count alone would not bound memory.
+/// Factors are shared, so an evicted one stays alive while a preconditioner
+/// still uses it. The memo holds a mutex and a pointer to the matrix, which
+/// must outlive it.
 class BlockFactorMemo {
  public:
   static constexpr std::size_t kBudgetBytes = std::size_t{512} << 10;
@@ -100,8 +118,11 @@ class BlockFactorMemo {
   BlockFactorMemo(const BlockFactorMemo&) = delete;
   BlockFactorMemo& operator=(const BlockFactorMemo&) = delete;
 
-  /// The factor of rows [lo, hi), built on a miss (outside the lock, so
-  /// concurrent misses on other ranges overlap).
+  /// A factor whose leading (hi - lo) x (hi - lo) block is the factor of
+  /// rows [lo, hi); solve with solve_leading(b, hi - lo). Built on a miss
+  /// (outside the lock, so concurrent misses on other start rows overlap).
+  /// Throws std::invalid_argument for an empty or out-of-range block,
+  /// whatever the memo holds.
   [[nodiscard]] std::shared_ptr<const DenseLu> factor(int lo, int hi) const;
 
   [[nodiscard]] const CsrMatrix& matrix() const noexcept { return *A_; }
@@ -112,14 +133,14 @@ class BlockFactorMemo {
 
  private:
   struct Entry {
-    std::uint64_t key;
+    int lo;
     std::shared_ptr<const DenseLu> lu;
   };
 
   const CsrMatrix* A_;
   mutable std::mutex mu_;
   mutable std::list<Entry> lru_;  ///< most recently used first
-  mutable std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+  mutable std::unordered_map<int, std::list<Entry>::iterator> index_;
   mutable std::size_t bytes_ = 0;
 };
 

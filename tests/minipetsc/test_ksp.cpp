@@ -72,6 +72,34 @@ TEST(Cg, ZeroRhsImmediateConvergence) {
   EXPECT_EQ(norm2(x), 0.0);
 }
 
+// An empty x starts CG from zero without the product A*0, which changes no
+// bit: the same iterations and the same x as from an explicit zero start.
+TEST(Cg, ZeroGuessSkipsTheInitialProduct) {
+  const auto A = dense_block_matrix({40, 40, 40, 40}, 0.6);
+  const PcBlockJacobi pc(A, RowPartition::from_boundaries(160, 4, {37, 81, 122}));
+  Vec b(160);
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] = std::sin(0.05 * i);
+  int calls = 0;
+  const LinearOp op = [&](const Vec& x, Vec& y) {
+    ++calls;
+    A.multiply(x, y);
+  };
+
+  Vec x_empty;
+  const auto from_empty = cg_solve(op, b, x_empty, pc);
+  const int empty_calls = calls;
+  calls = 0;
+  Vec x_zero(b.size(), 0.0);
+  const auto from_zero = cg_solve(op, b, x_zero, pc);
+
+  ASSERT_TRUE(from_empty.converged);
+  EXPECT_EQ(empty_calls, from_empty.iterations);
+  EXPECT_EQ(calls, from_zero.iterations + 1);
+  EXPECT_EQ(from_empty.iterations, from_zero.iterations);
+  EXPECT_EQ(from_empty.residual_norm, from_zero.residual_norm);
+  EXPECT_EQ(x_empty, x_zero);
+}
+
 TEST(Cg, MaxIterationsRespected) {
   const auto A = laplacian2d(30, 30);
   Vec b(900, 1.0);

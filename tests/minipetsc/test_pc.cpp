@@ -75,19 +75,24 @@ std::vector<double> random_dense(int n, double zero_frac, harmony::Rng& rng) {
   return a;
 }
 
+/// The dense copy of A's diagonal block on rows and columns [lo, hi).
+std::vector<double> dense_block(const CsrMatrix& A, int lo, int hi) {
+  const int b = hi - lo;
+  std::vector<double> dense(static_cast<std::size_t>(b) * b, 0.0);
+  for (int i = lo; i < hi; ++i) {
+    for (int j = lo; j < hi; ++j) {
+      dense[static_cast<std::size_t>(i - lo) * b + (j - lo)] = A.at(i, j);
+    }
+  }
+  return dense;
+}
+
 /// Block-Jacobi apply built from RefLu blocks.
 Vec ref_block_jacobi(const CsrMatrix& A, const RowPartition& part, const Vec& r) {
   Vec z = r;
   for (int rank = 0; rank < part.nranks(); ++rank) {
     const auto [lo, hi] = part.range(rank);
-    const int b = hi - lo;
-    std::vector<double> dense(static_cast<std::size_t>(b) * b, 0.0);
-    for (int i = lo; i < hi; ++i) {
-      for (int j = lo; j < hi; ++j) {
-        dense[static_cast<std::size_t>(i - lo) * b + (j - lo)] = A.at(i, j);
-      }
-    }
-    RefLu(std::move(dense), b).solve(z.data() + lo);
+    RefLu(dense_block(A, lo, hi), hi - lo).solve(z.data() + lo);
   }
   return z;
 }
@@ -199,6 +204,51 @@ TEST(DenseLuTest, SparsePivotingMatchesReferenceBitwise) {
           << "trial " << trial << " row " << i;
     }
   }
+}
+
+// With no interchange among its first m steps, a factor's leading block
+// solves bitwise like a fresh factor of the leading m x m block, and leaves
+// the entries from m on alone.
+TEST(DenseLuTest, LeadingBlockSolveMatchesFreshFactorBitwise) {
+  harmony::Rng rng(2207);
+  const std::vector<CsrMatrix> mats{dense_block_matrix({7, 19, 3, 11}, 0.6),
+                                    laplacian2d(9, 7), random_spd(90, 5, 11)};
+  for (const auto& A : mats) {
+    const int lo = 3;
+    const int n = A.rows() - lo;
+    const DenseLu lu(dense_block(A, lo, A.rows()), n);
+    ASSERT_EQ(lu.unpivoted(), n) << "rows " << A.rows();
+    for (int m = 1; m <= n; ++m) {
+      std::vector<double> b(static_cast<std::size_t>(n));
+      for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+      std::vector<double> want(b.begin(), b.begin() + m);
+      DenseLu(dense_block(A, lo, lo + m), m).solve(want);
+      const auto before = b;
+      lu.solve_leading(b.data(), m);
+      for (int i = 0; i < n; ++i) {
+        const auto I = static_cast<std::size_t>(i);
+        EXPECT_EQ(b[I], i < m ? want[I] : before[I])
+            << "rows " << A.rows() << " m=" << m << " row " << i;
+      }
+    }
+  }
+}
+
+TEST(DenseLuTest, UnpivotedStopsAtFirstInterchange) {
+  EXPECT_EQ(DenseLu({0, 1, 1, 0}, 2).unpivoted(), 0);
+  EXPECT_EQ(DenseLu({2, 1, 1, 3}, 2).unpivoted(), 2);
+  // Step 0 keeps its row, step 1 takes row 2, steps 2 and 3 keep theirs.
+  const DenseLu lu({4, 0, 0, 0,  //
+                    0, 1, 0, 0,  //
+                    0, 5, 1, 0,  //
+                    0, 0, 0, 1},
+                   4);
+  EXPECT_EQ(lu.unpivoted(), 1);
+  std::vector<double> b{8, 1, 1, 1};
+  lu.solve_leading(b.data(), 1);
+  EXPECT_EQ(b[0], 2.0);
+  EXPECT_THROW(lu.solve_leading(b.data(), 2), std::invalid_argument);
+  EXPECT_THROW(lu.solve_leading(b.data(), 0), std::invalid_argument);
 }
 
 TEST(PcNoneTest, IsIdentity) {
@@ -380,16 +430,63 @@ TEST(BlockFactorMemo, ConcurrentLookupsMatchFresh) {
   EXPECT_LE(memo.resident_bytes(), BlockFactorMemo::kBudgetBytes);
 }
 
-TEST(BlockFactorMemo, HitReturnsTheStoredFactor) {
+// One factor per start row: a shorter range is served from the held longer
+// factor's leading block, a longer range replaces it, and both solve bitwise
+// like a fresh factor.
+TEST(BlockFactorMemo, ShorterRangeSharesTheLongerFactor) {
   const auto A = laplacian2d(9, 7);
   const BlockFactorMemo memo(A);
   const auto f = memo.factor(3, 20);
+  EXPECT_EQ(f->unpivoted(), 17);
   EXPECT_EQ(memo.factor(3, 20).get(), f.get());
-  EXPECT_NE(memo.factor(3, 21).get(), f.get());
-  EXPECT_NE(memo.factor(4, 20).get(), f.get());
-  EXPECT_EQ(memo.factor(3, 21)->size(), 18);
+  EXPECT_EQ(memo.factor(3, 12).get(), f.get());
+  const auto g = memo.factor(3, 21);
+  EXPECT_NE(g.get(), f.get());
+  EXPECT_EQ(g->size(), 18);
+  EXPECT_EQ(memo.factor(3, 20).get(), g.get());
   EXPECT_EQ(memo.factor(4, 20)->size(), 16);
-  EXPECT_EQ(memo.entries(), 3u);
+  EXPECT_EQ(memo.entries(), 2u);
+
+  for (const int hi : {4, 12, 20, 21}) {
+    std::vector<double> want(static_cast<std::size_t>(hi - 3));
+    for (std::size_t i = 0; i < want.size(); ++i) want[i] = std::sin(0.7 * i + 1.0);
+    auto got = want;
+    factor_block(A, 3, hi).solve(want);
+    memo.factor(3, hi)->solve_leading(got.data(), hi - 3);
+    EXPECT_EQ(got, want) << "hi " << hi;
+  }
+  EXPECT_EQ(memo.factor(3, 12).get(), g.get());
+}
+
+// The longer factor swaps rows inside the shorter range, so its leading block
+// is not the shorter range's factor: that range is factored afresh.
+TEST(BlockFactorMemo, PivotedPrefixIsNotShared) {
+  // Nonsymmetric: at step 1 of [0, 6), row 4's entry in column 1 is the
+  // largest, so the factor takes row 4; [0, 3) has no row 4.
+  const auto A = CsrMatrix::from_triplets(
+      6, 6, {{0, 0, 4.0}, {0, 1, 1.0}, {1, 1, 1.0}, {1, 2, 0.5}, {2, 1, 0.5},
+             {2, 2, 3.0}, {3, 3, 2.0}, {4, 1, 9.0}, {4, 4, 1.0}, {5, 5, 2.0},
+             {3, 0, 1.0}, {5, 2, 1.0}});
+  const BlockFactorMemo memo(A);
+  const auto whole = memo.factor(0, 6);
+  ASSERT_EQ(whole->unpivoted(), 1);
+  const auto part = memo.factor(0, 3);
+  EXPECT_NE(part.get(), whole.get());
+  EXPECT_EQ(part->size(), 3);
+
+  Vec want{1.0, -2.0, 0.5};
+  auto got = want;
+  factor_block(A, 0, 3).solve(want);
+  part->solve_leading(got.data(), 3);
+  EXPECT_EQ(got, want);
+
+  const auto two = RowPartition::from_boundaries(6, 2, {3});
+  Vec r{1.0, -2.0, 0.5, 3.0, -1.0, 2.0};
+  Vec z_memo;
+  Vec z_fresh;
+  PcBlockJacobi(memo, two).apply(r, z_memo);
+  PcBlockJacobi(A, two).apply(r, z_fresh);
+  EXPECT_EQ(z_memo, z_fresh);
 }
 
 // Distinct large ranges: the memo keeps filling up to its byte budget and
@@ -425,6 +522,16 @@ TEST(BlockFactorMemo, BadRangesThrow) {
   EXPECT_THROW((void)memo.factor(2, 7), std::invalid_argument);
   EXPECT_THROW((void)memo.factor(3, 3), std::invalid_argument);
   EXPECT_EQ(memo.entries(), 0u);
+
+  // Held factors at start rows 0 and 5 must not "fit" a reversed, empty or
+  // out-of-range request.
+  (void)memo.factor(0, 6);
+  (void)memo.factor(5, 6);
+  EXPECT_THROW((void)memo.factor(5, 3), std::invalid_argument);
+  EXPECT_THROW((void)memo.factor(0, 0), std::invalid_argument);
+  EXPECT_THROW((void)memo.factor(0, 7), std::invalid_argument);
+  EXPECT_THROW((void)memo.factor(-1, 3), std::invalid_argument);
+  EXPECT_EQ(memo.entries(), 2u);
 }
 
 }  // namespace

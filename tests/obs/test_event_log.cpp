@@ -171,6 +171,25 @@ TEST(EventLog, ConcurrentRecordersKeepAllEvents) {
   }
 }
 
+// Eight concurrent recorders, one per shard, each filling exactly its share
+// of the capacity: nothing may be evicted, whatever the threads' ids are.
+TEST(EventLog, OneRecorderPerShardFillsTheWholeCapacity) {
+  constexpr int kThreads = 8;
+  constexpr int kEvents = 256;
+  obs::EventLog log(kThreads * kEvents);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&log] {
+      for (int i = 0; i < kEvents; ++i) {
+        log.record(obs::Severity::Info, "shard", "", "event");
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(log.size(), static_cast<std::size_t>(kThreads) * kEvents);
+}
+
 // Regression: a JSONL export must stay one-valid-object-per-line no matter
 // what bytes land in a record. Slow-request messages carry client-supplied
 // session ids and configs verbatim, so the escaper sees genuinely hostile

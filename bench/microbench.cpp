@@ -7,11 +7,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/harmony.hpp"
@@ -330,6 +332,64 @@ void BM_PopStepModelCold(benchmark::State& state) {
 }
 BENCHMARK(BM_PopStepModelCold);
 
+// 200-evaluation Nelder-Mead sessions with restarts on the perf ledger's
+// offline_pop space (the Fig. 4 block shape plus the Tables I/II namelist, 22
+// dimensions) from seeded random starts, through the controller with an
+// EvalCache. One PopModel serves every session, as in the ledger, so its memo
+// carries shapes from session to session. Each iteration is one session.
+// Counters: the memo's miss fraction, the blocks its misses built per
+// step_time call, and its entries and resident bytes at the end.
+void BM_PopStepModelSessions(benchmark::State& state) {
+  const minipop::PopGrid grid = minipop::PopGrid::production();
+  const minipop::PopModel model(grid);
+  const auto machine = simcluster::presets::nersc_sp3(30, 16);
+  const auto pop_space = minipop::make_param_space(32);
+  harmony::ParamSpace space;
+  space.add(harmony::Parameter::Integer("block_x", 30, 720, 6));
+  space.add(harmony::Parameter::Integer("block_y", 24, 600, 4));
+  for (const auto& p : pop_space.params()) space.add(p);
+
+  std::uint64_t calls = 0;
+  double blocks_built = 0.0;
+  harmony::Config pop;
+  const harmony::Evaluator evaluate = [&](const harmony::Config& c) {
+    pop.values.assign(c.values.begin() + 2, c.values.end());
+    const minipop::BlockShape shape{
+        static_cast<int>(std::get<std::int64_t>(c.values[0])),
+        static_cast<int>(std::get<std::int64_t>(c.values[1]))};
+    const auto misses = model.stats().misses;
+    harmony::EvaluationResult r;
+    r.objective =
+        model.step_time(machine, 16, shape, minipop::evaluate_multipliers(pop_space, pop))
+            .total_s;
+    ++calls;
+    if (model.stats().misses != misses) {
+      blocks_built += static_cast<double>((grid.nx() + shape.bx - 1) / shape.bx) *
+                      ((grid.ny() + shape.by - 1) / shape.by);
+    }
+    return r;
+  };
+  harmony::SerialEvalBackend backend(evaluate);
+  harmony::Rng rng(29);
+  for (auto _ : state) {
+    harmony::NelderMeadOptions nm;
+    nm.max_restarts = 16;
+    nm.seed = rng();
+    harmony::NelderMead strategy(space, nm, space.random_config(rng));
+    harmony::EvalCache cache(space);
+    harmony::SearchController controller(space, {200, 200 * 64}, {}, nullptr, &cache);
+    benchmark::DoNotOptimize(controller.run(strategy, backend).best_objective);
+  }
+  const auto s = model.stats();
+  state.counters["miss_frac"] =
+      static_cast<double>(s.misses) / static_cast<double>(std::max<std::uint64_t>(1, calls));
+  state.counters["blocks_built_per_call"] =
+      blocks_built / static_cast<double>(std::max<std::uint64_t>(1, calls));
+  state.counters["memo_entries"] = static_cast<double>(s.entries);
+  state.counters["memo_kib"] = static_cast<double>(s.resident_bytes) / 1024.0;
+}
+BENCHMARK(BM_PopStepModelSessions)->Unit(benchmark::kMillisecond);
+
 // Seeded boundary triples of the petsc substrate's 160-row matrix: half
 // uniform over the space, half within +-6 rows of the block edges (40, 80,
 // 120), the mix a tuning session visits.
@@ -427,13 +487,16 @@ void BM_BlockJacobiSetupMemo(benchmark::State& state) {
       }
       return out;
     };
-    const std::size_t bytes = warm.resident_bytes();
+    const std::size_t bytes = warm.stats().resident_bytes;
     const auto first = lookups();
-    if (lookups() != first || warm.resident_bytes() != bytes) {
+    if (lookups() != first || warm.stats().resident_bytes != bytes) {
       state.SkipWithError("a warm set-up is not served from the memo");
       return;
     }
   }
+  const auto before = warm.stats();
+  std::uint64_t hits = 0;
+  std::uint64_t lookups = 0;
   std::size_t k = 0;
   for (auto _ : state) {
     const auto& part = parts[k++ % parts.size()];
@@ -444,8 +507,18 @@ void BM_BlockJacobiSetupMemo(benchmark::State& state) {
       const minipetsc::BlockFactorMemo cold(A);
       const minipetsc::PcBlockJacobi pc(cold, part);
       benchmark::DoNotOptimize(&pc);
+      const auto s = cold.stats();
+      hits += s.hits;
+      lookups += s.hits + s.misses;
     }
   }
+  if (hit) {
+    const auto s = warm.stats();
+    hits = s.hits - before.hits;
+    lookups = hits + s.misses - before.misses;
+  }
+  state.counters["hit_rate"] =
+      static_cast<double>(hits) / static_cast<double>(std::max<std::uint64_t>(1, lookups));
 }
 BENCHMARK(BM_BlockJacobiSetupMemo)
     ->ArgNames({"hit", "prefix"})

@@ -178,7 +178,11 @@ std::shared_ptr<const DenseLu> BlockFactorMemo::factor(int lo, int hi) const {
   };
   {
     const std::lock_guard lock(mu_);
-    if (auto lu = held()) return lu;
+    if (auto lu = held()) {
+      ++stats_.hits;
+      return lu;
+    }
+    ++stats_.misses;
   }
 
   auto lu = std::make_shared<const DenseLu>(factor_block(*A_, lo, hi));
@@ -188,26 +192,25 @@ std::shared_ptr<const DenseLu> BlockFactorMemo::factor(int lo, int hi) const {
   if (auto fit = held()) return fit;
   if (bytes > kBudgetBytes) return lu;
   const auto drop = [this](std::list<Entry>::iterator e) {
-    bytes_ -= e->lu->bytes();
+    stats_.resident_bytes -= e->lu->bytes();
     index_.erase(e->lo);
     lru_.erase(e);
   };
   if (const auto it = index_.find(lo); it != index_.end()) drop(it->second);
-  while (bytes_ + bytes > kBudgetBytes) drop(std::prev(lru_.end()));
+  while (stats_.resident_bytes + bytes > kBudgetBytes) {
+    drop(std::prev(lru_.end()));
+    ++stats_.evictions;
+  }
   lru_.push_front(Entry{lo, lu});
   index_.emplace(lo, lru_.begin());
-  bytes_ += bytes;
+  stats_.resident_bytes += bytes;
+  stats_.entries = lru_.size();
   return lu;
 }
 
-std::size_t BlockFactorMemo::resident_bytes() const {
+BlockFactorMemo::Stats BlockFactorMemo::stats() const {
   const std::lock_guard lock(mu_);
-  return bytes_;
-}
-
-std::size_t BlockFactorMemo::entries() const {
-  const std::lock_guard lock(mu_);
-  return lru_.size();
+  return stats_;
 }
 
 PcBlockJacobi::PcBlockJacobi(const CsrMatrix& A, const RowPartition& part) {

@@ -7,6 +7,7 @@
 /// sub-structure make far better local solves).
 
 #include <cstddef>
+#include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -127,9 +128,16 @@ class BlockFactorMemo {
 
   [[nodiscard]] const CsrMatrix& matrix() const noexcept { return *A_; }
 
-  /// Bytes of the factors held now; never above kBudgetBytes.
-  [[nodiscard]] std::size_t resident_bytes() const;
-  [[nodiscard]] std::size_t entries() const;
+  /// Lookups served from a held factor (hits) or factored (misses), start
+  /// rows dropped to stay within the budget (evictions), and what is held.
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+    std::size_t entries = 0;
+    std::size_t resident_bytes = 0;  ///< factor bytes; never above kBudgetBytes
+  };
+  [[nodiscard]] Stats stats() const;
 
  private:
   struct Entry {
@@ -141,7 +149,7 @@ class BlockFactorMemo {
   mutable std::mutex mu_;
   mutable std::list<Entry> lru_;  ///< most recently used first
   mutable std::unordered_map<int, std::list<Entry>::iterator> index_;
-  mutable std::size_t bytes_ = 0;
+  mutable Stats stats_;
 };
 
 /// Block-Jacobi: exact dense solves on the diagonal blocks induced by a row

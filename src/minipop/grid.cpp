@@ -21,19 +21,34 @@ PopGrid::PopGrid(int nx, int ny, int depth_levels) : nx_(nx), ny_(ny), kz_(depth
       std::numeric_limits<std::int32_t>::max()) {
     throw std::invalid_argument("PopGrid: too many coarse cells");
   }
-  prefix_.assign(static_cast<std::size_t>(cnx_ + 1) * (cny_ + 1), 0);
-  for (int cj = 0; cj < cny_; ++cj) {
-    for (int ci = 0; ci < cnx_; ++ci) {
-      const int i = std::min(nx_ - 1, ci * stride_ + stride_ / 2);
-      const int j = std::min(ny_ - 1, cj * stride_ + stride_ / 2);
-      const std::int64_t cell = is_ocean(i, j) ? 1 : 0;
-      const auto at = [this](int a, int b) -> std::int32_t& {
-        return prefix_[static_cast<std::size_t>(b) * (cnx_ + 1) + a];
-      };
-      // Summed in 64 bits: the two overlapping terms may exceed 32 bits
-      // before the subtraction brings the total back under the cell count.
-      at(ci + 1, cj + 1) = static_cast<std::int32_t>(cell + at(ci, cj + 1) +
-                                                     at(ci + 1, cj) - at(ci, cj));
+  // Anchor rows as far apart as keeps every delta, at most (rows apart) x
+  // cnx_ cells, within 16 bits. Row b of P is row b - 1 plus the running
+  // count of mask row b - 1.
+  while (anchor_shift_ < 16 &&
+         ((std::int64_t{2} << anchor_shift_) - 1) * cnx_ <=
+             std::numeric_limits<std::uint16_t>::max()) {
+    ++anchor_shift_;
+  }
+  const auto w = static_cast<std::size_t>(cnx_ + 1);
+  anchors_.assign(static_cast<std::size_t>((cny_ >> anchor_shift_) + 1) * w, 0);
+  deltas_.assign(static_cast<std::size_t>(cny_ + 1) * w, 0);
+  std::vector<std::int64_t> row(w, 0);
+  for (int b = 0; b <= cny_; ++b) {
+    if (b > 0) {
+      const int j = std::min(ny_ - 1, (b - 1) * stride_ + stride_ / 2);
+      std::int64_t run = 0;
+      for (int ci = 0; ci < cnx_; ++ci) {
+        run += is_ocean(std::min(nx_ - 1, ci * stride_ + stride_ / 2), j) ? 1 : 0;
+        row[static_cast<std::size_t>(ci) + 1] += run;
+      }
+    }
+    const auto ub = static_cast<std::size_t>(b);
+    std::int32_t* anchor = &anchors_[(ub >> anchor_shift_) * w];
+    for (std::size_t a = 0; a < w; ++a) {
+      if ((b & ((1 << anchor_shift_) - 1)) == 0) {
+        anchor[a] = static_cast<std::int32_t>(row[a]);
+      }
+      deltas_[ub * w + a] = static_cast<std::uint16_t>(row[a] - anchor[a]);
     }
   }
   ocean_fraction_ = static_cast<double>(ocean_points_in(0, nx_, 0, ny_)) /
@@ -50,11 +65,15 @@ PopGrid::CoarseLine PopGrid::coarse_line(int x, int coarse_extent) const {
   return line;
 }
 
+std::int32_t PopGrid::prefix(int a, int b) const {
+  const auto w = static_cast<std::size_t>(cnx_ + 1);
+  const auto ua = static_cast<std::size_t>(a);
+  const auto ub = static_cast<std::size_t>(b);
+  return anchors_[(ub >> anchor_shift_) * w + ua] + deltas_[ub * w + ua];
+}
+
 double PopGrid::corner(const CoarseLine& x, const CoarseLine& y) const {
-  const auto at = [this](int a, int b) {
-    return static_cast<double>(
-        prefix_[static_cast<std::size_t>(b) * (cnx_ + 1) + a]);
-  };
+  const auto at = [this](int a, int b) { return static_cast<double>(prefix(a, b)); };
   const double top = at(x.lo, y.lo) * (1 - x.frac) + at(x.hi, y.lo) * x.frac;
   const double bot = at(x.lo, y.hi) * (1 - x.frac) + at(x.hi, y.hi) * x.frac;
   return top * (1 - y.frac) + bot * y.frac;
@@ -65,8 +84,8 @@ std::int64_t PopGrid::block_points(double c00, double c10, double c01, double c1
   if (total == 0) return 0;
   const double s = stride_;
   const double cells = c11 - c01 - c10 + c00;
-  return std::min<std::int64_t>(
-      total, static_cast<std::int64_t>(std::llround(cells * s * s)));
+  // |cells * s * s| stays near the block's point count, far below 2^53.
+  return std::min(total, round_half_away(cells * s * s));
 }
 
 bool PopGrid::is_ocean(int i, int j) const {

@@ -19,16 +19,14 @@
 /// (CPUs per node), and the namelist parameters (Tables I/II).
 ///
 /// A search changes the namelist parameters far more often than the block
-/// shape, so PopModel memoizes what step_time reads from a decomposition per
-/// (block shape, ranks, ranks per node, distribution) in a small fixed-size,
-/// thread-safe memo. Machine speeds are applied after the lookup.
+/// shape, so PopModel memoizes a compact summary of each decomposition per
+/// (block shape, ranks per node, distribution, node layout) in a
+/// byte-bounded, thread-safe memo. The namelist multipliers and the node
+/// speeds are applied after the lookup.
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "minipop/blocks.hpp"
 #include "minipop/grid.hpp"
@@ -68,10 +66,14 @@ struct PopStepReport {
 
 class PopModel {
  public:
+  /// Throws std::invalid_argument when a cost rate is negative or not
+  /// finite, or `ref_flops_per_s` is not positive.
   PopModel(const PopGrid& grid, PopCostModel cost = {}, IoModel io = {});
 
   /// Simulated time of one step on `machine` using all its CPUs as ranks.
   /// `ppn` is taken from the machine's first node group via rank layout.
+  /// Throws std::invalid_argument for `ranks_per_node` < 1 and for a
+  /// negative or non-finite phase multiplier.
   [[nodiscard]] PopStepReport step_time(
       const simcluster::Machine& machine, int ranks_per_node, BlockShape block,
       const PhaseMultipliers& mult,
@@ -87,44 +89,37 @@ class PopModel {
   [[nodiscard]] const PopCostModel& cost() const noexcept { return cost_; }
   [[nodiscard]] const IoModel& io() const noexcept { return io_; }
 
-  /// The decomposition memo holds this many shapes and evicts the least
-  /// recently used one.
-  static constexpr std::size_t kMemoEntries = 64;
+  /// The decomposition memo's tables, entries and node layouts together
+  /// stay within this many bytes.
+  static constexpr std::size_t kMemoBudgetBytes = std::size_t{360} << 10;
+
+  struct MemoStats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+    std::size_t entries = 0;
+    std::size_t resident_bytes = 0;  ///< never above kMemoBudgetBytes
+  };
+  [[nodiscard]] MemoStats stats() const;
+
+  PopModel(const PopModel&) = delete;
+  PopModel& operator=(const PopModel&) = delete;
+  ~PopModel();
 
  private:
-  /// What step_time reads from one decomposition; independent of the
-  /// machine's CPU speeds and of the namelist parameters.
-  struct ShapeSummary {
-    double inefficiency = 1.0;
-    std::vector<std::int64_t> computed_points;  ///< per rank
-    std::vector<int> blocks;                    ///< per rank
-    double max_blocks = 0.0;
-    BlockDecomposition::HaloStats halo;
-  };
+  struct Memo;
 
-  struct MemoKey {
-    int bx, by, nranks, ranks_per_node;
-    Distribution dist;
-    bool operator==(const MemoKey&) const = default;
-  };
-
-  struct MemoEntry {
-    MemoKey key{};
-    std::shared_ptr<const ShapeSummary> summary;
-    std::uint64_t last_use = 0;
-  };
-
-  [[nodiscard]] std::shared_ptr<const ShapeSummary> summary(
-      BlockShape block, int nranks, int ranks_per_node, Distribution dist) const;
+  /// The terms of a step that depend on the decomposition: imbalance,
+  /// baroclinic_s and halo_s.
+  [[nodiscard]] PopStepReport shape_terms(const simcluster::Machine& machine,
+                                          int ranks_per_node, BlockShape block,
+                                          Distribution dist,
+                                          double phase_mult) const;
 
   const PopGrid* grid_;
   PopCostModel cost_;
   IoModel io_;
-  // Scanned linearly under one mutex, which makes PopModel neither copyable
-  // nor movable.
-  mutable std::mutex memo_mu_;
-  mutable std::array<MemoEntry, kMemoEntries> memo_{};
-  mutable std::uint64_t memo_clock_ = 0;
+  std::unique_ptr<Memo> memo_;
 };
 
 }  // namespace minipop

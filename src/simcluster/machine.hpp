@@ -83,6 +83,12 @@ class Machine {
     return nodes_;
   }
 
+  /// The node groups in the order they were added: the machine's node
+  /// layout as runs of identical nodes.
+  [[nodiscard]] const std::vector<NodeGroup>& groups() const noexcept {
+    return groups_;
+  }
+
   /// CPU family name for this rank (may be empty).
   [[nodiscard]] const std::string& rank_cpu_name(int rank) const;
 

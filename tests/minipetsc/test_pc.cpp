@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <thread>
 #include <utility>
@@ -369,7 +370,9 @@ TEST(BlockFactorMemo, MemoizedApplyMatchesFreshBitwise) {
     const BlockFactorMemo memo(A);
     std::set<std::pair<int, int>> ranges;
     std::size_t distinct_bytes = 0;
+    std::uint64_t lookups = 0;
     for (const auto& part : partition_walk(n, 300, rng)) {
+      lookups += static_cast<std::uint64_t>(part.nranks());
       for (int rank = 0; rank < part.nranks(); ++rank) {
         const auto range = part.range(rank);
         if (ranges.insert(range).second) {
@@ -388,9 +391,14 @@ TEST(BlockFactorMemo, MemoizedApplyMatchesFreshBitwise) {
         ASSERT_EQ(got[i], want[i]) << "n=" << n << " row " << i;
       }
     }
-    EXPECT_LT(memo.entries(), ranges.size());
+    const auto stats = memo.stats();
+    EXPECT_LT(stats.entries, ranges.size());
+    EXPECT_EQ(stats.hits + stats.misses, lookups);
+    EXPECT_GT(stats.hits, 0u);
+    EXPECT_GE(stats.misses, stats.entries);
     if (n == 160) {
       EXPECT_GT(distinct_bytes, 3 * BlockFactorMemo::kBudgetBytes);
+      EXPECT_GT(stats.evictions, 0u);
     }
   }
 }
@@ -427,7 +435,7 @@ TEST(BlockFactorMemo, ConcurrentLookupsMatchFresh) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(mismatches[t], 0) << "thread " << t;
   }
-  EXPECT_LE(memo.resident_bytes(), BlockFactorMemo::kBudgetBytes);
+  EXPECT_LE(memo.stats().resident_bytes, BlockFactorMemo::kBudgetBytes);
 }
 
 // One factor per start row: a shorter range is served from the held longer
@@ -445,7 +453,11 @@ TEST(BlockFactorMemo, ShorterRangeSharesTheLongerFactor) {
   EXPECT_EQ(g->size(), 18);
   EXPECT_EQ(memo.factor(3, 20).get(), g.get());
   EXPECT_EQ(memo.factor(4, 20)->size(), 16);
-  EXPECT_EQ(memo.entries(), 2u);
+  const auto stats = memo.stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.evictions, 0u);  // a replaced factor is not an eviction
 
   for (const int hi : {4, 12, 20, 21}) {
     std::vector<double> want(static_cast<std::size_t>(hi - 3));
@@ -502,15 +514,16 @@ TEST(BlockFactorMemo, ResidentBytesStayWithinBudget) {
     const int lo = static_cast<int>(rng.uniform_int(0, A.rows() - len));
     const auto lu = memo.factor(lo, lo + len);
     EXPECT_EQ(lu->size(), len);
-    EXPECT_LE(memo.resident_bytes(), BlockFactorMemo::kBudgetBytes) << "range " << i;
-    peak = std::max(peak, memo.resident_bytes());
+    EXPECT_LE(memo.stats().resident_bytes, BlockFactorMemo::kBudgetBytes) << "range " << i;
+    peak = std::max(peak, memo.stats().resident_bytes);
   }
   EXPECT_GT(peak, BlockFactorMemo::kBudgetBytes / 2);
-  EXPECT_LT(memo.entries(), 60u);
+  EXPECT_LT(memo.stats().entries, 60u);
+  EXPECT_GT(memo.stats().evictions, 0u);
 
   const auto whole = memo.factor(0, A.rows());
   EXPECT_GT(whole->bytes(), BlockFactorMemo::kBudgetBytes);
-  EXPECT_LE(memo.resident_bytes(), BlockFactorMemo::kBudgetBytes);
+  EXPECT_LE(memo.stats().resident_bytes, BlockFactorMemo::kBudgetBytes);
   EXPECT_NE(memo.factor(0, A.rows()).get(), whole.get());
 }
 
@@ -521,7 +534,7 @@ TEST(BlockFactorMemo, BadRangesThrow) {
   EXPECT_THROW((void)memo.factor(-1, 3), std::invalid_argument);
   EXPECT_THROW((void)memo.factor(2, 7), std::invalid_argument);
   EXPECT_THROW((void)memo.factor(3, 3), std::invalid_argument);
-  EXPECT_EQ(memo.entries(), 0u);
+  EXPECT_EQ(memo.stats().entries, 0u);
 
   // Held factors at start rows 0 and 5 must not "fit" a reversed, empty or
   // out-of-range request.
@@ -531,7 +544,7 @@ TEST(BlockFactorMemo, BadRangesThrow) {
   EXPECT_THROW((void)memo.factor(0, 0), std::invalid_argument);
   EXPECT_THROW((void)memo.factor(0, 7), std::invalid_argument);
   EXPECT_THROW((void)memo.factor(-1, 3), std::invalid_argument);
-  EXPECT_EQ(memo.entries(), 2u);
+  EXPECT_EQ(memo.stats().entries, 2u);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace {
@@ -128,6 +130,48 @@ TEST(PopGridTest, LatticeMatchesPerBlockOnFig4Shapes) {
   EXPECT_GT(blocks, 3'000'000U);
 }
 
+TEST(PopGridTest, StrideOneCountsMatchTheMask) {
+  // With coarse stride 1 every rectangle count is an exact sum of the mask,
+  // so the stored prefix sums must add back to a brute-force one, on and
+  // around the anchor rows they are split at (every 64 rows at 600 columns,
+  // every 8 at 5000, none past row 0 on the small grids).
+  for (const auto& g : {PopGrid(600, 600), PopGrid(5000, 300), PopGrid(97, 61),
+                        PopGrid(1, 7)}) {
+    const auto w = static_cast<std::size_t>(g.nx() + 1);
+    std::vector<std::int64_t> sum(w * static_cast<std::size_t>(g.ny() + 1), 0);
+    for (int j = 0; j < g.ny(); ++j) {
+      for (int i = 0; i < g.nx(); ++i) {
+        const auto at = [&](int a, int b) { return static_cast<std::size_t>(b) * w + a; };
+        sum[at(i + 1, j + 1)] = (g.is_ocean(i, j) ? 1 : 0) + sum[at(i, j + 1)] +
+                                sum[at(i + 1, j)] - sum[at(i, j)];
+      }
+    }
+    const auto rect = [&](int i0, int i1, int j0, int j1) {
+      const auto at = [&](int a, int b) { return sum[static_cast<std::size_t>(b) * w + a]; };
+      return at(i1, j1) - at(i0, j1) - at(i1, j0) + at(i0, j0);
+    };
+    std::vector<int> xs;
+    std::vector<int> ys;
+    for (const int c : {0, 1, 7, 8, 9, 15, 16, 17, 60, 61, 63, 64, 65, 96, 97, 127, 128,
+                        129, 255, 256, 257, 299, 300, 599, 600, 4999, 5000}) {
+      if (c <= g.nx()) xs.push_back(c);
+      if (c <= g.ny()) ys.push_back(c);
+    }
+    for (const int i0 : xs) {
+      for (const int i1 : xs) {
+        for (const int j0 : ys) {
+          for (const int j1 : ys) {
+            if (i0 > i1 || j0 > j1) continue;
+            ASSERT_EQ(g.ocean_points_in(i0, i1, j0, j1), rect(i0, i1, j0, j1))
+                << g.nx() << "x" << g.ny() << " grid [" << i0 << ", " << i1 << ") x ["
+                << j0 << ", " << j1 << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(PopGridTest, LatticeMatchesPerBlockOnStrideOneGrids) {
   // A grid whose shorter side is under 1200 points keeps every mask point
   // (coarse stride 1), so lattice lines land on whole coarse cells.
@@ -174,6 +218,28 @@ TEST(PopGridTest, LatticeBadBlockSizeThrows) {
   const auto g = PopGrid(100, 100);
   EXPECT_THROW((void)g.ocean_points_lattice(0, 10), std::invalid_argument);
   EXPECT_THROW((void)g.ocean_points_lattice(10, -1), std::invalid_argument);
+}
+
+TEST(PopGridTest, InlineRoundingMatchesLlround) {
+  // Halves, the doubles on either side of them, slightly negative cell sums
+  // and values past the 32-bit range.
+  std::vector<double> xs{0.0, -0.0, 1e-300, -1e-300, 1e-9, -1e-9, 0.25, -0.25};
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double k : {0.0, 1.0, 2.0, 7.0, 100.0, 4095.0, 86399.0, 3.0e9, 4.5e15}) {
+    for (const double sign : {1.0, -1.0}) {
+      const double half = sign * (k + 0.5);
+      xs.push_back(half);
+      xs.push_back(std::nextafter(half, inf));
+      xs.push_back(std::nextafter(half, -inf));
+      xs.push_back(sign * k);
+      xs.push_back(std::nextafter(sign * k, inf));
+      xs.push_back(std::nextafter(sign * k, -inf));
+    }
+  }
+  for (int i = -4000; i <= 4000; ++i) xs.push_back(i / 16.0);
+  for (const double x : xs) {
+    EXPECT_EQ(minipop::round_half_away(x), std::llround(x)) << std::hexfloat << x;
+  }
 }
 
 TEST(PopGridTest, BadShapeThrows) {

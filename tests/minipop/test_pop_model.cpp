@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/rng.hpp"
+#include "simcluster/collectives.hpp"
 #include "simcluster/presets.hpp"
 
 namespace {
@@ -157,14 +161,17 @@ const Distribution kAllDistributions[] = {
     Distribution::Cartesian, Distribution::RakeWork, Distribution::RoundRobin,
     Distribution::Balanced, Distribution::Auto};
 
-/// kMemoEntries large-block shapes no test below queries otherwise:
-/// evaluating them evicts every earlier key.
-std::vector<BlockShape> evicting_shapes() {
-  std::vector<BlockShape> out;
-  for (std::size_t i = 0; i < PopModel::kMemoEntries; ++i) {
-    out.push_back({600 + static_cast<int>(i), 777});
+/// Evaluates large-block shapes that no test below queries otherwise until
+/// the memo has evicted twice as many entries as it holds, which drops the
+/// earlier keys from its least-recently-used sets.
+void turn_over(const PopModel& model, const Machine& m, int ppn) {
+  const auto mult = defaults_mult();
+  for (int i = 0; i < 100000; ++i) {
+    const auto s = model.stats();
+    if (s.evictions > 0 && s.evictions >= 2 * s.entries) return;
+    (void)model.step_time(m, ppn, {600 + i % 3000, 777 + i / 3000}, mult);
   }
-  return out;
+  ADD_FAILURE() << "the memo did not turn over";
 }
 
 TEST(PopModel, MemoHitsAndEvictionsMatchColdBuild) {
@@ -174,34 +181,43 @@ TEST(PopModel, MemoHitsAndEvictionsMatchColdBuild) {
   const BlockShape shapes[] = {{30, 24}, {720, 600}, {37, 53}, {250, 170}, {700, 1000}};
   for (const int ppn : {2, 4, 8, 16}) {
     const auto m = presets::nersc_sp3(480 / ppn, ppn);
+    const PopModel warmed(grid());
+    std::vector<PopStepReport> cold, first, hit, rebuilt;
     for (const auto dist : kAllDistributions) {
-      const PopModel warmed(grid());
-      std::vector<PopStepReport> cold, first, hit, rebuilt;
       for (const auto shape : shapes) {
         cold.push_back(PopModel(grid()).step_time(m, ppn, shape, mult, dist));
         first.push_back(warmed.step_time(m, ppn, shape, mult, dist));
         hit.push_back(warmed.step_time(m, ppn, shape, mult, dist));
       }
-      for (const auto other : evicting_shapes()) {
-        (void)warmed.step_time(m, ppn, other, mult, dist);
-      }
+    }
+    turn_over(warmed, m, ppn);
+    const auto before = warmed.stats();
+    for (const auto dist : kAllDistributions) {
       for (const auto shape : shapes) {
         rebuilt.push_back(warmed.step_time(m, ppn, shape, mult, dist));
       }
-      for (std::size_t i = 0; i < std::size(shapes); ++i) {
-        const std::string what =
-            std::to_string(shapes[i].bx) + "x" + std::to_string(shapes[i].by) +
-            " ppn " + std::to_string(ppn) + " " + to_string(dist);
-        expect_same(first[i], cold[i], what + " (first)");
-        expect_same(hit[i], cold[i], what + " (hit)");
-        expect_same(rebuilt[i], cold[i], what + " (evicted)");
+    }
+    EXPECT_GT(before.evictions, 0u);
+    // The turnover dropped the shapes above, so they were built again.
+    EXPECT_EQ(warmed.stats().misses - before.misses, cold.size()) << "ppn " << ppn;
+    std::size_t k = 0;
+    for (const auto dist : kAllDistributions) {
+      for (const auto shape : shapes) {
+        const std::string what = std::to_string(shape.bx) + "x" +
+                                 std::to_string(shape.by) + " ppn " +
+                                 std::to_string(ppn) + " " + to_string(dist);
+        expect_same(first[k], cold[k], what + " (first)");
+        expect_same(hit[k], cold[k], what + " (hit)");
+        expect_same(rebuilt[k], cold[k], what + " (evicted)");
+        ++k;
       }
     }
   }
 }
 
 TEST(PopModel, MemoAppliesMachineSpeedAfterLookup) {
-  // Same layout (so the same memo key), different per-node speeds.
+  // Same rank count and node shape, different per-node speeds: the speeds
+  // are part of the memo key, so the second machine gets its own entries.
   auto hetero = simcluster::Machine(presets::nersc_sp3(1, 16).network());
   hetero.add_nodes(15, 16, 0.6).add_nodes(15, 16, 1.7);
   const auto homo = presets::nersc_sp3(30, 16);
@@ -216,8 +232,39 @@ TEST(PopModel, MemoAppliesMachineSpeedAfterLookup) {
   }
 }
 
+TEST(PopModel, LayoutsWithOneRankCountDoNotShareEntries) {
+  // 480 ranks each: one speed; two speeds in either order; and one speed
+  // over two node shapes.
+  const auto net = presets::nersc_sp3(1, 16).network();
+  std::vector<Machine> machines{presets::nersc_sp3(30, 16), Machine(net),
+                                Machine(net), Machine(net)};
+  machines[1].add_nodes(15, 16, 0.6).add_nodes(15, 16, 1.7);
+  machines[2].add_nodes(15, 16, 1.7).add_nodes(15, 16, 0.6);
+  machines[3].add_nodes(10, 16, 1.0).add_nodes(40, 8, 1.0);
+  const PopModel shared(grid());
+  const auto mult = defaults_mult();
+  for (const auto dist : {Distribution::Cartesian, Distribution::RakeWork}) {
+    for (const auto shape : {BlockShape{180, 100}, BlockShape{37, 53}, BlockShape{600, 400}}) {
+      // Twice round, so the second round reads entries the others did not
+      // overwrite.
+      for (int round = 0; round < 2; ++round) {
+        for (std::size_t k = 0; k < machines.size(); ++k) {
+          ASSERT_EQ(machines[k].total_cpus(), 480);
+          expect_same(shared.step_time(machines[k], 16, shape, mult, dist),
+                      PopModel(grid()).step_time(machines[k], 16, shape, mult, dist),
+                      "machine " + std::to_string(k) + " " +
+                          std::to_string(shape.bx) + "x" + std::to_string(shape.by) +
+                          " " + to_string(dist));
+        }
+      }
+    }
+  }
+  EXPECT_GT(shared.stats().hits, 0u);
+}
+
 TEST(PopModel, ConcurrentStepTimeMatchesSerial) {
-  // More keys than the memo holds, so threads also race on evictions.
+  // More keys than the memo holds, so threads also race on evictions. The
+  // serial results come from a model that sees each key once.
   const auto m = presets::nersc_sp3(30, 16);
   const auto mult = defaults_mult();
   struct Query {
@@ -225,16 +272,18 @@ TEST(PopModel, ConcurrentStepTimeMatchesSerial) {
     Distribution dist;
   };
   std::vector<Query> queries;
-  for (int i = 0; i < 40; ++i) {
-    for (const auto dist : {Distribution::Cartesian, Distribution::RoundRobin}) {
-      queries.push_back({{150 + 12 * i, 100 + 8 * (i % 7)}, dist});
-    }
-  }
-  ASSERT_GT(queries.size(), PopModel::kMemoEntries);
   std::vector<PopStepReport> serial;
-  for (const auto& q : queries) {
-    serial.push_back(PopModel(grid()).step_time(m, 16, q.shape, mult, q.dist));
+  const PopModel once(grid());
+  while (once.stats().evictions * 4 < once.stats().entries ||
+         once.stats().evictions == 0) {
+    ASSERT_LT(queries.size(), 100000u) << "the memo never evicts";
+    const int i = static_cast<int>(queries.size());
+    const Query q{{150 + 6 * (i / 2 % 500), 100 + 4 * (i / 1000)},
+                  i % 2 == 0 ? Distribution::Cartesian : Distribution::RoundRobin};
+    queries.push_back(q);
+    serial.push_back(once.step_time(m, 16, q.shape, mult, q.dist));
   }
+  ASSERT_EQ(once.stats().hits, 0u);
 
   const PopModel shared(grid());
   constexpr int kThreads = 4;
@@ -255,6 +304,7 @@ TEST(PopModel, ConcurrentStepTimeMatchesSerial) {
     });
   }
   for (auto& th : threads) th.join();
+  EXPECT_GT(shared.stats().evictions, 0u);
   for (int t = 0; t < kThreads; ++t) {
     for (std::size_t k = 0; k < queries.size() * kRounds; ++k) {
       const auto i = (k + static_cast<std::size_t>(t) * 11) % queries.size();
@@ -262,6 +312,139 @@ TEST(PopModel, ConcurrentStepTimeMatchesSerial) {
                   "thread " + std::to_string(t) + " query " + std::to_string(i));
     }
   }
+}
+
+TEST(PopModel, MemoStaysWithinItsByteBudget) {
+  const auto m = presets::nersc_sp3(30, 16);
+  const PopModel model(grid());
+  const auto empty = model.stats();
+  EXPECT_EQ(empty.entries, 0u);
+  EXPECT_LE(empty.resident_bytes, PopModel::kMemoBudgetBytes);
+  turn_over(model, m, 16);
+  const auto full = model.stats();
+  EXPECT_GT(full.entries, 2048u);
+  EXPECT_LE(full.resident_bytes, PopModel::kMemoBudgetBytes);
+  // Under 100 bytes a shape, tables included.
+  EXPECT_LT(full.resident_bytes, full.entries * 100);
+  EXPECT_EQ(full.hits, 0u);
+  EXPECT_EQ(full.misses, full.entries + full.evictions);
+}
+
+TEST(PopModel, RejectsNegativeOrNonFiniteMultipliers) {
+  const PopModel model(grid());
+  const auto m = presets::nersc_sp3(30, 16);
+  for (const double bad : {-1e-300, -1.0, std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    for (int field = 0; field < 4; ++field) {
+      PhaseMultipliers mult = defaults_mult();
+      double* const fields[] = {&mult.momentum, &mult.tracer, &mult.state,
+                                &mult.forcing};
+      *fields[field] = bad;
+      EXPECT_THROW((void)model.step_time(m, 16, {180, 100}, mult),
+                   std::invalid_argument)
+          << "field " << field << " = " << bad;
+    }
+  }
+  PhaseMultipliers zero = defaults_mult();
+  zero.momentum = zero.tracer = zero.state = zero.forcing = 0.0;
+  EXPECT_NO_THROW((void)model.step_time(m, 16, {180, 100}, zero));
+  EXPECT_NO_THROW((void)model.step_time(m, 16, {180, 100}, best_multipliers()));
+}
+
+TEST(PopModel, RejectsCostRatesThatBreakTheShapeSummary) {
+  const auto with = [](auto set) {
+    PopCostModel c;
+    set(c);
+    return c;
+  };
+  EXPECT_NO_THROW(PopModel(grid(), with([](PopCostModel& c) { c.other_share = 0.0; })));
+  EXPECT_THROW(PopModel(grid(), with([](PopCostModel& c) { c.ref_flops_per_s = 0.0; })),
+               std::invalid_argument);
+  EXPECT_THROW(PopModel(grid(), with([](PopCostModel& c) {
+                 c.flops_per_point_level = -130.0;
+               })),
+               std::invalid_argument);
+  EXPECT_THROW(PopModel(grid(), with([](PopCostModel& c) {
+                 c.block_overhead_flops = std::numeric_limits<double>::infinity();
+               })),
+               std::invalid_argument);
+  EXPECT_THROW(PopModel(grid(), with([](PopCostModel& c) { c.tracer_share = -0.3; })),
+               std::invalid_argument);
+}
+
+// The pre-memo step_time, rank by rank, as the oracle for the compact
+// summary: the per-rank flops, each node's largest divided by its rate.
+struct OracleShape {
+  BlockDecomposition::RankLoads loads;
+  BlockDecomposition::HaloStats halo;
+};
+
+OracleShape oracle_shape(const Machine& m, int ppn, BlockShape shape,
+                         Distribution dist) {
+  const BlockDecomposition d(grid(), shape, m.total_cpus(), dist);
+  return {d.rank_loads(), d.halo_stats(ppn)};
+}
+
+PopStepReport oracle_step(const PopModel& model, const Machine& machine,
+                          const OracleShape& shape, const PhaseMultipliers& mult) {
+  const auto& cost = model.cost();
+  const auto& g = model.grid();
+  const int nranks = machine.total_cpus();
+  PopStepReport rep;
+  rep.imbalance = shape.loads.inefficiency();
+  const double phase_mult = cost.momentum_share * mult.momentum +
+                            cost.tracer_share * mult.tracer +
+                            cost.state_share * mult.state + cost.other_share;
+  double max_blocks = 0.0;
+  for (const int b : shape.loads.blocks) {
+    max_blocks = std::max(max_blocks, static_cast<double>(b));
+  }
+  double max_t = 0.0;
+  for (const auto& node : machine.nodes()) {
+    double max_flops = 0.0;
+    for (int r = node.first_rank; r < node.first_rank + node.cpus; ++r) {
+      const double flops =
+          static_cast<double>(shape.loads.computed_points[static_cast<std::size_t>(r)]) *
+              g.depth_levels() * cost.flops_per_point_level * phase_mult +
+          static_cast<double>(shape.loads.blocks[static_cast<std::size_t>(r)]) *
+              g.depth_levels() * cost.block_overhead_flops;
+      max_flops = std::max(max_flops, flops);
+    }
+    max_t = std::max(max_t, max_flops / (cost.ref_flops_per_s * node.speed));
+  }
+  rep.baroclinic_s = max_t;
+
+  const auto& net = machine.network();
+  const double to_bytes =
+      cost.bytes_per_value * g.depth_levels() * static_cast<double>(cost.ghost_width);
+  const double avg_intra_bytes =
+      to_bytes * static_cast<double>(shape.halo.intra_node_points) / nranks;
+  const double avg_inter_bytes =
+      to_bytes * static_cast<double>(shape.halo.inter_node_points) / nranks;
+  const double max_inter_bytes =
+      to_bytes * static_cast<double>(shape.halo.max_rank_inter_points);
+  rep.halo_s = cost.halo_exchanges_per_step *
+               (4.0 * max_blocks * net.inter_latency_s +
+                avg_intra_bytes / net.intra_bandwidth_Bps +
+                avg_inter_bytes / net.inter_bandwidth_Bps +
+                0.5 * max_inter_bytes / net.inter_bandwidth_Bps);
+
+  const double surf_pts =
+      static_cast<double>(g.nx()) * g.ny() * g.ocean_fraction();
+  rep.barotropic_s =
+      cost.barotropic_iterations * surf_pts * cost.barotropic_flops_per_point /
+          (cost.ref_flops_per_s * machine.min_speed() * nranks) +
+      cost.barotropic_iterations *
+          simcluster::allreduce_time(machine, nranks, cost.bytes_per_value);
+  rep.forcing_s = surf_pts * cost.forcing_flops_per_point * mult.forcing /
+                  (cost.ref_flops_per_s * machine.min_speed() * nranks);
+  rep.io_s = model.io().write_time(surf_pts * cost.history_fields * cost.bytes_per_value,
+                                   std::max(1, mult.num_iotasks), nranks) /
+             cost.io_interval_steps;
+  rep.total_s =
+      rep.baroclinic_s + rep.halo_s + rep.barotropic_s + rep.forcing_s + rep.io_s;
+  return rep;
 }
 
 // step_time outputs recorded as hex floats, so any reordering of the
@@ -506,6 +689,59 @@ TEST(PopModel, StepTimeMatchesPinnedResults) {
     EXPECT_EQ(rep.baroclinic_s, p.baroclinic_s) << what;
     EXPECT_EQ(rep.halo_s, p.halo_s) << what;
     EXPECT_EQ(rep.imbalance, p.imbalance) << what;
+  }
+}
+
+TEST(PopModel, CompactSummaryMatchesPerRankOracleOnTheLattice) {
+  const PopModel model(grid());
+  const auto check = [&](const Machine& m, int ppn, BlockShape shape,
+                         Distribution dist, const std::string& where) {
+    const auto oracle = oracle_shape(m, ppn, shape, dist);
+    for (std::size_t k = 0; k < std::size(kPinnedMults); ++k) {
+      const auto got = model.step_time(m, ppn, shape, kPinnedMults[k], dist);
+      const auto want = oracle_step(model, m, oracle, kPinnedMults[k]);
+      const std::string what = where + " " + std::to_string(shape.bx) + "x" +
+                               std::to_string(shape.by) + " " + to_string(dist) +
+                               " mult " + std::to_string(k);
+      EXPECT_EQ(got.total_s, want.total_s) << what;
+      EXPECT_EQ(got.baroclinic_s, want.baroclinic_s) << what;
+      EXPECT_EQ(got.halo_s, want.halo_s) << what;
+      EXPECT_EQ(got.barotropic_s, want.barotropic_s) << what;
+      EXPECT_EQ(got.forcing_s, want.forcing_s) << what;
+      EXPECT_EQ(got.io_s, want.io_s) << what;
+      EXPECT_EQ(got.imbalance, want.imbalance) << what;
+    }
+  };
+
+  // Every Fig. 4 shape on the perf ledger's machine.
+  const auto sp3 = presets::nersc_sp3(30, 16);
+  std::size_t shapes = 0;
+  for (int bx = 30; bx <= 720; bx += 6) {
+    for (int by = 24; by <= 600; by += 4) {
+      check(sp3, 16, {bx, by}, Distribution::Cartesian, "sp3");
+      ++shapes;
+    }
+  }
+  EXPECT_EQ(shapes, 16820u);
+
+  // Seeded shapes on machines with several speeds, or with one speed over
+  // two node shapes.
+  Machine equal_speeds(presets::nersc_sp3(1, 16).network());
+  equal_speeds.add_nodes(10, 16, 1.3).add_nodes(20, 8, 1.3);
+  const struct {
+    Machine machine;
+    int ppn;
+    const char* name;
+  } machines[] = {{presets::cluster32_hetero(), 2, "cluster32_hetero"},
+                  {presets::pentium_hetero(), 1, "pentium_hetero"},
+                  {equal_speeds, 8, "equal_speeds"}};
+  harmony::Rng rng(23);
+  for (int i = 0; i < 200; ++i) {
+    const BlockShape shape{static_cast<int>(30 + 6 * rng.uniform_int(0, 115)),
+                           static_cast<int>(24 + 4 * rng.uniform_int(0, 144))};
+    for (const auto dist : kAllDistributions) {
+      for (const auto& mc : machines) check(mc.machine, mc.ppn, shape, dist, mc.name);
+    }
   }
 }
 

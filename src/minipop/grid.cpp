@@ -1,6 +1,7 @@
 #include "minipop/grid.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -8,6 +9,81 @@
 #include <vector>
 
 namespace minipop {
+
+namespace {
+
+// The land mask: land in the polar cap rows j < ny / 20 and wherever the
+// field of smooth deterministic "continents" (a few long-wavelength bumps)
+//   ((0.55 sin(2x + 1.3) cos(1.7y) + 0.45 sin(3x - 0.7) sin(2.3y + 0.4))
+//     + 0.35 cos(5x + 2y)) + 0.25 cos(7x - 3.1y)
+// reaches 0.55, with x = 2 pi i / nx and y = pi (j / ny - 0.5). The first two
+// terms are products of a column factor and a row factor, each computed once
+// per column or row; the last two are bounded before they are evaluated.
+constexpr double kLandAt = 0.55;
+
+// Bounds on 0.35 cos(.) and 0.25 cos(.) for any cosine within one ulp of
+// [-1, 1]. Rounded multiplication by a positive constant and rounded addition
+// are monotone, so t3 <= kT3 and t4 <= kT4 give fl(fl(p + t3) + t4) <=
+// fl(fl(p + kT3) + kT4), and t4 >= -kT4 gives fl(q + t4) >= fl(q - kT4): a
+// cell decided by a bound gets the same verdict as the full sum.
+constexpr double kCosMax = 1.0 + std::numeric_limits<double>::epsilon();
+constexpr double kT3 = 0.35 * kCosMax;
+constexpr double kT4 = 0.25 * kCosMax;
+
+struct MaskColumn {
+  double x5 = 0.0;  // x * 5
+  double x7 = 0.0;  // 7 * x
+  double a = 0.0;   // 0.55 sin(2x + 1.3)
+  double b = 0.0;   // 0.45 sin(3x - 0.7)
+};
+
+struct MaskRow {
+  bool cap = false;
+  double y2 = 0.0;   // y * 2
+  double y31 = 0.0;  // 3.1 * y
+  double c = 0.0;    // cos(1.7y)
+  double d = 0.0;    // sin(2.3y + 0.4)
+};
+
+MaskColumn mask_column(int i, int nx) {
+  const double x = 2.0 * M_PI * static_cast<double>(i) / static_cast<double>(nx);
+  return {x * 5.0, 7.0 * x, 0.55 * std::sin(2.0 * x + 1.3),
+          0.45 * std::sin(3.0 * x - 0.7)};
+}
+
+MaskRow mask_row(int j, int ny) {
+  if (j < ny / 20) return {true, 0.0, 0.0, 0.0, 0.0};
+  const double y = M_PI * (static_cast<double>(j) / static_cast<double>(ny) - 0.5);
+  return {false, y * 2.0, 3.1 * y, std::cos(1.7 * y), std::sin(2.3 * y + 0.4)};
+}
+
+// Where a cell's verdict was reached, in the order of PopGrid::MaskStats.
+enum class Verdict : std::uint8_t {
+  kCap,
+  kOceanBounded,
+  kOceanOneCos,
+  kLandOneCos,
+  kOcean,
+  kLand,
+};
+
+Verdict mask_cell(const MaskColumn& col, const MaskRow& row) {
+  if (row.cap) return Verdict::kCap;
+  const double p = col.a * row.c + col.b * row.d;
+  if (p + kT3 + kT4 < kLandAt) return Verdict::kOceanBounded;
+  const double q = p + 0.35 * std::cos(col.x5 + row.y2);
+  if (q + kT4 < kLandAt) return Verdict::kOceanOneCos;
+  if (q - kT4 >= kLandAt) return Verdict::kLandOneCos;
+  return q + 0.25 * std::cos(col.x7 - row.y31) < kLandAt ? Verdict::kOcean
+                                                          : Verdict::kLand;
+}
+
+bool is_ocean_verdict(Verdict v) {
+  return v == Verdict::kOceanBounded || v == Verdict::kOceanOneCos ||
+         v == Verdict::kOcean;
+}
+
+}  // namespace
 
 PopGrid::PopGrid(int nx, int ny, int depth_levels) : nx_(nx), ny_(ny), kz_(depth_levels) {
   if (nx < 1 || ny < 1 || depth_levels < 1) {
@@ -32,14 +108,29 @@ PopGrid::PopGrid(int nx, int ny, int depth_levels) : nx_(nx), ny_(ny), kz_(depth
   const auto w = static_cast<std::size_t>(cnx_ + 1);
   anchors_.assign(static_cast<std::size_t>((cny_ >> anchor_shift_) + 1) * w, 0);
   deltas_.assign(static_cast<std::size_t>(cny_ + 1) * w, 0);
+  // Each coarse cell samples the mask at its centre, clamped to the grid.
+  std::vector<MaskColumn> columns(static_cast<std::size_t>(cnx_));
+  for (int ci = 0; ci < cnx_; ++ci) {
+    columns[static_cast<std::size_t>(ci)] =
+        mask_column(std::min(nx_ - 1, ci * stride_ + stride_ / 2), nx_);
+  }
+  std::array<std::int64_t, 6> verdicts{};
   std::vector<std::int64_t> row(w, 0);
   for (int b = 0; b <= cny_; ++b) {
     if (b > 0) {
-      const int j = std::min(ny_ - 1, (b - 1) * stride_ + stride_ / 2);
-      std::int64_t run = 0;
-      for (int ci = 0; ci < cnx_; ++ci) {
-        run += is_ocean(std::min(nx_ - 1, ci * stride_ + stride_ / 2), j) ? 1 : 0;
-        row[static_cast<std::size_t>(ci) + 1] += run;
+      const MaskRow r =
+          mask_row(std::min(ny_ - 1, (b - 1) * stride_ + stride_ / 2), ny_);
+      if (r.cap) {
+        // All land: the running counts stay as they are.
+        verdicts[static_cast<std::size_t>(Verdict::kCap)] += cnx_;
+      } else {
+        std::int64_t run = 0;
+        for (int ci = 0; ci < cnx_; ++ci) {
+          const Verdict v = mask_cell(columns[static_cast<std::size_t>(ci)], r);
+          ++verdicts[static_cast<std::size_t>(v)];
+          run += is_ocean_verdict(v) ? 1 : 0;
+          row[static_cast<std::size_t>(ci) + 1] += run;
+        }
       }
     }
     const auto ub = static_cast<std::size_t>(b);
@@ -53,6 +144,8 @@ PopGrid::PopGrid(int nx, int ny, int depth_levels) : nx_(nx), ny_(ny), kz_(depth
   }
   ocean_fraction_ = static_cast<double>(ocean_points_in(0, nx_, 0, ny_)) /
                     (static_cast<double>(nx_) * static_cast<double>(ny_));
+  mask_stats_ = {verdicts[0], verdicts[1], verdicts[2], verdicts[3],
+                 verdicts[4] + verdicts[5]};
 }
 
 PopGrid::CoarseLine PopGrid::coarse_line(int x, int coarse_extent) const {
@@ -92,17 +185,7 @@ bool PopGrid::is_ocean(int i, int j) const {
   if (i < 0 || i >= nx_ || j < 0 || j >= ny_) {
     throw std::out_of_range("PopGrid::is_ocean");
   }
-  // Smooth deterministic "continents": a few long-wavelength bumps. Land
-  // where the field exceeds a threshold tuned for ~30% land.
-  const double x = 2.0 * M_PI * static_cast<double>(i) / static_cast<double>(nx_);
-  const double y = M_PI * (static_cast<double>(j) / static_cast<double>(ny_) - 0.5);
-  const double field = 0.55 * std::sin(2.0 * x + 1.3) * std::cos(1.7 * y) +
-                       0.45 * std::sin(3.0 * x - 0.7) * std::sin(2.3 * y + 0.4) +
-                       0.35 * std::cos(x * 5.0 + y * 2.0) +
-                       0.25 * std::cos(7.0 * x - 3.1 * y);
-  // Polar caps are land (Antarctica-like band at the south).
-  if (j < ny_ / 20) return false;
-  return field < 0.55;
+  return is_ocean_verdict(mask_cell(mask_column(i, nx_), mask_row(j, ny_)));
 }
 
 std::int64_t PopGrid::ocean_points_in(int i0, int i1, int j0, int j1) const {

@@ -4,8 +4,8 @@
 /// The POP global ocean grid: nx x ny surface points with a land mask and a
 /// fixed number of depth levels. The paper's production case is the
 /// 3600 x 2400 (0.1 degree) grid. We have no access to the real bathymetry
-/// dataset, so the mask is a deterministic synthetic continent function with
-/// a comparable ocean fraction (~70%); what the block-size experiment needs
+/// dataset, so the mask is a deterministic synthetic continent function (the
+/// production grid is 84.3% ocean); what the block-size experiment needs
 /// from the mask is only that land is *spatially coherent* (whole blocks can
 /// be all-land), which the synthetic continents preserve.
 
@@ -51,6 +51,18 @@ class PopGrid {
   /// Whole-grid ocean fraction estimate.
   [[nodiscard]] double ocean_fraction() const noexcept { return ocean_fraction_; }
 
+  /// How the constructor decided the coarse mask's cells. The field's two
+  /// cosine terms are bounded before they are evaluated: on the production
+  /// grid about half the cells take no cosine and a quarter take both.
+  struct MaskStats {
+    std::int64_t cap = 0;            // polar-cap rows: land, no trig
+    std::int64_t ocean_bounded = 0;  // ocean with both cosines bounded
+    std::int64_t ocean_one_cos = 0;  // ocean with the second cosine bounded
+    std::int64_t land_one_cos = 0;   // land with the second cosine bounded
+    std::int64_t two_cos = 0;        // both cosines evaluated
+  };
+  [[nodiscard]] const MaskStats& mask_stats() const noexcept { return mask_stats_; }
+
   /// The paper's production grid.
   [[nodiscard]] static PopGrid production() { return PopGrid(3600, 2400); }
 
@@ -94,6 +106,7 @@ class PopGrid {
   std::vector<std::int32_t> anchors_;  // ((cny_ >> anchor_shift_) + 1) x (cnx_ + 1)
   std::vector<std::uint16_t> deltas_;  // (cny_ + 1) x (cnx_ + 1)
   double ocean_fraction_ = 0.0;
+  MaskStats mask_stats_;
 };
 
 }  // namespace minipop

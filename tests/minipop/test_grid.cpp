@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -27,14 +28,135 @@ TEST(PopGridTest, OceanFractionIsEarthLike) {
   EXPECT_LT(f, 0.95);
 }
 
-TEST(PopGridTest, MaskIsDeterministic) {
-  const auto a = PopGrid::production();
-  const auto b = PopGrid::production();
-  for (int i = 0; i < 3600; i += 97) {
-    for (int j = 0; j < 2400; j += 83) {
-      EXPECT_EQ(a.is_ocean(i, j), b.is_ocean(i, j));
+// The mask formula as is_ocean evaluated it before the grid bounded the
+// field's cosine terms, copied literally: the oracle for every mask cell.
+bool oracle_is_ocean(int i, int j, int nx_, int ny_) {
+  const double x = 2.0 * M_PI * static_cast<double>(i) / static_cast<double>(nx_);
+  const double y = M_PI * (static_cast<double>(j) / static_cast<double>(ny_) - 0.5);
+  const double field = 0.55 * std::sin(2.0 * x + 1.3) * std::cos(1.7 * y) +
+                       0.45 * std::sin(3.0 * x - 0.7) * std::sin(2.3 * y + 0.4) +
+                       0.35 * std::cos(x * 5.0 + y * 2.0) +
+                       0.25 * std::cos(7.0 * x - 3.1 * y);
+  // Polar caps are land (Antarctica-like band at the south).
+  if (j < ny_ / 20) return false;
+  return field < 0.55;
+}
+
+TEST(PopGridTest, CoarseMaskMatchesThePointFormula) {
+  // Every side below is a multiple of the grid's coarse stride (1 under 1200
+  // points, 2 at 1200, 3 at 1830, 4 at 2400), so the lattice of stride x
+  // stride blocks is the coarse mask itself: a block counts stride^2 points
+  // when the point at its centre is ocean and none otherwise. 2400 x 1830
+  // has an odd stride, and its polar cap (rows below 91) covers 30 coarse
+  // rows and the first point row of the 31st, whose centre is not in it.
+  const std::pair<int, int> shapes[] = {{3600, 2400}, {6000, 1200}, {1200, 800},
+                                        {100, 100},   {37, 53},     {1, 1},
+                                        {2400, 1830}};
+  for (const auto& [nx, ny] : shapes) {
+    const PopGrid g(nx, ny);
+    const int s = std::max(1, std::min(nx, ny) / 600);
+    ASSERT_EQ(nx % s, 0);
+    ASSERT_EQ(ny % s, 0);
+    const int cnx = nx / s;
+    const int cny = ny / s;
+    const auto lattice = g.ocean_points_lattice(s, s);
+    ASSERT_EQ(lattice.size(), static_cast<std::size_t>(cnx) * cny);
+    std::int64_t wrong_cells = 0;
+    std::int64_t wrong_points = 0;
+    for (int ci = 0; ci < cnx; ++ci) {
+      for (int cj = 0; cj < cny; ++cj) {
+        const int i = ci * s + s / 2;
+        const int j = cj * s + s / 2;
+        const bool ocean = oracle_is_ocean(i, j, nx, ny);
+        const auto cell = lattice[static_cast<std::size_t>(ci) * cny + cj];
+        wrong_cells += cell != (ocean ? std::int64_t{s} * s : 0);
+        // is_ocean at the sampled point and at the cell's corner.
+        wrong_points += g.is_ocean(i, j) != ocean;
+        wrong_points +=
+            g.is_ocean(ci * s, cj * s) != oracle_is_ocean(ci * s, cj * s, nx, ny);
+      }
     }
+    EXPECT_EQ(wrong_cells, 0) << nx << "x" << ny;
+    EXPECT_EQ(wrong_points, 0) << nx << "x" << ny;
   }
+}
+
+TEST(PopGridTest, ThresholdCellsMatchThePointFormula) {
+  // Points whose field rounds to within two ulps of 0.55 under glibc's libm
+  // on x86-64, found by search. At each, one reassociation of the field
+  // flips the verdict: (t1 + t2) + (t3 + t4), ((t1 + t2) + t4) + t3,
+  // (t1 + (t2 + t3)) + t4, or the products as 0.55 * (sin * cos). Only the
+  // literal order matches the oracle everywhere. With nx >= ny = 5e8 the
+  // coarse mask stays near 1200 x 600 cells.
+  struct Point {
+    int nx;
+    int i;
+    int j;
+  };
+  const int ny = 500'000'000;
+  for (const auto& p : {Point{519'170'705, 130'665'835, 464'725'297},
+                        Point{976'619'428, 23'397'788, 168'538'641},
+                        Point{733'803'151, 2'964'843, 309'092'759},
+                        Point{512'034'302, 319'006'620, 171'179'069},
+                        Point{529'341'536, 19'906'010, 306'452'170},
+                        Point{507'730'030, 67'122'564, 323'648'768}}) {
+    const PopGrid g(p.nx, ny);
+    EXPECT_EQ(g.is_ocean(p.i, p.j), oracle_is_ocean(p.i, p.j, p.nx, ny))
+        << p.nx << "x" << ny << " grid, point (" << p.i << ", " << p.j << ")";
+  }
+}
+
+TEST(PopGridTest, PinnedOceanFractionsAndLatticeSums) {
+  // The figures the mask gave before its cosine terms were bounded, printed
+  // with %.17g. The weighted sum weights block k by k % 1000 + 1.
+  EXPECT_EQ(PopGrid::production().ocean_fraction(), 0.84284629629629626);
+  EXPECT_EQ(PopGrid(6000, 1200).ocean_fraction(), 0.842885);
+  EXPECT_EQ(PopGrid(1200, 800).ocean_fraction(), 0.84292500000000004);
+  EXPECT_EQ(PopGrid(100, 100).ocean_fraction(), 0.84360000000000002);
+  EXPECT_EQ(PopGrid(37, 53).ocean_fraction(), 0.85058643549209589);
+  EXPECT_EQ(PopGrid(1, 1).ocean_fraction(), 1.0);
+  EXPECT_EQ(PopGrid(2400, 1830).ocean_fraction(), 0.84363114754098356);
+
+  struct Pinned {
+    int bx;
+    int by;
+    std::size_t blocks;
+    std::int64_t sum;
+    std::int64_t weighted;
+  };
+  const auto g = PopGrid::production();
+  for (const auto& p : {Pinned{180, 100, 480, 7282192, 1770893728},
+                        Pinned{30, 24, 12000, 7282192, 3650837824},
+                        Pinned{7, 5, 247200, 7282192, 3650937524},
+                        Pinned{500, 700, 32, 7282192, 108193888}}) {
+    const auto lattice = g.ocean_points_lattice(p.bx, p.by);
+    std::int64_t sum = 0;
+    std::int64_t weighted = 0;
+    for (std::size_t k = 0; k < lattice.size(); ++k) {
+      sum += lattice[k];
+      weighted += static_cast<std::int64_t>(k % 1000 + 1) * lattice[k];
+    }
+    EXPECT_EQ(lattice.size(), p.blocks) << p.bx << "x" << p.by;
+    EXPECT_EQ(sum, p.sum) << p.bx << "x" << p.by;
+    EXPECT_EQ(weighted, p.weighted) << p.bx << "x" << p.by;
+  }
+}
+
+TEST(PopGridTest, EveryMaskBranchIsTakenOnTheProductionGrid) {
+  // 900 x 600 coarse cells; the cap is rows j < 120, the first 30 coarse rows.
+  // A count moves only if a cosine's last bit moves it across a bound, so
+  // the counts are pinned exactly.
+  const auto g = PopGrid::production();
+  const auto& m = g.mask_stats();
+  EXPECT_EQ(m.cap, 30 * 900);
+  EXPECT_EQ(m.ocean_bounded, 236'068);
+  EXPECT_EQ(m.ocean_one_cos, 139'813);
+  EXPECT_EQ(m.land_one_cos, 7'430);
+  EXPECT_EQ(m.two_cos, 129'689);
+  EXPECT_EQ(m.cap + m.ocean_bounded + m.ocean_one_cos + m.land_one_cos + m.two_cos,
+            900 * 600);
+  // 406,621 cosines, where the unbounded field took two per cell.
+  EXPECT_LT(m.ocean_one_cos + m.land_one_cos + 2 * m.two_cos, 900 * 600);
 }
 
 TEST(PopGridTest, SouthernCapIsLand) {

@@ -370,8 +370,8 @@ obs::BenchReport run_gate_server_sessions(int reps) {
 // ---- workload 6: evaluation-fleet scaling ratio ---------------------------
 
 /// One fleet run: server + dispatcher + `nworkers` in-process WorkerClient
-/// threads, a gate-sized random search over the synthetic substrate (cache
-/// off, so every evaluation crosses the wire). Returns evals/s.
+/// threads, a gate-sized random search over the synthetic substrate (no
+/// cache, so every evaluation crosses the wire). Returns evals/s.
 double run_fleet_point(int nworkers, int evals) {
   // 2 ms of simulated run cost per evaluation (a sleep on the worker): the
   // 4-worker/1-worker ratio then measures dispatch overlap, portably across
@@ -406,9 +406,7 @@ double run_fleet_point(int nworkers, int evals) {
   double evals_per_s = 0.0;
   if (dispatcher.wait_for_workers(static_cast<std::size_t>(nworkers),
                                   std::chrono::milliseconds(5000))) {
-    harmony::fleet::WorkerBackendOptions bopts;
-    bopts.use_cache = false;
-    harmony::fleet::WorkerEvalBackend backend(dispatcher, sub->space, bopts);
+    harmony::fleet::WorkerEvalBackend backend(dispatcher);
     harmony::ControllerLimits limits;
     limits.max_evaluations = evals;
     limits.max_proposals = evals * 8;

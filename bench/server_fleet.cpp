@@ -3,7 +3,7 @@
 // For each worker count in 1..--workers, stands up a fresh tuning server
 // with a fleet Dispatcher, attaches that many evaluation workers, and drives
 // a fixed random-search workload over the synthetic substrate through
-// WorkerEvalBackend (cache disabled, so every proposal crosses the wire).
+// WorkerEvalBackend (no controller cache, so every proposal crosses the wire).
 // Each evaluation sleeps --spin-us microseconds on the worker — the wall-clock
 // wait on an "application short run" — so the curve measures how well the
 // dispatcher overlaps remote runs, not just protocol overhead.
@@ -155,9 +155,7 @@ PointResult run_point(const Options& opt, const fleet::Substrate& sub,
 
   if (dispatcher.wait_for_workers(static_cast<std::size_t>(nworkers),
                                   std::chrono::milliseconds(5000))) {
-    fleet::WorkerBackendOptions bopts;
-    bopts.use_cache = false;
-    fleet::WorkerEvalBackend backend(dispatcher, sub.space, bopts);
+    fleet::WorkerEvalBackend backend(dispatcher);
 
     harmony::ControllerLimits limits;
     limits.max_evaluations = opt.evals;
@@ -213,9 +211,7 @@ int serve_mode(const Options& opt, const fleet::Substrate& sub) {
   int rc = 1;
   if (dispatcher.wait_for_workers(static_cast<std::size_t>(opt.workers),
                                   std::chrono::seconds(120))) {
-    fleet::WorkerBackendOptions bopts;
-    bopts.use_cache = false;
-    fleet::WorkerEvalBackend backend(dispatcher, sub.space, bopts);
+    fleet::WorkerEvalBackend backend(dispatcher);
 
     harmony::ControllerLimits limits;
     limits.max_evaluations = opt.evals;

@@ -12,8 +12,8 @@
 ///  * ShortRunEvalBackend    — one representative short run per candidate,
 ///                             with restart/warm-up cost accounting (the
 ///                             paper's off-line tuning, Section III).
-///  * engine::PoolEvalBackend — dispatch a whole batch across a thread pool
-///                             with a concurrent, coalescing cache.
+///  * engine::PoolEvalBackend — dispatch a whole batch across a thread pool,
+///                             memoized on the calling thread.
 ///
 /// Every caller builds a backend and calls run():
 ///
@@ -76,7 +76,7 @@ struct EvalOutcome {
 };
 
 /// How candidates get measured. The backend owns the evaluation side of the
-/// loop: launching runs, backend-level caching/coalescing, per-run metrics
+/// loop: launching runs, backend-level caching, per-run metrics
 /// and (for concurrent backends) per-worker trace events.
 class EvalBackend {
  public:
@@ -171,9 +171,12 @@ struct ControllerResult {
 class SearchController {
  public:
   /// `cache` (not owned, may be null) is the controller-level memoization
-  /// table; null disables it. Backends with their own cache (the thread-pool
-  /// backend) run without a controller cache so every candidate reaches the
-  /// backend. While observability is on, run() counts controller.proposals,
+  /// table; null disables it. It serves points measured by earlier batches;
+  /// a repeat inside one batch still reaches the backend. The thread-pool
+  /// backend with its own cache on runs without one, so every candidate
+  /// reaches that cache. The fleet backend keeps no memo, so a fleet run
+  /// that wants repeats kept off the wire passes one here. While
+  /// observability is on, run() counts controller.proposals,
   /// controller.batches and controller.cache_hits and publishes a live-status
   /// slot "run/<n>" whose phase reads "batch K".
   SearchController(const ParamSpace& space, ControllerLimits limits,

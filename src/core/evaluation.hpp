@@ -117,8 +117,9 @@ using Evaluator = std::function<EvaluationResult(const Config&)>;
 ///
 /// Thread-safety contract: EvalCache is strictly single-threaded — lookup()
 /// is `const` yet mutates the hit/miss counters, with no synchronization.
-/// Every use must stay on one thread (Debug builds assert this); concurrent
-/// callers use engine::ConcurrentEvalCache instead.
+/// Every use must stay on one thread (Debug builds assert this). Each
+/// backend serves one controller and is called only from its thread, so the
+/// thread-pool backend's cache is one of these too.
 class EvalCache {
  public:
   explicit EvalCache(const ParamSpace& space) : space_(&space) {}

@@ -8,12 +8,11 @@
 /// hash, computed once at derivation.
 ///
 /// Deletion uses backward-shift (Robin-Hood style compaction) instead of
-/// tombstones, so a long-lived cache that drops failed in-flight entries
-/// (ConcurrentEvalCache's retry path) never degrades into tombstone scans.
+/// tombstones, so a long-lived map that erases entries never degrades into
+/// tombstone scans.
 ///
 /// V must be default-constructible and movable. Not thread-safe: callers
-/// that share a map across threads hold their own lock (the concurrent cache
-/// wraps one FlatPointMap per shard behind the shard mutex).
+/// that share a map across threads hold their own lock.
 
 #include <cstddef>
 #include <cstdint>

@@ -44,8 +44,8 @@ class History {
   [[nodiscard]] int iterations() const noexcept { return iterations_; }
 
   /// Number of entries served from an evaluation cache instead of a fresh
-  /// run — including the parallel engine's in-flight coalesced evaluations,
-  /// which it records with the same `cached` flag.
+  /// run — including a repeat inside a pool batch that shared its first
+  /// occurrence's run, which the pool backend reports the same way.
   [[nodiscard]] int cached_count() const noexcept {
     return static_cast<int>(entries_.size()) - iterations_;
   }

@@ -14,10 +14,10 @@
 /// The engine layers on top of the core's one strategy contract: every
 /// strategy is a BatchSearchStrategy, the random/systematic/exhaustive and
 /// genetic searches fill whole batches, and SpeculativeNelderMead gives the
-/// simplex a parallel form.
+/// simplex a parallel form. The pool backend's cache is the core's
+/// single-threaded EvalCache, resolved on the calling thread before dispatch.
 
 #include "engine/batch_strategy.hpp"
-#include "engine/eval_cache.hpp"
 #include "engine/pool_backend.hpp"
 #include "engine/surrogate.hpp"
 #include "engine/surrogate_backend.hpp"

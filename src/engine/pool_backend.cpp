@@ -25,13 +25,21 @@ const ShortRunFn* checked(const ShortRunFn& run, int steps,
   return &run;
 }
 
+void record(const EvalBackend::Context& ctx, const Config& c, const EvalOutcome& t,
+            double t_start_us) {
+  ctx.tracer->record({ctx.strategy_name, ctx.space->format(c), t.result.objective,
+                      t.result.valid, /*cache_hit=*/!t.ran, /*thread_lane=*/0,
+                      t_start_us, ctx.tracer->now_us()});
+}
+
 }  // namespace
 
 PoolEvalBackend::PoolEvalBackend(const ParamSpace& space, const ShortRunFn& run,
                                  int steps, double restart_overhead_s,
                                  int pool_size, std::size_t batch_cap,
                                  bool use_cache)
-    : run_(checked(run, steps, restart_overhead_s, pool_size)),
+    : space_(&space),
+      run_(checked(run, steps, restart_overhead_s, pool_size)),
       steps_(steps),
       restart_overhead_s_(restart_overhead_s),
       use_cache_(use_cache),
@@ -39,64 +47,90 @@ PoolEvalBackend::PoolEvalBackend(const ParamSpace& space, const ShortRunFn& run,
       cache_(space),
       pool_(static_cast<std::size_t>(pool_size)) {}
 
+EvalOutcome PoolEvalBackend::launch(const Config& c, const Context& ctx) const {
+  // One tuning iteration == one representative short run (Section III):
+  // stop, reconfigure, restart, warm up, measure. Every component of that
+  // cost is charged to the tuning bill.
+  obs::SearchTracer* const tracer = ctx.tracer;
+  const double t_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
+  const ShortRunResult r = (*run_)(c, steps_);
+  obs::observe("engine.short_run_s", r.warmup_s + r.measured_s);
+  obs::count("engine.driver.runs");
+  EvalOutcome t;
+  t.result.valid = r.ok;
+  t.result.objective = r.ok ? r.measured_s : std::numeric_limits<double>::infinity();
+  t.result.metrics["warmup_s"] = r.warmup_s;
+  t.cost_s = restart_overhead_s_ + r.warmup_s + r.measured_s;
+  if (tracer != nullptr) record(ctx, c, t, t_start_us);
+  return t;
+}
+
 std::vector<EvalOutcome> PoolEvalBackend::evaluate(const std::vector<Config>& batch,
                                                    const Context& ctx) {
-  const auto job = [this, &ctx](const Config& c) {
-    // One tuning iteration == one representative short run (Section III):
-    // stop, reconfigure, restart, warm up, measure. Every component of
-    // that cost is charged to the tuning bill.
-    obs::SearchTracer* const tracer = ctx.tracer;
-    const double t_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
-    double cost_s = 0.0;
-    const auto launch = [&]() {
-      const ShortRunResult r = (*run_)(c, steps_);
-      cost_s = restart_overhead_s_ + r.warmup_s + r.measured_s;
-      obs::observe("engine.short_run_s", r.warmup_s + r.measured_s);
-      EvaluationResult res;
-      res.valid = r.ok;
-      res.objective =
-          r.ok ? r.measured_s : std::numeric_limits<double>::infinity();
-      res.metrics["warmup_s"] = r.warmup_s;
-      return res;
-    };
-    EvalOutcome t;
-    if (use_cache_) {
-      const auto o = cache_.evaluate(c, launch);
-      t.result = o.result;
-      t.ran = o.ran;
-    } else {
-      t.result = launch();
-      t.ran = true;
+  obs::SearchTracer* const tracer = ctx.tracer;
+  std::vector<EvalOutcome> out(batch.size());
+  miss_at_.clear();
+  repeats_.clear();
+  if (use_cache_) {
+    // Resolve the batch on this thread. Each key is derived straight into the
+    // next free miss slot, which is reused when the candidate is not a miss.
+    first_at_.clear();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const double t_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
+      if (miss_keys_.size() == miss_at_.size()) miss_keys_.emplace_back();
+      PointKey& key = miss_keys_[miss_at_.size()];
+      key.assign(*space_, batch[i]);
+      if (const std::size_t* first = first_at_.find(key)) {
+        repeats_.emplace_back(i, *first);
+        continue;
+      }
+      if (const EvaluationResult* hit = cache_.lookup(key)) {
+        obs::count("engine.cache.hits");
+        out[i].result = *hit;
+        out[i].ran = false;
+        if (tracer != nullptr) record(ctx, batch[i], out[i], t_start_us);
+        continue;
+      }
+      obs::count("engine.cache.misses");
+      first_at_.insert_or_assign(key, i);
+      miss_at_.push_back(i);
     }
-    t.cost_s = t.ran ? cost_s : 0.0;
-    if (t.ran) obs::count("engine.driver.runs");
-    if (tracer != nullptr) {
-      tracer->record({ctx.strategy_name, ctx.space->format(c),
-                      t.result.objective, t.result.valid,
-                      /*cache_hit=*/!t.ran, /*thread_lane=*/0, t_start_us,
-                      tracer->now_us()});
-    }
-    return t;
-  };
+  } else {
+    for (std::size_t i = 0; i < batch.size(); ++i) miss_at_.push_back(i);
+  }
 
-  // A batch of one has nothing to overlap: handing it to a worker would only
+  // A single miss has nothing to overlap: handing it to a worker would only
   // add a task, a future and two wake-ups to its latency.
-  if (batch.size() == 1) {
+  if (miss_at_.size() == 1) {
     obs::count("engine.pool.inline");
-    return {job(batch.front())};
+    out[miss_at_.front()] = launch(batch[miss_at_.front()], ctx);
+  } else if (!miss_at_.empty()) {
+    std::vector<std::future<EvalOutcome>> futures;
+    futures.reserve(miss_at_.size());
+    for (const std::size_t i : miss_at_) {
+      futures.push_back(
+          pool_.submit([this, &c = batch[i], &ctx] { return launch(c, ctx); }));
+    }
+    // The tasks refer to this frame, so every one must finish before a worker
+    // exception is rethrown out of it.
+    for (auto& f : futures) f.wait();
+    for (std::size_t m = 0; m < futures.size(); ++m) {
+      out[miss_at_[m]] = futures[m].get();  // rethrows worker exceptions
+    }
   }
 
-  std::vector<std::future<EvalOutcome>> futures;
-  futures.reserve(batch.size());
-  for (const auto& c : batch) {
-    futures.push_back(pool_.submit([&job, &c] { return job(c); }));
+  if (!use_cache_) return out;
+  for (std::size_t m = 0; m < miss_at_.size(); ++m) {
+    cache_.store(miss_keys_[m], out[miss_at_[m]].result);
   }
-  // The tasks refer to this frame, so every one must finish before a worker
-  // exception is rethrown out of it.
-  for (auto& f : futures) f.wait();
-  std::vector<EvalOutcome> out;
-  out.reserve(batch.size());
-  for (auto& f : futures) out.push_back(f.get());  // rethrows worker exceptions
+  for (const auto& [slot, first] : repeats_) {
+    const double t_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
+    out[slot].result = out[first].result;
+    out[slot].ran = false;  // shares the first occurrence's run
+    obs::count("engine.cache.coalesced");
+    ++coalesced_;
+    if (tracer != nullptr) record(ctx, batch[slot], out[slot], t_start_us);
+  }
   return out;
 }
 

@@ -3,18 +3,24 @@
 /// \file pool_backend.hpp
 /// Thread-pool EvalBackend for the SearchController: measures a whole batch
 /// of candidate configurations concurrently with representative short runs.
-/// Every element of a larger batch is submitted to the pool; a batch of one
-/// runs on the calling thread (counted as engine.pool.inline). A concurrent
-/// memoizing cache with in-flight deduplication makes duplicate
-/// configurations (inside one batch or across batches) cost a single short
-/// run. Trace events are recorded from the threads that run the
-/// evaluations, so an exported Chrome trace shows one lane per pool worker.
+/// With the cache on, the batch is first resolved on the calling thread
+/// against a single-threaded EvalCache: points stored by an earlier batch
+/// are hits, and a repeat inside the batch shares its first occurrence's
+/// run, so each distinct configuration costs one short run. Only the
+/// distinct misses are dispatched: one runs on the calling thread (counted
+/// as engine.pool.inline), more go to the pool. Runs record their trace
+/// events from the threads that execute them, so an exported Chrome trace
+/// shows one lane per pool worker; hits and repeats are recorded on the
+/// calling thread.
 
 #include <cstddef>
+#include <utility>
+#include <vector>
 
 #include "core/controller.hpp"
+#include "core/flat_map.hpp"
 #include "core/param_space.hpp"
-#include "engine/eval_cache.hpp"
+#include "core/point_key.hpp"
 #include "engine/thread_pool.hpp"
 
 namespace harmony::engine {
@@ -31,23 +37,35 @@ class PoolEvalBackend final : public EvalBackend {
   PoolEvalBackend(const ParamSpace&, ShortRunFn&&, int, double, int, std::size_t,
                   bool) = delete;
 
+  /// Called from one thread only (the controller's); EvalCache asserts it in
+  /// Debug builds.
   [[nodiscard]] std::vector<EvalOutcome> evaluate(const std::vector<Config>& batch,
                                                   const Context& ctx) override;
 
   [[nodiscard]] std::size_t concurrency() const override { return batch_cap_; }
   [[nodiscard]] bool traces() const override { return true; }
   [[nodiscard]] std::size_t cache_hits() const override { return cache_.hits(); }
-  [[nodiscard]] std::size_t cache_coalesced() const override {
-    return cache_.coalesced();
-  }
+  [[nodiscard]] std::size_t cache_coalesced() const override { return coalesced_; }
 
  private:
+  /// One short run of `c`, traced from the thread that executes it.
+  EvalOutcome launch(const Config& c, const Context& ctx) const;
+
+  const ParamSpace* space_;
   const ShortRunFn* run_;
   int steps_;
   double restart_overhead_s_;
   bool use_cache_;
   std::size_t batch_cap_;
-  ConcurrentEvalCache cache_;
+  EvalCache cache_;
+  std::size_t coalesced_ = 0;  ///< in-batch repeats served by a first run
+
+  // Per-batch scratch, kept across batches so it is not reallocated.
+  std::vector<std::size_t> miss_at_;    ///< batch index of each distinct miss
+  std::vector<PointKey> miss_keys_;     ///< key of each miss; next slot is scratch
+  FlatPointMap<std::size_t> first_at_;  ///< key -> batch index of its first miss
+  std::vector<std::pair<std::size_t, std::size_t>> repeats_;  ///< (slot, first)
+
   ThreadPool pool_;
 };
 

@@ -1,77 +1,19 @@
 #include "fleet/worker_backend.hpp"
 
+#include <algorithm>
+
 #include "obs/metrics.hpp"
 
 namespace harmony::fleet {
 
-WorkerEvalBackend::WorkerEvalBackend(Dispatcher& dispatcher,
-                                     const ParamSpace& space,
-                                     WorkerBackendOptions opts)
-    : dispatcher_(&dispatcher), space_(&space), opts_(opts), cache_(space) {}
-
 std::size_t WorkerEvalBackend::concurrency() const {
-  if (opts_.max_batch > 0) return opts_.max_batch;
-  const std::size_t cap = dispatcher_->total_capacity();
-  return cap > 0 ? cap : 1;
-}
-
-std::size_t WorkerEvalBackend::cache_hits() const { return cache_.hits(); }
-
-std::size_t WorkerEvalBackend::cache_coalesced() const {
-  return coalesced_.load(std::memory_order_relaxed);
+  return std::max<std::size_t>(1, dispatcher_->total_capacity());
 }
 
 std::vector<EvalOutcome> WorkerEvalBackend::evaluate(
-    const std::vector<Config>& batch, const Context& ctx) {
-  (void)ctx;
-  std::vector<EvalOutcome> out(batch.size());
-
-  // Resolve the batch against the cache and collapse in-batch duplicates:
-  // one wire dispatch per distinct lattice point, every other slot is filled
-  // from the first one's result. The PointKey of each element is derived
-  // exactly once and reused for the cache probe, the first-miss dedup table
-  // and the post-dispatch insert — no string key anywhere.
-  std::vector<Config> misses;
-  std::vector<std::size_t> miss_slot;       // batch index of each miss
-  std::vector<std::pair<std::size_t, std::size_t>> dup_of;  // slot, miss idx
-  first_miss_.clear();
-  miss_keys_.clear();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    scratch_key_.assign(*space_, batch[i]);
-    if (opts_.use_cache) {
-      if (const auto hit = cache_.lookup(scratch_key_)) {
-        out[i].result = *hit;
-        out[i].ran = false;
-        continue;
-      }
-    }
-    const auto [first, inserted] = first_miss_.try_emplace(scratch_key_);
-    if (!inserted) {
-      dup_of.emplace_back(i, *first);
-      coalesced_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    *first = misses.size();
-    miss_slot.push_back(i);
-    miss_keys_.push_back(scratch_key_);
-    misses.push_back(batch[i]);
-  }
-
-  if (!misses.empty()) {
-    obs::count("fleet.batches");
-    const auto results = dispatcher_->run_batch(misses);
-    for (std::size_t m = 0; m < results.size(); ++m) {
-      out[miss_slot[m]] = results[m];
-      if (opts_.use_cache && results[m].ran) {
-        cache_.insert(miss_keys_[m], results[m].result);
-      }
-    }
-  }
-  for (const auto& [slot, m] : dup_of) {
-    out[slot].result = out[miss_slot[m]].result;
-    out[slot].ran = false;  // shared the duplicate's single remote run
-  }
-  return out;
+    const std::vector<Config>& batch, const Context& /*ctx*/) {
+  obs::count("fleet.batches");
+  return dispatcher_->run_batch(batch);
 }
 
 }  // namespace harmony::fleet

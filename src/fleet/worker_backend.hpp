@@ -1,64 +1,36 @@
 #pragma once
 
 /// \file worker_backend.hpp
-/// EvalBackend that measures candidates on the remote worker fleet: each
-/// batch is deduplicated against a ConcurrentEvalCache (first occurrence
-/// keyed by the canonical lattice key wins; repeats are served without a
-/// remote round trip) and the misses are dispatched through the fleet
-/// Dispatcher, which fans them out across every attached worker process.
-/// Plugging this into SearchController turns any strategy into a
-/// fleet-distributed search with no controller changes — the same seam the
-/// serial and thread-pool backends use.
+/// EvalBackend that measures candidates on the remote worker fleet: every
+/// candidate of a batch is dispatched through the fleet Dispatcher, which
+/// fans them out across every attached worker process. The backend keeps no
+/// memo of its own; a caller that wants repeats kept off the wire passes an
+/// EvalCache to the SearchController. Plugging this into SearchController
+/// turns any strategy into a fleet-distributed search with no controller
+/// changes — the same seam the serial and thread-pool backends use.
 
-#include <atomic>
 #include <cstddef>
 #include <vector>
 
 #include "core/controller.hpp"
-#include "core/flat_map.hpp"
-#include "core/point_key.hpp"
-#include "engine/eval_cache.hpp"
 #include "fleet/dispatcher.hpp"
 
 namespace harmony::fleet {
 
-struct WorkerBackendOptions {
-  /// Cap on one dispatched batch; 0 sizes batches to the fleet's live total
-  /// capacity (at least 1), so the controller asks strategies for exactly
-  /// what the fleet can absorb at once.
-  std::size_t max_batch = 0;
-
-  /// Memoize results across batches (the dedup-by-key cache). Disable for
-  /// benchmarks that want every proposal to hit the wire.
-  bool use_cache = true;
-};
-
 class WorkerEvalBackend final : public EvalBackend {
  public:
-  /// `dispatcher` and `space` must outlive the backend.
-  WorkerEvalBackend(Dispatcher& dispatcher, const ParamSpace& space,
-                    WorkerBackendOptions opts = {});
+  /// `dispatcher` must outlive the backend.
+  explicit WorkerEvalBackend(Dispatcher& dispatcher) : dispatcher_(&dispatcher) {}
 
   [[nodiscard]] std::vector<EvalOutcome> evaluate(const std::vector<Config>& batch,
                                                   const Context& ctx) override;
 
+  /// The fleet's live total capacity (at least 1), so the controller asks
+  /// strategies for exactly what the fleet can absorb at once.
   [[nodiscard]] std::size_t concurrency() const override;
-  [[nodiscard]] std::size_t cache_hits() const override;
-  [[nodiscard]] std::size_t cache_coalesced() const override;
 
  private:
   Dispatcher* dispatcher_;
-  const ParamSpace* space_;
-  WorkerBackendOptions opts_;
-  engine::ConcurrentEvalCache cache_;
-  std::atomic<std::size_t> coalesced_{0};  ///< in-batch duplicate proposals
-
-  // Per-batch scratch, reused across evaluate() calls so the steady-state
-  // dedup pass allocates nothing. evaluate() is called from the controller
-  // thread only (the EvalBackend contract), so unsynchronized reuse is safe.
-  PointKey scratch_key_;
-  FlatPointMap<std::size_t> first_miss_;    ///< key -> index into misses
-  std::vector<PointKey> miss_keys_;         ///< keys of dispatched misses
 };
 
 }  // namespace harmony::fleet

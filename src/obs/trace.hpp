@@ -66,7 +66,7 @@ struct TraceEvent {
   std::string point;       ///< formatted configuration (ParamSpace::format)
   double objective = 0.0;  ///< observed objective (infinity when invalid)
   bool valid = true;       ///< run succeeded / configuration feasible
-  bool cache_hit = false;  ///< served from an evaluation cache (or coalesced)
+  bool cache_hit = false;  ///< served from a cache or an in-batch first run
   std::uint32_t thread_lane = 0;  ///< small dense id of the recording thread
   double t_start_us = 0.0;        ///< microseconds since tracer construction
   double t_end_us = 0.0;

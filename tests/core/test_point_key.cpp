@@ -178,7 +178,7 @@ TEST(PointKey, HeapSpillBeyondInlineSlots) {
 }
 
 // ---------------------------------------------------------------------------
-// FlatPointMap (the flat cache table under EvalCache / ConcurrentEvalCache)
+// FlatPointMap (the flat table under EvalCache and the pool backend)
 
 ParamSpace flat_cache_space() {
   ParamSpace space;

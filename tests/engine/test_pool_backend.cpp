@@ -1,7 +1,7 @@
 // The thread-pool backend under the one SearchController: pool size 1
 // replays the serial short-run loop exactly, wide batches never overrun the
-// budget, duplicates inside a batch run once, and the backend validates its
-// own inputs.
+// budget, a repeat inside a batch shares its first occurrence's run, and the
+// backend validates its own inputs.
 
 #include "engine/pool_backend.hpp"
 
@@ -75,8 +75,8 @@ Tuned serial(const ParamSpace& s, SearchStrategy& strategy, int max_runs,
   return out;
 }
 
-/// The same loop on a pool: the backend's concurrent cache memoizes, so the
-/// controller runs without one and every candidate reaches the pool.
+/// The same loop on a pool: the backend's cache memoizes, so the controller
+/// runs without one and every candidate reaches the pool.
 template <typename Strategy>
 Tuned pooled(const ParamSpace& s, Strategy& strategy, int max_runs,
              int pool_size, double restart_s = 0.0) {
@@ -162,8 +162,8 @@ TEST(PoolEvalBackend, BudgetNeverExceededWithWideBatches) {
 }
 
 TEST(PoolEvalBackend, DuplicateConfigsInBatchRunOnce) {
-  // A tiny space with a wide random batch: duplicates inside one batch must
-  // coalesce onto a single short run (or hit the completed entry).
+  // A tiny space with a wide random batch: a repeat inside one batch shares
+  // its first occurrence's short run, and later batches hit the cache.
   const auto s = grid2d(3, 2);
   RandomSearch batched(s, 48, 21);
   std::atomic<int> launches{0};
@@ -179,6 +179,61 @@ TEST(PoolEvalBackend, DuplicateConfigsInBatchRunOnce) {
   EXPECT_GE(backend.cache_hits() + backend.cache_coalesced(), 42u);
   EXPECT_EQ(controller.history().size(), 48u);
   EXPECT_EQ(controller.history().cached_count(), 48 - result.evaluations);
+}
+
+TEST(PoolEvalBackend, FirstOccurrenceRunsAndRepeatsHitAcrossBatches) {
+  const auto s = grid2d(4, 4);
+  std::atomic<int> launches{0};
+  const ShortRunFn run = [&](const Config& c, int steps) {
+    ++launches;
+    return bowl(c, steps);
+  };
+  PoolEvalBackend backend(s, run, 10, 1.0, 2, 3, true);
+  Config a = s.default_config();
+  s.set(a, "x", std::int64_t{1});
+  Config b = s.default_config();
+  s.set(b, "x", std::int64_t{2});
+  harmony::EvalBackend::Context ctx;
+  ctx.space = &s;
+
+  const auto first = backend.evaluate({a, b, a}, ctx);
+  ASSERT_EQ(first.size(), 3u);
+  EXPECT_TRUE(first[0].ran);
+  EXPECT_TRUE(first[1].ran);
+  EXPECT_FALSE(first[2].ran);  // shares the first occurrence's run
+  EXPECT_EQ(first[2].cost_s, 0.0);
+  EXPECT_GT(first[0].cost_s, 0.0);
+  EXPECT_EQ(first[2].result.objective, first[0].result.objective);
+  EXPECT_EQ(launches.load(), 2);
+  EXPECT_EQ(backend.cache_coalesced(), 1u);
+  EXPECT_EQ(backend.cache_hits(), 0u);
+
+  const auto second = backend.evaluate({b, a}, ctx);
+  EXPECT_FALSE(second[0].ran);
+  EXPECT_FALSE(second[1].ran);
+  EXPECT_EQ(second[0].result.objective, first[1].result.objective);
+  EXPECT_EQ(second[1].result.objective, first[0].result.objective);
+  EXPECT_EQ(launches.load(), 2);
+  EXPECT_EQ(backend.cache_hits(), 2u);
+  EXPECT_EQ(backend.cache_coalesced(), 1u);
+}
+
+TEST(PoolEvalBackend, CacheOffRunsEveryCandidate) {
+  const auto s = grid2d(4, 4);
+  std::atomic<int> launches{0};
+  const ShortRunFn run = [&](const Config& c, int steps) {
+    ++launches;
+    return bowl(c, steps);
+  };
+  PoolEvalBackend backend(s, run, 10, 0.0, 2, 3, false);
+  const Config a = s.default_config();
+  harmony::EvalBackend::Context ctx;
+  ctx.space = &s;
+  const auto out = backend.evaluate({a, a, a}, ctx);
+  for (const auto& o : out) EXPECT_TRUE(o.ran);
+  EXPECT_EQ(launches.load(), 3);
+  EXPECT_EQ(backend.cache_hits(), 0u);
+  EXPECT_EQ(backend.cache_coalesced(), 0u);
 }
 
 // ---- Parallel correctness ----

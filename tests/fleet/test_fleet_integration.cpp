@@ -101,7 +101,7 @@ harmony::ControllerResult run_fleet_search(Fleet& f, const ParamSpace& space,
   limits.max_proposals = 100000;
   harmony::SystematicSampler plan(space, samples_per_dim);
   harmony::SearchController controller(space, limits);
-  fleet::WorkerEvalBackend backend(f.dispatcher, space);
+  fleet::WorkerEvalBackend backend(f.dispatcher);
   return controller.run(plan, backend);
 }
 

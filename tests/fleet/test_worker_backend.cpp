@@ -1,8 +1,9 @@
 // WorkerEvalBackend tests through a real Dispatcher with an in-test
 // auto-responding worker (the push function evaluates the candidate and
-// feeds the RESULT straight back): cross-batch caching, in-batch
-// coalescing, concurrency sizing, and a full SearchController run whose
-// trajectory must match an in-process serial reference exactly.
+// feeds the RESULT straight back): every candidate crosses the wire, a
+// controller cache keeps repeats off it, concurrency tracks the fleet, and a
+// full SearchController run must match an in-process serial reference
+// exactly.
 
 #include "fleet/worker_backend.hpp"
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/controller.hpp"
+#include "core/random_search.hpp"
 #include "core/systematic_sampler.hpp"
 #include "fleet/dispatcher.hpp"
 
@@ -71,50 +73,56 @@ struct EchoWorker {
 TEST(WorkerEvalBackend, ConcurrencyTracksFleetCapacity) {
   const auto space = make_space();
   fleet::Dispatcher d(space);
-  fleet::WorkerEvalBackend backend(d, space);
+  fleet::WorkerEvalBackend backend(d);
   EXPECT_EQ(backend.concurrency(), 1u);  // empty fleet still proposes
 
   EchoWorker w;
   w.attach(d, 3);
   EXPECT_EQ(backend.concurrency(), 3u);
-
-  fleet::WorkerBackendOptions opts;
-  opts.max_batch = 2;
-  fleet::WorkerEvalBackend capped(d, space, opts);
-  EXPECT_EQ(capped.concurrency(), 2u);
 }
 
-TEST(WorkerEvalBackend, CachesAcrossBatchesAndCoalescesWithin) {
+TEST(WorkerEvalBackend, EveryCandidateCrossesTheWire) {
   const auto space = make_space();
   fleet::Dispatcher d(space);
   EchoWorker w;
   w.attach(d, 4);
-  fleet::WorkerEvalBackend backend(d, space);
+  fleet::WorkerEvalBackend backend(d);
 
   Config a = space.default_config();
   space.set(a, "x", std::int64_t{1});
   Config b = space.default_config();
   space.set(b, "x", std::int64_t{2});
 
-  // First batch: a, b and a duplicate of a — two remote runs, one coalesced.
+  // The backend keeps no memo: a repeat inside the batch is a remote run too.
   harmony::EvalBackend::Context ctx;
   ctx.space = &space;
-  const auto out1 = backend.evaluate({a, b, a}, ctx);
-  ASSERT_EQ(out1.size(), 3u);
-  EXPECT_TRUE(out1[0].ran);
-  EXPECT_TRUE(out1[1].ran);
-  EXPECT_FALSE(out1[2].ran);  // in-batch duplicate shares the first run
-  EXPECT_DOUBLE_EQ(out1[2].result.objective, out1[0].result.objective);
-  EXPECT_EQ(w.evals->load(), 2);
-  EXPECT_EQ(backend.cache_coalesced(), 1u);
+  const auto out = backend.evaluate({a, b, a}, ctx);
+  ASSERT_EQ(out.size(), 3u);
+  for (const auto& o : out) EXPECT_TRUE(o.ran);
+  EXPECT_DOUBLE_EQ(out[2].result.objective, out[0].result.objective);
+  EXPECT_EQ(w.evals->load(), 3);
+}
 
-  // Second batch: both served from the cache, nothing crosses the wire.
-  const auto out2 = backend.evaluate({b, a}, ctx);
-  EXPECT_FALSE(out2[0].ran);
-  EXPECT_FALSE(out2[1].ran);
-  EXPECT_DOUBLE_EQ(out2[1].result.objective, out1[0].result.objective);
-  EXPECT_EQ(w.evals->load(), 2);
-  EXPECT_EQ(backend.cache_hits(), 2u);
+TEST(WorkerEvalBackend, ControllerCacheKeepsRepeatsOffTheWire) {
+  // A 3x2 space under 48 random proposals repeats nearly every point. The
+  // controller's cache serves every point measured by an earlier batch, so
+  // only what it charges as an evaluation is sent.
+  ParamSpace space;
+  space.add(Parameter::Integer("x", 0, 2));
+  space.add(Parameter::Integer("y", 0, 1));
+  fleet::Dispatcher d(space);
+  EchoWorker w;
+  w.attach(d, 4);
+  fleet::WorkerEvalBackend backend(d);
+
+  harmony::EvalCache cache(space);
+  harmony::SearchController controller(space, {36, 36 * 64 + 256}, {}, nullptr,
+                                       &cache);
+  harmony::RandomSearch strategy(space, 48, 21);
+  const auto result = controller.run(strategy, backend);
+  EXPECT_EQ(w.evals->load(), result.evaluations);
+  EXPECT_EQ(result.proposals, 48);
+  EXPECT_EQ(result.cache_hits, static_cast<std::size_t>(48 - result.evaluations));
 }
 
 TEST(WorkerEvalBackend, ControllerRunMatchesSerialReference) {
@@ -140,7 +148,7 @@ TEST(WorkerEvalBackend, ControllerRunMatchesSerialReference) {
   fleet::Dispatcher d(space);
   EchoWorker w;
   w.attach(d, 4);
-  fleet::WorkerEvalBackend backend(d, space);
+  fleet::WorkerEvalBackend backend(d);
   harmony::SystematicSampler fleet_plan(space, 11);
   harmony::SearchController fleet_ctl(space, limits);
   const auto fleet_result = fleet_ctl.run(fleet_plan, backend);

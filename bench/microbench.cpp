@@ -569,22 +569,8 @@ void BM_Gs2StepModel(benchmark::State& state) {
 }
 BENCHMARK(BM_Gs2StepModel);
 
-void BM_ProtocolRoundtrip(benchmark::State& state) {
-  harmony::ParamSpace space;
-  space.add(harmony::Parameter::Integer("n", 1, 64));
-  space.add(harmony::Parameter::Real("alpha", 0.0, 2.0));
-  space.add(harmony::Parameter::Enum("layout", {"lxyes", "yxles"}));
-  const auto config = space.default_config();
-  for (auto _ : state) {
-    const auto line = harmony::proto::encode_config(space, config);
-    const auto msg = harmony::proto::parse_line("CONFIG " + line);
-    benchmark::DoNotOptimize(harmony::proto::decode_config(space, msg->args));
-  }
-}
-BENCHMARK(BM_ProtocolRoundtrip);
-
-// The zero-copy variant of the same round trip: append-into-buffer encode,
-// MessageView tokenize, string_view decode. Steady state allocates nothing.
+// One CONFIG round trip: append-into-buffer encode, MessageView tokenize,
+// string_view decode. Steady state allocates nothing.
 void BM_ProtocolRoundtripView(benchmark::State& state) {
   harmony::ParamSpace space;
   space.add(harmony::Parameter::Integer("n", 1, 64));

@@ -84,12 +84,11 @@ bool TuningClient::set_strategy(
 std::optional<std::vector<std::string>> TuningClient::strategies() {
   const auto reply = transact("STRATEGY");
   if (!reply) return std::nullopt;
-  const auto msg = proto::parse_line(*reply);
-  if (!msg || msg->verb != "OK") {
+  if (!proto::parse_line(*reply, msg_) || msg_.verb != "OK") {
     error_ = *reply;
     return std::nullopt;
   }
-  return msg->args;
+  return std::vector<std::string>(msg_.args.begin(), msg_.args.end());
 }
 
 bool TuningClient::start(int max_iterations) {
@@ -100,17 +99,16 @@ bool TuningClient::start(int max_iterations) {
 }
 
 std::optional<Config> TuningClient::decode_fetch_reply(const std::string& reply) {
-  const auto msg = proto::parse_line(reply);
-  if (!msg) {
+  if (!proto::parse_line(reply, msg_)) {
     error_ = "unparseable reply";
     return std::nullopt;
   }
-  if (msg->verb == "DONE") return std::nullopt;
-  if (msg->verb != "CONFIG") {
+  if (msg_.verb == "DONE") return std::nullopt;
+  if (msg_.verb != "CONFIG") {
     error_ = reply;
     return std::nullopt;
   }
-  auto config = proto::decode_config(space_, msg->args);
+  auto config = proto::decode_config(space_, msg_);
   if (!config) error_ = "undecodable CONFIG: " + reply;
   return config;
 }
@@ -132,13 +130,12 @@ std::optional<Config> TuningClient::report_and_fetch(double objective) {
 std::optional<int> TuningClient::batch_limit() {
   const auto reply = transact("BATCH");
   if (!reply) return std::nullopt;
-  const auto msg = proto::parse_line(*reply);
-  if (!msg || msg->verb != "OK" || msg->args.size() != 2 ||
-      msg->args[0] != "batch") {
+  if (!proto::parse_line(*reply, msg_) || msg_.verb != "OK" ||
+      msg_.args.size() != 2 || msg_.args[0] != "batch") {
     error_ = *reply;
     return std::nullopt;
   }
-  const auto n = proto::parse_i64(msg->args[1]);
+  const auto n = proto::parse_i64(msg_.args[1]);
   if (!n || *n < 1) {
     error_ = "bad batch limit: " + *reply;
     return std::nullopt;
@@ -173,17 +170,16 @@ std::optional<std::vector<Config>> TuningClient::report_and_fetch_batch(
       }
       line = std::move(*next);
     }
-    const auto msg = proto::parse_line(line);
-    if (!msg) {
+    if (!proto::parse_line(line, msg_)) {
       error_ = "unparseable reply";
       return std::nullopt;
     }
-    if (msg->verb == "DONE") continue;  // keep draining the remaining lines
-    if (msg->verb != "CONFIG") {
+    if (msg_.verb == "DONE") continue;  // keep draining the remaining lines
+    if (msg_.verb != "CONFIG") {
       error_ = line;
       return std::nullopt;
     }
-    auto config = proto::decode_config(space_, msg->args);
+    auto config = proto::decode_config(space_, msg_);
     if (!config) {
       error_ = "undecodable CONFIG: " + line;
       return std::nullopt;
@@ -208,12 +204,11 @@ bool TuningClient::report(double objective) {
 std::optional<Config> TuningClient::best() {
   const auto reply = transact("BEST");
   if (!reply) return std::nullopt;
-  const auto msg = proto::parse_line(*reply);
-  if (!msg || msg->verb != "CONFIG") {
-    if (reply) error_ = *reply;
+  if (!proto::parse_line(*reply, msg_) || msg_.verb != "CONFIG") {
+    error_ = *reply;
     return std::nullopt;
   }
-  return proto::decode_config(space_, msg->args);
+  return proto::decode_config(space_, msg_);
 }
 
 void TuningClient::bye() {
@@ -262,21 +257,19 @@ std::optional<std::vector<std::string>> TuningClient::log_tail(std::size_t n) {
   os << "LOG tail " << n;
   const auto reply = transact(os.str());
   if (!reply) return std::nullopt;
-  const auto msg = proto::parse_line(*reply);
-  if (!msg || msg->verb != "LOG" || msg->args.size() != 1) {
+  if (!proto::parse_line(*reply, msg_) || msg_.verb != "LOG" ||
+      msg_.args.size() != 1) {
     error_ = *reply;
     return std::nullopt;
   }
-  std::size_t count{};
-  try {
-    count = static_cast<std::size_t>(std::stoull(msg->args[0]));
-  } catch (const std::exception&) {
+  const auto count = proto::parse_i64(msg_.args[0]);
+  if (!count || *count < 0) {
     error_ = "bad LOG count: " + *reply;
     return std::nullopt;
   }
   std::vector<std::string> events;
-  events.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+  events.reserve(static_cast<std::size_t>(*count));
+  for (std::int64_t i = 0; i < *count; ++i) {
     auto line = reader_->read_line();
     if (!line) {
       ok_ = false;

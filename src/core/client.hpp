@@ -16,6 +16,7 @@
 
 #include "core/net.hpp"
 #include "core/param_space.hpp"
+#include "core/protocol.hpp"
 #include "core/types.hpp"
 
 namespace harmony {
@@ -117,6 +118,7 @@ class TuningClient {
   net::Socket socket_;
   std::optional<net::LineReader> reader_;
   ParamSpace space_;
+  proto::MessageView msg_;  // reply tokenizer scratch, reused per reply
   bool ok_ = false;
   std::string error_;
 };

@@ -27,71 +27,6 @@ std::vector<std::string> split(std::string_view s, char sep) {
 /// renderer in core/types.cpp (same text to_string(v) returns).
 void append_value(const Value& v, std::string& out) { harmony::to_string(v, out); }
 
-template <typename Args>
-std::optional<Config> decode_config_impl(const ParamSpace& space, const Args& args) {
-  if (args.size() != space.dim()) return std::nullopt;
-  Config c;
-  c.values.reserve(args.size());
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const auto& p = space.param(i);
-    const std::string_view field = args[i];
-    switch (p.type()) {
-      case ParamType::Int: {
-        const auto v = parse_i64(field);
-        if (!v || !p.contains(Value{*v})) return std::nullopt;
-        c.values.emplace_back(*v);
-        break;
-      }
-      case ParamType::Real: {
-        const auto v = parse_f64(field);
-        if (!v || !p.contains(Value{*v})) return std::nullopt;
-        c.values.emplace_back(*v);
-        break;
-      }
-      case ParamType::Enum: {
-        std::string label(field);
-        if (!p.contains(Value{label})) return std::nullopt;
-        c.values.emplace_back(std::move(label));
-        break;
-      }
-    }
-  }
-  return c;
-}
-
-template <typename Args>
-std::optional<Parameter> decode_param_impl(const Args& args) {
-  if (args.size() < 2) return std::nullopt;
-  const std::string_view kind = args[0];
-  const std::string name(args[1]);
-  try {
-    if (kind == "INT") {
-      if (args.size() != 5) return std::nullopt;
-      const auto lo = parse_i64(args[2]);
-      const auto hi = parse_i64(args[3]);
-      const auto step = parse_i64(args[4]);
-      if (!lo || !hi || !step) return std::nullopt;
-      return Parameter::Integer(name, *lo, *hi, *step);
-    }
-    if (kind == "REAL") {
-      if (args.size() != 4) return std::nullopt;
-      const auto lo = parse_f64(args[2]);
-      const auto hi = parse_f64(args[3]);
-      if (!lo || !hi) return std::nullopt;
-      return Parameter::Real(name, *lo, *hi);
-    }
-    if (kind == "ENUM") {
-      if (args.size() != 3) return std::nullopt;
-      auto choices = split(args[2], ',');
-      if (choices.empty()) return std::nullopt;
-      return Parameter::Enum(name, std::move(choices));
-    }
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  return std::nullopt;
-}
-
 }  // namespace
 
 std::optional<std::int64_t> parse_i64(std::string_view s) {
@@ -152,14 +87,6 @@ void append_trace(const obs::TraceContext& ctx, std::string& out) {
   out.append(buf, static_cast<std::size_t>(n));
 }
 
-Message MessageView::to_message() const {
-  Message m;
-  m.verb = std::string(verb);
-  m.args.reserve(args.size());
-  for (const auto a : args) m.args.emplace_back(a);
-  return m;
-}
-
 bool parse_line(std::string_view line, MessageView& out) {
   out.verb = {};
   out.args.clear();
@@ -178,21 +105,6 @@ bool parse_line(std::string_view line, MessageView& out) {
   return !out.verb.empty();
 }
 
-std::optional<Message> parse_line(const std::string& line) {
-  MessageView view;
-  if (!parse_line(std::string_view(line), view)) return std::nullopt;
-  return view.to_message();
-}
-
-std::string format(const Message& m) {
-  std::string out = m.verb;
-  for (const auto& a : m.args) {
-    out += ' ';
-    out += a;
-  }
-  return out;
-}
-
 std::string encode_config(const ParamSpace& space, const Config& c) {
   std::string out;
   encode_config(space, c, out);
@@ -207,21 +119,36 @@ void encode_config(const ParamSpace& space, const Config& c, std::string& out) {
   }
 }
 
-std::optional<Config> decode_config(const ParamSpace& space,
-                                    const std::vector<std::string>& args) {
-  return decode_config_impl(space, args);
-}
-
-std::optional<Config> decode_config(const ParamSpace& space, const MessageView& m) {
-  return decode_config_impl(space, m.args);
-}
-
 std::optional<Config> decode_config(const ParamSpace& space, const MessageView& m,
                                     std::size_t skip) {
-  if (m.args.size() < skip) return std::nullopt;
-  const std::vector<std::string_view> rest(m.args.begin() + static_cast<long>(skip),
-                                           m.args.end());
-  return decode_config_impl(space, rest);
+  if (m.args.size() < skip || m.args.size() - skip != space.dim()) return std::nullopt;
+  Config c;
+  c.values.reserve(space.dim());
+  for (std::size_t i = 0; i < space.dim(); ++i) {
+    const auto& p = space.param(i);
+    const std::string_view field = m.args[skip + i];
+    switch (p.type()) {
+      case ParamType::Int: {
+        const auto v = parse_i64(field);
+        if (!v || !p.contains(Value{*v})) return std::nullopt;
+        c.values.emplace_back(*v);
+        break;
+      }
+      case ParamType::Real: {
+        const auto v = parse_f64(field);
+        if (!v || !p.contains(Value{*v})) return std::nullopt;
+        c.values.emplace_back(*v);
+        break;
+      }
+      case ParamType::Enum: {
+        std::string label(field);
+        if (!p.contains(Value{label})) return std::nullopt;
+        c.values.emplace_back(std::move(label));
+        break;
+      }
+    }
+  }
+  return c;
 }
 
 void encode_work(const ParamSpace& space, std::uint64_t work_id, const Config& c,
@@ -271,12 +198,37 @@ std::string encode_param(const Parameter& p) {
   return out;
 }
 
-std::optional<Parameter> decode_param(const std::vector<std::string>& args) {
-  return decode_param_impl(args);
-}
-
 std::optional<Parameter> decode_param(const MessageView& m) {
-  return decode_param_impl(m.args);
+  const auto& args = m.args;
+  if (args.size() < 2) return std::nullopt;
+  const std::string_view kind = args[0];
+  const std::string name(args[1]);
+  try {
+    if (kind == "INT") {
+      if (args.size() != 5) return std::nullopt;
+      const auto lo = parse_i64(args[2]);
+      const auto hi = parse_i64(args[3]);
+      const auto step = parse_i64(args[4]);
+      if (!lo || !hi || !step) return std::nullopt;
+      return Parameter::Integer(name, *lo, *hi, *step);
+    }
+    if (kind == "REAL") {
+      if (args.size() != 4) return std::nullopt;
+      const auto lo = parse_f64(args[2]);
+      const auto hi = parse_f64(args[3]);
+      if (!lo || !hi) return std::nullopt;
+      return Parameter::Real(name, *lo, *hi);
+    }
+    if (kind == "ENUM") {
+      if (args.size() != 3) return std::nullopt;
+      auto choices = split(args[2], ',');
+      if (choices.empty()) return std::nullopt;
+      return Parameter::Enum(name, std::move(choices));
+    }
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+  return std::nullopt;
 }
 
 }  // namespace harmony::proto

@@ -116,12 +116,6 @@
 
 namespace harmony::proto {
 
-/// A parsed protocol line: verb plus raw argument fields.
-struct Message {
-  std::string verb;
-  std::vector<std::string> args;
-};
-
 /// Zero-copy view of one parsed line: verb and argument fields are
 /// string_views into the caller's buffer, and the args vector is reused
 /// across lines, so steady-state tokenization performs no heap allocations.
@@ -129,19 +123,11 @@ struct Message {
 struct MessageView {
   std::string_view verb;
   std::vector<std::string_view> args;
-
-  [[nodiscard]] Message to_message() const;
 };
 
 /// Tokenize `line` into `out`, reusing out.args' capacity. Returns false for
 /// empty/whitespace-only lines (out is cleared either way).
 [[nodiscard]] bool parse_line(std::string_view line, MessageView& out);
-
-/// Split a line into verb + fields. Empty/whitespace-only lines yield nullopt.
-[[nodiscard]] std::optional<Message> parse_line(const std::string& line);
-
-/// Render a message back to one line (no trailing newline).
-[[nodiscard]] std::string format(const Message& m);
 
 /// Strict integer / floating-point field parsers: the whole field must be
 /// consumed. Used by the protocol itself and by server verb handlers.
@@ -155,20 +141,13 @@ struct MessageView {
 /// `out` without intermediate strings (reuse `out`'s capacity across calls).
 void encode_config(const ParamSpace& space, const Config& c, std::string& out);
 
-/// Decode CONFIG arguments against a parameter space. Returns nullopt when
-/// the field count or any field fails to parse/validate.
-[[nodiscard]] std::optional<Config> decode_config(const ParamSpace& space,
-                                                  const std::vector<std::string>& args);
-
-/// Zero-copy variant: decode the args of a tokenized MessageView.
-[[nodiscard]] std::optional<Config> decode_config(const ParamSpace& space,
-                                                  const MessageView& m);
-
-/// Like the MessageView overload but ignoring the first `skip` args — the
-/// worker side of a WORK line decodes the fields after the work id.
+/// Decode the args of a tokenized CONFIG line against a parameter space,
+/// ignoring the first `skip` args (the worker side of a WORK line decodes
+/// the fields after the work id). Returns nullopt when the field count or
+/// any field fails to parse/validate.
 [[nodiscard]] std::optional<Config> decode_config(const ParamSpace& space,
                                                   const MessageView& m,
-                                                  std::size_t skip);
+                                                  std::size_t skip = 0);
 
 /// Append one complete "WORK <id> <fields>\n" line to `out` (hot-path,
 /// allocation-free once `out` has capacity).
@@ -190,11 +169,8 @@ void append_trace(const obs::TraceContext& ctx, std::string& out);
 /// Build a PARAM registration line for a parameter.
 [[nodiscard]] std::string encode_param(const Parameter& p);
 
-/// Parse a PARAM line's arguments (everything after the verb) into a
-/// Parameter. Returns nullopt on malformed input.
-[[nodiscard]] std::optional<Parameter> decode_param(const std::vector<std::string>& args);
-
-/// Zero-copy variant: decode the args of a tokenized MessageView.
+/// Parse a tokenized PARAM line's arguments (everything after the verb)
+/// into a Parameter. Returns nullopt on malformed input.
 [[nodiscard]] std::optional<Parameter> decode_param(const MessageView& m);
 
 }  // namespace harmony::proto

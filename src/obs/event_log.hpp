@@ -1,16 +1,15 @@
 #pragma once
 
 /// \file event_log.hpp
-/// Structured event log for the tuning system: bounded, lock-sharded ring
-/// buffer of (severity, component, session, message) records with monotonic
-/// timestamps and a global sequence order. The server's `LOG tail N` verb
-/// reads the most recent events while the system runs; an optional JSONL
-/// sink mirrors every record to a stream for durable logs.
+/// Structured event log for the tuning system: a ShardedRing of (severity,
+/// component, session, message) records with monotonic timestamps and a
+/// global sequence order. The server's `LOG tail N` verb reads the most
+/// recent events while the system runs.
 ///
-/// Recording is shard-local (each thread keeps the shard it was handed
-/// round-robin on its first record, one mutex per shard), so pool workers
-/// logging concurrently almost never contend; the buffer is bounded per
-/// shard, so a chatty component can never grow memory without limit — old events are overwritten, the lifetime total is kept.
+/// Recording is shard-local (see sharded_ring.hpp), so pool workers logging
+/// concurrently almost never contend; the ring is bounded per shard, so a
+/// chatty component can never grow memory without limit — old events are
+/// overwritten, the lifetime total is kept.
 ///
 /// The gated convenience helpers (obs::log_info etc.) cost one relaxed
 /// atomic load when observability is off, like every other record site in
@@ -21,12 +20,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"  // obs::enabled()
+#include "obs/sharded_ring.hpp"
 
 namespace harmony::obs {
 
@@ -61,7 +60,7 @@ class EventLog {
   static EventLog& global();
 
   /// Append one record. Thread-safe; overwrites the shard's oldest record
-  /// when full. Also mirrors to the sink when one is attached.
+  /// when full.
   void record(Severity severity, std::string_view component,
               std::string_view session, std::string_view message);
 
@@ -75,47 +74,25 @@ class EventLog {
   }
 
   /// Events currently retained across all shards.
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.capacity(); }
 
   /// Microseconds since construction, from the log's steady clock.
   [[nodiscard]] double now_us() const;
 
-  /// Attach (or detach with nullptr) a JSONL sink: every subsequent record
-  /// is also appended to `sink` as one JSON object per line, under a
-  /// dedicated mutex. The stream must outlive the attachment.
-  void set_sink(std::ostream* sink);
-
   /// Drop all retained events (the sequence counter keeps counting).
-  void clear();
+  void clear() { ring_.clear(); }
 
   /// Serialize one event as a single-line JSON object (no newline):
   /// {"seq":N,"t_us":T,"severity":"info","component":"...","session":"...",
   ///  "message":"..."}
   static void write_event_json(std::ostream& os, const LogEvent& e);
 
-  /// tail(n), one JSON object per line.
-  void write_jsonl_tail(std::ostream& os, std::size_t n) const;
-
  private:
-  static constexpr std::size_t kShards = 8;
-
-  struct Shard {
-    mutable std::mutex mutex;
-    std::vector<LogEvent> ring;  ///< capacity-bounded, wraps at `head`
-    std::size_t head = 0;        ///< next write position once full
-  };
-
-  Shard& shard_for_current_thread() noexcept;
-
   std::chrono::steady_clock::time_point epoch_;
-  std::size_t capacity_;
-  std::size_t per_shard_;
-  mutable std::vector<Shard> shards_;
+  ShardedRing<LogEvent> ring_;
   std::atomic<std::uint64_t> seq_{0};
-  std::mutex sink_mutex_;
-  std::ostream* sink_ = nullptr;
 };
 
 // ---- zero-cost-when-disabled convenience recorders ------------------------

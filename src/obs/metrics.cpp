@@ -144,7 +144,7 @@ MetricsRegistry::Entry& MetricsRegistry::entry_for(std::string_view name,
                                                    Entry::Kind kind) {
   Shard& shard = shard_for(name);
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.table.find(std::string(name));
+  auto it = shard.table.find(name);
   if (it == shard.table.end()) {
     Entry e{kind, nullptr, nullptr, nullptr};
     switch (kind) {

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -157,9 +158,17 @@ class MetricsRegistry {
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<HdrHistogram> hdr;
   };
+  /// Hashes std::string and std::string_view alike, so a by-name record
+  /// looks its metric up without building a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
   struct Shard {
     mutable std::mutex mutex;
-    std::unordered_map<std::string, Entry> table;
+    std::unordered_map<std::string, Entry, NameHash, std::equal_to<>> table;
   };
 
   [[nodiscard]] Shard& shard_for(std::string_view name) const;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <ostream>
 #include <sstream>
 
@@ -32,6 +31,17 @@ std::string hex_id(std::uint64_t v) {
   return std::string(buf);
 }
 
+/// Sort records by start time, ties broken by lane; stable, so one thread's
+/// records at the same instant keep their recording order.
+template <typename Record>
+std::vector<Record> by_start_time(std::vector<Record> out) {
+  std::stable_sort(out.begin(), out.end(), [](const Record& a, const Record& b) {
+    if (a.t_start_us != b.t_start_us) return a.t_start_us < b.t_start_us;
+    return a.thread_lane < b.thread_lane;
+  });
+  return out;
+}
+
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -55,8 +65,7 @@ SearchTracer::SearchTracer()
     : epoch_(std::chrono::steady_clock::now()),
       wall_anchor_us_(std::chrono::duration<double, std::micro>(
                           std::chrono::system_clock::now().time_since_epoch())
-                          .count()),
-      shards_(kShards) {}
+                          .count()) {}
 
 double SearchTracer::now_us() const {
   return std::chrono::duration<double, std::micro>(
@@ -76,68 +85,20 @@ std::uint32_t SearchTracer::lane_for_current_thread() {
 
 void SearchTracer::record(TraceEvent e) {
   e.thread_lane = lane_for_current_thread();
-  Shard& shard = shards_[std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-                         shards_.size()];
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.events.push_back(std::move(e));
+  events_.push(std::move(e));
 }
 
 void SearchTracer::record_span(SpanEvent s) {
   s.thread_lane = lane_for_current_thread();
-  Shard& shard = shards_[std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-                         shards_.size()];
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.spans.push_back(std::move(s));
-}
-
-std::vector<SpanEvent> SearchTracer::spans() const {
-  std::vector<SpanEvent> out;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    out.insert(out.end(), shard.spans.begin(), shard.spans.end());
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const SpanEvent& a, const SpanEvent& b) {
-                     if (a.t_start_us != b.t_start_us) {
-                       return a.t_start_us < b.t_start_us;
-                     }
-                     return a.thread_lane < b.thread_lane;
-                   });
-  return out;
-}
-
-std::size_t SearchTracer::span_count() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    n += shard.spans.size();
-  }
-  return n;
+  spans_.push(std::move(s));
 }
 
 std::vector<TraceEvent> SearchTracer::events() const {
-  std::vector<TraceEvent> out;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    out.insert(out.end(), shard.events.begin(), shard.events.end());
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     if (a.t_start_us != b.t_start_us) {
-                       return a.t_start_us < b.t_start_us;
-                     }
-                     return a.thread_lane < b.thread_lane;
-                   });
-  return out;
+  return by_start_time(events_.snapshot());
 }
 
-std::size_t SearchTracer::size() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    n += shard.events.size();
-  }
-  return n;
+std::vector<SpanEvent> SearchTracer::spans() const {
+  return by_start_time(spans_.snapshot());
 }
 
 std::size_t SearchTracer::lanes() const {
@@ -146,11 +107,8 @@ std::size_t SearchTracer::lanes() const {
 }
 
 void SearchTracer::clear() {
-  for (auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.events.clear();
-    shard.spans.clear();
-  }
+  events_.clear();
+  spans_.clear();
   const std::lock_guard<std::mutex> lock(lanes_mutex_);
   lane_ids_.clear();
 }

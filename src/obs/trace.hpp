@@ -13,10 +13,12 @@
 ///    on engine::PoolEvalBackend shows one lane per pool worker with the
 ///    short runs laid out on the wall clock.
 ///
-/// Recording is thread-safe and cheap: events append to lock-sharded
-/// buffers (shard chosen by thread id, so pool workers almost never share a
-/// shard), timestamps come from one steady clock anchored at construction.
-/// Thread lane ids are small integers assigned in order of first appearance.
+/// Recording is thread-safe and cheap: events and spans append to two
+/// bounded ShardedRings (see sharded_ring.hpp), so pool workers almost never
+/// share a lock and a long-running traced server keeps at most kCapacity
+/// records of each kind; overwritten records are counted in dropped().
+/// Timestamps come from one steady clock anchored at construction. Thread
+/// lane ids are small integers assigned in order of first appearance.
 
 #include <chrono>
 #include <cstdint>
@@ -26,6 +28,8 @@
 #include <thread>
 #include <unordered_map>
 #include <vector>
+
+#include "obs/sharded_ring.hpp"
 
 namespace harmony::obs {
 
@@ -74,6 +78,11 @@ struct TraceEvent {
 
 class SearchTracer {
  public:
+  /// Records of each kind (evaluations, spans) the tracer keeps: 65,536 per
+  /// shard, more than the perf ledger's 50,000 kept spans, which one drain
+  /// thread records into one shard.
+  static constexpr std::size_t kCapacity = std::size_t{1} << 19;
+
   SearchTracer();
 
   /// Microseconds since construction, from the tracer's steady clock.
@@ -83,7 +92,8 @@ class SearchTracer {
   [[nodiscard]] std::uint32_t lane_for_current_thread();
 
   /// Append one event. `thread_lane` is filled in from the calling thread;
-  /// callers set every other field. Thread-safe.
+  /// callers set every other field. Thread-safe; a full shard overwrites its
+  /// oldest event.
   void record(TraceEvent e);
 
   /// Append one span of a sampled request. Same sharding and lane rules as
@@ -91,16 +101,22 @@ class SearchTracer {
   /// recording a span with trace_id 0 is a programming error.
   void record_span(SpanEvent s);
 
-  /// All events so far, merged across shards and sorted by start time
-  /// (ties broken by lane). Thread-safe snapshot.
+  /// All kept events, merged across shards and sorted by start time (ties
+  /// broken by lane). Thread-safe snapshot.
   [[nodiscard]] std::vector<TraceEvent> events() const;
 
-  /// All spans so far, merged and sorted like events(). Thread-safe snapshot.
+  /// All kept spans, merged and sorted like events(). Thread-safe snapshot.
   [[nodiscard]] std::vector<SpanEvent> spans() const;
 
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t span_count() const;
+  [[nodiscard]] std::size_t size() const { return events_.size(); }
+  [[nodiscard]] std::size_t span_count() const { return spans_.size(); }
   [[nodiscard]] std::size_t lanes() const;
+
+  /// Events and spans overwritten since construction (clear() keeps it).
+  [[nodiscard]] std::uint64_t dropped() const {
+    return events_.dropped() + spans_.dropped();
+  }
+
   void clear();
 
   /// Wall-clock (unix) microseconds corresponding to t == 0 on this tracer's
@@ -122,17 +138,10 @@ class SearchTracer {
   void write_chrome_trace(std::ostream& os) const;
 
  private:
-  static constexpr std::size_t kShards = 16;
-
-  struct Shard {
-    mutable std::mutex mutex;
-    std::vector<TraceEvent> events;
-    std::vector<SpanEvent> spans;
-  };
-
   std::chrono::steady_clock::time_point epoch_;
   double wall_anchor_us_ = 0.0;
-  mutable std::vector<Shard> shards_;
+  ShardedRing<TraceEvent> events_{kCapacity};
+  ShardedRing<SpanEvent> spans_{kCapacity};
   mutable std::mutex lanes_mutex_;
   std::unordered_map<std::thread::id, std::uint32_t> lane_ids_;
 };

@@ -191,7 +191,7 @@ Config int2(std::int64_t a, std::int64_t b) {
   return Config{{Value{a}, Value{b}}};
 }
 
-TEST(FlatCacheMap, InsertFindEraseAcrossGrowth) {
+TEST(FlatCacheMap, InsertFindAcrossGrowth) {
   const auto space = flat_cache_space();
   FlatPointMap<int> map;
   EXPECT_TRUE(map.empty());
@@ -206,25 +206,6 @@ TEST(FlatCacheMap, InsertFindEraseAcrossGrowth) {
     EXPECT_EQ(*v, static_cast<int>(i));
   }
   EXPECT_EQ(map.find(PointKey(space, int2(1000, 0))), nullptr);
-
-  // Erase every third entry; everything else must stay reachable even where
-  // the backward shift has to move probe chains across the holes.
-  std::size_t erased = 0;
-  for (std::int64_t i = 0; i < 500; i += 3) {
-    EXPECT_TRUE(map.erase(PointKey(space, int2(i, i * 7 % 4096))));
-    ++erased;
-  }
-  EXPECT_FALSE(map.erase(PointKey(space, int2(0, 0))));  // already gone
-  EXPECT_EQ(map.size(), 500u - erased);
-  for (std::int64_t i = 0; i < 500; ++i) {
-    const int* v = map.find(PointKey(space, int2(i, i * 7 % 4096)));
-    if (i % 3 == 0) {
-      EXPECT_EQ(v, nullptr) << i;
-    } else {
-      ASSERT_NE(v, nullptr) << i;
-      EXPECT_EQ(*v, static_cast<int>(i));
-    }
-  }
 }
 
 TEST(FlatCacheMap, TryEmplaceAndOverwrite) {

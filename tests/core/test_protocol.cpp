@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "obs/trace.hpp"
 
@@ -14,31 +17,46 @@ using harmony::ParamSpace;
 namespace proto = harmony::proto;
 
 TEST(Protocol, ParseSimpleLine) {
-  const auto m = proto::parse_line("REPORT 3.25");
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->verb, "REPORT");
-  ASSERT_EQ(m->args.size(), 1u);
-  EXPECT_EQ(m->args[0], "3.25");
+  const std::string line = "REPORT 3.25";
+  proto::MessageView m;
+  ASSERT_TRUE(proto::parse_line(line, m));
+  EXPECT_EQ(m.verb, "REPORT");
+  ASSERT_EQ(m.args.size(), 1u);
+  EXPECT_EQ(m.args[0], "3.25");
 }
 
 TEST(Protocol, ParseEmptyLineIsNull) {
-  EXPECT_FALSE(proto::parse_line("").has_value());
-  EXPECT_FALSE(proto::parse_line("   ").has_value());
+  proto::MessageView m;
+  EXPECT_FALSE(proto::parse_line("", m));
+  EXPECT_FALSE(proto::parse_line("   ", m));
+  EXPECT_TRUE(m.verb.empty());
+  EXPECT_TRUE(m.args.empty());
 }
 
 TEST(Protocol, ParseCollapsesWhitespace) {
-  const auto m = proto::parse_line("  PARAM   INT  x  1 9  1 ");
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->verb, "PARAM");
-  EXPECT_EQ(m->args.size(), 5u);
+  const std::string line = "  PARAM   INT  x  1 9  1 ";
+  proto::MessageView m;
+  ASSERT_TRUE(proto::parse_line(line, m));
+  EXPECT_EQ(m.verb, "PARAM");
+  EXPECT_EQ(m.args.size(), 5u);
 }
 
+// Joining a view's fields with single spaces and tokenizing again gives
+// the same fields.
 TEST(Protocol, FormatRoundtrip) {
-  proto::Message m{"CONFIG", {"1", "0.5", "yxles"}};
-  const auto parsed = proto::parse_line(proto::format(m));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->verb, m.verb);
-  EXPECT_EQ(parsed->args, m.args);
+  const std::string line = "CONFIG 1 0.5 yxles";
+  proto::MessageView m;
+  ASSERT_TRUE(proto::parse_line(line, m));
+  std::string joined(m.verb);
+  for (const auto a : m.args) {
+    joined += ' ';
+    joined += a;
+  }
+  EXPECT_EQ(joined, line);
+  proto::MessageView again;
+  ASSERT_TRUE(proto::parse_line(joined, again));
+  EXPECT_EQ(again.verb, "CONFIG");
+  EXPECT_EQ(again.args, (std::vector<std::string_view>{"1", "0.5", "yxles"}));
 }
 
 ParamSpace demo_space() {
@@ -49,37 +67,71 @@ ParamSpace demo_space() {
   return s;
 }
 
+// Decode the space-separated `fields` of a CONFIG line, as a client does.
+std::optional<Config> decode_config_fields(const ParamSpace& s,
+                                           const std::string& fields) {
+  std::string line = "CONFIG ";
+  line += fields;
+  proto::MessageView m;
+  if (!proto::parse_line(line, m)) return std::nullopt;
+  return proto::decode_config(s, m);
+}
+
+// Decode the space-separated `fields` of a PARAM line, as the server does.
+std::optional<Parameter> decode_param_fields(const std::string& fields) {
+  std::string line = "PARAM ";
+  line += fields;
+  proto::MessageView m;
+  if (!proto::parse_line(line, m)) return std::nullopt;
+  return proto::decode_param(m);
+}
+
 TEST(Protocol, EncodeDecodeConfigRoundtrip) {
   const auto s = demo_space();
   const Config c = s.snap({10.0, 1.25, 1.0});
-  const auto encoded = proto::encode_config(s, c);
-  const auto msg = proto::parse_line("CONFIG " + encoded);
-  ASSERT_TRUE(msg.has_value());
-  const auto decoded = proto::decode_config(s, msg->args);
+  const auto decoded = decode_config_fields(s, proto::encode_config(s, c));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, c);
 }
 
+// A WORK line decodes its fields after the work id in place.
+TEST(Protocol, DecodeConfigSkipsLeadingFields) {
+  const auto s = demo_space();
+  const Config c = s.snap({10.0, 1.25, 1.0});
+  std::string line;
+  proto::encode_work(s, 7, c, line);
+  line.pop_back();  // the newline
+  proto::MessageView m;
+  ASSERT_TRUE(proto::parse_line(line, m));
+  EXPECT_EQ(m.verb, "WORK");
+  const auto decoded = proto::decode_config(s, m, /*skip=*/1);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, c);
+  EXPECT_FALSE(proto::decode_config(s, m).has_value());      // the id is a field
+  EXPECT_FALSE(proto::decode_config(s, m, 2).has_value());   // one field short
+  EXPECT_FALSE(proto::decode_config(s, m, 9).has_value());   // skip past the end
+}
+
 TEST(Protocol, DecodeConfigWrongArityFails) {
   const auto s = demo_space();
-  EXPECT_FALSE(proto::decode_config(s, {"1", "0.5"}).has_value());
+  EXPECT_FALSE(decode_config_fields(s, "1 0.5").has_value());
 }
 
 TEST(Protocol, DecodeConfigBadIntFails) {
   const auto s = demo_space();
-  EXPECT_FALSE(proto::decode_config(s, {"abc", "0.5", "lxyes"}).has_value());
-  EXPECT_FALSE(proto::decode_config(s, {"999", "0.5", "lxyes"}).has_value());
+  EXPECT_FALSE(decode_config_fields(s, "abc 0.5 lxyes").has_value());
+  EXPECT_FALSE(decode_config_fields(s, "999 0.5 lxyes").has_value());
 }
 
 TEST(Protocol, DecodeConfigBadRealFails) {
   const auto s = demo_space();
-  EXPECT_FALSE(proto::decode_config(s, {"1", "zz", "lxyes"}).has_value());
-  EXPECT_FALSE(proto::decode_config(s, {"1", "99.0", "lxyes"}).has_value());
+  EXPECT_FALSE(decode_config_fields(s, "1 zz lxyes").has_value());
+  EXPECT_FALSE(decode_config_fields(s, "1 99.0 lxyes").has_value());
 }
 
 TEST(Protocol, DecodeConfigBadEnumFails) {
   const auto s = demo_space();
-  EXPECT_FALSE(proto::decode_config(s, {"1", "0.5", "bogus"}).has_value());
+  EXPECT_FALSE(decode_config_fields(s, "1 0.5 bogus").has_value());
 }
 
 TEST(Protocol, EncodeParamInt) {
@@ -99,9 +151,10 @@ TEST(Protocol, EncodeParamEnum) {
 
 TEST(Protocol, DecodeParamRoundtripInt) {
   const auto p = Parameter::Integer("n", -4, 12, 2);
-  const auto msg = proto::parse_line(proto::encode_param(p));
-  ASSERT_TRUE(msg.has_value());
-  const auto decoded = proto::decode_param(msg->args);
+  const std::string line = proto::encode_param(p);
+  proto::MessageView m;
+  ASSERT_TRUE(proto::parse_line(line, m));
+  const auto decoded = proto::decode_param(m);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->int_lo(), -4);
   EXPECT_EQ(decoded->int_hi(), 12);
@@ -110,33 +163,37 @@ TEST(Protocol, DecodeParamRoundtripInt) {
 
 TEST(Protocol, DecodeParamRoundtripEnum) {
   const auto p = Parameter::Enum("layout", {"lxyes", "yxles", "yxels"});
-  const auto msg = proto::parse_line(proto::encode_param(p));
-  const auto decoded = proto::decode_param(msg->args);
+  const std::string line = proto::encode_param(p);
+  proto::MessageView m;
+  ASSERT_TRUE(proto::parse_line(line, m));
+  const auto decoded = proto::decode_param(m);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->choices(), p.choices());
 }
 
 TEST(Protocol, DecodeParamRoundtripReal) {
   const auto p = Parameter::Real("alpha", -1.5, 3.5);
-  const auto msg = proto::parse_line(proto::encode_param(p));
-  const auto decoded = proto::decode_param(msg->args);
+  const std::string line = proto::encode_param(p);
+  proto::MessageView m;
+  ASSERT_TRUE(proto::parse_line(line, m));
+  const auto decoded = proto::decode_param(m);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_DOUBLE_EQ(decoded->real_lo(), -1.5);
   EXPECT_DOUBLE_EQ(decoded->real_hi(), 3.5);
 }
 
 TEST(Protocol, DecodeParamMalformedFails) {
-  EXPECT_FALSE(proto::decode_param(std::vector<std::string>{}).has_value());
-  EXPECT_FALSE(proto::decode_param(std::vector<std::string>{"INT"}).has_value());
-  EXPECT_FALSE(proto::decode_param({"INT", "x", "a", "b", "c"}).has_value());
-  EXPECT_FALSE(proto::decode_param({"INT", "x", "5", "1", "1"}).has_value());  // lo>hi
-  EXPECT_FALSE(proto::decode_param({"REAL", "x", "1"}).has_value());
-  EXPECT_FALSE(proto::decode_param({"ENUM", "x"}).has_value());
-  EXPECT_FALSE(proto::decode_param({"BLOB", "x", "1", "2"}).has_value());
+  EXPECT_FALSE(decode_param_fields("").has_value());
+  EXPECT_FALSE(decode_param_fields("INT").has_value());
+  EXPECT_FALSE(decode_param_fields("INT x a b c").has_value());
+  EXPECT_FALSE(decode_param_fields("INT x 5 1 1").has_value());  // lo>hi
+  EXPECT_FALSE(decode_param_fields("REAL x 1").has_value());
+  EXPECT_FALSE(decode_param_fields("ENUM x").has_value());
+  EXPECT_FALSE(decode_param_fields("BLOB x 1 2").has_value());
 }
 
 TEST(Protocol, DecodeParamTrailingGarbageFails) {
-  EXPECT_FALSE(proto::decode_param({"INT", "x", "1", "10", "1", "extra"}).has_value());
+  EXPECT_FALSE(decode_param_fields("INT x 1 10 1 extra").has_value());
 }
 
 TEST(Protocol, TraceContextTokenRoundTrips) {
@@ -147,11 +204,11 @@ TEST(Protocol, TraceContextTokenRoundTrips) {
   proto::append_trace(ctx, line);
   EXPECT_EQ(line, "REPORT+FETCH 3.25 T=deadbeefcafef00d-0000000000000001");
 
-  const auto msg = proto::parse_line(line);
-  ASSERT_TRUE(msg.has_value());
-  ASSERT_EQ(msg->args.size(), 2u);
-  ASSERT_TRUE(proto::is_trace_token(msg->args.back()));
-  const auto parsed = proto::parse_trace(msg->args.back());
+  proto::MessageView m;
+  ASSERT_TRUE(proto::parse_line(line, m));
+  ASSERT_EQ(m.args.size(), 2u);
+  ASSERT_TRUE(proto::is_trace_token(m.args.back()));
+  const auto parsed = proto::parse_trace(m.args.back());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->trace_id, ctx.trace_id);
   EXPECT_EQ(parsed->span_id, ctx.span_id);

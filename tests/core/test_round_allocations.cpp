@@ -4,7 +4,8 @@
 // offline POP tuning runs per proposal. A counting global operator new
 // measures heap allocations per proposal after warm-up, and each count is
 // pinned below an upper bound, so an allocation that creeps back into
-// NelderMead::report or the controller round fails here.
+// NelderMead::report or the controller round fails here. The by-name metric
+// records the server makes per request are pinned at zero the same way.
 //
 // This file replaces the global operator new, so it is its own executable.
 
@@ -14,11 +15,13 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "core/controller.hpp"
 #include "core/nelder_mead.hpp"
 #include "minipop/pop_params.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 std::size_t g_allocations = 0;  // the tests run on one thread
@@ -126,6 +129,27 @@ TEST(RoundAllocations, ControllerRoundPerProposal) {
       static_cast<double>(allocations) / static_cast<double>(r.proposals);
   RecordProperty("round_allocs_per_proposal", std::to_string(per_proposal));
   EXPECT_LE(per_proposal, kRoundBound);
+}
+
+// By-name metric records, as the server's request path makes them with
+// observability on: once a name is registered, recording under it must not
+// allocate, even for names too long for std::string's inline buffer.
+TEST(RoundAllocations, ByNameMetricRecordsAfterFirstUse) {
+  const bool was_enabled = harmony::obs::enabled();
+  harmony::obs::set_enabled(true);
+  constexpr std::string_view kCounter = "test.alloc.by_name_counter";
+  constexpr std::string_view kHistogram = "test.alloc.by_name_histogram";
+  static_assert(kCounter.size() > 15 && kHistogram.size() > 15);
+  harmony::obs::count(kCounter);
+  harmony::obs::observe(kHistogram, 1.0);
+  const std::size_t before = g_allocations;
+  for (int i = 0; i < 1000; ++i) {
+    harmony::obs::count(kCounter);
+    harmony::obs::observe(kHistogram, 1e-3 * i);
+  }
+  const std::size_t allocations = g_allocations - before;
+  harmony::obs::set_enabled(was_enabled);
+  EXPECT_EQ(allocations, 0U);
 }
 
 }  // namespace

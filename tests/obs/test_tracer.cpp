@@ -247,3 +247,61 @@ TEST(SearchTracer, ParallelDriverProducesOneLanePerPoolThread) {
   }
   EXPECT_EQ(tids.size(), tracer.lanes());
 }
+
+namespace {
+
+/// Spans one tracer shard holds.
+constexpr std::size_t kSpansPerShard =
+    obs::SearchTracer::kCapacity / obs::ShardedRing<obs::SpanEvent>::kShards;
+
+obs::SpanEvent make_span(std::uint64_t id, double t_us) {
+  obs::SpanEvent s;
+  s.trace_id = 1;
+  s.span_id = id;
+  s.name = "span";
+  s.t_start_us = t_us;
+  s.t_end_us = t_us;
+  return s;
+}
+
+}  // namespace
+
+// A traced long-running server records from a few threads for as long as it
+// runs: the tracer keeps one shard's worth per thread and counts the rest.
+TEST(SearchTracer, OneThreadPastItsShardKeepsTheNewestAndCountsDropped) {
+  obs::SearchTracer tracer;
+  constexpr std::size_t kExcess = 1000;
+  for (std::size_t i = 0; i < kSpansPerShard + kExcess; ++i) {
+    tracer.record_span(make_span(i + 1, static_cast<double>(i)));
+  }
+  EXPECT_EQ(tracer.span_count(), kSpansPerShard);
+  EXPECT_EQ(tracer.dropped(), kExcess);
+  const auto spans = tracer.spans();
+  ASSERT_EQ(spans.size(), kSpansPerShard);
+  EXPECT_EQ(spans.front().span_id, kExcess + 1);  // the oldest kept
+  EXPECT_EQ(spans.back().span_id, kSpansPerShard + kExcess);
+
+  tracer.clear();  // the dropped count is a lifetime total
+  EXPECT_EQ(tracer.span_count(), 0u);
+  EXPECT_EQ(tracer.dropped(), kExcess);
+}
+
+// Eight concurrent recorders, one per shard: each records more than half a
+// shard, so any two sharing a shard would overwrite spans.
+TEST(SearchTracer, OneRecorderPerShardDropsNothing) {
+  constexpr int kThreads = 8;
+  constexpr std::size_t kSpans = kSpansPerShard / 2 + 1;
+  obs::SearchTracer tracer;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&tracer] {
+      for (std::size_t i = 0; i < kSpans; ++i) {
+        tracer.record_span(make_span(i + 1, tracer.now_us()));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(tracer.span_count(), kThreads * kSpans);
+  EXPECT_EQ(tracer.dropped(), 0u);
+}

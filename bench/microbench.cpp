@@ -23,6 +23,8 @@
 #include "minigs2/minigs2.hpp"
 #include "minipetsc/minipetsc.hpp"
 #include "minipop/minipop.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "simcluster/simcluster.hpp"
 
 namespace {
@@ -647,6 +649,35 @@ void BM_LineReaderTokenize(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_LineReaderTokenize)->Arg(1)->Arg(16)->Arg(64);
+
+// ---- observability record path ---------------------------------------------
+
+// One record of each kind a traced server request makes with observability
+// on: a counter add and an HDR record through call-site handles, and a span
+// into one shared tracer. Every thread records into the same metrics and the
+// same tracer, as both reactors of a server do.
+void BM_ObsRecord(benchmark::State& state) {
+  static const bool was_enabled = harmony::obs::enabled();
+  static harmony::obs::SearchTracer tracer;
+  harmony::obs::set_enabled(true);
+  harmony::obs::SpanEvent span;
+  span.trace_id = 1;
+  span.span_id = 2;
+  span.name = "server.tell";
+  double v = 1e-6;
+  for (auto _ : state) {
+    harmony::obs::count<"bench.obs.counter">();
+    harmony::obs::observe<"bench.obs.hist">(v);
+    span.t_start_us = v;
+    tracer.record_span(span);
+    v += 1e-9;
+  }
+  state.SetItemsProcessed(state.iterations());
+  // The timing loop ends on a barrier across threads, so no thread records
+  // past this point.
+  if (state.thread_index() == 0) harmony::obs::set_enabled(was_enabled);
+}
+BENCHMARK(BM_ObsRecord)->Threads(1)->Threads(4)->UseRealTime();
 
 }  // namespace
 

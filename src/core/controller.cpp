@@ -53,8 +53,8 @@ std::vector<EvalOutcome> ShortRunEvalBackend::evaluate(const std::vector<Config>
     o.result.objective =
         r.ok ? r.measured_s : std::numeric_limits<double>::infinity();
     o.result.metrics["warmup_s"] = r.warmup_s;
-    obs::count("offline.runs");
-    obs::observe("offline.short_run_s", r.warmup_s + r.measured_s);
+    obs::count<"offline.runs">();
+    obs::observe<"offline.short_run_s">(r.warmup_s + r.measured_s);
     out.push_back(std::move(o));
   }
   return out;
@@ -167,10 +167,10 @@ ControllerResult SearchController::run(BatchSearchStrategy& strategy,
       miss_at.push_back(i);
     }
     if (obs::enabled()) {
-      obs::count("controller.batches");
-      obs::count("controller.proposals", batch.size());
+      obs::count<"controller.batches">();
+      obs::count<"controller.proposals">(batch.size());
       if (cache_hits_ != hits_before) {
-        obs::count("controller.cache_hits", cache_hits_ - hits_before);
+        obs::count<"controller.cache_hits">(cache_hits_ - hits_before);
       }
     }
     if (!miss_at.empty()) {

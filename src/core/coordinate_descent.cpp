@@ -23,8 +23,8 @@ CoordinateDescent::CoordinateDescent(const ParamSpace& space,
 }
 
 void CoordinateDescent::refill_queue() {
-  const auto timer = obs::time_scope("cd.refill_s");
-  obs::count("cd.sweeps");
+  const auto timer = obs::time_scope<"cd.refill_s">();
+  obs::count<"cd.sweeps">();
   queue_.clear();
   if (line_samples_ == 0) {
     for (auto& n : space_->neighbors(incumbent_)) queue_.push_back(std::move(n));
@@ -78,7 +78,7 @@ std::optional<Config> CoordinateDescent::propose() {
 void CoordinateDescent::report(const Config& c, const EvaluationResult& r) {
   if (!pending_) throw std::logic_error("CoordinateDescent::report without propose");
   pending_.reset();
-  obs::count("cd.evaluations");
+  obs::count<"cd.evaluations">();
   const double value =
       r.valid ? r.objective : std::numeric_limits<double>::infinity();
   if (r.valid && value < best_value_) {
@@ -94,7 +94,7 @@ void CoordinateDescent::report(const Config& c, const EvaluationResult& r) {
   if (value < incumbent_value_) {
     incumbent_ = c;
     incumbent_value_ = value;
-    obs::count("cd.improvements");
+    obs::count<"cd.improvements">();
     if (line_samples_ == 0) {
       // Greedy: restart the neighbor sweep from the improved incumbent.
       refill_queue();

@@ -85,12 +85,11 @@ void EventLoop::drain_deferred() {
   }
   if (pending.empty()) return;
   if (obs::enabled()) {
-    auto& defer_wait =
-        obs::MetricsRegistry::global().hdr("net.loop.defer_wait_s");
     const auto now = std::chrono::steady_clock::now();
     for (const auto& item : pending) {
       if (item.enqueued == std::chrono::steady_clock::time_point{}) continue;
-      defer_wait.record(std::chrono::duration<double>(now - item.enqueued).count());
+      obs::observe<"net.loop.defer_wait_s">(
+          std::chrono::duration<double>(now - item.enqueued).count());
     }
   }
   for (auto& item : pending) item.fn();
@@ -102,11 +101,6 @@ void EventLoop::set_tick(int interval_ms, std::function<void()> fn) {
 }
 
 void EventLoop::run() {
-  // Resolve the hot-path metric handles once; recording stays gated on
-  // obs::enabled() so a disabled run costs one relaxed load per iteration.
-  auto& iterations = obs::MetricsRegistry::global().counter("net.loop.iterations");
-  auto& ready_depth = obs::MetricsRegistry::global().hdr("net.loop.ready");
-
   constexpr int kMaxEvents = 128;
   epoll_event events[kMaxEvents];
   auto next_tick = std::chrono::steady_clock::now() +
@@ -132,10 +126,8 @@ void EventLoop::run() {
       if (errno == EINTR) continue;
       break;
     }
-    if (obs::enabled()) {
-      iterations.add(1);
-      ready_depth.record(static_cast<double>(n));
-    }
+    obs::count<"net.loop.iterations">();
+    obs::observe<"net.loop.ready">(static_cast<double>(n));
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       if (fd == wake_fd_) {

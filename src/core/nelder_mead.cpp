@@ -154,7 +154,7 @@ void NelderMead::report(const Config& c, const EvaluationResult& r) {
       if (value < f_second_worst) {
         replace_worst(reflected_coords_, value);
         ++transformations_;
-        obs::count("nm.reflect");
+        obs::count<"nm.reflect">();
         begin_iteration();
         return;
       }
@@ -179,10 +179,10 @@ void NelderMead::report(const Config& c, const EvaluationResult& r) {
     case Phase::Expand: {
       if (value < reflected_value_) {
         replace_worst(pending_coords_, value);
-        obs::count("nm.expand");
+        obs::count<"nm.expand">();
       } else {
         replace_worst(reflected_coords_, reflected_value_);
-        obs::count("nm.reflect");
+        obs::count<"nm.reflect">();
       }
       ++transformations_;
       begin_iteration();
@@ -192,7 +192,7 @@ void NelderMead::report(const Config& c, const EvaluationResult& r) {
       if (value <= reflected_value_) {
         replace_worst(pending_coords_, value);
         ++transformations_;
-        obs::count("nm.contract_outside");
+        obs::count<"nm.contract_outside">();
         begin_iteration();
       } else {
         begin_shrink();
@@ -203,7 +203,7 @@ void NelderMead::report(const Config& c, const EvaluationResult& r) {
       if (value < simplex_.back().value) {
         replace_worst(pending_coords_, value);
         ++transformations_;
-        obs::count("nm.contract_inside");
+        obs::count<"nm.contract_inside">();
         begin_iteration();
       } else {
         begin_shrink();
@@ -337,7 +337,7 @@ void NelderMead::begin_shrink() {
     vert.evaluated = false;
   }
   ++transformations_;
-  obs::count("nm.shrink");
+  obs::count<"nm.shrink">();
   phase_ = Phase::Shrink;
   pending_index_ = 1;
 }
@@ -348,7 +348,7 @@ void NelderMead::maybe_restart() {
     return;
   }
   ++restarts_used_;
-  obs::count("nm.restart");
+  obs::count<"nm.restart">();
   current_step_fraction_ = std::max(current_step_fraction_ * opts_.restart_shrink,
                                     1e-3);
   // Jitter the restart center slightly so a re-seeded simplex does not

@@ -26,16 +26,9 @@ constexpr std::size_t kReadChunk = 16 * 1024;
 /// Per-readiness-cycle ingest cap: a firehosing pipelined client yields the
 /// reactor back to its peers every 256 KiB (level-triggered epoll re-arms).
 constexpr std::size_t kMaxReadPerCycle = 256 * 1024;
-
-obs::Counter& bytes_in_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter("net.bytes_in");
-  return c;
-}
-
-obs::Counter& bytes_out_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter("net.bytes_out");
-  return c;
-}
+/// Write/read buffer capacity retained per connection after a burst drains:
+/// the tick sweep shrinks larger, now-idle buffers back to this.
+constexpr std::size_t kBufferKeepBytes = 16 * 1024;
 
 }  // namespace
 
@@ -84,17 +77,17 @@ struct TuningServer::LoopShard {
   [[nodiscard]] bool flush(Conn& c);
   void close_conn(int fd);
 
-  /// Append to the connection's write queue, keeping the server-wide
-  /// pending-output accounting (and the STATUS backpressure board) in step.
+  /// Append to the connection's write queue, keeping the STATUS
+  /// backpressure board's pending-output total in step.
   void queue_out(Conn& c, std::string_view data);
   void account(std::int64_t delta);
-  /// Flip reads_paused when the connection crosses the per-conn or global
-  /// pending-output caps (pause above cap, resume below half of it).
+  /// Flip reads_paused when the connection crosses its pending-output cap
+  /// (pause above the cap, resume at or below half of it).
   void update_backpressure(Conn& c);
   /// Re-arm epoll to (paused ? 0 : EPOLLIN) | (pending output ? EPOLLOUT).
   void update_interest(int fd, Conn& c);
-  /// Periodic shard tick: timer wheel, paused-read resume sweep, buffer
-  /// compaction. Runs on the shard thread (EventLoop::set_tick).
+  /// Periodic shard tick: timer wheel and buffer compaction. Runs on the
+  /// shard thread (EventLoop::set_tick).
   void on_tick();
   void on_idle_deadline(int fd);
 };
@@ -149,40 +142,28 @@ void TuningServer::LoopShard::queue_out(Conn& c, std::string_view data) {
 }
 
 void TuningServer::LoopShard::account(std::int64_t delta) {
-  server->pending_out_bytes_.fetch_add(delta, std::memory_order_relaxed);
   obs::StatusRegistry::global().backpressure().pending_out_bytes.fetch_add(
       delta, std::memory_order_relaxed);
 }
 
 void TuningServer::LoopShard::update_backpressure(Conn& c) {
   const std::size_t cap = server->opts_.max_pending_out_bytes;
-  const std::size_t gcap = server->opts_.max_total_pending_out_bytes;
-  if (cap == 0 && gcap == 0) return;
-  const auto pending =
-      server->pending_out_bytes_.load(std::memory_order_relaxed);
+  if (cap == 0) return;
   auto& bp = obs::StatusRegistry::global().backpressure();
   if (!c.reads_paused) {
-    const bool over_conn = cap != 0 && c.wbuf.size() > cap;
-    // The global cap only pauses connections that are themselves holding
-    // queued output — an idle client never pays for a hog's backlog.
-    const bool over_global = gcap != 0 && !c.wbuf.empty() &&
-                             pending > static_cast<std::int64_t>(gcap);
-    if (over_conn || over_global) {
+    if (c.wbuf.size() > cap) {
       c.reads_paused = true;
       bp.paused.fetch_add(1, std::memory_order_relaxed);
       bp.paused_total.fetch_add(1, std::memory_order_relaxed);
-      obs::count("server.reads_paused");
+      obs::count<"server.reads_paused">();
       obs::log_warn("server", "pending output over cap, deferring reads",
                     c.session.session_id());
     }
     return;
   }
-  // Resume with hysteresis: half the per-conn cap, and the global total back
-  // under its cap, so a connection hovering at the edge does not flap.
-  const bool under_conn = cap == 0 || c.wbuf.size() <= cap / 2;
-  const bool under_global =
-      gcap == 0 || pending <= static_cast<std::int64_t>(gcap);
-  if (under_conn && under_global) {
+  // Resume with hysteresis at half the cap, so a connection hovering at the
+  // edge does not flap. The drain path (EPOLLOUT) is what gets us here.
+  if (c.wbuf.size() <= cap / 2) {
     c.reads_paused = false;
     bp.paused.fetch_sub(1, std::memory_order_relaxed);
   }
@@ -203,21 +184,12 @@ void TuningServer::LoopShard::on_tick() {
   if (idle_ticks != 0) {
     wheel.advance([this](int fd) { on_idle_deadline(fd); });
   }
-  const std::size_t keep = server->opts_.buffer_keep_bytes;
-  for (auto& [fd, cp] : conns) {
-    Conn& c = *cp;
-    if (keep != 0) {
-      // Burst hangover: both buffers are compacted back toward the keep
-      // target once the data that grew them has drained.
-      c.wbuf.shrink(keep);
-      if (c.rbuf.empty() && c.rbuf.capacity() > keep) c.rbuf.shrink_to_fit();
-    }
-    if (c.reads_paused) {
-      // Global-cap pauses have no fd event to resume on (another conn's
-      // drain is what frees the budget) — the sweep is their resume path.
-      update_backpressure(c);
-      update_interest(fd, c);
-    }
+  // Burst hangover: both buffers are compacted back toward the keep target
+  // once the data that grew them has drained.
+  for (auto& entry : conns) {
+    Conn& c = *entry.second;
+    c.wbuf.shrink(kBufferKeepBytes);
+    if (c.rbuf.empty() && c.rbuf.capacity() > kBufferKeepBytes) c.rbuf.shrink_to_fit();
   }
 }
 
@@ -235,7 +207,7 @@ void TuningServer::LoopShard::on_idle_deadline(int fd) {
     wheel.schedule(fd, idle_ticks - idle);  // active since the deadline: snooze
     return;
   }
-  obs::count("server.idle_reaped");
+  obs::count<"server.idle_reaped">();
   obs::StatusRegistry::global().backpressure().reaped_total.fetch_add(
       1, std::memory_order_relaxed);
   obs::log_warn("server", "idle timeout, evicting session",
@@ -277,7 +249,7 @@ bool TuningServer::LoopShard::read_input(Conn& c) {
   while (!c.closing && ingested < kMaxReadPerCycle) {
     const ssize_t n = ::recv(c.sock.fd(), chunk, sizeof(chunk), 0);
     if (n > 0) {
-      if (obs::enabled()) bytes_in_counter().add(static_cast<std::uint64_t>(n));
+      obs::count<"net.bytes_in">(static_cast<std::uint64_t>(n));
       c.rbuf.append(chunk, static_cast<std::size_t>(n));
       ingested += static_cast<std::size_t>(n);
       c.last_activity = wheel.now();
@@ -346,7 +318,7 @@ bool TuningServer::LoopShard::flush(Conn& c) {
 #endif
     );
     if (n > 0) {
-      if (obs::enabled()) bytes_out_counter().add(static_cast<std::uint64_t>(n));
+      obs::count<"net.bytes_out">(static_cast<std::uint64_t>(n));
       c.wbuf.consume(static_cast<std::size_t>(n));
       account(-static_cast<std::int64_t>(n));
       continue;
@@ -407,8 +379,8 @@ bool TuningServer::start_reactors() {
       return false;
     }
     shard->idle_ticks = idle_ticks;
-    // The tick drives the timer wheel, the paused-read resume sweep and
-    // buffer compaction — all shard-thread-local, set up before run().
+    // The tick drives the timer wheel and buffer compaction — both
+    // shard-thread-local, set up before run().
     shard->loop.set_tick(static_cast<int>(tick_ms),
                          [s = shard.get()] { s->on_tick(); });
     shards_.push_back(std::move(shard));
@@ -438,13 +410,13 @@ void TuningServer::on_accept_ready() {
     if (!client.valid()) break;  // drained (EAGAIN) or listener closed
     if (opts_.max_connections > 0 &&
         active_connections_.load() >= opts_.max_connections) {
-      obs::count("server.rejected_busy");
+      obs::count<"server.rejected_busy">();
       obs::log_warn("server", "connection limit reached, rejecting");
       (void)client.send_line("ERR server busy");
       continue;  // Socket dtor disconnects
     }
     const int session_no = ++sessions_;
-    obs::count("server.sessions");
+    obs::count<"server.sessions">();
     active_connections_.fetch_add(1);
     const std::size_t idx =
         next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();

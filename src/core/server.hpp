@@ -24,7 +24,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -43,15 +42,11 @@ struct ServerOptions {
   /// Base options for the default search (nelder-mead); a client's STRATEGY
   /// line overrides the whole choice.
   NelderMeadOptions search;
-  int default_max_iterations = 200;
 
   /// Per-connection cap on one protocol line; a client streaming an
   /// unterminated line beyond this is disconnected instead of growing the
   /// server's read buffer without bound (see net::LineReader).
   std::size_t max_line_bytes = 1 << 20;
-
-  /// Default number of events a bare `LOG` / `LOG tail` serves.
-  std::size_t log_tail_default = 20;
 
   /// Number of epoll reactor threads serving connections (clamped to >= 1).
   int reactor_threads = 2;
@@ -69,18 +64,8 @@ struct ServerOptions {
   // stays bounded without a single byte of wire behaviour changing.
 
   /// Per-connection pending-output cap in bytes; reads are deferred while a
-  /// connection's write queue exceeds this. 0 disables the per-conn cap.
+  /// connection's write queue exceeds this. 0 disables the cap.
   std::size_t max_pending_out_bytes = 1 << 20;
-
-  /// Global pending-output cap across all connections of this server;
-  /// connections with queued output get their reads deferred while the
-  /// total exceeds this (resumed by the drain path and the tick sweep).
-  /// 0 disables the global cap.
-  std::size_t max_total_pending_out_bytes = 0;
-
-  /// Write/read buffer capacity retained per connection after a burst
-  /// drains (the tick sweep shrinks larger, now-idle buffers back to this).
-  std::size_t buffer_keep_bytes = 16 * 1024;
 
   // ---- admission / eviction -------------------------------------------------
 
@@ -90,9 +75,8 @@ struct ServerOptions {
   /// (they are push channels and legitimately quiet). 0 disables reaping.
   long long idle_timeout_ms = 0;
 
-  /// Reactor tick interval: the timer wheel, deferred-read resume sweep and
-  /// buffer compaction all run on this cadence (per shard, on the shard's
-  /// own thread). Clamped to >= 10.
+  /// Reactor tick interval: the timer wheel and buffer compaction run on
+  /// this cadence (per shard, on the shard's own thread). Clamped to >= 10.
   long long reap_tick_ms = 1000;
 
   /// Per-tenant live-session quota, keyed by the optional TENANT verb; a
@@ -164,9 +148,6 @@ class TuningServer {
   std::atomic<bool> running_{false};
   std::atomic<int> sessions_{0};
   std::atomic<int> active_connections_{0};
-  /// Bytes queued in every connection's ByteRing across all shards; the
-  /// global-backpressure check reads it, shards add/sub as queues move.
-  std::atomic<std::int64_t> pending_out_bytes_{0};
 
   // Reactor shards, one thread each.
   std::vector<std::unique_ptr<LoopShard>> shards_;

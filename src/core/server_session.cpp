@@ -16,6 +16,11 @@ namespace harmony {
 
 namespace {
 
+/// Evaluation budget of a session whose START line names none.
+constexpr int kDefaultMaxIterations = 200;
+/// Number of events a bare `LOG` / `LOG tail` serves.
+constexpr std::size_t kLogTailDefault = 20;
+
 void reply(std::string& out, std::string_view line) {
   out.append(line);
   out.push_back('\n');
@@ -27,13 +32,19 @@ double us_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Registry name of the per-verb latency HDR histogram.
-const char* verb_hdr_name(std::string_view verb) {
-  if (verb == "REPORT+FETCH") return "server.verb.report_fetch_s";
-  if (verb == "FETCH") return "server.verb.fetch_s";
-  if (verb == "REPORT") return "server.verb.report_s";
-  if (verb == "BATCH") return "server.verb.batch_s";
-  return "server.verb.result_s";
+/// Record a request's latency into its verb's HDR histogram.
+void observe_verb(std::string_view verb, double dt_s) {
+  if (verb == "REPORT+FETCH") {
+    obs::observe<"server.verb.report_fetch_s">(dt_s);
+  } else if (verb == "FETCH") {
+    obs::observe<"server.verb.fetch_s">(dt_s);
+  } else if (verb == "REPORT") {
+    obs::observe<"server.verb.report_s">(dt_s);
+  } else if (verb == "BATCH") {
+    obs::observe<"server.verb.batch_s">(dt_s);
+  } else {
+    obs::observe<"server.verb.result_s">(dt_s);
+  }
 }
 
 }  // namespace
@@ -41,7 +52,7 @@ const char* verb_hdr_name(std::string_view verb) {
 ServerConnection::ServerConnection(const ServerOptions& opts, int session_no)
     : opts_(&opts),
       session_id_("server/" + std::to_string(session_no)),
-      budget_(opts.default_max_iterations),
+      budget_(kDefaultMaxIterations),
       status_(obs::StatusRegistry::global().publish_session(session_id_)),
       latency_(std::make_unique<obs::HdrHistogram>()) {
   // Live-status slot for this session. Published unconditionally (the STATUS
@@ -106,7 +117,7 @@ bool ServerConnection::append_fetch_reply(std::string& out, bool count_fresh) {
     reply(out, "DONE");
     return false;
   }
-  if (count_fresh && !re_fetch) obs::count("server.fetches");
+  if (count_fresh && !re_fetch) obs::count<"server.fetches">();
   out.append("CONFIG ");
   proto::encode_config(space_, *proposal, out);
   out.push_back('\n');
@@ -134,8 +145,8 @@ bool ServerConnection::handle_report_value(std::string_view field,
   }
   // One completed FETCH -> REPORT pair is one tuning round trip.
   ++roundtrips_;
-  obs::count("server.roundtrips");
-  obs::observe("server.report_value", *value);
+  obs::count<"server.roundtrips">();
+  obs::observe<"server.report_value">(*value);
   if (tenant_ != nullptr) tenant_->evals.fetch_add(1, std::memory_order_relaxed);
   publish();
   return true;
@@ -172,7 +183,7 @@ void ServerConnection::handle_batch(std::string& out) {
       return;
     }
   }
-  obs::count("server.batch_lines");
+  obs::count<"server.batch_lines">();
   // n report/fetch pairs -> n reply lines (CONFIG or DONE), same order. Once
   // the search finishes mid-batch the remaining values are dropped and
   // answered DONE — they measured configurations of a search that is over.
@@ -186,7 +197,7 @@ void ServerConnection::handle_batch(std::string& out) {
       done = true;  // cannot happen after the validation pass, but stay safe
       continue;
     }
-    obs::count("server.report_fetches");
+    obs::count<"server.report_fetches">();
     done = !append_fetch_reply(out, /*count_fresh=*/true);
   }
 }
@@ -215,7 +226,7 @@ bool ServerConnection::handle_tenant(std::string& out) {
     slot->sessions.fetch_sub(1, std::memory_order_relaxed);
     slot->shed.fetch_add(1, std::memory_order_relaxed);
     registry.backpressure().shed_total.fetch_add(1, std::memory_order_relaxed);
-    obs::count("server.shed_retry_after");
+    obs::count<"server.shed_retry_after">();
     obs::log_warn("server",
                   "tenant " + name + " over quota, shedding (retry-after " +
                       std::to_string(opts_->retry_after_s) + "s)",
@@ -226,7 +237,7 @@ bool ServerConnection::handle_tenant(std::string& out) {
   }
   tenant_ = slot;
   status_.update([&](obs::SessionStatus& s) { s.tenant = name; });
-  obs::count("server.tenant_admits");
+  obs::count<"server.tenant_admits">();
   obs::log_info("server", "tenant " + name, session_id_);
   reply(out, "OK tenant " + name);
   return true;
@@ -268,7 +279,7 @@ void ServerConnection::handle_attach(std::string& out) {
     s.app = name;
     s.phase = "worker";
   });
-  obs::count("server.workers_attached");
+  obs::count<"server.workers_attached">();
   obs::log_info("server",
                 "worker " + name + " attached, capacity " +
                     std::to_string(capacity),
@@ -315,7 +326,7 @@ void ServerConnection::handle_result(std::string& out) {
     cost_s = *v;
   }
   ++roundtrips_;
-  obs::count("server.worker_results");
+  obs::count<"server.worker_results">();
   if (!opts_->fleet->on_result(worker_id_, static_cast<std::uint64_t>(*id),
                                run_ok, objective, cost_s)) {
     reply(out, "ERR unknown work id");
@@ -376,14 +387,12 @@ void ServerConnection::finish_request(std::string_view verb,
       s.p99_us = latency_->quantile(0.99) * 1e6;
     });
   }
-  if (obs::enabled()) {
-    obs::MetricsRegistry::global().hdr(verb_hdr_name(verb)).record(dt_s);
-  }
+  observe_verb(verb, dt_s);
 
   if (opts_->slow_request_us > 0 &&
       dt_us > static_cast<double>(opts_->slow_request_us)) {
     board.slow_requests.fetch_add(1, std::memory_order_relaxed);
-    obs::count("server.slow_requests");
+    obs::count<"server.slow_requests">();
     // The slow-request log is gated by its own option, not by obs::enabled():
     // setting a latency SLO is an explicit request to hear about misses.
     char buf[192];
@@ -411,8 +420,8 @@ bool ServerConnection::handle_line(std::string_view line, std::string& out) {
          "session state crossed reactor shards");
 #endif
   if (!proto::parse_line(line, msg_)) return true;  // blank line: ignore
-  obs::count("server.messages");
-  const auto handle_timer = obs::time_scope("server.handle_s");
+  obs::count<"server.messages">();
+  const auto handle_timer = obs::time_scope<"server.handle_s">();
   const std::string_view verb = msg_.verb;
 
   // Request verbs (the steady-state tuning/eval path) are latency-tracked
@@ -480,7 +489,7 @@ bool ServerConnection::handle_line(std::string_view line, std::string& out) {
       return true;
     }
     if (handle_report_value(msg_.args[0], out, verb)) {
-      obs::count("server.report_fetches");
+      obs::count<"server.report_fetches">();
       (void)append_fetch_reply(out, /*count_fresh=*/true);
     }
   } else if (verb == "BATCH") {
@@ -595,18 +604,18 @@ bool ServerConnection::handle_line(std::string_view line, std::string& out) {
   } else if (verb == "STATUS") {
     // One line of JSON: the whole live-status board. Any connection may ask
     // — harmony_top uses a dedicated admin connection.
-    obs::count("server.status_polls");
+    obs::count<"server.status_polls">();
     reply(out, obs::StatusRegistry::global().to_json());
   } else if (verb == "METRICS") {
     // Prometheus text exposition, terminated by a "# EOF" comment line ("#"
     // lines are valid exposition, so raw `echo METRICS | nc` output is
     // scrape-ready as-is).
-    obs::count("server.status_polls");
+    obs::count<"server.status_polls">();
     out.append(obs::MetricsRegistry::global().to_prometheus());
     out.append("# EOF\n");
   } else if (verb == "LOG") {
     // LOG [tail] [N] -> "LOG <n>" header then n JSONL event records.
-    std::size_t want = opts_->log_tail_default;
+    std::size_t want = kLogTailDefault;
     std::size_t arg_idx = 0;
     if (arg_idx < msg_.args.size() && msg_.args[arg_idx] == "tail") ++arg_idx;
     if (arg_idx < msg_.args.size()) {

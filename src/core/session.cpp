@@ -100,7 +100,7 @@ bool Session::fetch() {
     return false;
   }
   ++fetches_;
-  obs::count("session.fetches");
+  obs::count<"session.fetches">();
   current_ = std::move(*proposal);
   write_bound(*current_);
   awaiting_report_ = true;
@@ -112,7 +112,7 @@ void Session::report(double performance) {
     throw std::logic_error("Session::report without a pending fetch()");
   }
   awaiting_report_ = false;
-  obs::count("session.reports");
+  obs::count<"session.reports">();
   EvaluationResult r;
   r.objective = performance;
   controller_->tell(*strategy_, std::move(r));

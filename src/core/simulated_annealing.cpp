@@ -25,7 +25,7 @@ SimulatedAnnealing::SimulatedAnnealing(const ParamSpace& space,
 }
 
 Config SimulatedAnnealing::perturb(const Config& c) {
-  const auto timer = obs::time_scope("sa.perturb_s");
+  const auto timer = obs::time_scope<"sa.perturb_s">();
   auto coords = space_->coords(c);
   // Move a random subset of dimensions by a Gaussian step.
   bool moved = false;
@@ -55,13 +55,13 @@ void SimulatedAnnealing::report(const Config& c, const EvaluationResult& r) {
   if (!pending_) throw std::logic_error("SimulatedAnnealing::report without propose");
   pending_.reset();
   ++evaluations_;
-  obs::count("sa.evaluations");
+  obs::count<"sa.evaluations">();
   const double value =
       r.valid ? r.objective : std::numeric_limits<double>::infinity();
   if (r.valid && value < best_value_) {
     best_value_ = value;
     best_ = c;
-    obs::count("sa.improvements");
+    obs::count<"sa.improvements">();
   }
   if (!current_evaluated_) {
     current_evaluated_ = true;
@@ -78,17 +78,17 @@ void SimulatedAnnealing::report(const Config& c, const EvaluationResult& r) {
   bool accept = delta <= 0.0;
   if (!accept && std::isfinite(delta) && temperature_ > 0.0) {
     accept = rng_.uniform() < std::exp(-delta / temperature_);
-    if (accept) obs::count("sa.uphill_accepts");
+    if (accept) obs::count<"sa.uphill_accepts">();
   }
   if (accept) {
     current_ = c;
     current_value_ = value;
-    obs::count("sa.accepts");
+    obs::count<"sa.accepts">();
   } else {
-    obs::count("sa.rejects");
+    obs::count<"sa.rejects">();
   }
   temperature_ *= opts_.cooling;
-  obs::gauge_set("sa.temperature", temperature_);
+  obs::gauge_set<"sa.temperature">(temperature_);
 }
 
 bool SimulatedAnnealing::converged() const {

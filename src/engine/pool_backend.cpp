@@ -54,8 +54,8 @@ EvalOutcome PoolEvalBackend::launch(const Config& c, const Context& ctx) const {
   obs::SearchTracer* const tracer = ctx.tracer;
   const double t_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
   const ShortRunResult r = (*run_)(c, steps_);
-  obs::observe("engine.short_run_s", r.warmup_s + r.measured_s);
-  obs::count("engine.driver.runs");
+  obs::observe<"engine.short_run_s">(r.warmup_s + r.measured_s);
+  obs::count<"engine.driver.runs">();
   EvalOutcome t;
   t.result.valid = r.ok;
   t.result.objective = r.ok ? r.measured_s : std::numeric_limits<double>::infinity();
@@ -85,13 +85,13 @@ std::vector<EvalOutcome> PoolEvalBackend::evaluate(const std::vector<Config>& ba
         continue;
       }
       if (const EvaluationResult* hit = cache_.lookup(key)) {
-        obs::count("engine.cache.hits");
+        obs::count<"engine.cache.hits">();
         out[i].result = *hit;
         out[i].ran = false;
         if (tracer != nullptr) record(ctx, batch[i], out[i], t_start_us);
         continue;
       }
-      obs::count("engine.cache.misses");
+      obs::count<"engine.cache.misses">();
       first_at_.insert_or_assign(key, i);
       miss_at_.push_back(i);
     }
@@ -102,7 +102,7 @@ std::vector<EvalOutcome> PoolEvalBackend::evaluate(const std::vector<Config>& ba
   // A single miss has nothing to overlap: handing it to a worker would only
   // add a task, a future and two wake-ups to its latency.
   if (miss_at_.size() == 1) {
-    obs::count("engine.pool.inline");
+    obs::count<"engine.pool.inline">();
     out[miss_at_.front()] = launch(batch[miss_at_.front()], ctx);
   } else if (!miss_at_.empty()) {
     std::vector<std::future<EvalOutcome>> futures;
@@ -127,7 +127,7 @@ std::vector<EvalOutcome> PoolEvalBackend::evaluate(const std::vector<Config>& ba
     const double t_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
     out[slot].result = out[first].result;
     out[slot].ran = false;  // shares the first occurrence's run
-    obs::count("engine.cache.coalesced");
+    obs::count<"engine.cache.coalesced">();
     ++coalesced_;
     if (tracer != nullptr) record(ctx, batch[slot], out[slot], t_start_us);
   }

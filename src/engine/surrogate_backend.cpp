@@ -93,14 +93,14 @@ std::vector<EvalOutcome> SurrogateEvalBackend::evaluate(
       if (out[i].ran && out[i].result.valid) {
         model_->observe(batch[i], out[i].result.objective);
         if (predicted[i] && out[i].result.objective != 0.0) {
-          obs::observe("engine.surrogate.rel_error",
-                       std::abs(*predicted[i] - out[i].result.objective) /
-                           std::abs(out[i].result.objective));
+          obs::observe<"engine.surrogate.rel_error">(
+              std::abs(*predicted[i] - out[i].result.objective) /
+              std::abs(out[i].result.objective));
         }
       }
     }
     forwarded_ += real.size();
-    obs::count("engine.surrogate.forwarded", real.size());
+    obs::count<"engine.surrogate.forwarded">(real.size());
   }
 
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -114,7 +114,7 @@ std::vector<EvalOutcome> SurrogateEvalBackend::evaluate(
     ++skipped_;
   }
   if (k < batch.size()) {
-    obs::count("engine.surrogate.skipped", batch.size() - k);
+    obs::count<"engine.surrogate.skipped">(batch.size() - k);
   }
   return out;
 }

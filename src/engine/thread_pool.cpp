@@ -13,7 +13,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
   static std::atomic<std::uint64_t> next_pool_id{0};
   status_name_ = "pool/";
   status_name_ += std::to_string(next_pool_id.fetch_add(1));
-  obs::gauge_set("engine.pool.size", static_cast<double>(threads));
+  obs::gauge_set<"engine.pool.size">(static_cast<double>(threads));
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back(
@@ -74,12 +74,12 @@ void ThreadPool::worker_loop(std::uint32_t lane) {
     {
       // Zero-cost when disabled: time_scope holds no histogram (and reads
       // no clock) unless observability is on at task start.
-      const auto timer = obs::time_scope("engine.pool.task_s");
+      const auto timer = obs::time_scope<"engine.pool.task_s">();
       job();  // packaged_task captures exceptions into the future
     }
     ++done;
     if (status.valid()) status.set(/*busy=*/false, done);
-    obs::count("engine.pool.tasks");
+    obs::count<"engine.pool.tasks">();
   }
 }
 

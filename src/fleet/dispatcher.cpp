@@ -132,7 +132,7 @@ void Dispatcher::check_stragglers_locked(Outbox& outbox) {
       w.inflight.insert(id);
       ++stats_.redispatched;
       ++stats_.dispatched;
-      obs::count("fleet.redispatched");
+      obs::count<"fleet.redispatched">();
       outbox.emplace_back(w.push, item.payload);
       publish_worker_locked(wid, w);
       break;
@@ -175,7 +175,7 @@ std::uint64_t Dispatcher::attach(const std::string& name, int capacity,
         opts_.status_pool + "/" + name, static_cast<std::uint32_t>(id));
     auto [it, inserted] = workers_.emplace(id, std::move(w));
     publish_worker_locked(id, it->second);
-    obs::count("fleet.attached");
+    obs::count<"fleet.attached">();
     // An elastic mid-search join starts pulling queued work immediately.
     pump_locked(outbox);
   }
@@ -209,7 +209,7 @@ void Dispatcher::detach(std::uint64_t worker_id) {
   }
   cv_.notify_all();
   send_outbox(outbox);
-  obs::count("fleet.detached");
+  obs::count<"fleet.detached">();
   if (requeued > 0) {
     obs::log_warn("fleet", "worker #" + std::to_string(worker_id) +
                                " detached, re-queued " +
@@ -234,7 +234,7 @@ bool Dispatcher::on_result(std::uint64_t worker_id, std::uint64_t work_id,
       // First RESULT already won; this is a straggler's late duplicate (or a
       // result that raced a detach re-queue). Drop it — dedup by id.
       ++stats_.deduped;
-      obs::count("fleet.deduped");
+      obs::count<"fleet.deduped">();
     } else {
       EvalOutcome outcome;
       outcome.result.objective = objective;
@@ -247,10 +247,7 @@ bool Dispatcher::on_result(std::uint64_t worker_id, std::uint64_t work_id,
           std::chrono::duration<double, std::micro>(now - it->second.issued)
               .count();
       eval_s_.record(wait_us * 1e-6);
-      if (obs::enabled()) {
-        obs::MetricsRegistry::global().hdr("fleet.eval_s").record(wait_us *
-                                                                  1e-6);
-      }
+      obs::observe<"fleet.eval_s">(wait_us * 1e-6);
       span_locked(it->second, "fleet.eval",
                   wit != workers_.end() ? wit->second.name : std::string(),
                   wait_us);
@@ -270,7 +267,7 @@ bool Dispatcher::on_result(std::uint64_t worker_id, std::uint64_t work_id,
         opts_.tracer->record_span(root);
       }
       finish_item_locked(it, outcome);
-      obs::count("fleet.results");
+      obs::count<"fleet.results">();
     }
     if (wit != workers_.end()) publish_worker_locked(worker_id, wit->second);
     // Capacity freed: steal the next queued item onto this (or any) worker.

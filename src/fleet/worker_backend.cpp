@@ -12,7 +12,7 @@ std::size_t WorkerEvalBackend::concurrency() const {
 
 std::vector<EvalOutcome> WorkerEvalBackend::evaluate(
     const std::vector<Config>& batch, const Context& /*ctx*/) {
-  obs::count("fleet.batches");
+  obs::count<"fleet.batches">();
   return dispatcher_->run_batch(batch);
 }
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <functional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -70,11 +69,6 @@ void HdrHistogram::record(double v) noexcept {
   buckets_[static_cast<std::size_t>(bucket_index(v))].fetch_add(
       1, std::memory_order_relaxed);
 
-  if (!any_.exchange(true, std::memory_order_acq_rel)) {
-    min_.store(v, std::memory_order_release);
-    max_.store(v, std::memory_order_release);
-    return;
-  }
   double cur = min_.load(std::memory_order_acquire);
   while (v < cur && !min_.compare_exchange_weak(cur, v, std::memory_order_acq_rel)) {
   }
@@ -83,12 +77,19 @@ void HdrHistogram::record(double v) noexcept {
   }
 }
 
+// A bound still at its sentinel means nothing was recorded on that side:
+// an empty (or NaN-only) histogram reads 0, while one that recorded only
+// +inf (or only -inf) moved the other bound there and reads that infinity.
 double HdrHistogram::min() const noexcept {
-  return any_.load(std::memory_order_acquire) ? min_.load(std::memory_order_acquire) : 0.0;
+  const double v = min_.load(std::memory_order_acquire);
+  if (v != kInf) return v;
+  return max_.load(std::memory_order_acquire) == kInf ? kInf : 0.0;
 }
 
 double HdrHistogram::max() const noexcept {
-  return any_.load(std::memory_order_acquire) ? max_.load(std::memory_order_acquire) : 0.0;
+  const double v = max_.load(std::memory_order_acquire);
+  if (v != -kInf) return v;
+  return min_.load(std::memory_order_acquire) == -kInf ? -kInf : 0.0;
 }
 
 double HdrHistogram::mean() const noexcept {
@@ -110,7 +111,9 @@ double HdrHistogram::quantile(double q) const noexcept {
     if (cum >= rank) {
       const double hi = bucket_upper(i);
       const double lo = i == 0 ? 0.0 : bucket_upper(i - 1);
-      return std::clamp((lo + hi) * 0.5, min(), max());
+      // Not std::clamp: a racing first record can have set min but not yet
+      // max, and min() > max() must not be undefined behaviour.
+      return std::min(std::max((lo + hi) * 0.5, min()), max());
     }
   }
   return max();  // racing writers: counts moved under us
@@ -119,40 +122,30 @@ double HdrHistogram::quantile(double q) const noexcept {
 void HdrHistogram::reset() noexcept {
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-  any_.store(false, std::memory_order_relaxed);
+  min_.store(kInf, std::memory_order_relaxed);
+  max_.store(-kInf, std::memory_order_relaxed);
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
 }
 
 // ---- MetricsRegistry ------------------------------------------------------
-
-MetricsRegistry::MetricsRegistry(std::size_t shards)
-    : shards_(std::max<std::size_t>(1, shards)) {}
 
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;
 }
 
-MetricsRegistry::Shard& MetricsRegistry::shard_for(std::string_view name) const {
-  const std::size_t h = std::hash<std::string_view>{}(name);
-  return shards_[h % shards_.size()];
-}
-
 MetricsRegistry::Entry& MetricsRegistry::entry_for(std::string_view name,
                                                    Entry::Kind kind) {
-  Shard& shard = shard_for(name);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.table.find(name);
-  if (it == shard.table.end()) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(name);
+  if (it == entries_.end()) {
     Entry e{kind, nullptr, nullptr, nullptr};
     switch (kind) {
       case Entry::Kind::Counter: e.counter = std::make_unique<Counter>(); break;
       case Entry::Kind::Gauge: e.gauge = std::make_unique<Gauge>(); break;
       case Entry::Kind::Hdr: e.hdr = std::make_unique<HdrHistogram>(); break;
     }
-    it = shard.table.emplace(std::string(name), std::move(e)).first;
+    it = entries_.emplace(std::string(name), std::move(e)).first;
   } else if (it->second.kind != kind) {
     throw std::logic_error("MetricsRegistry: metric '" + std::string(name) +
                            "' already registered with a different kind");
@@ -173,39 +166,32 @@ HdrHistogram& MetricsRegistry::hdr(std::string_view name) {
 }
 
 std::size_t MetricsRegistry::size() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    n += shard.table.size();
-  }
-  return n;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.size();
 }
 
 void MetricsRegistry::reset_values() {
-  for (auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto& [name, entry] : shard.table) {
-      switch (entry.kind) {
-        case Entry::Kind::Counter: entry.counter->reset(); break;
-        case Entry::Kind::Gauge: entry.gauge->reset(); break;
-        case Entry::Kind::Hdr: entry.hdr->reset(); break;
-      }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (auto& [name, entry] : entries_) {
+    switch (entry.kind) {
+      case Entry::Kind::Counter: entry.counter->reset(); break;
+      case Entry::Kind::Gauge: entry.gauge->reset(); break;
+      case Entry::Kind::Hdr: entry.hdr->reset(); break;
     }
   }
 }
 
 void MetricsRegistry::write_json(std::ostream& os) const {
-  // Snapshot under the shard locks, then render sorted for stable output.
-  struct Row {
-    std::string name;
-    std::string body;
-  };
-  std::vector<Row> rows;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [name, entry] : shard.table) {
-      std::ostringstream body;
-      body.precision(17);
+  std::ostringstream body;
+  body.precision(17);
+  body << "{";
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    bool first = true;
+    for (const auto& [name, entry] : entries_) {
+      if (!first) body << ",";
+      first = false;
+      body << "\"" << json_escape(name) << "\":";
       switch (entry.kind) {
         case Entry::Kind::Counter:
           body << "{\"type\":\"counter\",\"value\":" << entry.counter->value() << "}";
@@ -223,17 +209,10 @@ void MetricsRegistry::write_json(std::ostream& os) const {
           break;
         }
       }
-      rows.push_back({name, body.str()});
     }
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const Row& a, const Row& b) { return a.name < b.name; });
-  os << "{";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (i != 0) os << ",";
-    os << "\"" << json_escape(rows[i].name) << "\":" << rows[i].body;
-  }
-  os << "}";
+  body << "}";
+  os << body.view();
 }
 
 std::string MetricsRegistry::to_json() const {
@@ -261,10 +240,6 @@ ScopedTimer::~ScopedTimer() {
   if (histogram_ != nullptr) {
     histogram_->record(static_cast<double>(now_ns() - start_ns_) * 1e-9);
   }
-}
-
-ScopedTimer time_scope(std::string_view name) {
-  return ScopedTimer(enabled() ? &MetricsRegistry::global().hdr(name) : nullptr);
 }
 
 }  // namespace harmony::obs

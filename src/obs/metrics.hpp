@@ -6,30 +6,32 @@
 /// observe() and the time_scope() timers) with a zero-cost-when-disabled
 /// API. Design constraints, in order:
 ///
-///  * recording must be safe and cheap from the thread-pool workers — metric
-///    objects update with relaxed/CAS atomics only, and the name->metric
-///    table is lock-sharded so two workers touching different metrics never
-///    serialize on one mutex;
+///  * recording must be safe and cheap from the thread-pool workers and the
+///    server's reactors — metric objects update with relaxed/CAS atomics
+///    only, and a call site resolves its metric once: the name is a template
+///    argument (obs::count<"server.roundtrips">()), bound on the site's first
+///    enabled use to a function-local static reference, so the registry (one
+///    mutex) is touched only on a metric's first use and on a scrape;
 ///  * when observability is off (the default), every record path reduces to
 ///    one relaxed atomic load and a branch — no clocks, no allocation, no
-///    hashing — so instrumented hot paths cost nothing in production runs;
+///    registration — so instrumented hot paths cost nothing in production;
 ///  * metric references returned by the registry stay valid for the
-///    registry's lifetime (entries are never removed), so callers on a hot
-///    path can resolve the name once and keep the handle.
+///    registry's lifetime (entries are never removed).
 ///
 /// Enablement is process-wide: obs::set_enabled(true), or export AH_OBS=1
 /// before the first record (read once, lazily).
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 namespace harmony::obs {
 
@@ -76,9 +78,12 @@ class Gauge {
 /// ~1.6% anywhere in the range [1e-9, ~1.76e4] (seconds, say). Values at or
 /// below 1e-9 (zero, negatives, NaN) land in bucket 0 and values above the
 /// top octave (~1.76e4) in the last bucket; count, sum, min and max stay
-/// exact either way. quantile(q) scans the cumulative counts and returns the
-/// matched bucket's midpoint clamped to the observed [min, max], so a
-/// single-valued distribution reports that value exactly. All updates are relaxed/CAS atomics; record() never allocates.
+/// exact either way, except that a NaN record leaves min and max alone.
+/// quantile(q) scans the cumulative counts and returns the matched bucket's
+/// midpoint clamped to the observed [min, max], so a single-valued
+/// distribution reports that value exactly. All updates are relaxed/CAS
+/// atomics; record() never allocates. min and max start at +inf and -inf and
+/// only ever CAS-extend, so concurrent first records cannot lose an extreme.
 class HdrHistogram {
  public:
   static constexpr int kSubBits = 6;  ///< 2^6 linear sub-buckets per octave
@@ -86,6 +91,7 @@ class HdrHistogram {
   static constexpr int kOctaves = 44;
   static constexpr int kBuckets = 1 + kOctaves * kSubBuckets;
   static constexpr double kValueFloor = 1e-9;  ///< bucket 0 upper bound
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
 
   void record(double v) noexcept;
 
@@ -93,8 +99,8 @@ class HdrHistogram {
     return count_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
-  [[nodiscard]] double min() const noexcept;  ///< 0 when empty
-  [[nodiscard]] double max() const noexcept;  ///< 0 when empty
+  [[nodiscard]] double min() const noexcept;  ///< 0 until a non-NaN record
+  [[nodiscard]] double max() const noexcept;  ///< 0 until a non-NaN record
   [[nodiscard]] double mean() const noexcept;
   /// Value at quantile q in [0, 1] (0 when empty). q=0.5 is the median.
   [[nodiscard]] double quantile(double q) const noexcept;
@@ -110,19 +116,17 @@ class HdrHistogram {
  private:
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
-  std::atomic<bool> any_{false};
+  std::atomic<double> min_{kInf};   ///< +inf until a value below it
+  std::atomic<double> max_{-kInf};  ///< -inf until a value above it
   std::atomic<std::uint64_t> buckets_[kBuckets] = {};
 };
 
-/// Name -> metric table, sharded by name hash (one mutex per shard) so the
-/// parallel engine's workers resolving different metrics do not contend.
+/// Name -> metric table behind one mutex. Recording never takes it: call
+/// sites resolve their metric once (see count<>() below), so the lock is
+/// held only when a metric is first created and while a scrape renders.
 class MetricsRegistry {
  public:
-  explicit MetricsRegistry(std::size_t shards = 16);
-
-  /// The process-wide registry used by the convenience helpers below.
+  /// The process-wide registry the recorders below write into.
   static MetricsRegistry& global();
 
   /// Get-or-create. The returned reference is stable for the registry's
@@ -143,11 +147,12 @@ class MetricsRegistry {
   [[nodiscard]] std::string to_json() const;
 
   /// Prometheus text exposition format (one # HELP/# TYPE block per metric,
-  /// names sorted): counters become `ah_<name>_total`, gauges `ah_<name>`,
-  /// HDR histograms a cumulative `_bucket{le=...}/_sum/_count` family over
-  /// their non-empty buckets plus an `_quantile` gauge family. Dots in metric
-  /// names map to underscores. Served by the tuning server's METRICS verb;
-  /// implemented in prometheus.cpp.
+  /// in source-name order, which for dotted lower-case names is also the
+  /// exposition names' order): counters become `ah_<name>_total`, gauges
+  /// `ah_<name>`, HDR histograms a cumulative `_bucket{le=...}/_sum/_count`
+  /// family over their non-empty buckets plus an `_quantile` gauge family.
+  /// Dots in metric names map to underscores. Served by the tuning server's
+  /// METRICS verb; implemented in prometheus.cpp.
   void write_prometheus(std::ostream& os) const;
   [[nodiscard]] std::string to_prometheus() const;
 
@@ -158,46 +163,52 @@ class MetricsRegistry {
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<HdrHistogram> hdr;
   };
-  /// Hashes std::string and std::string_view alike, so a by-name record
-  /// looks its metric up without building a std::string.
-  struct NameHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view name) const noexcept {
-      return std::hash<std::string_view>{}(name);
-    }
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::string, Entry, NameHash, std::equal_to<>> table;
-  };
 
-  [[nodiscard]] Shard& shard_for(std::string_view name) const;
   Entry& entry_for(std::string_view name, Entry::Kind kind);
 
-  mutable std::vector<Shard> shards_;
+  mutable std::mutex mutex_;
+  std::map<std::string, Entry, std::less<>> entries_;
 };
 
-// ---- zero-cost-when-disabled convenience recorders ------------------------
-// Each is a relaxed load + branch when observability is off. When on, they
-// resolve the metric in the global registry (sharded lock) and update it
-// atomically. Hot loops that record at high frequency should instead resolve
-// the handle once via MetricsRegistry::global().counter(...).
+/// A metric name as a template argument: `obs::count<"nm.reflect">()`.
+template <std::size_t N>
+struct MetricName {
+  consteval MetricName(const char (&s)[N]) {  // NOLINT(google-explicit-constructor)
+    for (std::size_t i = 0; i < N; ++i) chars[i] = s[i];
+  }
+  [[nodiscard]] constexpr std::string_view view() const { return {chars, N - 1}; }
+  char chars[N]{};
+};
 
-inline void count(std::string_view name, std::uint64_t n = 1) {
+// ---- the recorders ---------------------------------------------------------
+// Each is a relaxed load + branch when observability is off, and registers
+// nothing. On its first enabled use a call site's metric is created in (or
+// found in) the global registry and bound to a function-local static, so
+// every later record is the metric's own atomic update and nothing more. A
+// name first used as one kind and then as another throws std::logic_error at
+// that first use.
+
+template <MetricName Name>
+void count(std::uint64_t n = 1) {
   if (!enabled()) return;
-  MetricsRegistry::global().counter(name).add(n);
+  static Counter& c = MetricsRegistry::global().counter(Name.view());
+  c.add(n);
 }
 
-inline void gauge_set(std::string_view name, double v) {
+template <MetricName Name>
+void gauge_set(double v) {
   if (!enabled()) return;
-  MetricsRegistry::global().gauge(name).set(v);
+  static Gauge& g = MetricsRegistry::global().gauge(Name.view());
+  g.set(v);
 }
 
-/// Record `v` into the HDR histogram `name`. Values above ~1.76e4 land in
+/// Record `v` into the HDR histogram `Name`. Values above ~1.76e4 land in
 /// its last bucket (see HdrHistogram).
-inline void observe(std::string_view name, double v) {
+template <MetricName Name>
+void observe(double v) {
   if (!enabled()) return;
-  MetricsRegistry::global().hdr(name).record(v);
+  static HdrHistogram& h = MetricsRegistry::global().hdr(Name.view());
+  h.record(v);
 }
 
 /// RAII wall-clock timer recording seconds into an HDR histogram on
@@ -215,6 +226,11 @@ class ScopedTimer {
   std::uint64_t start_ns_ = 0;
 };
 
-[[nodiscard]] ScopedTimer time_scope(std::string_view name);
+template <MetricName Name>
+[[nodiscard]] ScopedTimer time_scope() {
+  if (!enabled()) return ScopedTimer(nullptr);
+  static HdrHistogram& h = MetricsRegistry::global().hdr(Name.view());
+  return ScopedTimer(&h);
+}
 
 }  // namespace harmony::obs

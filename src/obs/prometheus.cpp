@@ -4,14 +4,12 @@
 /// metrics.cpp so the hot-path recording code stays separate from the
 /// (cold) exposition encoder.
 
-#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <ostream>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -100,35 +98,23 @@ void render_hdr(std::ostream& os, const std::string& name,
 }  // namespace
 
 void MetricsRegistry::write_prometheus(std::ostream& os) const {
-  struct Row {
-    std::string name;
-    std::string body;
-  };
-  std::vector<Row> rows;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [name, entry] : shard.table) {
-      const std::string pname = prometheus_name(name);
-      std::ostringstream body;
-      switch (entry.kind) {
-        case Entry::Kind::Counter:
-          render_help_type(body, pname + "_total", name, "counter");
-          body << pname << "_total " << entry.counter->value() << "\n";
-          break;
-        case Entry::Kind::Gauge:
-          render_help_type(body, pname, name, "gauge");
-          body << pname << " " << render_double(entry.gauge->value()) << "\n";
-          break;
-        case Entry::Kind::Hdr:
-          render_hdr(body, pname, name, *entry.hdr);
-          break;
-      }
-      rows.push_back({pname, body.str()});
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [name, entry] : entries_) {
+    const std::string pname = prometheus_name(name);
+    switch (entry.kind) {
+      case Entry::Kind::Counter:
+        render_help_type(os, pname + "_total", name, "counter");
+        os << pname << "_total " << entry.counter->value() << "\n";
+        break;
+      case Entry::Kind::Gauge:
+        render_help_type(os, pname, name, "gauge");
+        os << pname << " " << render_double(entry.gauge->value()) << "\n";
+        break;
+      case Entry::Kind::Hdr:
+        render_hdr(os, pname, name, *entry.hdr);
+        break;
     }
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const Row& a, const Row& b) { return a.name < b.name; });
-  for (const auto& row : rows) os << row.body;
 }
 
 std::string MetricsRegistry::to_prometheus() const {

@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -42,6 +43,20 @@ std::vector<Record> by_start_time(std::vector<Record> out) {
   return out;
 }
 
+/// Keys for SearchTracer lane tables; never reused within a process.
+std::uint64_t next_lanes_id() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// The calling thread's lanes in the last few tracers it recorded into.
+struct CachedLane {
+  std::uint64_t lanes_id = 0;
+  std::uint32_t lane = 0;
+};
+thread_local std::array<CachedLane, 4> t_lanes;
+thread_local std::size_t t_next_slot = 0;
+
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -65,7 +80,8 @@ SearchTracer::SearchTracer()
     : epoch_(std::chrono::steady_clock::now()),
       wall_anchor_us_(std::chrono::duration<double, std::micro>(
                           std::chrono::system_clock::now().time_since_epoch())
-                          .count()) {}
+                          .count()),
+      lanes_id_(next_lanes_id()) {}
 
 double SearchTracer::now_us() const {
   return std::chrono::duration<double, std::micro>(
@@ -74,13 +90,18 @@ double SearchTracer::now_us() const {
 }
 
 std::uint32_t SearchTracer::lane_for_current_thread() {
-  const auto id = std::this_thread::get_id();
+  const std::uint64_t key = lanes_id_.load(std::memory_order_relaxed);
+  for (const CachedLane& c : t_lanes) {
+    if (c.lanes_id == key) return c.lane;
+  }
   const std::lock_guard<std::mutex> lock(lanes_mutex_);
-  const auto it = lane_ids_.find(id);
-  if (it != lane_ids_.end()) return it->second;
   const auto lane = static_cast<std::uint32_t>(lane_ids_.size());
-  lane_ids_.emplace(id, lane);
-  return lane;
+  const auto it = lane_ids_.try_emplace(std::this_thread::get_id(), lane).first;
+  // Keyed by the id read under the lock: a clear() that ran since the load
+  // above has emptied the table this lane now lives in.
+  t_lanes[t_next_slot++ % t_lanes.size()] = {
+      lanes_id_.load(std::memory_order_relaxed), it->second};
+  return it->second;
 }
 
 void SearchTracer::record(TraceEvent e) {
@@ -111,6 +132,7 @@ void SearchTracer::clear() {
   spans_.clear();
   const std::lock_guard<std::mutex> lock(lanes_mutex_);
   lane_ids_.clear();
+  lanes_id_.store(next_lanes_id(), std::memory_order_relaxed);
 }
 
 void SearchTracer::write_jsonl(std::ostream& os) const {

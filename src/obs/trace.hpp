@@ -18,8 +18,11 @@
 /// share a lock and a long-running traced server keeps at most kCapacity
 /// records of each kind; overwritten records are counted in dropped().
 /// Timestamps come from one steady clock anchored at construction. Thread
-/// lane ids are small integers assigned in order of first appearance.
+/// lane ids are small integers assigned in order of first appearance; each
+/// thread caches its lane per tracer, so the lane table's mutex is taken only
+/// on a thread's first record into a tracer (or its first after clear()).
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
@@ -88,7 +91,8 @@ class SearchTracer {
   /// Microseconds since construction, from the tracer's steady clock.
   [[nodiscard]] double now_us() const;
 
-  /// Dense lane id of the calling thread (assigned on first use).
+  /// Dense lane id of the calling thread (assigned on first use, then served
+  /// from a thread_local cache keyed by this tracer's id).
   [[nodiscard]] std::uint32_t lane_for_current_thread();
 
   /// Append one event. `thread_lane` is filled in from the calling thread;
@@ -117,6 +121,8 @@ class SearchTracer {
     return events_.dropped() + spans_.dropped();
   }
 
+  /// Drop every record and every lane: the next recording threads get lanes
+  /// from 0 again.
   void clear();
 
   /// Wall-clock (unix) microseconds corresponding to t == 0 on this tracer's
@@ -144,6 +150,9 @@ class SearchTracer {
   ShardedRing<SpanEvent> spans_{kCapacity};
   mutable std::mutex lanes_mutex_;
   std::unordered_map<std::thread::id, std::uint32_t> lane_ids_;
+  /// Process-unique key of the current lane table (renewed by clear(), never
+  /// the tracer's address), so no thread's cached lane outlives the table.
+  std::atomic<std::uint64_t> lanes_id_;
 };
 
 }  // namespace harmony::obs

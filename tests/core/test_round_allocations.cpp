@@ -131,21 +131,20 @@ TEST(RoundAllocations, ControllerRoundPerProposal) {
   EXPECT_LE(per_proposal, kRoundBound);
 }
 
-// By-name metric records, as the server's request path makes them with
-// observability on: once a name is registered, recording under it must not
-// allocate, even for names too long for std::string's inline buffer.
+// Metric records, as the server's request path makes them with observability
+// on: once a call site has resolved its metric, recording must not allocate,
+// even for names too long for std::string's inline buffer.
 TEST(RoundAllocations, ByNameMetricRecordsAfterFirstUse) {
   const bool was_enabled = harmony::obs::enabled();
   harmony::obs::set_enabled(true);
-  constexpr std::string_view kCounter = "test.alloc.by_name_counter";
-  constexpr std::string_view kHistogram = "test.alloc.by_name_histogram";
-  static_assert(kCounter.size() > 15 && kHistogram.size() > 15);
-  harmony::obs::count(kCounter);
-  harmony::obs::observe(kHistogram, 1.0);
+  // Names past the small-string buffer, so any per-record std::string would
+  // allocate.
+  harmony::obs::count<"test.alloc.by_name_counter">();
+  harmony::obs::observe<"test.alloc.by_name_histogram">(1.0);
   const std::size_t before = g_allocations;
   for (int i = 0; i < 1000; ++i) {
-    harmony::obs::count(kCounter);
-    harmony::obs::observe(kHistogram, 1e-3 * i);
+    harmony::obs::count<"test.alloc.by_name_counter">();
+    harmony::obs::observe<"test.alloc.by_name_histogram">(1e-3 * i);
   }
   const std::size_t allocations = g_allocations - before;
   harmony::obs::set_enabled(was_enabled);

@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -194,7 +197,7 @@ TEST(MetricsRegistry, ConcurrentCountersLoseNothing) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&reg, t] {
       // Half the threads hammer a shared counter, half their own — exercises
-      // both same-metric atomics and cross-shard registry lookups.
+      // both same-metric atomics and concurrent registry lookups.
       auto& shared = reg.counter("shared");
       auto& own = reg.counter("own." + std::to_string(t));
       for (int i = 0; i < kIncrements; ++i) {
@@ -221,10 +224,10 @@ TEST(MetricsRegistry, DisabledHelpersRecordNothing) {
   const MetricsEnabledGuard guard;
   obs::set_enabled(false);
   const auto before = obs::MetricsRegistry::global().size();
-  obs::count("disabled.counter");
-  obs::gauge_set("disabled.gauge", 1.0);
-  obs::observe("disabled.hist", 1.0);
-  { const auto timer = obs::time_scope("disabled.timer_s"); }
+  obs::count<"disabled.counter">();
+  obs::gauge_set<"disabled.gauge">(1.0);
+  obs::observe<"disabled.hist">(1.0);
+  { const auto timer = obs::time_scope<"disabled.timer_s">(); }
   EXPECT_EQ(obs::MetricsRegistry::global().size(), before);
 }
 
@@ -241,12 +244,14 @@ TEST(MetricsRegistry, SetEnabledTogglesConcurrentlyWithRecorders) {
   recorders.reserve(kRecorders);
   for (int t = 0; t < kRecorders; ++t) {
     recorders.emplace_back([&stop, t] {
+      // A per-thread name is not a template argument, so this counter is
+      // resolved by name from the registry, gated like the recorders.
       const std::string name = "toggle.recorder." + std::to_string(t);
       while (!stop.load(std::memory_order_relaxed)) {
-        obs::count(name);
-        obs::gauge_set("toggle.gauge", static_cast<double>(t));
-        obs::observe("toggle.hist", 1e-6);
-        { const auto timer = obs::time_scope("toggle.timer_s"); }
+        if (obs::enabled()) obs::MetricsRegistry::global().counter(name).add();
+        obs::gauge_set<"toggle.gauge">(static_cast<double>(t));
+        obs::observe<"toggle.hist">(1e-6);
+        { const auto timer = obs::time_scope<"toggle.timer_s">(); }
       }
     });
   }
@@ -259,17 +264,17 @@ TEST(MetricsRegistry, SetEnabledTogglesConcurrentlyWithRecorders) {
   // With the flag having been on, at least some records landed; exact
   // counts are inherently racy and deliberately unasserted.
   obs::set_enabled(true);
-  obs::count("toggle.final");
+  obs::count<"toggle.final">();
   EXPECT_GE(obs::MetricsRegistry::global().counter("toggle.final").value(), 1u);
 }
 
 TEST(MetricsRegistry, EnabledHelpersRecordIntoGlobal) {
   const MetricsEnabledGuard guard;
   obs::set_enabled(true);
-  obs::count("test.enabled.counter", 2);
-  obs::observe("test.enabled.hist", 0.5);
+  obs::count<"test.enabled.counter">(2);
+  obs::observe<"test.enabled.hist">(0.5);
   {
-    const auto timer = obs::time_scope("test.enabled.timer_s");
+    const auto timer = obs::time_scope<"test.enabled.timer_s">();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   auto& reg = obs::MetricsRegistry::global();
@@ -283,8 +288,8 @@ TEST(MetricsRegistry, EnabledHelpersRecordIntoGlobal) {
 TEST(MetricsRegistry, ObserveAndTimeScopeLandInHdrEntries) {
   const MetricsEnabledGuard guard;
   obs::set_enabled(true);
-  obs::observe("test.hdr.observe", 2.5e-3);
-  { const auto timer = obs::time_scope("test.hdr.timer_s"); }
+  obs::observe<"test.hdr.observe">(2.5e-3);
+  { const auto timer = obs::time_scope<"test.hdr.timer_s">(); }
   const auto doc = obs::json_parse(obs::MetricsRegistry::global().to_json());
   ASSERT_TRUE(doc.has_value());
   for (const char* name : {"test.hdr.observe", "test.hdr.timer_s"}) {
@@ -294,4 +299,87 @@ TEST(MetricsRegistry, ObserveAndTimeScopeLandInHdrEntries) {
     EXPECT_GE(entry->number_or("count", 0), 1.0) << name;
   }
   EXPECT_DOUBLE_EQ(doc->find("test.hdr.observe")->number_or("p50", -1), 2.5e-3);
+}
+
+TEST(MetricsRegistry, RecorderKindClashThrowsAtFirstUse) {
+  const MetricsEnabledGuard guard;
+  obs::set_enabled(true);
+  obs::count<"test.kind.clash">();
+  // The clashing call sites never bind their static, so every use throws.
+  EXPECT_THROW(obs::observe<"test.kind.clash">(1.0), std::logic_error);
+  EXPECT_THROW(obs::observe<"test.kind.clash">(1.0), std::logic_error);
+  EXPECT_THROW(obs::gauge_set<"test.kind.clash">(1.0), std::logic_error);
+  EXPECT_THROW((void)obs::time_scope<"test.kind.clash">(), std::logic_error);
+  obs::count<"test.kind.clash">(2);
+  EXPECT_EQ(obs::MetricsRegistry::global().counter("test.kind.clash").value(), 3u);
+}
+
+TEST(HdrHistogram, ConcurrentFirstRecordsKeepBothExtremes) {
+  // Two recorders each put one value into a fresh histogram at the same
+  // moment; min and max must be exactly the two values, however the first
+  // records interleave. The two threads live for the whole test and meet the
+  // main thread at a spinning barrier each round: spinning (not sleeping on
+  // a futex) releases both within a few hundred nanoseconds of each other,
+  // so their first records overlap often enough to expose a lost extreme.
+  constexpr int kRounds = 20000;
+  std::unique_ptr<obs::HdrHistogram> h;
+  std::atomic<int> round{0};
+  std::atomic<int> recorded{0};
+  const auto spin_until = [](const auto& done) {
+    for (unsigned spins = 1; !done(); ++spins) {
+      if (spins % 1024 == 0) std::this_thread::yield();
+    }
+  };
+  const auto recorder = [&](double v) {
+    for (int r = 1; r <= kRounds; ++r) {
+      spin_until([&] { return round.load(std::memory_order_acquire) == r; });
+      h->record(v);
+      recorded.fetch_add(1, std::memory_order_release);
+    }
+  };
+  std::thread a(recorder, 5.0);
+  std::thread b(recorder, 1.0);
+  int wrong = 0;
+  for (int r = 1; r <= kRounds; ++r) {
+    h = std::make_unique<obs::HdrHistogram>();
+    round.store(r, std::memory_order_release);
+    spin_until([&] { return recorded.load(std::memory_order_acquire) == 2 * r; });
+    if (h->min() != 1.0 || h->max() != 5.0) ++wrong;
+  }
+  a.join();
+  b.join();
+  EXPECT_EQ(wrong, 0) << "of " << kRounds << " rounds";
+}
+
+TEST(HdrHistogram, EmptyNanAndInfiniteExtremes) {
+  obs::HdrHistogram h;
+  EXPECT_DOUBLE_EQ(h.min(), 0.0);
+  EXPECT_DOUBLE_EQ(h.max(), 0.0);
+  // A NaN record counts but leaves min and max alone.
+  h.record(std::nan(""));
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_DOUBLE_EQ(h.min(), 0.0);
+  EXPECT_DOUBLE_EQ(h.max(), 0.0);
+  h.record(2.0);
+  h.record(std::nan(""));
+  EXPECT_DOUBLE_EQ(h.min(), 2.0);
+  EXPECT_DOUBLE_EQ(h.max(), 2.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 2.0);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  obs::HdrHistogram only_inf;
+  only_inf.record(inf);
+  EXPECT_EQ(only_inf.min(), inf);
+  EXPECT_EQ(only_inf.max(), inf);
+  obs::HdrHistogram only_neg_inf;
+  only_neg_inf.record(-inf);
+  EXPECT_EQ(only_neg_inf.min(), -inf);
+  EXPECT_EQ(only_neg_inf.max(), -inf);
+
+  only_inf.reset();
+  EXPECT_DOUBLE_EQ(only_inf.min(), 0.0);
+  EXPECT_DOUBLE_EQ(only_inf.max(), 0.0);
+  only_inf.record(-3.0);
+  EXPECT_DOUBLE_EQ(only_inf.min(), -3.0);
+  EXPECT_DOUBLE_EQ(only_inf.max(), -3.0);
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -304,4 +305,48 @@ TEST(SearchTracer, OneRecorderPerShardDropsNothing) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(tracer.span_count(), kThreads * kSpans);
   EXPECT_EQ(tracer.dropped(), 0u);
+}
+
+// Lanes are cached per thread and per tracer: switching tracers must not
+// cost a thread its lane, clear() must restart lanes at 0, and a tracer built
+// where another one died must not inherit that one's cached lanes.
+TEST(SearchTracer, ThreadKeepsItsLaneAcrossOtherTracers) {
+  obs::SearchTracer a;
+  std::thread([&a] { a.record(make_event(a, "first", 0.0, false)); }).join();
+  EXPECT_EQ(a.lane_for_current_thread(), 1u);
+  obs::SearchTracer b;
+  EXPECT_EQ(b.lane_for_current_thread(), 0u);
+  EXPECT_EQ(a.lane_for_current_thread(), 1u);
+  // More tracers than the per-thread cache holds: A's lane still stands.
+  std::vector<obs::SearchTracer> others(8);
+  for (auto& t : others) EXPECT_EQ(t.lane_for_current_thread(), 0u);
+  a.record(make_event(a, "again", 1.0, false));
+  const auto events = a.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].thread_lane, 0u);
+  EXPECT_EQ(events[1].thread_lane, 1u);
+  EXPECT_EQ(a.lanes(), 2u);
+}
+
+TEST(SearchTracer, ClearRestartsLanesAtZero) {
+  obs::SearchTracer tracer;
+  std::thread([&tracer] { (void)tracer.lane_for_current_thread(); }).join();
+  EXPECT_EQ(tracer.lane_for_current_thread(), 1u);
+  tracer.clear();
+  EXPECT_EQ(tracer.lanes(), 0u);
+  tracer.record_span(make_span(1, tracer.now_us()));
+  ASSERT_EQ(tracer.spans().size(), 1u);
+  EXPECT_EQ(tracer.spans()[0].thread_lane, 0u);
+  EXPECT_EQ(tracer.lanes(), 1u);
+}
+
+TEST(SearchTracer, TracerInADeadTracersStorageStartsAtLaneZero) {
+  std::optional<obs::SearchTracer> slot;
+  slot.emplace();
+  std::thread([&slot] { (void)slot->lane_for_current_thread(); }).join();
+  EXPECT_EQ(slot->lane_for_current_thread(), 1u);
+  slot.reset();
+  slot.emplace();  // same storage, same address
+  EXPECT_EQ(slot->lane_for_current_thread(), 0u);
+  EXPECT_EQ(slot->lanes(), 1u);
 }

@@ -29,6 +29,9 @@
 
 namespace {
 
+// A fresh simplex per run and a fixed cycle count per dimension, so every run
+// times the same propose/report cycles (restarts included) and runs of one
+// binary differ only by machine noise.
 void BM_NelderMeadCycle(benchmark::State& state) {
   const auto dims = static_cast<std::size_t>(state.range(0));
   harmony::ParamSpace space;
@@ -54,7 +57,9 @@ void BM_NelderMeadCycle(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_NelderMeadCycle)->Arg(2)->Arg(8)->Arg(32);
+BENCHMARK(BM_NelderMeadCycle)->Arg(2)->Iterations(200000);
+BENCHMARK(BM_NelderMeadCycle)->Arg(8)->Iterations(100000);
+BENCHMARK(BM_NelderMeadCycle)->Arg(32)->Iterations(20000);
 
 // The offline POP tuner's own round, without the POP model: one
 // 200-evaluation session of Nelder–Mead with restarts over block_x, block_y

@@ -9,7 +9,7 @@
 /// run_load() multiplexes all K connections over a few poll()-driven
 /// threads, each connection keeping a window of pipelined REPORT+FETCH lines
 /// in flight (the event-driven steady state). run_storm() drives thousands
-/// of short BATCH sessions with churn, tenants and slow readers.
+/// of short pipelined sessions with churn, tenants and slow readers.
 
 #include <poll.h>
 #include <sys/resource.h>
@@ -305,10 +305,11 @@ inline LoadResult run_load(const LoadOptions& opt) {
 //
 // The storm harness drives the server the way a saturated multi-tenant
 // deployment does: thousands of concurrently live sessions, each running a
-// short search over the batched BATCH framing, sessions churning (a finished
-// session is immediately replaced until a lifetime total is reached), a mix
-// of tenants, and a deliberate fraction of slow readers that exercise the
-// server's pending-output backpressure instead of its happy path.
+// short search written k pipelined REPORT+FETCH lines at a time, sessions
+// churning (a finished session is immediately replaced until a lifetime
+// total is reached), a mix of tenants, and a deliberate fraction of slow
+// readers that exercise the server's pending-output backpressure instead of
+// its happy path.
 
 /// Best-effort fd headroom for thousand-session storms: raise the soft
 /// RLIMIT_NOFILE toward `want` (bounded by the hard limit — CI runners
@@ -333,8 +334,8 @@ struct StormOptions {
   int sessions = 1024;      ///< concurrently live sessions (fd-limit clamped)
   int total_sessions = 0;   ///< lifetime sessions incl. churn; 0 = sessions
   int evals = 8;            ///< evaluations per session (short searches)
-  int batch = 4;            ///< report/fetch pairs per BATCH line
-  int window = 2;           ///< BATCH lines in flight per connection
+  int batch = 4;            ///< REPORT+FETCH lines per group, written together
+  int window = 2;           ///< groups in flight per connection
   int reactors = 2;         ///< server reactor shards
   int drivers = 2;          ///< client poll() threads
   int tenants = 4;          ///< sessions cycle TENANT t0..t{n-1}; 0 = none
@@ -346,9 +347,9 @@ struct StormOptions {
 };
 
 /// One storm slot: a sequence of `sessions_left` short sessions run
-/// back-to-back on fresh connections, each driving BATCH lines with a small
-/// in-flight window. Latency samples are per BATCH line (send to last of its
-/// reply lines).
+/// back-to-back on fresh connections, each writing groups of `batch`
+/// pipelined REPORT+FETCH lines with a small in-flight window. Latency
+/// samples are per group (send to the last of its reply lines).
 struct StormConn {
   int port = 0;
   ClientStats* stats = nullptr;
@@ -406,13 +407,11 @@ struct StormConn {
     const auto now = LoadClock::now();
     while (sent < evals && static_cast<int>(inflight.size()) < window) {
       const int k = std::min(batch, evals - sent);
-      wbuf += "BATCH ";
-      wbuf += std::to_string(k);
       for (int i = 0; i < k; ++i) {
-        wbuf += ' ';
+        wbuf += "REPORT+FETCH ";
         wbuf += std::to_string(synthetic_objective(sent + i));
+        wbuf += '\n';
       }
-      wbuf += '\n';
       sent += k;
       inflight.push_back({k, now});
     }
@@ -541,9 +540,9 @@ inline void run_storm_driver(int port, std::vector<StormConn*> conns) {
 }
 
 /// One timed storm run: a fresh server, `sessions` concurrent short
-/// sessions churning up to `total_sessions`, BATCH framing, mixed tenants,
-/// optional slow readers. LoadResult::sessions_completed counts finished
-/// sessions (incl. churn); latency quantiles are per BATCH line.
+/// sessions churning up to `total_sessions`, pipelined REPORT+FETCH groups,
+/// mixed tenants, optional slow readers. LoadResult::sessions_completed
+/// counts finished sessions (incl. churn); latency quantiles are per group.
 inline LoadResult run_storm(const StormOptions& opt) {
   StormOptions o = opt;
   if (o.total_sessions <= 0) o.total_sessions = o.sessions;

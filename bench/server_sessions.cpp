@@ -2,14 +2,14 @@
 //
 // Drives the event-loop server the way a saturated multi-tenant deployment
 // does (bench/server_load.hpp run_storm): N concurrently live sessions, each
-// a short search over the batched BATCH framing, sessions churning until a
-// lifetime total, a cycle of TENANT names, and a deliberate fraction of slow
-// readers exercising the pending-output backpressure path. The CI bench-smoke
-// job runs this at 512 sessions; the 10k-session experiment documented in
-// EXPERIMENTS.md is this binary at --sessions 10000.
+// a short search written as groups of pipelined REPORT+FETCH lines, sessions
+// churning until a lifetime total, a cycle of TENANT names, and a deliberate
+// fraction of slow readers exercising the pending-output backpressure path.
+// The CI bench-smoke job runs this at 512 sessions; the 10k-session
+// experiment documented in EXPERIMENTS.md is this binary at --sessions 10000.
 //
 // Results go to stdout and BENCH_server_sessions.json (ah-bench-report/1):
-// evals/s, sessions/s, and p50/p95/p99 per-BATCH-line latency. All numbers
+// evals/s, sessions/s, and p50/p95/p99 latency per group of lines. All numbers
 // are client-observed on purpose — the server's own backpressure counters
 // live on the STATUS board (see obs/status.hpp) and are asserted by the
 // admission tests, so this benchmark cannot drift when that schema does.
@@ -34,10 +34,10 @@ int usage(const char* argv0) {
       "          [--slow-every S] [--idle-ms MS] [--quota Q] [--reps R]\n"
       "          [--out DIR]\n\n"
       "Storm benchmark: K concurrent short sessions (churning to T lifetime\n"
-      "sessions) x M evaluations over BATCH-B framing against the event-loop\n"
-      "server, J tenants, every S-th session a slow reader. Writes\n"
-      "BENCH_server_sessions.json into --out. The soft fd limit is raised\n"
-      "best-effort; K is clamped when it cannot be.\n",
+      "sessions) x M evaluations against the event-loop server, B\n"
+      "REPORT+FETCH lines per write, J tenants, every S-th session a slow\n"
+      "reader. Writes BENCH_server_sessions.json into --out. The soft fd\n"
+      "limit is raised best-effort; K is clamped when it cannot be.\n",
       argv0);
   return 2;
 }

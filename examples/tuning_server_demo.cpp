@@ -5,8 +5,9 @@
 // separate daemon shared by several applications.
 
 // Usage: tuning_server_demo [strategy [key=value ...]]
-// With no arguments the server's default Nelder-Mead search runs; naming a
-// registered strategy negotiates it over the STRATEGY protocol verb first
+// The search is negotiated over the STRATEGY protocol verb before START.
+// With no arguments it is Nelder-Mead with up to 4 restarts and a stall
+// window of 80; naming a registered strategy picks that one instead
 // (e.g. `tuning_server_demo random samples=600 seed=7`).
 
 #include <cstdio>
@@ -23,10 +24,7 @@
 using namespace minipop;
 
 int main(int argc, char** argv) {
-  harmony::ServerOptions sopts;
-  sopts.search.max_restarts = 4;
-  sopts.search.max_stall = 80;
-  harmony::TuningServer server(sopts);
+  harmony::TuningServer server;
   if (!server.start()) {
     std::fprintf(stderr, "could not start tuning server\n");
     return 1;
@@ -49,8 +47,12 @@ int main(int argc, char** argv) {
   for (const auto& spec : parameter_table()) {
     ok = ok && client.add_enum(spec.name, spec.choices);
   }
-  if (ok && argc > 1) {
-    std::vector<std::pair<std::string, std::string>> options;
+  std::string strategy = "nelder-mead";
+  std::vector<std::pair<std::string, std::string>> options;
+  if (argc == 1) {
+    options = {{"max_restarts", "4"}, {"max_stall", "80"}};
+  } else {
+    strategy = argv[1];
     for (int i = 2; i < argc; ++i) {
       const std::string tok = argv[i];
       const auto eq = tok.find('=');
@@ -61,8 +63,10 @@ int main(int argc, char** argv) {
       }
       options.emplace_back(tok.substr(0, eq), tok.substr(eq + 1));
     }
-    ok = client.set_strategy(argv[1], options);
-    if (ok) std::printf("negotiated strategy %s over STRATEGY verb\n", argv[1]);
+  }
+  ok = ok && client.set_strategy(strategy, options);
+  if (ok && argc > 1) {
+    std::printf("negotiated strategy %s over STRATEGY verb\n", argv[1]);
   }
   ok = ok && client.start(300);
   if (!ok) {

@@ -127,68 +127,6 @@ std::optional<Config> TuningClient::report_and_fetch(double objective) {
   return decode_fetch_reply(*reply);
 }
 
-std::optional<int> TuningClient::batch_limit() {
-  const auto reply = transact("BATCH");
-  if (!reply) return std::nullopt;
-  if (!proto::parse_line(*reply, msg_) || msg_.verb != "OK" ||
-      msg_.args.size() != 2 || msg_.args[0] != "batch") {
-    error_ = *reply;
-    return std::nullopt;
-  }
-  const auto n = proto::parse_i64(msg_.args[1]);
-  if (!n || *n < 1) {
-    error_ = "bad batch limit: " + *reply;
-    return std::nullopt;
-  }
-  return static_cast<int>(*n);
-}
-
-std::optional<std::vector<Config>> TuningClient::report_and_fetch_batch(
-    const std::vector<double>& objectives) {
-  if (objectives.empty()) return std::vector<Config>{};
-  std::ostringstream os;
-  os << "BATCH " << objectives.size();
-  for (const double v : objectives) os << ' ' << v;
-  const auto first = transact(os.str());
-  if (!first) return std::nullopt;
-  if (first->rfind("ERR", 0) == 0) {
-    error_ = *first;
-    return std::nullopt;
-  }
-  // The server answers exactly one line per reported value: CONFIG while
-  // candidates remain, DONE from the point the budget runs out.
-  std::vector<Config> configs;
-  configs.reserve(objectives.size());
-  std::string line = *first;
-  for (std::size_t i = 0; i < objectives.size(); ++i) {
-    if (i > 0) {
-      auto next = reader_->read_line();
-      if (!next) {
-        ok_ = false;
-        error_ = "server closed connection";
-        return std::nullopt;
-      }
-      line = std::move(*next);
-    }
-    if (!proto::parse_line(line, msg_)) {
-      error_ = "unparseable reply";
-      return std::nullopt;
-    }
-    if (msg_.verb == "DONE") continue;  // keep draining the remaining lines
-    if (msg_.verb != "CONFIG") {
-      error_ = line;
-      return std::nullopt;
-    }
-    auto config = proto::decode_config(space_, msg_);
-    if (!config) {
-      error_ = "undecodable CONFIG: " + line;
-      return std::nullopt;
-    }
-    configs.push_back(std::move(*config));
-  }
-  return configs;
-}
-
 bool TuningClient::set_tenant(const std::string& name) {
   const auto reply = transact("TENANT " + name);
   return reply.has_value() && expect_ok(*reply);

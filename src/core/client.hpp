@@ -68,19 +68,6 @@ class TuningClient {
   /// the server says DONE (or on an error — check ok()/last_error()).
   [[nodiscard]] std::optional<Config> report_and_fetch(double objective);
 
-  /// Negotiate the batched framing: bare `BATCH` probe. Returns the server's
-  /// per-line batch cap, or nullopt when the peer does not support batching
-  /// (an older or foreign server answering ERR) — callers fall back to
-  /// report_and_fetch() per evaluation.
-  [[nodiscard]] std::optional<int> batch_limit();
-
-  /// Batched REPORT+FETCH: report `objectives` (in fetch order) in one BATCH
-  /// line and collect the CONFIG replies. The returned vector holds the next
-  /// candidates (fewer than objectives.size() once the budget is exhausted —
-  /// the server answers DONE for the tail). nullopt on a protocol error.
-  [[nodiscard]] std::optional<std::vector<Config>> report_and_fetch_batch(
-      const std::vector<double>& objectives);
-
   /// Declare this session's tenant (before start()). The server enforces its
   /// per-tenant session quota here: false with last_error() starting
   /// "ERR retry-after" means the quota is full and the connection was shed.

@@ -38,22 +38,6 @@
 ///                                Sessions that never send TENANT are
 ///                                unconstrained and unattributed.
 ///
-/// Batched framing (optional, negotiated):
-///   BATCH                     -> "OK batch <max>": the per-line cap.
-///                                Probe once, then:
-///   BATCH <n> <v1> ... <vn>   -> n REPORT+FETCH exchanges in ONE line:
-///                                each vi reports the pending candidate and
-///                                the reply block is exactly n lines, each
-///                                CONFIG or DONE (DONE from the point the
-///                                budget runs out). The line is validated
-///                                atomically — a malformed count or value
-///                                answers a single ERR and consumes nothing.
-///                                n is capped by the advertised <max>.
-///                                Collapses the per-evaluation syscall and
-///                                framing overhead at high session counts
-///                                without changing unbatched behaviour by a
-///                                byte.
-///
 /// Clients may pipeline: any number of verbs can be written before reading
 /// the replies, and the server answers strictly in request order (one reply
 /// block per verb). The steady-state tuning loop therefore costs one round
@@ -61,8 +45,7 @@
 /// a single write.
 ///
 /// Distributed tracing (optional, fully backward compatible): FETCH, REPORT,
-/// REPORT+FETCH, BATCH, WORK and RESULT accept one extra trailing token of
-/// the form
+/// REPORT+FETCH, WORK and RESULT accept one extra trailing token of the form
 ///   T=<trace-hex>-<span-hex>
 /// carrying a TraceContext (64-bit ids, lowercase hex). A sampled request's
 /// spans on both sides of the wire share the trace id, and the receiver

@@ -28,7 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/nelder_mead.hpp"
 #include "core/net.hpp"
 #include "obs/trace.hpp"
 
@@ -38,10 +37,6 @@ class WorkSink;  // work_sink.hpp — fleet dispatcher seam
 
 struct ServerOptions {
   int port = 0;  ///< 0 = pick an ephemeral port
-
-  /// Base options for the default search (nelder-mead); a client's STRATEGY
-  /// line overrides the whole choice.
-  NelderMeadOptions search;
 
   /// Per-connection cap on one protocol line; a client streaming an
   /// unterminated line beyond this is disconnected instead of growing the
@@ -80,17 +75,10 @@ struct ServerOptions {
   long long reap_tick_ms = 1000;
 
   /// Per-tenant live-session quota, keyed by the optional TENANT verb; a
-  /// TENANT line that would exceed it is answered `ERR retry-after <s>` and
+  /// TENANT line that would exceed it is answered `ERR retry-after 1` and
   /// the connection closed (graceful shed — the client knows when to come
   /// back). 0 = unlimited.
   int tenant_quota = 0;
-
-  /// Seconds suggested in the `ERR retry-after` shed reply.
-  int retry_after_s = 1;
-
-  /// Upper bound on report/fetch pairs in one BATCH line (see protocol.hpp).
-  /// Advertised by the bare `BATCH` negotiation probe.
-  int max_batch = 512;
 
   /// Fleet dispatcher (not owned, may be null). When set, connections may
   /// ATTACH as evaluation workers and the dispatcher pushes WORK lines back

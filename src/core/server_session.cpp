@@ -1,6 +1,5 @@
 #include "core/server_session.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
@@ -18,6 +17,8 @@ namespace {
 
 /// Evaluation budget of a session whose START line names none.
 constexpr int kDefaultMaxIterations = 200;
+/// Seconds a tenant shed over its quota is told to wait (`ERR retry-after`).
+constexpr int kRetryAfterS = 1;
 /// Number of events a bare `LOG` / `LOG tail` serves.
 constexpr std::size_t kLogTailDefault = 20;
 
@@ -40,8 +41,6 @@ void observe_verb(std::string_view verb, double dt_s) {
     obs::observe<"server.verb.fetch_s">(dt_s);
   } else if (verb == "REPORT") {
     obs::observe<"server.verb.report_s">(dt_s);
-  } else if (verb == "BATCH") {
-    obs::observe<"server.verb.batch_s">(dt_s);
   } else {
     obs::observe<"server.verb.result_s">(dt_s);
   }
@@ -99,7 +98,7 @@ void ServerConnection::publish(const char* phase_override) {
   if (best_moved) published_best_ = search_->best_objective();
 }
 
-bool ServerConnection::append_fetch_reply(std::string& out, bool count_fresh) {
+void ServerConnection::append_fetch_reply(std::string& out) {
   // ask() is idempotent while a candidate is outstanding (re-fetch resends
   // it) and returns nullopt once the iteration budget is spent or the
   // strategy stops proposing.
@@ -115,24 +114,21 @@ bool ServerConnection::append_fetch_reply(std::string& out, bool count_fresh) {
   }
   if (!proposal) {
     reply(out, "DONE");
-    return false;
+    return;
   }
-  if (count_fresh && !re_fetch) obs::count<"server.fetches">();
+  if (!re_fetch) obs::count<"server.fetches">();
   out.append("CONFIG ");
   proto::encode_config(space_, *proposal, out);
   out.push_back('\n');
-  return true;
 }
 
 bool ServerConnection::handle_report_value(std::string_view field,
-                                           std::string& out,
-                                           std::string_view verb) {
+                                           std::string& out) {
   const auto value = proto::parse_f64(field);
   if (!value) {
     reply(out, "ERR bad objective value");
     return false;
   }
-  (void)verb;
   EvaluationResult r;
   r.objective = *value;
   if (measure_stages_) {
@@ -150,56 +146,6 @@ bool ServerConnection::handle_report_value(std::string_view field,
   if (tenant_ != nullptr) tenant_->evals.fetch_add(1, std::memory_order_relaxed);
   publish();
   return true;
-}
-
-void ServerConnection::handle_batch(std::string& out) {
-  const int max_batch = std::max(1, opts_->max_batch);
-  if (msg_.args.empty()) {
-    // Bare BATCH is the negotiation probe: advertise the size cap.
-    reply(out, "OK batch " + std::to_string(max_batch));
-    return;
-  }
-  const auto n = proto::parse_i64(msg_.args[0]);
-  if (!n || *n < 1 || *n > max_batch) {
-    reply(out, "ERR bad batch count");
-    return;
-  }
-  if (msg_.args.size() - 1 != static_cast<std::size_t>(*n)) {
-    // Truncated (or over-long) frame. One ERR for the whole line; nothing
-    // was consumed, so the client can re-send the frame intact.
-    reply(out, "ERR batch count mismatch");
-    return;
-  }
-  if (!search_ || !controller_->awaiting_tell()) {
-    reply(out, "ERR nothing to report");
-    return;
-  }
-  // Validate every value before telling the search anything: a batch is
-  // atomic, so a malformed field (e.g. a trace token interleaved between
-  // values) rejects the whole line instead of half-applying it.
-  for (std::size_t i = 1; i < msg_.args.size(); ++i) {
-    if (!proto::parse_f64(msg_.args[i])) {
-      reply(out, "ERR bad objective value in batch");
-      return;
-    }
-  }
-  obs::count<"server.batch_lines">();
-  // n report/fetch pairs -> n reply lines (CONFIG or DONE), same order. Once
-  // the search finishes mid-batch the remaining values are dropped and
-  // answered DONE — they measured configurations of a search that is over.
-  bool done = false;
-  for (std::size_t i = 1; i < msg_.args.size(); ++i) {
-    if (done) {
-      reply(out, "DONE");
-      continue;
-    }
-    if (!handle_report_value(msg_.args[i], out, "BATCH")) {
-      done = true;  // cannot happen after the validation pass, but stay safe
-      continue;
-    }
-    obs::count<"server.report_fetches">();
-    done = !append_fetch_reply(out, /*count_fresh=*/true);
-  }
 }
 
 bool ServerConnection::handle_tenant(std::string& out) {
@@ -229,9 +175,9 @@ bool ServerConnection::handle_tenant(std::string& out) {
     obs::count<"server.shed_retry_after">();
     obs::log_warn("server",
                   "tenant " + name + " over quota, shedding (retry-after " +
-                      std::to_string(opts_->retry_after_s) + "s)",
+                      std::to_string(kRetryAfterS) + "s)",
                   session_id_);
-    reply(out, "ERR retry-after " + std::to_string(opts_->retry_after_s) +
+    reply(out, "ERR retry-after " + std::to_string(kRetryAfterS) +
                    " tenant quota exceeded");
     return false;  // graceful shed: close after the reply flushes
   }
@@ -427,8 +373,7 @@ bool ServerConnection::handle_line(std::string_view line, std::string& out) {
   // Request verbs (the steady-state tuning/eval path) are latency-tracked
   // end to end; every other verb answers without touching the clock.
   const bool request_verb = verb == "REPORT+FETCH" || verb == "FETCH" ||
-                            verb == "REPORT" || verb == "RESULT" ||
-                            verb == "BATCH";
+                            verb == "REPORT" || verb == "RESULT";
   trace_ = obs::TraceContext{};
   if (request_verb && !msg_.args.empty() &&
       proto::is_trace_token(msg_.args.back())) {
@@ -466,7 +411,7 @@ bool ServerConnection::handle_line(std::string_view line, std::string& out) {
       reply(out, "ERR not started");
       return true;
     }
-    append_fetch_reply(out, /*count_fresh=*/true);
+    append_fetch_reply(out);
   } else if (verb == "REPORT") {
     if (!search_ || !controller_->awaiting_tell()) {
       reply(out, "ERR nothing to report");
@@ -476,7 +421,7 @@ bool ServerConnection::handle_line(std::string_view line, std::string& out) {
       reply(out, "ERR REPORT takes one value");
       return true;
     }
-    if (handle_report_value(msg_.args[0], out, verb)) reply(out, "OK");
+    if (handle_report_value(msg_.args[0], out)) reply(out, "OK");
   } else if (verb == "REPORT+FETCH") {
     // The pipelined steady state: report the pending candidate and fetch
     // the next one in a single exchange — one round trip per evaluation.
@@ -488,12 +433,10 @@ bool ServerConnection::handle_line(std::string_view line, std::string& out) {
       reply(out, "ERR REPORT+FETCH takes one value");
       return true;
     }
-    if (handle_report_value(msg_.args[0], out, verb)) {
+    if (handle_report_value(msg_.args[0], out)) {
       obs::count<"server.report_fetches">();
-      (void)append_fetch_reply(out, /*count_fresh=*/true);
+      append_fetch_reply(out);
     }
-  } else if (verb == "BATCH") {
-    handle_batch(out);
   } else if (verb == "TENANT") {
     if (!handle_tenant(out)) return false;
   } else if (verb == "HELLO") {
@@ -538,10 +481,10 @@ bool ServerConnection::handle_line(std::string_view line, std::string& out) {
     }
     try {
       // One construction path for every session: the registry. A bare START
-      // gets the server's default search (Nelder-Mead with opts_->search); a
-      // prior STRATEGY line picks anything registered.
+      // gets the default search (Nelder-Mead with default options); a prior
+      // STRATEGY line picks anything registered.
       search_ = strategy_name_.empty()
-                    ? StrategyRegistry::make_default(space_, opts_->search)
+                    ? StrategyRegistry::make_default(space_)
                     : StrategyRegistry::make(strategy_name_, space_, strategy_opts_);
     } catch (const std::exception& e) {
       reply(out, std::string("ERR ") + e.what());

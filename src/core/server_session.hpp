@@ -72,13 +72,11 @@ class ServerConnection {
 
  private:
   void publish(const char* phase_override = nullptr);
-  /// True when a CONFIG line was appended, false for DONE.
-  bool append_fetch_reply(std::string& out, bool count_fresh);
-  bool handle_report_value(std::string_view field, std::string& out,
-                           std::string_view verb);
+  /// Appends the FETCH reply: the next candidate's CONFIG line, or DONE.
+  void append_fetch_reply(std::string& out);
+  bool handle_report_value(std::string_view field, std::string& out);
   void handle_attach(std::string& out);
   void handle_result(std::string& out);
-  void handle_batch(std::string& out);
   /// False when the connection must close (over-quota shed).
   [[nodiscard]] bool handle_tenant(std::string& out);
 

@@ -1,8 +1,9 @@
 // Pipelined wire-protocol behaviour of the tuning server: many concurrent
 // clients writing batches of verbs before reading replies, strict reply
 // ordering, poisoned-connection isolation, REPORT+FETCH trajectory parity
-// with FETCH/REPORT, and the max_connections admission cap — under the
-// default two-reactor layout and with every connection on one reactor.
+// with FETCH/REPORT and across grouped sends, the reply sequence past the
+// budget, and the max_connections admission cap — under the default
+// two-reactor layout and with every connection on one reactor.
 
 #include <gtest/gtest.h>
 
@@ -271,6 +272,121 @@ TEST(ReportAndFetch, MatchesSplitTrajectory) {
   for (std::size_t i = 0; i < split.size(); ++i) {
     EXPECT_EQ(split[i].values, merged[i].values) << "step " << i;
   }
+}
+
+/// Reads one reply line, failing the test (and returning "") on EOF.
+std::string next_reply(harmony::net::LineReader& reader) {
+  std::string line;
+  EXPECT_TRUE(reader.read_line(line)) << "server closed the connection";
+  return line;
+}
+
+/// Opens a raw session on x in [0, 200] with budget `budget` and FETCHes the
+/// first candidate; returns its CONFIG line.
+std::string open_raw_session(harmony::net::Socket& sock,
+                             harmony::net::LineReader& reader, int budget) {
+  std::string setup = "HELLO raw\nPARAM INT x 0 200 1\nSTART ";
+  setup += std::to_string(budget);
+  setup += "\nFETCH\n";
+  EXPECT_TRUE(sock.send_all(setup));
+  for (int i = 0; i < 3; ++i) {  // HELLO, PARAM, START
+    const std::string line = next_reply(reader);
+    EXPECT_EQ(line.rfind("OK", 0), 0u) << line;
+  }
+  const std::string first = next_reply(reader);
+  EXPECT_EQ(first.rfind("CONFIG", 0), 0u) << first;
+  return first;
+}
+
+/// A client that writes `group` REPORT+FETCH lines per send walks the exact
+/// trajectory of the lockstep loop (one line, one reply) when fed the same
+/// objective sequence: same CONFIG lines in the same order, same BEST.
+TEST(ReportAndFetch, PipelinedGroupsMatchLockstepTrajectory) {
+  // The objective depends only on the step index, so the value sequence is
+  // identical however the lines are grouped into sends.
+  const auto value_at = [](int i) { return 100.0 - 7.0 * i + 0.25 * i * i; };
+
+  const auto run_session = [&](int group) {
+    TuningServer server;
+    EXPECT_TRUE(server.start());
+    harmony::net::Socket sock = harmony::net::connect_loopback(server.port());
+    EXPECT_TRUE(sock.valid());
+    harmony::net::LineReader reader(sock);
+    std::vector<std::string> seen{open_raw_session(sock, reader, 24)};
+    bool done = false;
+    for (int step = 0; !done && step < 1000; step += group) {
+      std::string burst;
+      for (int i = 0; i < group; ++i) {
+        burst += "REPORT+FETCH ";
+        burst += std::to_string(value_at(step + i));
+        burst += '\n';
+      }
+      EXPECT_TRUE(sock.send_all(burst));
+      for (int i = 0; i < group; ++i) {
+        std::string line = next_reply(reader);
+        if (done) {
+          EXPECT_EQ(line, "ERR nothing to report");
+        } else if (line == "DONE") {
+          done = true;
+        } else {
+          EXPECT_EQ(line.rfind("CONFIG", 0), 0u) << line;
+          seen.push_back(std::move(line));
+        }
+      }
+    }
+    EXPECT_TRUE(done);
+    EXPECT_TRUE(sock.send_line("BEST"));
+    seen.push_back(next_reply(reader));
+    server.stop();
+    return seen;
+  };
+
+  const auto lockstep = run_session(1);
+  const auto grouped = run_session(3);
+  EXPECT_GT(lockstep.size(), 2u);
+  EXPECT_EQ(lockstep.back().rfind("CONFIG", 0), 0u) << lockstep.back();
+  EXPECT_EQ(lockstep, grouped);
+}
+
+/// 64 REPORT+FETCH lines in one write against a budget of 40: CONFIG while
+/// candidates remain, exactly one DONE when the budget runs out, then
+/// `ERR nothing to report` for every remaining line — 64 replies in order.
+TEST(ReportAndFetch, PipelinedPastBudgetAnswersOneDoneThenErrPerLine) {
+  TuningServer server;
+  ASSERT_TRUE(server.start());
+  harmony::net::Socket sock = harmony::net::connect_loopback(server.port());
+  ASSERT_TRUE(sock.valid());
+  harmony::net::LineReader reader(sock);
+  (void)open_raw_session(sock, reader, 40);
+
+  std::string burst;
+  for (int i = 0; i < 64; ++i) {
+    burst += "REPORT+FETCH ";
+    burst += std::to_string(50.0 + i);
+    burst += '\n';
+  }
+  ASSERT_TRUE(sock.send_all(burst));
+  int configs = 0;
+  int dones = 0;
+  int errs = 0;
+  for (int i = 0; i < 64; ++i) {
+    const std::string reply = next_reply(reader);
+    if (reply.rfind("CONFIG", 0) == 0) {
+      EXPECT_EQ(dones, 0) << "CONFIG after DONE at reply " << i;
+      ++configs;
+    } else if (reply == "DONE") {
+      ++dones;
+    } else {
+      EXPECT_EQ(reply, "ERR nothing to report") << "reply " << i;
+      EXPECT_EQ(dones, 1) << "ERR before DONE at reply " << i;
+      ++errs;
+    }
+  }
+  EXPECT_GT(configs, 0);
+  EXPECT_EQ(dones, 1);
+  EXPECT_GT(errs, 0);
+  EXPECT_EQ(configs + dones + errs, 64);
+  server.stop();
 }
 
 class MaxConnections : public ::testing::TestWithParam<Reactors> {};

@@ -6,41 +6,52 @@
 // space), three tuning-server loads (pipelined tail latency, a 1k-session
 // multi-tenant storm, evaluation-fleet scaling) and the eval hot path —
 // writes one BENCH_<name>.json report per workload, and compares the fresh
-// results against checked-in baselines:
+// results against checked-in baselines.
+//
+// Every timing row is the ratio of two timings of this repository's code,
+// taken in the same process and run, so a host that is uniformly faster or
+// slower reads the same ratio. Absolute speed is the perf ledger's job.
 //
 //  * evaluations-to-best — how many distinct short runs the search needed
 //    before it first reached its final best objective. Deterministic: a
 //    change here means the search behaviour itself changed.
-//  * wall-clock ratio — workload wall time divided by the wall time of a
-//    fixed in-process calibration loop measured in the same run. Comparing
-//    ratios instead of raw seconds makes the baselines roughly
-//    machine-independent; each evaluation also performs a fixed amount of
-//    arithmetic so host-wide slowdowns cancel out of the ratio.
+//  * search_per_model — for the searches: process CPU time of one whole
+//    search (controller, strategy, backend and the real cost model) over
+//    the CPU time of the same cost model called on the same distinct
+//    configs in a plain loop. It grows with the tuner's own cost per
+//    decision; a ceiling at --wall-tol.
+//  * storm_per_load — for the session storm: process CPU per evaluation of
+//    the churning storm over that of the steady pipelined load, so it grows
+//    with the per-session cost (accept, admission, strategy construction,
+//    teardown); a ceiling at --wall-tol.
 //  * evals/sec ratio — for the fleet and hot-path workloads: two throughputs
 //    measured in the same run (4 workers over 1; index-space over
-//    string-keyed caching). Machine-portable for the same reason ratios are
-//    above; it must not drop below its baseline by more than --speedup-tol.
-//  * p99/p50 latency ratio — for the latency workload only: tail over median
-//    per-request latency of the pipelined server under gate-sized load. A
-//    ratio (not raw milliseconds) so the check survives host speed
-//    differences; it must not exceed its baseline by more than
-//    --latency-tol (a new lock, a quantile scan on the request path, or a
-//    stalled reactor widens the tail long before it moves the median).
+//    string-keyed caching); a floor at --speedup-tol.
+//  * p90/p50 latency ratio — for the two server loads: tail over median
+//    per-request (per-group for the storm) latency over at least 10,000
+//    samples; a ceiling at --latency-tol (a new lock, a quantile scan on the
+//    request path, or a stalled reactor widens the tail long before it moves
+//    the median).
 //
-// Exits nonzero when any checked metric regresses past its tolerance (default
-// 20%, per --evals-tol / --wall-tol) or when the best objective itself gets
-// worse. `--update` rewrites the baselines instead of comparing.
+// Exits nonzero when any checked metric regresses past its tolerance or
+// when the best objective itself gets worse. `--update` rewrites the
+// baselines instead of comparing.
 //
-// AH_GATE_SLOWDOWN_US=<n> injects an n-microsecond busy spin into every
-// evaluation — a deliberate slowdown used by the test suite to prove the
-// gate actually trips.
+// AH_GATE_SLOWDOWN_US=<n> busy-waits n microseconds per candidate the search
+// strategy proposes — a deliberate tuner slowdown the test suite uses to
+// prove each search row trips.
 
+#include <time.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -72,48 +83,128 @@ struct GateOptions {
   std::string only;  // run a single workload by report name
   bool update = false;
   double evals_tol = 0.20;
-  double wall_tol = 0.20;
+  double wall_tol = 0.20;     // allowed growth in a CPU-time ratio
   double speedup_tol = 0.50;  // allowed drop in an evals/s ratio
-  double latency_tol = 1.00;  // allowed growth in the server p99/p50 ratio
-  int reps = 3;  // wall time is the min over this many repetitions
+  double latency_tol = 1.00;  // allowed growth in a p90/p50 ratio
+  int reps = 3;  // each timing is the min over this many repetitions
 };
 
-int g_slowdown_us = 0;  // from AH_GATE_SLOWDOWN_US
+int g_slowdown_us = 0;       // from AH_GATE_SLOWDOWN_US
+volatile double g_sink = 0;  // keeps the plain model loops' results live
 
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
+/// Process CPU seconds: every thread counts (pool workers, server reactors,
+/// load clients), and time spent descheduled does not.
+double cpu_now() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
-/// Fixed-iteration dependent arithmetic chain. Used both as the per-eval
-/// workload and (with a larger count) as the calibration loop, so the
-/// wall-clock ratio is dominated by work that scales identically on any host.
-double spin_work(std::uint64_t iters) {
-  double x = 1.0;
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    x = x * 1.0000000931322575 + 1e-9;  // dependent chain: not vectorizable
-  }
-  return x;
-}
-volatile double g_spin_sink = 0.0;
-
-void per_eval_work() {
-  g_spin_sink = spin_work(400'000);
-  if (g_slowdown_us > 0) {
-    const auto until = Clock::now() + std::chrono::microseconds(g_slowdown_us);
-    while (Clock::now() < until) {
+/// Median process CPU seconds per call of `a` and of `b`. Calls whichever
+/// side has used less CPU so far until each has used at least 20 ms, so a
+/// change in host speed during the measurement hits both sides alike.
+template <typename A, typename B>
+std::pair<double, double> cpu_per_call(const A& a, const B& b) {
+  std::vector<double> samples[2];
+  double spent[2] = {0.0, 0.0};
+  while (spent[0] < 0.020 || spent[1] < 0.020) {
+    const int side = spent[0] <= spent[1] ? 0 : 1;
+    const double t0 = cpu_now();
+    if (side == 0) {
+      a();
+    } else {
+      b();
     }
+    samples[side].push_back(cpu_now() - t0);
+    spent[side] += samples[side].back();
   }
+  const auto median = [](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  return {median(samples[0]), median(samples[1])};
 }
 
-/// Wall time of the calibration loop (min over 3 measurements).
-double calibrate() {
-  double best = 1e300;
-  for (int i = 0; i < 3; ++i) {
-    const auto t0 = Clock::now();
-    g_spin_sink = spin_work(20'000'000);
-    best = std::min(best, seconds_since(t0));
+/// Forwards to a search strategy, busy-waiting AH_GATE_SLOWDOWN_US per
+/// proposed candidate. Every gated search runs through it, so the timed code
+/// is the same whether or not a delay is injected.
+class SlowedStrategy final : public harmony::BatchSearchStrategy {
+ public:
+  explicit SlowedStrategy(harmony::BatchSearchStrategy& inner) : inner_(&inner) {}
+
+  [[nodiscard]] std::vector<Config> propose_batch(std::size_t max_n) override {
+    auto batch = inner_->propose_batch(max_n);
+    if (g_slowdown_us > 0) {
+      const auto until =
+          Clock::now() + std::chrono::microseconds(g_slowdown_us) *
+                             static_cast<long>(batch.size());
+      while (Clock::now() < until) {
+      }
+    }
+    return batch;
   }
-  return best;
+  void report_batch(const std::vector<Config>& configs,
+                    const std::vector<harmony::EvaluationResult>& results) override {
+    inner_->report_batch(configs, results);
+  }
+  [[nodiscard]] bool converged() const override { return inner_->converged(); }
+  [[nodiscard]] std::optional<Config> best() const override { return inner_->best(); }
+  [[nodiscard]] double best_objective() const override {
+    return inner_->best_objective();
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+ private:
+  harmony::BatchSearchStrategy* inner_;
+};
+
+/// What one search run leaves for its report.
+struct SearchRun {
+  harmony::ControllerResult result;
+  harmony::History history;
+};
+
+/// Report of one deterministic search workload. `search(report)` builds a
+/// fresh controller, SlowedStrategy-wrapped strategy, cache and backend,
+/// runs the search, adds its workload-specific metrics to `report` and
+/// returns the run; `model(config)` is the cost model its backend calls for
+/// each distinct config. The first search fills the deterministic fields
+/// and is the warm-up; search_per_model is then the CPU time of one search
+/// over the CPU time of `model` on that search's distinct configs.
+template <typename Search, typename Model>
+obs::BenchReport gate_search(const char* name, const harmony::ParamSpace& space,
+                             int reps, const Search& search, const Model& model) {
+  obs::BenchReport report;
+  report.name = name;
+  const SearchRun first = search(report);
+  report.best_config = space.format(*first.result.best);
+  report.best_value = first.result.best_objective;
+  report.evaluations = first.result.evaluations;
+  report.evals_to_best = first.history.evals_to_best();
+  std::vector<Config> distinct;
+  for (const auto& e : first.history.entries()) {
+    if (!e.cached) distinct.push_back(e.config);
+  }
+
+  double search_s = 1e300;
+  double model_s = 1e300;
+  obs::BenchReport scratch;
+  double sink = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto [s, m] = cpu_per_call([&] { (void)search(scratch); }, [&] {
+      for (const auto& c : distinct) sink += model(c);
+    });
+    search_s = std::min(search_s, s);
+    model_s = std::min(model_s, m);
+  }
+  g_sink = sink;
+  const double proposals = first.result.proposals;
+  report.metrics["proposals"] = proposals;
+  report.metrics["search_cpu_ms"] = 1e3 * search_s;
+  report.metrics["model_cpu_ms"] = 1e3 * model_s;
+  report.metrics["tuner_us_per_proposal"] = 1e6 * (search_s - model_s) / proposals;
+  report.metrics["search_per_model"] = search_s / model_s;
+  return report;
 }
 
 // ---- workload 1: GS2 systematic sweep through the parallel engine ---------
@@ -136,30 +227,22 @@ obs::BenchReport run_gate_gs2_sweep(int reps) {
     r.measured_s = model.run_time(machine, 2 * nodes, res,
                                   minigs2::Layout("lxyes"),
                                   minigs2::CollisionModel::None, steps);
-    per_eval_work();
     return r;
   };
 
-  obs::BenchReport report;
-  report.name = "gate_gs2_sweep";
-  double wall = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
+  const auto search = [&](obs::BenchReport& report) {
     harmony::SearchController controller(space, {368, 368 * 64 + 256});
     harmony::SystematicSampler sweep(space, plan);
-    const auto t0 = Clock::now();
+    SlowedStrategy slowed(sweep);
     harmony::engine::PoolEvalBackend pool(space, short_run, 10, 0.0, 4, 16, true);
-    const auto result = controller.run(sweep, pool);
-    wall = std::min(wall, seconds_since(t0));
-    report.best_config = space.format(*result.best);
-    report.best_value = result.best_objective;
-    report.evaluations = result.evaluations;
-    report.evals_to_best = controller.history().evals_to_best();
+    SearchRun run{controller.run(slowed, pool), controller.take_history()};
     report.metrics["cache_hits"] =
         static_cast<double>(pool.cache_hits() + pool.cache_coalesced());
-    report.metrics["batches"] = result.batches;
-  }
-  report.wall_s = wall;
-  return report;
+    report.metrics["batches"] = run.result.batches;
+    return run;
+  };
+  return gate_search("gate_gs2_sweep", space, reps, search,
+                     [&](const Config& c) { return short_run(c, 10).measured_s; });
 }
 
 // ---- workload 2: POP block-size Nelder-Mead through the serial driver -----
@@ -185,14 +268,10 @@ obs::BenchReport run_gate_pop_nm(int reps) {
         static_cast<int>(space.get_int(c, "block_y"))};
     harmony::ShortRunResult r;
     r.measured_s = model.step_time(machine, 16, shape, mult).total_s;
-    per_eval_work();
     return r;
   };
 
-  obs::BenchReport report;
-  report.name = "gate_pop_nm";
-  double wall = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
+  const auto search = [&](obs::BenchReport& report) {
     harmony::EvalCache cache(space);
     harmony::SearchController controller(space, {400, 400 * 64 + 256}, {}, nullptr,
                                          &cache);
@@ -200,18 +279,13 @@ obs::BenchReport run_gate_pop_nm(int reps) {
     harmony::NelderMeadOptions nm_opts;
     nm_opts.max_restarts = 2;
     harmony::NelderMead nm(space, nm_opts, start);
-    const auto t0 = Clock::now();
-    const auto result = controller.run(nm, backend);
-    wall = std::min(wall, seconds_since(t0));
-    report.best_config = space.format(*result.best);
-    report.best_value = result.best_objective;
-    report.evaluations = result.evaluations;
-    report.evals_to_best = controller.history().evals_to_best();
-    report.metrics["cache_hits"] =
-        static_cast<double>(controller.history().cached_count());
-  }
-  report.wall_s = wall;
-  return report;
+    SlowedStrategy slowed(nm);
+    SearchRun run{controller.run(slowed, backend), controller.take_history()};
+    report.metrics["cache_hits"] = static_cast<double>(run.history.cached_count());
+    return run;
+  };
+  return gate_search("gate_pop_nm", space, reps, search,
+                     [&](const Config& c) { return short_run(c, 10).measured_s; });
 }
 
 // ---- workload 3: model-guided GA+surrogate on the Fig. 6 space ------------
@@ -232,6 +306,11 @@ obs::BenchReport run_gate_model_guided(int reps) {
     return model.run_time(machine, 2 * nodes, res, minigs2::Layout("lxyes"),
                           minigs2::CollisionModel::None, 1000);
   };
+  const harmony::Evaluator evaluate = [&](const Config& c) {
+    harmony::EvaluationResult r;
+    r.objective = objective(c);
+    return r;
+  };
 
   // Untimed reference pass: the 368-point sweep fixes the top-5% threshold
   // the guided search is gated against (deterministic, so computed once).
@@ -239,12 +318,7 @@ obs::BenchReport run_gate_model_guided(int reps) {
   harmony::EvalCache sweep_cache(space);
   harmony::SearchController sweep_controller(space, {368, 4000}, {}, nullptr,
                                              &sweep_cache);
-  const harmony::Evaluator plain_eval = [&](const Config& c) {
-    harmony::EvaluationResult r;
-    r.objective = objective(c);
-    return r;
-  };
-  harmony::SerialEvalBackend sweep_backend(plain_eval);
+  harmony::SerialEvalBackend sweep_backend(evaluate);
   const auto sweep_out = sweep_controller.run(sweep, sweep_backend);
   std::vector<double> times;
   for (const auto& e : sweep_controller.history().entries()) {
@@ -254,25 +328,16 @@ obs::BenchReport run_gate_model_guided(int reps) {
   const double top5 =
       times[static_cast<std::size_t>(0.05 * static_cast<double>(times.size()))];
 
-  const harmony::Evaluator timed_eval = [&](const Config& c) {
-    harmony::EvaluationResult r;
-    r.objective = objective(c);
-    per_eval_work();
-    return r;
-  };
-
-  obs::BenchReport report;
-  report.name = "gate_model_guided";
-  double wall = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
+  const auto search = [&](obs::BenchReport& report) {
     harmony::GeneticOptions g;
     g.population = 16;
     g.generations = 100;  // budget-limited, not generation-limited
     g.mutation = 0.25;
     g.seed = 6;
     harmony::GeneticSearch ga(space, g);
+    SlowedStrategy slowed(ga);
     harmony::engine::KnnSurrogate knn(space, {});
-    harmony::SerialEvalBackend real_backend(timed_eval);
+    harmony::SerialEvalBackend real_backend(evaluate);
     harmony::engine::SurrogateBackendOptions sopts;
     sopts.top_k = 4;
     sopts.rank_window = 16;
@@ -282,17 +347,11 @@ obs::BenchReport run_gate_model_guided(int reps) {
     limits.max_evaluations = 92;  // 25% of the sweep
     limits.max_proposals = 100000;
     harmony::SearchController controller(space, limits, {}, nullptr, &cache);
-    const auto t0 = Clock::now();
-    const auto result = controller.run(ga, backend);
-    wall = std::min(wall, seconds_since(t0));
+    SearchRun run{controller.run(slowed, backend), controller.take_history()};
 
-    report.best_config = space.format(*result.best);
-    report.best_value = result.best_objective;
-    report.evaluations = result.evaluations;
-    report.evals_to_best = controller.history().evals_to_best();
     int distinct = 0;
     int to_top5 = 0;
-    for (const auto& e : controller.history().entries()) {
+    for (const auto& e : run.history.entries()) {
       if (!e.cached) ++distinct;
       if (!e.cached && e.result.valid && e.result.objective <= top5) {
         to_top5 = distinct;
@@ -302,37 +361,41 @@ obs::BenchReport run_gate_model_guided(int reps) {
     report.metrics["evals_to_top5"] = to_top5;
     report.metrics["top5_threshold_s"] = top5;
     report.metrics["sweep_best_s"] = sweep_out.best_result.objective;
-    report.metrics["surrogate_forwarded"] =
-        static_cast<double>(backend.forwarded());
-    report.metrics["surrogate_skipped"] =
-        static_cast<double>(backend.skipped());
-  }
-  report.wall_s = wall;
-  return report;
+    report.metrics["surrogate_forwarded"] = static_cast<double>(backend.forwarded());
+    report.metrics["surrogate_skipped"] = static_cast<double>(backend.skipped());
+    return run;
+  };
+  return gate_search("gate_model_guided", space, reps, search, objective);
 }
 
 // ---- workload 4: tuning-server tail latency -------------------------------
 
-obs::BenchReport run_gate_server_latency(int reps) {
+/// Steady pipelined load: 16 clients x 640 evaluations = 10,240 requests,
+/// enough samples for a stable p90. Also the reference side of the storm's
+/// storm_per_load row.
+harmony::bench::LoadOptions gate_load() {
   harmony::bench::LoadOptions load;
   load.clients = 16;
-  load.evals = 100;
+  load.evals = 640;
   load.window = 8;
   load.reactors = 2;
+  return load;
+}
+
+obs::BenchReport run_gate_server_latency(int reps) {
   // Best run by throughput: the quietest rep, so its tail is protocol cost,
   // not scheduler noise.
   const auto best = harmony::bench::best_of(
-      reps, [&] { return harmony::bench::run_load(load); });
+      reps, [&] { return harmony::bench::run_load(gate_load()); });
 
   obs::BenchReport report;
   report.name = "gate_server_latency";
   report.evaluations = static_cast<int>(best.evals);
   report.wall_s = best.wall_s;
   report.metrics["p50_ms"] = best.p50_ms;
-  report.metrics["p95_ms"] = best.p95_ms;
+  report.metrics["p90_ms"] = best.p90_ms;
   report.metrics["p99_ms"] = best.p99_ms;
-  report.metrics["p99_p50_ratio"] =
-      best.p50_ms > 0.0 ? best.p99_ms / best.p50_ms : 0.0;
+  report.metrics["p90_p50_ratio"] = best.p50_ms > 0.0 ? best.p90_ms / best.p50_ms : 0.0;
   report.metrics["evals_per_s"] = best.evals_per_s();
   return report;
 }
@@ -342,7 +405,7 @@ obs::BenchReport run_gate_server_latency(int reps) {
 obs::BenchReport run_gate_server_sessions(int reps) {
   harmony::bench::StormOptions storm;
   storm.sessions = 1024;        // >= 1k concurrently live sessions
-  storm.total_sessions = 1536;  // ~50% churn on top
+  storm.total_sessions = 5120;  // 5x churn: 2 groups each, 10,240 samples
   storm.evals = 8;              // short searches — admission-heavy load
   storm.batch = 4;
   storm.window = 2;
@@ -350,8 +413,23 @@ obs::BenchReport run_gate_server_sessions(int reps) {
   storm.drivers = 2;
   storm.tenants = 4;
   storm.slow_every = 50;  // every 50th session is a deliberate slow reader
-  const auto best = harmony::bench::best_of(
-      reps, [&] { return harmony::bench::run_storm(storm); });
+
+  // Both sides in process CPU per evaluation, back to back within a rep.
+  const auto per_eval = [](double cpu_s, const harmony::bench::LoadResult& r) {
+    return cpu_s / static_cast<double>(std::max<std::uint64_t>(1, r.evals));
+  };
+  harmony::bench::LoadResult best;
+  double storm_cpu = 1e300;
+  double load_cpu = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    double t0 = cpu_now();
+    const auto r = harmony::bench::run_storm(storm);
+    storm_cpu = std::min(storm_cpu, per_eval(cpu_now() - t0, r));
+    if (rep == 0 || r.evals_per_s() > best.evals_per_s()) best = r;
+    t0 = cpu_now();
+    const auto steady = harmony::bench::run_load(gate_load());
+    load_cpu = std::min(load_cpu, per_eval(cpu_now() - t0, steady));
+  }
 
   obs::BenchReport report;
   report.name = "gate_server_sessions";
@@ -359,11 +437,13 @@ obs::BenchReport run_gate_server_sessions(int reps) {
   report.wall_s = best.wall_s;
   report.metrics["sessions_total"] = best.sessions_completed;
   report.metrics["p50_ms"] = best.p50_ms;
-  report.metrics["p99_ms"] = best.p99_ms;
-  report.metrics["p99_p50_ratio"] =
-      best.p50_ms > 0.0 ? best.p99_ms / best.p50_ms : 0.0;
+  report.metrics["p90_ms"] = best.p90_ms;
+  report.metrics["p90_p50_ratio"] = best.p50_ms > 0.0 ? best.p90_ms / best.p50_ms : 0.0;
   report.metrics["evals_per_s"] = best.evals_per_s();
   report.metrics["sessions_per_s"] = best.sessions_per_s();
+  report.metrics["storm_cpu_us_per_eval"] = 1e6 * storm_cpu;
+  report.metrics["load_cpu_us_per_eval"] = 1e6 * load_cpu;
+  report.metrics["storm_per_load"] = storm_cpu / load_cpu;
   return report;
 }
 
@@ -375,15 +455,9 @@ obs::BenchReport run_gate_server_sessions(int reps) {
 double run_fleet_point(int nworkers, int evals) {
   // 2 ms of simulated run cost per evaluation (a sleep on the worker): the
   // 4-worker/1-worker ratio then measures dispatch overlap, portably across
-  // host core counts.
+  // host core counts. The cost is a sleep, so this row is timed in wall
+  // clock: process CPU time would not see the overlap.
   const auto sub = harmony::fleet::make_substrate("synthetic", /*spin_us=*/2000);
-  // Every remote run performs the gate's fixed per-evaluation work (and the
-  // injected slowdown), same as the serial workloads.
-  const harmony::ShortRunFn run = [&sub](const Config& c, int steps) {
-    const auto r = sub->run(c, steps);
-    per_eval_work();
-    return r;
-  };
 
   harmony::fleet::Dispatcher dispatcher(sub->space);
   harmony::ServerOptions sopts;
@@ -400,7 +474,7 @@ double run_fleet_point(int nworkers, int evals) {
     clients.push_back(std::make_unique<harmony::fleet::WorkerClient>(wopts));
     harmony::fleet::WorkerClient* wc = clients.back().get();
     threads.emplace_back(
-        [wc, &sub, &run, port] { (void)wc->run(port, sub->space, run, 1); });
+        [wc, &sub, port] { (void)wc->run(port, sub->space, sub->run, 1); });
   }
 
   double evals_per_s = 0.0;
@@ -415,7 +489,7 @@ double run_fleet_point(int nworkers, int evals) {
                                                 /*seed=*/7);
     const auto t0 = Clock::now();
     const auto result = controller.run(strategy, backend);
-    const double wall = seconds_since(t0);
+    const double wall = std::chrono::duration<double>(Clock::now() - t0).count();
     if (wall > 0.0) evals_per_s = result.evaluations / wall;
   }
 
@@ -453,36 +527,12 @@ obs::BenchReport run_gate_server_fleet(int reps) {
 
 // ---- workload 7: eval hot path — index-space vs string-keyed caching ------
 
-/// The string key the index space replaced, reproduced exactly: one
-/// ostringstream per key and one per value (the pre-PointKey
-/// ParamSpace::key + to_string(Value) implementations). The gate compares
-/// representations, so the baseline must be the representation the search
-/// core actually used, not today's append-based string renderer (which is
-/// itself measured separately below).
-std::string legacy_key(const Config& c) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < c.values.size(); ++i) {
-    if (i != 0) os << '|';
-    std::ostringstream vs;
-    if (std::holds_alternative<std::int64_t>(c.values[i])) {
-      vs << std::get<std::int64_t>(c.values[i]);
-    } else if (std::holds_alternative<double>(c.values[i])) {
-      vs << std::get<double>(c.values[i]);
-    } else {
-      vs << std::get<std::string>(c.values[i]);
-    }
-    os << vs.str();
-  }
-  return os.str();
-}
-
 /// Measures the controller-side cache hot path in isolation on the Fig. 6
 /// GS2 space: derive a key for each candidate, probe the cache, store on
 /// miss. Two implementations of the same access pattern run back to back —
-/// the index-space PointKey path the search core uses now, and the
-/// string-keyed unordered_map it replaced — and the gated number is their
-/// throughput ratio (machine-portable for the same reason the other ratios
-/// are: both sides run on the same host in the same process).
+/// the index-space PointKey + EvalCache path the search core uses, and
+/// ParamSpace::key into an unordered_map, the string key the tests use as
+/// their reference — and the gated number is their throughput ratio.
 obs::BenchReport run_gate_eval_hotpath(int reps) {
   harmony::ParamSpace space;
   space.add(harmony::Parameter::Integer("negrid", 4, 16));
@@ -495,90 +545,50 @@ obs::BenchReport run_gate_eval_hotpath(int reps) {
   const double ops =
       static_cast<double>(configs.size()) * static_cast<double>(kPasses);
 
-  double string_s = 1e300;
-  double fast_string_s = 1e300;
-  double point_s = 1e300;
-  double derive_s = 1e300;
   std::size_t hit_sink = 0;
+  const auto string_keyed = [&] {
+    std::unordered_map<std::string, harmony::EvaluationResult> table;
+    for (int p = 0; p < kPasses; ++p) {
+      for (const auto& c : configs) {
+        std::string k = space.key(c);
+        auto it = table.find(k);
+        if (it == table.end()) {
+          table.emplace(std::move(k), harmony::EvaluationResult{});
+        } else {
+          ++hit_sink;
+        }
+      }
+    }
+  };
+  const auto point_keyed = [&] {
+    harmony::EvalCache cache(space);
+    harmony::PointKey key;
+    for (int p = 0; p < kPasses; ++p) {
+      for (const auto& c : configs) {
+        key.assign(space, c);
+        if (cache.lookup(key) == nullptr) {
+          cache.store(key, harmony::EvaluationResult{});
+        } else {
+          ++hit_sink;
+        }
+      }
+    }
+  };
+  double string_s = 1e300;
+  double point_s = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
-    {
-      std::unordered_map<std::string, harmony::EvaluationResult> table;
-      const auto t0 = Clock::now();
-      for (int p = 0; p < kPasses; ++p) {
-        for (const auto& c : configs) {
-          std::string k = legacy_key(c);
-          auto it = table.find(k);
-          if (it == table.end()) {
-            table.emplace(std::move(k), harmony::EvaluationResult{});
-          } else {
-            ++hit_sink;
-          }
-        }
-      }
-      string_s = std::min(string_s, seconds_since(t0));
-    }
-    {
-      // Same table, today's append-based ParamSpace::key — isolates how much
-      // of the uplift the string renderer rewrite alone accounts for.
-      std::unordered_map<std::string, harmony::EvaluationResult> table;
-      const auto t0 = Clock::now();
-      for (int p = 0; p < kPasses; ++p) {
-        for (const auto& c : configs) {
-          std::string k = space.key(c);
-          auto it = table.find(k);
-          if (it == table.end()) {
-            table.emplace(std::move(k), harmony::EvaluationResult{});
-          } else {
-            ++hit_sink;
-          }
-        }
-      }
-      fast_string_s = std::min(fast_string_s, seconds_since(t0));
-    }
-    {
-      harmony::EvalCache cache(space);
-      harmony::PointKey key;
-      const auto t0 = Clock::now();
-      for (int p = 0; p < kPasses; ++p) {
-        for (const auto& c : configs) {
-          key.assign(space, c);
-          if (cache.lookup(key) == nullptr) {
-            cache.store(key, harmony::EvaluationResult{});
-          } else {
-            ++hit_sink;
-          }
-        }
-      }
-      point_s = std::min(point_s, seconds_since(t0));
-    }
-    {
-      harmony::PointKey key;
-      std::size_t h = 0;
-      const auto t0 = Clock::now();
-      for (int p = 0; p < kPasses; ++p) {
-        for (const auto& c : configs) {
-          key.assign(space, c);
-          h ^= key.hash();
-        }
-      }
-      derive_s = std::min(derive_s, seconds_since(t0));
-      hit_sink ^= h;
-    }
+    const auto [sk, pk] = cpu_per_call(string_keyed, point_keyed);
+    string_s = std::min(string_s, sk);
+    point_s = std::min(point_s, pk);
   }
 
   obs::BenchReport report;
   report.name = "gate_eval_hotpath";
   report.evaluations = static_cast<int>(ops);
-  report.wall_s = string_s + fast_string_s + point_s + derive_s;
-  report.speedup = point_s > 0.0 ? string_s / point_s : 0.0;
+  report.speedup = string_s / point_s;
   report.metrics["evals_per_s_ratio"] = report.speedup;
-  report.metrics["pointkey_mops"] = point_s > 0.0 ? ops / point_s / 1e6 : 0.0;
-  report.metrics["stringkey_mops"] =
-      string_s > 0.0 ? ops / string_s / 1e6 : 0.0;
-  report.metrics["stringkey_fastrender_mops"] =
-      fast_string_s > 0.0 ? ops / fast_string_s / 1e6 : 0.0;
-  report.metrics["key_derive_mops"] =
-      derive_s > 0.0 ? ops / derive_s / 1e6 : 0.0;
+  report.metrics["pointkey_mops"] = ops / point_s / 1e6;
+  report.metrics["stringkey_mops"] = ops / string_s / 1e6;
   report.metrics["hit_sink"] = static_cast<double>(hit_sink % 1024);
   return report;
 }
@@ -589,8 +599,24 @@ struct CheckRow {
   std::string label;
   double baseline;
   double current;
-  double limit;  // current must stay <= limit
+  double limit;
   bool ok;
+};
+
+/// A gated ratio: the metric it reads, its row label, the tolerance that
+/// bounds it, and whether it is a floor (higher is better) or a ceiling.
+struct RatioRow {
+  const char* key;
+  const char* label;
+  double GateOptions::*tol;
+  bool floor;
+};
+
+constexpr RatioRow kRatioRows[] = {
+    {"search_per_model", "search_per_model", &GateOptions::wall_tol, false},
+    {"storm_per_load", "storm_per_load", &GateOptions::wall_tol, false},
+    {"p90_p50_ratio", "p90_p50_max", &GateOptions::latency_tol, false},
+    {"evals_per_s_ratio", "evals_ratio_min", &GateOptions::speedup_tol, true},
 };
 
 /// Compare one fresh report against its baseline; append rows; return ok.
@@ -598,77 +624,41 @@ bool check_report(const obs::BenchReport& fresh, const obs::BenchReport& base,
                   const GateOptions& gate, std::vector<CheckRow>& rows) {
   bool ok = true;
   const auto add = [&](const std::string& label, double baseline, double current,
-                       double limit) {
-    const bool row_ok = current <= limit;
+                       double limit, bool floor = false) {
+    const bool row_ok = floor ? current >= limit : current <= limit;
     rows.push_back({fresh.name + "." + label, baseline, current, limit, row_ok});
     ok = ok && row_ok;
   };
-  // The session-storm workload gates three numbers at >= 1k concurrent
-  // sessions: the p99/p50 tail ratio (ceiling), the calibration-normalized
-  // wall ratio — the machine-portable form of evals/s, since the evaluation
-  // count is fixed — (ceiling), and a completeness floor on sessions served
-  // (a shed or wedged slot must not pass silently).
-  if (fresh.metrics.count("sessions_total") != 0) {
-    bool all_ok = true;
-    const auto ceiling = [&](const char* key, const char* label, double tol) {
-      const double b = base.metrics.count(key) ? base.metrics.at(key) : 0.0;
-      const double f = fresh.metrics.at(key);
-      const double limit = b * (1.0 + tol);
-      const bool row_ok = f <= limit;
-      rows.push_back({fresh.name + "." + label, b, f, limit, row_ok});
-      all_ok = all_ok && row_ok;
-    };
-    ceiling("p99_p50_ratio", "p99_p50_max", gate.latency_tol);
-    ceiling("wall_ratio", "wall_ratio", gate.wall_tol);
-    const double base_sessions = base.metrics.count("sessions_total")
-                                     ? base.metrics.at("sessions_total")
-                                     : 0.0;
-    const double fresh_sessions = fresh.metrics.at("sessions_total");
-    const double min_sessions = 0.98 * base_sessions;  // tiny flake headroom
-    const bool sessions_ok = fresh_sessions >= min_sessions;
-    rows.push_back({fresh.name + ".sessions_min", base_sessions, fresh_sessions,
-                    min_sessions, sessions_ok});
-    return all_ok && sessions_ok;
-  }
-  // The latency workload tracks one number: the p99/p50 ratio, checked as a
-  // ceiling (lower is better). Raw milliseconds would gate the host, not the
-  // code.
-  if (fresh.metrics.count("p99_p50_ratio") != 0) {
-    const double base_ratio = base.metrics.count("p99_p50_ratio")
-                                  ? base.metrics.at("p99_p50_ratio")
-                                  : 0.0;
-    const double fresh_ratio = fresh.metrics.at("p99_p50_ratio");
-    const double max_ratio = base_ratio * (1.0 + gate.latency_tol);
-    const bool row_ok = fresh_ratio <= max_ratio;
-    rows.push_back({fresh.name + ".p99_p50_max", base_ratio, fresh_ratio,
-                    max_ratio, row_ok});
-    return row_ok;
-  }
-  // Throughput workloads carry no search trajectory; the single tracked
-  // number is the evals/s ratio, checked as a floor (higher is better). The
-  // wall/evals rows would only measure scheduler noise there.
-  if (fresh.metrics.count("evals_per_s_ratio") != 0) {
-    const double base_ratio = base.metrics.count("evals_per_s_ratio")
-                                  ? base.metrics.at("evals_per_s_ratio")
-                                  : 0.0;
-    const double fresh_ratio = fresh.metrics.at("evals_per_s_ratio");
-    const double min_ratio = base_ratio * (1.0 - gate.speedup_tol);
-    const bool row_ok = fresh_ratio >= min_ratio;
+  const auto base_metric = [&](const char* key) {
+    const auto it = base.metrics.find(key);
+    return it == base.metrics.end() ? 0.0 : it->second;
+  };
+  for (const auto& row : kRatioRows) {
+    const auto it = fresh.metrics.find(row.key);
+    if (it == fresh.metrics.end()) continue;
+    const double b = base_metric(row.key);
+    const double tol = gate.*row.tol;
+    const double limit = row.floor ? b * (1.0 - tol) : b * (1.0 + tol);
 #ifndef NDEBUG
     // The hot-path ratio compares two in-process loops whose relative cost
     // shifts under -O0 + assertions (the flat cache asserts its
     // single-threaded contract in Debug); its baseline is recorded from an
     // optimized build, so in Debug the row is informational only.
     if (fresh.name == "gate_eval_hotpath") {
-      rows.push_back({fresh.name + ".evals_ratio_info", base_ratio,
-                      fresh_ratio, min_ratio, true});
-      return true;
+      rows.push_back({fresh.name + ".evals_ratio_info", b, it->second, limit, true});
+      continue;
     }
 #endif
-    rows.push_back({fresh.name + ".evals_ratio_min", base_ratio, fresh_ratio,
-                    min_ratio, row_ok});
-    return row_ok;
+    add(row.label, b, it->second, limit, row.floor);
   }
+  // The storm must also serve every session: a shed or wedged slot must not
+  // pass silently (2% headroom for a rare connect failure).
+  if (fresh.metrics.count("sessions_total") != 0) {
+    const double b = base_metric("sessions_total");
+    add("sessions_min", b, fresh.metrics.at("sessions_total"), 0.98 * b, true);
+  }
+  if (fresh.best_config.empty()) return ok;  // no search trajectory to check
+
   add("evals_to_best", static_cast<double>(base.evals_to_best),
       static_cast<double>(fresh.evals_to_best),
       static_cast<double>(base.evals_to_best) * (1.0 + gate.evals_tol));
@@ -676,20 +666,10 @@ bool check_report(const obs::BenchReport& fresh, const obs::BenchReport& base,
   // top 5% of the sweep distribution must not regress either. 0 means it
   // never got there — gate that as worse than any baseline.
   if (fresh.metrics.count("evals_to_top5") != 0) {
-    const double base_top5 = base.metrics.count("evals_to_top5")
-                                 ? base.metrics.at("evals_to_top5")
-                                 : 0.0;
-    const double fresh_top5 = fresh.metrics.at("evals_to_top5") > 0.0
-                                  ? fresh.metrics.at("evals_to_top5")
-                                  : 1e9;
-    add("evals_to_top5", base_top5, fresh_top5,
-        base_top5 * (1.0 + gate.evals_tol));
+    const double b = base_metric("evals_to_top5");
+    const double f = fresh.metrics.at("evals_to_top5");
+    add("evals_to_top5", b, f > 0.0 ? f : 1e9, b * (1.0 + gate.evals_tol));
   }
-  const double base_ratio = base.metrics.count("wall_ratio")
-                                ? base.metrics.at("wall_ratio")
-                                : 0.0;
-  const double fresh_ratio = fresh.metrics.at("wall_ratio");
-  add("wall_ratio", base_ratio, fresh_ratio, base_ratio * (1.0 + gate.wall_tol));
   // The searches are deterministic: the tuned objective must not get worse.
   add("best_value", base.best_value, fresh.best_value,
       base.best_value * 1.0001 + 1e-12);
@@ -709,9 +689,32 @@ int usage(const char* argv0) {
       "Runs the gate workloads, writes BENCH_<name>.json into --out, and\n"
       "compares against the baselines in --baselines (exit 1 on regression).\n"
       "--update rewrites the baselines from the fresh run instead; --only\n"
-      "restricts the run (and the comparison/update) to one workload.\n",
+      "restricts the run (and the comparison/update) to one workload.\n"
+      "Tolerances are non-negative numbers; --runs is a positive integer.\n",
       argv0);
   return 2;
+}
+
+/// Strictly parse a non-negative finite number: the whole text must be one.
+bool parse_number(const char* text, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno != 0 || !std::isfinite(v) || v < 0.0) {
+    return false;
+  }
+  out = v;
+  return true;
+}
+
+/// Strictly parse a whole number in [lo, hi].
+bool parse_int(const char* text, int lo, int hi, int& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno != 0 || v < lo || v > hi) return false;
+  out = static_cast<int>(v);
+  return true;
 }
 
 }  // namespace
@@ -720,42 +723,27 @@ int main(int argc, char** argv) {
   GateOptions gate;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
-    };
-    if (arg == "--baselines") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
+    const char* v = (i + 1 < argc) ? argv[i + 1] : nullptr;
+    double* tol = arg == "--evals-tol"     ? &gate.evals_tol
+                  : arg == "--wall-tol"    ? &gate.wall_tol
+                  : arg == "--speedup-tol" ? &gate.speedup_tol
+                  : arg == "--latency-tol" ? &gate.latency_tol
+                                           : nullptr;
+    if (arg == "--update") {
+      gate.update = true;
+      continue;
+    }
+    if (v == nullptr) return usage(argv[0]);
+    ++i;
+    if (tol != nullptr) {
+      if (!parse_number(v, *tol)) return usage(argv[0]);
+    } else if (arg == "--runs") {
+      if (!parse_int(v, 1, 1000, gate.reps)) return usage(argv[0]);
+    } else if (arg == "--baselines") {
       gate.baselines_dir = v;
     } else if (arg == "--out") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
       gate.out_dir = v;
-    } else if (arg == "--update") {
-      gate.update = true;
-    } else if (arg == "--evals-tol") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      gate.evals_tol = std::atof(v);
-    } else if (arg == "--wall-tol") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      gate.wall_tol = std::atof(v);
-    } else if (arg == "--speedup-tol") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      gate.speedup_tol = std::atof(v);
-    } else if (arg == "--latency-tol") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      gate.latency_tol = std::atof(v);
-    } else if (arg == "--runs") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      gate.reps = std::max(1, std::atoi(v));
     } else if (arg == "--only") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
       gate.only = v;
     } else {
       return usage(argv[0]);
@@ -766,18 +754,15 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
   if (const char* env = std::getenv("AH_GATE_SLOWDOWN_US")) {
-    g_slowdown_us = std::atoi(env);
+    if (!parse_int(env, 0, 1'000'000, g_slowdown_us)) return usage(argv[0]);
     if (g_slowdown_us > 0) {
-      std::printf("injecting %d us of slowdown per evaluation "
+      std::printf("injecting %d us of slowdown per proposed candidate "
                   "(AH_GATE_SLOWDOWN_US)\n",
                   g_slowdown_us);
     }
   }
 
   std::printf("== bench_gate: benchmark regression gate ==\n");
-  const double calib_s = calibrate();
-  std::printf("calibration loop: %.4f s\n", calib_s);
-
   const std::vector<std::pair<const char*, obs::BenchReport (*)(int)>>
       workloads = {
           {"gate_gs2_sweep", &run_gate_gs2_sweep},
@@ -796,15 +781,6 @@ int main(int argc, char** argv) {
   if (reports.empty()) {
     std::printf("error: --only '%s' matches no workload\n", gate.only.c_str());
     return 2;
-  }
-  for (auto& r : reports) {
-    r.metrics["wall_ratio"] = r.wall_s / calib_s;
-    r.metrics["calib_s"] = calib_s;
-    std::printf("%s: best %s = %.4f, %d evals (%d to best), wall %.4f s "
-                "(ratio %.3f)\n",
-                r.name.c_str(), r.best_config.c_str(), r.best_value,
-                r.evaluations, r.evals_to_best, r.wall_s,
-                r.metrics["wall_ratio"]);
   }
 
   // Always drop fresh reports into --out for CI artifact upload.

@@ -4,7 +4,8 @@
 /// Shared load generator for the tuning server's network stack, used by
 /// bench/server_throughput and bench/server_sessions (the full benchmarks)
 /// and bench/bench_gate (gate-sized runs whose latency tails, and the
-/// storm's wall ratio, are tracked against checked-in baselines).
+/// storm's CPU per evaluation against the steady load's, are tracked
+/// against checked-in baselines).
 ///
 /// run_load() multiplexes all K connections over a few poll()-driven
 /// threads, each connection keeping a window of pipelined REPORT+FETCH lines
@@ -230,6 +231,7 @@ struct LoadResult {
   std::uint64_t evals = 0;
   int sessions_completed = 0;
   double p50_ms = 0.0;
+  double p90_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
 
@@ -296,6 +298,7 @@ inline LoadResult run_load(const LoadOptions& opt) {
   }
   std::sort(all_lat.begin(), all_lat.end());
   result.p50_ms = latency_percentile(all_lat, 0.50);
+  result.p90_ms = latency_percentile(all_lat, 0.90);
   result.p95_ms = latency_percentile(all_lat, 0.95);
   result.p99_ms = latency_percentile(all_lat, 0.99);
   return result;
@@ -613,6 +616,7 @@ inline LoadResult run_storm(const StormOptions& opt) {
   }
   std::sort(all_lat.begin(), all_lat.end());
   result.p50_ms = latency_percentile(all_lat, 0.50);
+  result.p90_ms = latency_percentile(all_lat, 0.90);
   result.p95_ms = latency_percentile(all_lat, 0.95);
   result.p99_ms = latency_percentile(all_lat, 0.99);
   return result;

@@ -1,10 +1,24 @@
 #include "core/client.hpp"
 
+#include <cstdio>
 #include <sstream>
 
 #include "core/protocol.hpp"
 
 namespace harmony {
+
+namespace {
+
+/// "<verb> <objective>" with %.17g, the exact double round trip the fleet
+/// worker's RESULT line uses: the server's search sees the measured value,
+/// not a 6-digit rounding that can tie two different measurements.
+std::string objective_line(const char* verb, double objective) {
+  char buf[64];
+  const int n = std::snprintf(buf, sizeof(buf), "%s %.17g", verb, objective);
+  return std::string(buf, static_cast<std::size_t>(n > 0 ? n : 0));
+}
+
+}  // namespace
 
 bool TuningClient::connect(int port, const std::string& app_name) {
   return connect(port, app_name, net::ConnectOptions{});
@@ -120,9 +134,7 @@ std::optional<Config> TuningClient::fetch() {
 }
 
 std::optional<Config> TuningClient::report_and_fetch(double objective) {
-  std::ostringstream os;
-  os << "REPORT+FETCH " << objective;
-  const auto reply = transact(os.str());
+  const auto reply = transact(objective_line("REPORT+FETCH", objective));
   if (!reply) return std::nullopt;
   return decode_fetch_reply(*reply);
 }
@@ -133,9 +145,7 @@ bool TuningClient::set_tenant(const std::string& name) {
 }
 
 bool TuningClient::report(double objective) {
-  std::ostringstream os;
-  os << "REPORT " << objective;
-  const auto reply = transact(os.str());
+  const auto reply = transact(objective_line("REPORT", objective));
   return reply.has_value() && expect_ok(*reply);
 }
 

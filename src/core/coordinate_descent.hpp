@@ -34,8 +34,6 @@ class CoordinateDescent final : public SearchStrategy {
   [[nodiscard]] double best_objective() const override;
   [[nodiscard]] std::string name() const override { return "coordinate-descent"; }
 
-  [[nodiscard]] int sweeps_completed() const noexcept { return sweeps_; }
-
  private:
   void refill_queue();
 

@@ -142,9 +142,6 @@ class EventLoop {
   /// Force an epoll_wait wakeup (defer/stop call this internally).
   void wakeup();
 
-  /// Registered descriptor count (loop thread, for tests/diagnostics).
-  [[nodiscard]] std::size_t watched() const noexcept { return callbacks_.size(); }
-
  private:
   void drain_deferred();
 

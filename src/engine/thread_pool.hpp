@@ -70,13 +70,6 @@ class ThreadPool {
   /// is counted before its future becomes ready.
   [[nodiscard]] std::size_t completed() const;
 
-  /// Identifier this pool's worker lanes publish under on the live-status
-  /// board ("pool/<n>", dense per process). Lanes appear in STATUS only
-  /// while observability is enabled (see obs::StatusRegistry).
-  [[nodiscard]] const std::string& status_name() const noexcept {
-    return status_name_;
-  }
-
  private:
   struct CountOnExit {
     std::atomic<std::size_t>& n;
@@ -92,6 +85,8 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::atomic<std::size_t> completed_{0};
   bool stopping_ = false;
+  /// "pool/<n>", dense per process: the name this pool's worker lanes
+  /// publish under on the live-status board.
   std::string status_name_;
 };
 

@@ -50,6 +50,34 @@ TEST_F(ServerFixture, FetchReportLoopMinimizes) {
   client.bye();
 }
 
+/// Objectives cross the wire at full double precision: two reports that
+/// differ only in the 8th significant digit must not tie at the server, so
+/// the smaller one becomes the best, through REPORT and REPORT+FETCH alike.
+TEST_F(ServerFixture, ReportsKeepFullPrecision) {
+  for (const bool combined : {false, true}) {
+    SCOPED_TRACE(combined ? "REPORT+FETCH" : "REPORT");
+    TuningClient client;
+    ASSERT_TRUE(client.connect(server_.port(), "precision"));
+    ASSERT_TRUE(client.add_int("x", 0, 200));
+    ASSERT_TRUE(client.start(10));
+    const auto first = client.fetch();
+    ASSERT_TRUE(first.has_value());
+    ASSERT_TRUE(client.report(1.2345678901));
+    const auto second = client.fetch();
+    ASSERT_TRUE(second.has_value());
+    ASSERT_NE(first->values, second->values);
+    if (combined) {
+      ASSERT_TRUE(client.report_and_fetch(1.2345671234).has_value());
+    } else {
+      ASSERT_TRUE(client.report(1.2345671234));
+    }
+    const auto best = client.best();
+    ASSERT_TRUE(best.has_value());
+    EXPECT_EQ(best->values, second->values);
+    client.bye();
+  }
+}
+
 TEST_F(ServerFixture, FetchWithoutStartErrors) {
   TuningClient client;
   ASSERT_TRUE(client.connect(server_.port(), "app"));

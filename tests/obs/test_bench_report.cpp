@@ -22,7 +22,7 @@ obs::BenchReport sample_report() {
   r.wall_s = 0.0625;
   r.speedup = 3.5;
   r.metrics["cache_hits"] = 12;
-  r.metrics["wall_ratio"] = 1.75;
+  r.metrics["search_per_model"] = 1.75;
   return r;
 }
 

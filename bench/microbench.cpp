@@ -8,9 +8,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <variant>
@@ -18,6 +20,7 @@
 
 #include "core/harmony.hpp"
 #include "core/net.hpp"
+#include "core/server_session.hpp"
 #include "engine/pool_backend.hpp"
 #include "fleet/substrates.hpp"
 #include "minigs2/minigs2.hpp"
@@ -619,6 +622,48 @@ void BM_ProtocolParseLineView(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ProtocolParseLineView);
+
+// The session state machine layer of a server request, without the wire:
+// handle_line("REPORT+FETCH v") on a socket-free ServerConnection over the
+// perf ledger's three-integer GS2 space, in 2,000-evaluation sessions as in
+// its server_gs2 workload (a spent session is replaced outside the timed
+// region). Arg 0 runs random search, 1 Nelder-Mead with restarts. Values
+// rise, so the incumbent never moves after a session's first report.
+void BM_ServerConnectionRequest(benchmark::State& state) {
+  const char* strategy = state.range(0) == 0
+                             ? "STRATEGY random samples=2000"
+                             : "STRATEGY nelder-mead max_restarts=1000";
+  const harmony::ServerOptions opts;
+  std::unique_ptr<harmony::ServerConnection> conn;
+  std::string out;
+  const auto open_session = [&] {
+    conn = std::make_unique<harmony::ServerConnection>(opts, 1);
+    for (const char* line :
+         {"HELLO bench", "PARAM INT negrid 4 16 1", "PARAM INT ntheta 10 32 2",
+          "PARAM INT nodes 1 64 1", strategy, "START 2000", "FETCH"}) {
+      out.clear();
+      (void)conn->handle_line(line, out);
+    }
+  };
+  open_session();
+  char line[48];
+  long long value = 0;
+  for (auto _ : state) {
+    const int n = std::snprintf(line, sizeof(line), "REPORT+FETCH %lld", ++value);
+    out.clear();
+    benchmark::DoNotOptimize(
+        conn->handle_line(std::string_view(line, static_cast<std::size_t>(n)), out));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    if (out.compare(0, 4, "DONE") == 0) {
+      state.PauseTiming();
+      open_session();
+      state.ResumeTiming();
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServerConnectionRequest)->Arg(0)->Arg(1);
 
 // LineReader batch tokenization over a real (unix-domain) socket: one write
 // of `batch` lines, then read_line(out) pulls them back out of the buffer.

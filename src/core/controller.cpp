@@ -79,25 +79,13 @@ SearchController::SearchController(const ParamSpace& space, ControllerLimits lim
       limits_(limits),
       tracer_(tracer),
       cache_(cache),
-      history_(space),
-      best_value_(std::numeric_limits<double>::infinity()) {
+      history_(space) {
   if (limits.max_evaluations < 1) {
     throw std::invalid_argument("SearchController: max_evaluations < 1");
   }
   if (limits.max_proposals < 1) {
     throw std::invalid_argument("SearchController: max_proposals < 1");
   }
-}
-
-void SearchController::note_result(Config c, const EvaluationResult& r,
-                                   bool cached) {
-  const bool improved = r.valid && r.objective < best_value_;
-  if (improved) {
-    best_value_ = r.objective;
-    best_result_ = r;
-    best_ = c;
-  }
-  history_.record(std::move(c), r, cached);
 }
 
 ControllerResult SearchController::run(BatchSearchStrategy& strategy,
@@ -217,10 +205,9 @@ ControllerResult SearchController::run(BatchSearchStrategy& strategy,
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const EvalOutcome& o = outcomes[i];
       // Speculative (model-predicted) outcomes reach the strategy only:
-      // History and the incumbent record measurements exclusively, so the
-      // reported best is always a real evaluation.
+      // History, and so the incumbent, records measurements exclusively.
       if (!o.speculative) {
-        note_result(std::move(batch[i]), o.result, /*cached=*/!o.ran);
+        history_.record(std::move(batch[i]), o.result, /*cached=*/!o.ran);
       }
     }
 
@@ -230,40 +217,37 @@ ControllerResult SearchController::run(BatchSearchStrategy& strategy,
         s.iterations = static_cast<std::uint64_t>(evaluations_);
         s.cache_hits =
             static_cast<std::uint64_t>(cache_hits_ + backend.cache_hits());
-        if (best_) {
-          s.best_value = best_value_;
-          s.best_config = space_->format(*best_);
+        if (const HistoryEntry* b = history_.best()) {
+          s.best_value = b->result.objective;
+          s.best_config = space_->format(b->config);
         }
       });
     }
   }
 
   out.strategy_converged = strategy.converged();
-  out.best = best_;
-  out.best_result = best_result_;
-  out.best_objective = best_value_;
+  if (const HistoryEntry* b = history_.best()) {
+    out.best = b->config;
+    out.best_result = b->result;
+    out.best_objective = b->result.objective;
+  }
   out.evaluations = evaluations_;
   out.proposals = proposals_;
   out.cache_hits = cache_hits_;
   return out;
 }
 
-std::optional<Config> SearchController::ask(SearchStrategy& strategy) {
-  if (pending_) return pending_;  // idempotent re-ask of the outstanding point
-  // The budget counts measurements, not proposals: speculative tells leave
-  // evaluations_ untouched, so a surrogate-assisted loop keeps asking until
-  // enough *real* measurements were spent (max_proposals still bounds it).
-  if (evaluations_ >= limits_.max_evaluations) return std::nullopt;
-  if (proposals_ >= limits_.max_proposals) return std::nullopt;
-  auto proposal = strategy.propose();
-  if (!proposal) return std::nullopt;
+const Config* SearchController::ask(SearchStrategy& strategy) {
+  if (pending_) return &*pending_;  // idempotent re-ask of the outstanding point
+  if (evaluations_ >= limits_.max_evaluations) return nullptr;
+  if (proposals_ >= limits_.max_proposals) return nullptr;
+  pending_ = strategy.propose();
+  if (!pending_) return nullptr;
   ++proposals_;
-  pending_ = std::move(*proposal);
-  return pending_;
+  return &*pending_;
 }
 
-void SearchController::tell(SearchStrategy& strategy, EvaluationResult r,
-                            bool speculative) {
+void SearchController::tell(SearchStrategy& strategy, EvaluationResult r) {
   if (!pending_) {
     throw std::logic_error("SearchController::tell without a pending ask");
   }
@@ -271,15 +255,14 @@ void SearchController::tell(SearchStrategy& strategy, EvaluationResult r,
   if (tracer_ != nullptr) {
     const double now = tracer_->now_us();
     tracer_->record({strategy.name(), space_->format(*pending_), r.objective,
-                     r.valid, /*cache_hit=*/speculative, /*thread_lane=*/0, now,
-                     now});
+                     r.valid, /*cache_hit=*/false, /*thread_lane=*/0, now, now});
   }
-  if (!speculative) ++evaluations_;
+  ++evaluations_;
   // Report first, then move the pending config into History — the strategy
   // needs the config intact, and handing History our copy makes the whole
   // tell() round trip Config-copy-free.
   strategy.report(*pending_, r);
-  if (!speculative) note_result(std::move(*pending_), r, /*cached=*/false);
+  history_.record(std::move(*pending_), r, /*cached=*/false);
   pending_.reset();
 }
 

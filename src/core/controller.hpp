@@ -29,6 +29,13 @@
 /// incremental ask/tell surface for deployments where the measurement
 /// happens elsewhere (the TCP tuning server and the in-application Session
 /// facade).
+///
+/// The run's incumbent is History's: best() points at the History entry with
+/// the lowest valid objective (Incumbent's strict-improvement rule, so a tie
+/// keeps the first), and ControllerResult's best fields are filled from it.
+/// The server and Session read it there, by reference. The strategy keeps
+/// its own incumbent for its search under the same rule; only Nelder-Mead
+/// with constraints ranks differently, by its constraint-penalized value.
 
 #include <functional>
 #include <limits>
@@ -69,9 +76,9 @@ struct EvalOutcome {
   /// (engine::SurrogateEvalBackend skipping a low-ranked candidate). The
   /// controller reports a speculative result to the strategy — that is the
   /// whole point of pre-ranking — but never lets it charge the budget,
-  /// enter the cache, update the incumbent, or land in History. No backend
-  /// sets this by default, so trajectories without a surrogate are
-  /// untouched.
+  /// enter the cache, or land in History (so it never becomes the
+  /// incumbent). No backend sets this by default, so trajectories without a
+  /// surrogate are untouched.
   bool speculative = false;
 };
 
@@ -188,18 +195,19 @@ class SearchController {
   ControllerResult run(BatchSearchStrategy& strategy, EvalBackend& backend);
 
   /// Incremental surface for deployments that measure elsewhere (tuning
-  /// server, in-application Session). ask() is idempotent while a proposal
-  /// is outstanding and returns nullopt once the evaluation budget is spent
-  /// or the strategy stops proposing; tell() feeds the measurement back.
-  /// A speculative tell() carries a model-predicted value: the strategy
-  /// hears it, but it charges no budget, never becomes the incumbent and is
-  /// not recorded in History — mirroring how the batch loop treats
-  /// EvalOutcome::speculative. Both loops mark a non-finite objective
+  /// server, in-application Session). ask() points at the outstanding
+  /// proposal (valid until the tell() that answers it), is idempotent while
+  /// one is outstanding, and returns null once the evaluation budget is
+  /// spent or the strategy stops proposing; tell() feeds the measurement
+  /// back and records it in History. Both loops mark a non-finite objective
   /// invalid before the strategy, the cache or History sees it.
-  [[nodiscard]] std::optional<Config> ask(SearchStrategy& strategy);
-  void tell(SearchStrategy& strategy, EvaluationResult r,
-            bool speculative = false);
+  [[nodiscard]] const Config* ask(SearchStrategy& strategy);
+  void tell(SearchStrategy& strategy, EvaluationResult r);
   [[nodiscard]] bool awaiting_tell() const { return pending_.has_value(); }
+
+  /// The run's incumbent (History::best()): null while nothing valid has
+  /// been measured. Invalidated by the next tell() or batch.
+  [[nodiscard]] const HistoryEntry* best() const noexcept { return history_.best(); }
 
   [[nodiscard]] int evaluations() const { return evaluations_; }
   [[nodiscard]] int proposals() const { return proposals_; }
@@ -208,21 +216,11 @@ class SearchController {
   [[nodiscard]] History take_history() { return std::move(history_); }
 
  private:
-  /// Record a measurement. Takes the config by value: both loops report to
-  /// the strategy first and then move the config in, so a steady-state
-  /// round performs no Config copy.
-  void note_result(Config c, const EvaluationResult& r, bool cached);
-
   const ParamSpace* space_;
   ControllerLimits limits_;
   obs::SearchTracer* tracer_;
   EvalCache* cache_;
   History history_;
-
-  // Incumbent tracking (valid results only, strict improvement).
-  std::optional<Config> best_;
-  EvaluationResult best_result_;
-  double best_value_;
 
   int evaluations_ = 0;
   int proposals_ = 0;

@@ -11,11 +11,10 @@ CoordinateDescent::CoordinateDescent(const ParamSpace& space,
                                      std::optional<Config> initial, int max_sweeps,
                                      int line_samples)
     : space_(&space),
-      incumbent_(initial.value_or(space.default_config())),
-      incumbent_value_(std::numeric_limits<double>::infinity()),
+      center_(initial.value_or(space.default_config())),
+      center_value_(std::numeric_limits<double>::infinity()),
       max_sweeps_(max_sweeps),
-      line_samples_(line_samples),
-      best_value_(std::numeric_limits<double>::infinity()) {
+      line_samples_(line_samples) {
   if (max_sweeps < 1) throw std::invalid_argument("CoordinateDescent: max_sweeps < 1");
   if (line_samples < 0) {
     throw std::invalid_argument("CoordinateDescent: negative line_samples");
@@ -27,11 +26,11 @@ void CoordinateDescent::refill_queue() {
   obs::count<"cd.sweeps">();
   queue_.clear();
   if (line_samples_ == 0) {
-    for (auto& n : space_->neighbors(incumbent_)) queue_.push_back(std::move(n));
+    for (auto& n : space_->neighbors(center_)) queue_.push_back(std::move(n));
   } else {
     // Per-coordinate line search: sample each dimension across its range
-    // while the others stay at the incumbent.
-    const auto base = space_->coords(incumbent_);
+    // while the others stay at the center.
+    const auto base = space_->coords(center_);
     for (std::size_t d = 0; d < space_->dim(); ++d) {
       const auto& p = space_->param(d);
       int want = line_samples_;
@@ -45,7 +44,7 @@ void CoordinateDescent::refill_queue() {
                         : p.coord_min() + (p.coord_max() - p.coord_min()) * k /
                               (want - 1);
         Config candidate = space_->snap(coords);
-        if (!(candidate == incumbent_)) queue_.push_back(std::move(candidate));
+        if (!(candidate == center_)) queue_.push_back(std::move(candidate));
       }
     }
   }
@@ -55,8 +54,8 @@ void CoordinateDescent::refill_queue() {
 std::optional<Config> CoordinateDescent::propose() {
   if (done_) return std::nullopt;
   if (pending_) return pending_;  // idempotent re-ask
-  if (!incumbent_evaluated_) {
-    pending_ = incumbent_;
+  if (!center_evaluated_) {
+    pending_ = center_;
     return pending_;
   }
   if (queue_.empty()) {
@@ -81,22 +80,19 @@ void CoordinateDescent::report(const Config& c, const EvaluationResult& r) {
   obs::count<"cd.evaluations">();
   const double value =
       r.valid ? r.objective : std::numeric_limits<double>::infinity();
-  if (r.valid && value < best_value_) {
-    best_value_ = value;
-    best_ = c;
-  }
-  if (!incumbent_evaluated_) {
-    incumbent_evaluated_ = true;
-    incumbent_value_ = value;
+  incumbent_.offer(c, r);
+  if (!center_evaluated_) {
+    center_evaluated_ = true;
+    center_value_ = value;
     refill_queue();
     return;
   }
-  if (value < incumbent_value_) {
-    incumbent_ = c;
-    incumbent_value_ = value;
+  if (value < center_value_) {
+    center_ = c;
+    center_value_ = value;
     obs::count<"cd.improvements">();
     if (line_samples_ == 0) {
-      // Greedy: restart the neighbor sweep from the improved incumbent.
+      // Greedy: restart the neighbor sweep from the improved center.
       refill_queue();
     }
     improved_this_sweep_ = true;
@@ -104,9 +100,5 @@ void CoordinateDescent::report(const Config& c, const EvaluationResult& r) {
 }
 
 bool CoordinateDescent::converged() const { return done_; }
-
-std::optional<Config> CoordinateDescent::best() const { return best_; }
-
-double CoordinateDescent::best_objective() const { return best_value_; }
 
 }  // namespace harmony

@@ -30,17 +30,15 @@ class CoordinateDescent final : public SearchStrategy {
   [[nodiscard]] std::optional<Config> propose() override;
   void report(const Config& c, const EvaluationResult& r) override;
   [[nodiscard]] bool converged() const override;
-  [[nodiscard]] std::optional<Config> best() const override;
-  [[nodiscard]] double best_objective() const override;
   [[nodiscard]] std::string name() const override { return "coordinate-descent"; }
 
  private:
   void refill_queue();
 
   const ParamSpace* space_;
-  Config incumbent_;
-  bool incumbent_evaluated_ = false;
-  double incumbent_value_;
+  Config center_;  ///< the point each sweep explores around
+  bool center_evaluated_ = false;
+  double center_value_;
   std::deque<Config> queue_;
   std::optional<Config> pending_;
   bool improved_this_sweep_ = false;
@@ -48,8 +46,6 @@ class CoordinateDescent final : public SearchStrategy {
   int max_sweeps_;
   int line_samples_;
   bool done_ = false;
-  std::optional<Config> best_;
-  double best_value_;
 };
 
 }  // namespace harmony

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -105,6 +106,38 @@ struct EvaluationResult {
   MetricMap metrics;
 
   [[nodiscard]] static EvaluationResult infeasible();
+};
+
+/// The best configuration seen so far and its value: the one place the
+/// strict-improvement rule lives. A valid offer whose value is strictly
+/// lower than the best so far becomes the best, so a tie keeps the first
+/// configuration and an invalid or NaN value never becomes best.
+class Incumbent {
+ public:
+  /// The rule itself, for a record that keeps its best by position (History).
+  [[nodiscard]] static bool improves(bool valid, double value, double best) noexcept {
+    return valid && value < best;
+  }
+
+  /// Offer `c` with `value`; true when it became the best.
+  bool offer(const Config& c, double value, bool valid) {
+    if (!improves(valid, value, value_)) return false;
+    value_ = value;
+    config_ = c;
+    return true;
+  }
+  bool offer(const Config& c, const EvaluationResult& r) {
+    return offer(c, r.objective, r.valid);
+  }
+
+  /// The best configuration; nullopt before any offer was taken.
+  [[nodiscard]] const std::optional<Config>& config() const noexcept { return config_; }
+  /// Its value; +inf before any offer was taken.
+  [[nodiscard]] double value() const noexcept { return value_; }
+
+ private:
+  std::optional<Config> config_;
+  double value_ = std::numeric_limits<double>::infinity();
 };
 
 /// User-supplied objective function.

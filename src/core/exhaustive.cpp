@@ -1,12 +1,11 @@
 #include "core/exhaustive.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 namespace harmony {
 
 Exhaustive::Exhaustive(const ParamSpace& space, std::uint64_t max_points)
-    : space_(&space), best_value_(std::numeric_limits<double>::infinity()) {
+    : space_(&space) {
   for (std::size_t i = 0; i < space.dim(); ++i) {
     const auto& p = space.param(i);
     if (p.count() == 0) {
@@ -41,16 +40,9 @@ std::optional<Config> Exhaustive::propose() {
 }
 
 void Exhaustive::report(const Config& c, const EvaluationResult& r) {
-  if (r.valid && r.objective < best_value_) {
-    best_value_ = r.objective;
-    best_ = c;
-  }
+  incumbent_.offer(c, r);
 }
 
 bool Exhaustive::converged() const { return exhausted_; }
-
-std::optional<Config> Exhaustive::best() const { return best_; }
-
-double Exhaustive::best_objective() const { return best_value_; }
 
 }  // namespace harmony

@@ -25,8 +25,6 @@ class Exhaustive final : public SearchStrategy {
     return propose_up_to(max_n);
   }
   [[nodiscard]] bool converged() const override;
-  [[nodiscard]] std::optional<Config> best() const override;
-  [[nodiscard]] double best_objective() const override;
   [[nodiscard]] std::string name() const override { return "exhaustive"; }
 
   [[nodiscard]] std::uint64_t plan_size() const noexcept { return plan_size_; }
@@ -37,8 +35,6 @@ class Exhaustive final : public SearchStrategy {
   std::uint64_t plan_size_ = 1;
   std::uint64_t emitted_ = 0;
   bool exhausted_ = false;
-  std::optional<Config> best_;
-  double best_value_;
 };
 
 }  // namespace harmony

@@ -21,8 +21,7 @@ GeneticSearch::GeneticSearch(const ParamSpace& space, GeneticOptions opts,
     : space_(&space),
       opts_(opts),
       constraints_(std::move(constraints)),
-      rng_(opts.seed),
-      best_value_(std::numeric_limits<double>::infinity()) {
+      rng_(opts.seed) {
   if (space.empty()) bad("empty parameter space");
   if (opts.population < 2) bad("population must be >= 2");
   if (opts.generations < 1) bad("generations must be >= 1");
@@ -78,10 +77,7 @@ void GeneticSearch::report_batch(const std::vector<Config>& configs,
     const EvaluationResult& r = results[i];
     m.fitness = r.valid ? r.objective : std::numeric_limits<double>::infinity();
     m.evaluated = true;
-    if (r.valid && r.objective < best_value_) {
-      best_value_ = r.objective;
-      best_ = m.config;
-    }
+    incumbent_.offer(m.config, r);
   }
   if (cursor_ == pop_.size() && in_flight_.empty()) {
     ++generation_;
@@ -178,9 +174,5 @@ void GeneticSearch::report(const Config& c, const EvaluationResult& r) {
 }
 
 bool GeneticSearch::converged() const { return converged_; }
-
-std::optional<Config> GeneticSearch::best() const { return best_; }
-
-double GeneticSearch::best_objective() const { return best_value_; }
 
 }  // namespace harmony

@@ -66,8 +66,6 @@ class GeneticSearch final : public SearchStrategy {
   void report(const Config& c, const EvaluationResult& r) override;
 
   [[nodiscard]] bool converged() const override;
-  [[nodiscard]] std::optional<Config> best() const override;
-  [[nodiscard]] double best_objective() const override;
   [[nodiscard]] std::string name() const override { return "genetic"; }
 
   /// Completed generations (0 while the initial population evaluates).
@@ -97,8 +95,6 @@ class GeneticSearch final : public SearchStrategy {
   int generation_ = 0;
   bool converged_ = false;
 
-  std::optional<Config> best_;
-  double best_value_;
 };
 
 }  // namespace harmony

@@ -13,16 +13,14 @@ void History::record(Config c, const EvaluationResult& r, bool cached) {
   e.cached = cached;
   if (!cached) ++iterations_;
   e.iteration = iterations_;
-  if (r.valid && (!have_best_ || r.objective < best_value_)) {
-    have_best_ = true;
-    best_value_ = r.objective;
-    best_ = e.config;
-    e.improved = true;
-  }
+  const HistoryEntry* incumbent = best();
+  e.improved = Incumbent::improves(
+      r.valid, r.objective,
+      incumbent != nullptr ? incumbent->result.objective
+                           : std::numeric_limits<double>::infinity());
+  if (e.improved) best_ = entries_.size();
   entries_.push_back(std::move(e));
 }
-
-std::optional<Config> History::best_config() const { return best_; }
 
 double History::best_after(int k) const {
   double best = std::numeric_limits<double>::infinity();

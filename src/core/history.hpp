@@ -2,13 +2,14 @@
 
 /// \file history.hpp
 /// Record of a tuning run: every evaluated configuration in order, with the
-/// observed objective and whether it improved the incumbent. The paper's
-/// Table I ("parameter changes through iterations") is generated directly
-/// from this record, as are the CSV exports behind Figures 2-6.
+/// observed objective and whether it improved the incumbent. It is also the
+/// run's one incumbent record: best() points at the entry that holds it, so
+/// the controller, the server and Session keep no copy of the best Config.
+/// The paper's Table I ("parameter changes through iterations") is generated
+/// directly from this record, as are the CSV exports behind Figures 2-6.
 
 #include <cstddef>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,7 +31,8 @@ class History {
  public:
   explicit History(const ParamSpace& space) : space_(&space) {}
 
-  /// Append one evaluation. Takes the config by value so hot callers (the
+  /// Append one evaluation, marking it improved when Incumbent's rule takes
+  /// it over the current best. Takes the config by value so hot callers (the
   /// controller's tell() path) can move theirs in instead of copying.
   void record(Config c, const EvaluationResult& r, bool cached);
 
@@ -50,8 +52,11 @@ class History {
     return static_cast<int>(entries_.size()) - iterations_;
   }
 
-  [[nodiscard]] std::optional<Config> best_config() const;
-  [[nodiscard]] double best_objective() const noexcept { return best_value_; }
+  /// The incumbent: the first entry with the lowest valid objective, or null
+  /// while nothing valid has been recorded. Invalidated by the next record().
+  [[nodiscard]] const HistoryEntry* best() const noexcept {
+    return best_ < entries_.size() ? &entries_[best_] : nullptr;
+  }
 
   /// Best objective seen after the first k distinct iterations (for
   /// convergence curves); k past the end returns the final best.
@@ -79,9 +84,9 @@ class History {
   const ParamSpace* space_;
   std::vector<HistoryEntry> entries_;
   int iterations_ = 0;
-  double best_value_ = 0.0;
-  bool have_best_ = false;
-  std::optional<Config> best_;
+  /// Index of best() in entries_; past the end while there is none (as in a
+  /// moved-from History, whose entries_ is empty).
+  std::size_t best_ = static_cast<std::size_t>(-1);
 };
 
 }  // namespace harmony

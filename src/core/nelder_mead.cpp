@@ -19,7 +19,6 @@ NelderMead::NelderMead(const ParamSpace& space, NelderMeadOptions opts,
       opts_(opts),
       constraints_(std::move(constraints)),
       rng_(opts.seed),
-      best_value_(kInf),
       current_step_fraction_(opts.initial_step_fraction) {
   if (space.empty()) {
     throw std::invalid_argument("NelderMead: empty parameter space");
@@ -111,13 +110,8 @@ void NelderMead::report(const Config& c, const EvaluationResult& r) {
   double value = r.valid ? r.objective : kInf;
   if (r.valid && !constraints_.empty()) value += constraints_.penalty(*space_, c);
 
-  if (r.valid && value < best_value_) {
-    best_value_ = value;
-    best_ = c;
-    stall_count_ = 0;
-  } else {
-    ++stall_count_;
-  }
+  // The incumbent ranks by the constraint-penalized value.
+  stall_count_ = incumbent_.offer(c, value, r.valid) ? 0 : stall_count_ + 1;
 
   switch (phase_) {
     case Phase::BuildSimplex:
@@ -343,7 +337,7 @@ void NelderMead::begin_shrink() {
 }
 
 void NelderMead::maybe_restart() {
-  if (restarts_used_ >= opts_.max_restarts || !best_.has_value()) {
+  if (restarts_used_ >= opts_.max_restarts || !incumbent_.config()) {
     phase_ = Phase::Done;
     return;
   }
@@ -356,7 +350,7 @@ void NelderMead::maybe_restart() {
   // The centroid buffer is free outside the Reflect phase; reuse it for the
   // restart center.
   auto& center = centroid_;
-  space_->coords(*best_, center);
+  space_->coords(*incumbent_.config(), center);
   for (std::size_t i = 0; i < center.size(); ++i) {
     const auto& p = space_->param(i);
     const double range = p.coord_max() - p.coord_min();
@@ -380,9 +374,5 @@ const char* NelderMead::phase_name() const noexcept {
 }
 
 bool NelderMead::converged() const { return phase_ == Phase::Done; }
-
-std::optional<Config> NelderMead::best() const { return best_; }
-
-double NelderMead::best_objective() const { return best_value_; }
 
 }  // namespace harmony

@@ -69,8 +69,6 @@ class NelderMead final : public SearchStrategy {
   [[nodiscard]] std::optional<Config> propose() override;
   void report(const Config& c, const EvaluationResult& r) override;
   [[nodiscard]] bool converged() const override;
-  [[nodiscard]] std::optional<Config> best() const override;
-  [[nodiscard]] double best_objective() const override;
   [[nodiscard]] std::string name() const override { return "nelder-mead"; }
 
   /// Batch-evaluation hook for the parallel engine: every configuration the
@@ -150,8 +148,6 @@ class NelderMead final : public SearchStrategy {
   /// make_config's projection buffer (make_config is const, hence mutable).
   mutable std::vector<double> project_scratch_;
 
-  std::optional<Config> best_;
-  double best_value_ = 0.0;
   int stall_count_ = 0;
   int transformations_ = 0;
   int restarts_used_ = 0;

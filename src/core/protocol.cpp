@@ -23,9 +23,19 @@ std::vector<std::string> split(std::string_view s, char sep) {
   return out;
 }
 
-/// Append one Value without heap allocation — the shared append-into-buffer
-/// renderer in core/types.cpp (same text to_string(v) returns).
-void append_value(const Value& v, std::string& out) { harmony::to_string(v, out); }
+/// Append one Value without heap allocation. Doubles use "%.17g", which
+/// round-trips every double exactly (the form REPORT and RESULT values
+/// already take), so a client evaluates the very point the server records;
+/// to_string(v)'s "%g" keeps 6 digits. Integers and labels use to_string.
+void append_value(const Value& v, std::string& out) {
+  if (const double* d = std::get_if<double>(&v)) {
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof(buf), "%.17g", *d);
+    out.append(buf, static_cast<std::size_t>(n));
+    return;
+  }
+  harmony::to_string(v, out);
+}
 
 }  // namespace
 

@@ -117,7 +117,8 @@ struct MessageView {
 [[nodiscard]] std::optional<std::int64_t> parse_i64(std::string_view s);
 [[nodiscard]] std::optional<double> parse_f64(std::string_view s);
 
-/// Encode a configuration as the argument list of a CONFIG message.
+/// Encode a configuration as the argument list of a CONFIG message. REAL
+/// values use "%.17g", so they decode to the same double bit for bit.
 [[nodiscard]] std::string encode_config(const ParamSpace& space, const Config& c);
 
 /// Append-into-buffer variant for hot paths: appends the encoded fields to

@@ -1,6 +1,5 @@
 #include "core/random_search.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 namespace harmony {
@@ -9,8 +8,7 @@ RandomSearch::RandomSearch(const ParamSpace& space, int max_samples,
                            std::uint64_t seed)
     : space_(&space),
       rng_(seed),
-      max_samples_(max_samples),
-      best_value_(std::numeric_limits<double>::infinity()) {
+      max_samples_(max_samples) {
   if (max_samples < 1) throw std::invalid_argument("RandomSearch: max_samples < 1");
 }
 
@@ -21,16 +19,9 @@ std::optional<Config> RandomSearch::propose() {
 }
 
 void RandomSearch::report(const Config& c, const EvaluationResult& r) {
-  if (r.valid && r.objective < best_value_) {
-    best_value_ = r.objective;
-    best_ = c;
-  }
+  incumbent_.offer(c, r);
 }
 
 bool RandomSearch::converged() const { return proposed_ >= max_samples_; }
-
-std::optional<Config> RandomSearch::best() const { return best_; }
-
-double RandomSearch::best_objective() const { return best_value_; }
 
 }  // namespace harmony

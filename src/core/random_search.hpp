@@ -23,8 +23,6 @@ class RandomSearch final : public SearchStrategy {
     return propose_up_to(max_n);
   }
   [[nodiscard]] bool converged() const override;
-  [[nodiscard]] std::optional<Config> best() const override;
-  [[nodiscard]] double best_objective() const override;
   [[nodiscard]] std::string name() const override { return "random"; }
 
  private:
@@ -32,8 +30,6 @@ class RandomSearch final : public SearchStrategy {
   Rng rng_;
   int max_samples_;
   int proposed_ = 0;
-  std::optional<Config> best_;
-  double best_value_;
 };
 
 }  // namespace harmony

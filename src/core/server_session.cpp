@@ -78,8 +78,9 @@ void ServerConnection::publish(const char* phase_override) {
   // Reformat the incumbent only when it improved: the steady-state REPORT
   // path then updates two integers under the slot lock instead of
   // re-rendering strings every round trip.
+  const HistoryEntry* best = controller_ ? controller_->best() : nullptr;
   const bool best_moved =
-      search_ && search_->best() && search_->best_objective() != published_best_;
+      best != nullptr && best->result.objective != published_best_;
   status_.update([&](obs::SessionStatus& s) {
     const auto* nm = dynamic_cast<const NelderMead*>(search_.get());
     s.phase = phase_override != nullptr
@@ -90,20 +91,20 @@ void ServerConnection::publish(const char* phase_override) {
     if (search_) {
       s.strategy = search_->name();
       if (best_moved) {
-        s.best_value = search_->best_objective();
-        s.best_config = space_.format(*search_->best());
+        s.best_value = best->result.objective;
+        s.best_config = space_.format(best->config);
       }
     }
   });
-  if (best_moved) published_best_ = search_->best_objective();
+  if (best_moved) published_best_ = best->result.objective;
 }
 
 void ServerConnection::append_fetch_reply(std::string& out) {
   // ask() is idempotent while a candidate is outstanding (re-fetch resends
-  // it) and returns nullopt once the iteration budget is spent or the
+  // it) and returns null once the iteration budget is spent or the
   // strategy stops proposing.
   const bool re_fetch = controller_->awaiting_tell();
-  std::optional<Config> proposal;
+  const Config* proposal = nullptr;
   if (measure_stages_) {
     const auto t0 = std::chrono::steady_clock::now();
     proposal = controller_->ask(*search_);
@@ -112,7 +113,7 @@ void ServerConnection::append_fetch_reply(std::string& out) {
   } else {
     proposal = controller_->ask(*search_);
   }
-  if (!proposal) {
+  if (proposal == nullptr) {
     reply(out, "DONE");
     return;
   }
@@ -537,12 +538,13 @@ bool ServerConnection::handle_line(std::string_view line, std::string& out) {
       }
     }
   } else if (verb == "BEST") {
-    if (!search_ || !search_->best()) {
+    const HistoryEntry* best = controller_ ? controller_->best() : nullptr;
+    if (best == nullptr) {
       reply(out, "ERR no measurements yet");
       return true;
     }
     out.append("CONFIG ");
-    proto::encode_config(space_, *search_->best(), out);
+    proto::encode_config(space_, best->config, out);
     out.push_back('\n');
   } else if (verb == "STATUS") {
     // One line of JSON: the whole live-status board. Any connection may ask

@@ -8,10 +8,14 @@
 /// buffer — the handler never touches a socket.
 ///
 /// Hot-path discipline: FETCH / REPORT / REPORT+FETCH parse through the
-/// zero-copy proto::MessageView tokenizer (scratch reused per connection)
-/// and encode through the append-into-buffer proto::encode_config, so the
-/// steady-state request path performs no heap allocations except when the
-/// incumbent improves (the live-status board then reformats its config).
+/// zero-copy proto::MessageView tokenizer (scratch reused per connection),
+/// read the controller's incumbent and pending proposal by reference, and
+/// encode through the append-into-buffer proto::encode_config. A steady
+/// REPORT+FETCH then allocates twice: the strategy's new proposal Config
+/// and the std::function that SessionHandle::update builds to publish the
+/// round (RoundAllocations.ServerRequestPerReportFetch bounds it at 2.0),
+/// plus a reformatted config on the live-status board when the incumbent
+/// improves.
 
 #include <chrono>
 #include <cstdint>

@@ -90,18 +90,18 @@ bool Session::fetch() {
   if (awaiting_report_) {
     throw std::logic_error("Session::fetch: report() the previous candidate first");
   }
-  auto proposal = controller_->ask(*strategy_);
-  if (!proposal) {
+  const Config* proposal = controller_->ask(*strategy_);
+  if (proposal == nullptr) {
     // Converged: leave the best configuration in the bound variables.
-    if (auto b = strategy_->best()) {
-      current_ = *b;
-      write_bound(*b);
+    if (const HistoryEntry* b = controller_->best()) {
+      current_ = b->config;
+      write_bound(b->config);
     }
     return false;
   }
   ++fetches_;
   obs::count<"session.fetches">();
-  current_ = std::move(*proposal);
+  current_ = *proposal;
   write_bound(*current_);
   awaiting_report_ = true;
   return true;
@@ -134,12 +134,14 @@ const Config& Session::current() const {
 }
 
 std::optional<Config> Session::best() const {
-  return strategy_ ? strategy_->best() : std::nullopt;
+  const HistoryEntry* b = controller_ ? controller_->best() : nullptr;
+  return b != nullptr ? std::optional<Config>(b->config) : std::nullopt;
 }
 
 double Session::best_performance() const {
-  if (!strategy_) throw std::logic_error("Session: no strategy yet");
-  return strategy_->best_objective();
+  if (!controller_) throw std::logic_error("Session: no strategy yet");
+  const HistoryEntry* b = controller_->best();
+  return b != nullptr ? b->result.objective : std::numeric_limits<double>::infinity();
 }
 
 bool Session::converged() const { return strategy_ && strategy_->converged(); }

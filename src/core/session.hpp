@@ -63,6 +63,8 @@ class Session {
 
   [[nodiscard]] const ParamSpace& space() const noexcept { return space_; }
   [[nodiscard]] const Config& current() const;
+  /// The controller's incumbent: the first configuration reported with the
+  /// lowest valid performance (nullopt / +inf before one).
   [[nodiscard]] std::optional<Config> best() const;
   [[nodiscard]] double best_performance() const;
   [[nodiscard]] bool converged() const;

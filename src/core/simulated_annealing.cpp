@@ -17,8 +17,7 @@ SimulatedAnnealing::SimulatedAnnealing(const ParamSpace& space,
       rng_(opts.seed),
       current_(initial.value_or(space.default_config())),
       current_value_(std::numeric_limits<double>::infinity()),
-      temperature_(opts.initial_temperature),
-      best_value_(std::numeric_limits<double>::infinity()) {
+      temperature_(opts.initial_temperature) {
   if (opts.max_evaluations < 1) {
     throw std::invalid_argument("SimulatedAnnealing: max_evaluations < 1");
   }
@@ -58,11 +57,7 @@ void SimulatedAnnealing::report(const Config& c, const EvaluationResult& r) {
   obs::count<"sa.evaluations">();
   const double value =
       r.valid ? r.objective : std::numeric_limits<double>::infinity();
-  if (r.valid && value < best_value_) {
-    best_value_ = value;
-    best_ = c;
-    obs::count<"sa.improvements">();
-  }
+  if (incumbent_.offer(c, r)) obs::count<"sa.improvements">();
   if (!current_evaluated_) {
     current_evaluated_ = true;
     current_value_ = value;
@@ -94,9 +89,5 @@ void SimulatedAnnealing::report(const Config& c, const EvaluationResult& r) {
 bool SimulatedAnnealing::converged() const {
   return evaluations_ >= opts_.max_evaluations;
 }
-
-std::optional<Config> SimulatedAnnealing::best() const { return best_; }
-
-double SimulatedAnnealing::best_objective() const { return best_value_; }
 
 }  // namespace harmony

@@ -29,8 +29,6 @@ class SimulatedAnnealing final : public SearchStrategy {
   [[nodiscard]] std::optional<Config> propose() override;
   void report(const Config& c, const EvaluationResult& r) override;
   [[nodiscard]] bool converged() const override;
-  [[nodiscard]] std::optional<Config> best() const override;
-  [[nodiscard]] double best_objective() const override;
   [[nodiscard]] std::string name() const override { return "annealing"; }
 
   [[nodiscard]] double temperature() const noexcept { return temperature_; }
@@ -48,8 +46,6 @@ class SimulatedAnnealing final : public SearchStrategy {
   bool temperature_calibrated_ = false;
   int evaluations_ = 0;
   std::optional<Config> pending_;
-  std::optional<Config> best_;
-  double best_value_;
 };
 
 }  // namespace harmony

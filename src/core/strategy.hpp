@@ -24,6 +24,15 @@
 /// engine::SpeculativeNelderMead can evaluate all possible next simplex
 /// points concurrently without changing the search trajectory.
 ///
+/// Each strategy's incumbent lives in BatchSearchStrategy's protected
+/// incumbent_ (an Incumbent, evaluation.hpp): report() offers every result
+/// to it, and the default best()/best_objective() read it. Both stay
+/// virtual because a decorator (SequentialBatchAdapter,
+/// engine::SpeculativeNelderMead, bench_gate's SlowedStrategy, the perf
+/// ledger's TimedStrategy) reports to the strategy it wraps, never to its
+/// own incumbent_, and so must forward them. The run's incumbent, which the
+/// server and Session report, is the controller's (History::best()).
+///
 /// Strategies are constructed by name through StrategyRegistry
 /// (strategy_registry.hpp) — the single construction path used by sessions,
 /// the server's STRATEGY protocol verb, benches and examples.
@@ -62,12 +71,22 @@ class BatchSearchStrategy {
   /// True once the strategy considers the search finished.
   [[nodiscard]] virtual bool converged() const = 0;
 
-  /// Best configuration observed so far (nullopt before any report).
-  [[nodiscard]] virtual std::optional<Config> best() const = 0;
-  [[nodiscard]] virtual double best_objective() const = 0;
+  /// Best configuration reported so far, read from incumbent_ (nullopt
+  /// before any valid report). A decorator that wraps another strategy
+  /// never offers to its own incumbent_, so it must forward both calls.
+  [[nodiscard]] virtual std::optional<Config> best() const {
+    return incumbent_.config();
+  }
+  /// Objective of best(); +inf before any valid report.
+  [[nodiscard]] virtual double best_objective() const { return incumbent_.value(); }
 
   /// Short identifier for logs ("nelder-mead", "random", ...).
   [[nodiscard]] virtual std::string name() const = 0;
+
+ protected:
+  /// Each strategy offers every reported result here, so the
+  /// strict-improvement rule is Incumbent's alone.
+  Incumbent incumbent_;
 };
 
 /// A strategy that proposes one configuration at a time. Unless a subclass

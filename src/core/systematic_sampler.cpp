@@ -1,6 +1,5 @@
 #include "core/systematic_sampler.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 namespace harmony {
@@ -8,8 +7,7 @@ namespace harmony {
 SystematicSampler::SystematicSampler(const ParamSpace& space,
                                      std::vector<int> samples_per_dim)
     : space_(&space),
-      samples_per_dim_(std::move(samples_per_dim)),
-      best_value_(std::numeric_limits<double>::infinity()) {
+      samples_per_dim_(std::move(samples_per_dim)) {
   if (samples_per_dim_.size() != space.dim()) {
     throw std::invalid_argument("SystematicSampler: samples_per_dim size mismatch");
   }
@@ -64,16 +62,9 @@ std::optional<Config> SystematicSampler::propose() {
 }
 
 void SystematicSampler::report(const Config& c, const EvaluationResult& r) {
-  if (r.valid && r.objective < best_value_) {
-    best_value_ = r.objective;
-    best_ = c;
-  }
+  incumbent_.offer(c, r);
 }
 
 bool SystematicSampler::converged() const { return exhausted_; }
-
-std::optional<Config> SystematicSampler::best() const { return best_; }
-
-double SystematicSampler::best_objective() const { return best_value_; }
 
 }  // namespace harmony

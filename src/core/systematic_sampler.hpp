@@ -32,8 +32,6 @@ class SystematicSampler final : public SearchStrategy {
     return propose_up_to(max_n);
   }
   [[nodiscard]] bool converged() const override;
-  [[nodiscard]] std::optional<Config> best() const override;
-  [[nodiscard]] double best_objective() const override;
   [[nodiscard]] std::string name() const override { return "systematic"; }
 
   /// Total number of configurations in the plan.
@@ -49,8 +47,6 @@ class SystematicSampler final : public SearchStrategy {
   std::uint64_t plan_size_ = 0;
   std::uint64_t emitted_ = 0;
   bool exhausted_ = false;
-  std::optional<Config> best_;
-  double best_value_;
 };
 
 }  // namespace harmony

@@ -12,7 +12,7 @@ void to_string(const Value& v, std::string& out) {
     out.append(buf, static_cast<std::size_t>(r.ptr - buf));
   } else if (std::holds_alternative<double>(v)) {
     // "%g" matches `ostringstream << double` (6 significant digits) — the
-    // rendering the wire protocol and golden fixtures were recorded with.
+    // rendering the golden fixtures were recorded with.
     const int n = std::snprintf(buf, sizeof(buf), "%g", std::get<double>(v));
     if (n > 0) out.append(buf, static_cast<std::size_t>(n));
   } else {

@@ -26,7 +26,8 @@ struct Config {
   [[nodiscard]] std::size_t size() const noexcept { return values.size(); }
 };
 
-/// Render a single value for logs and the wire protocol.
+/// Render a single value for logs (the wire protocol renders doubles
+/// exactly; see proto::encode_config).
 [[nodiscard]] std::string to_string(const Value& v);
 
 /// Append-into-buffer variant for hot paths (the wire encoder, cache-key

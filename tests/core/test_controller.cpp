@@ -78,7 +78,8 @@ void expect_non_finite_rejected(const History& history) {
                                  << e.result.objective;
   }
   EXPECT_GT(non_finite, 0);  // the seeded subset was actually visited
-  EXPECT_TRUE(std::isfinite(history.best_objective()));
+  ASSERT_NE(history.best(), nullptr);
+  EXPECT_TRUE(std::isfinite(history.best()->result.objective));
 }
 
 TEST(SearchController, RunRejectsNonFiniteObjectives) {
@@ -104,7 +105,7 @@ TEST(SearchController, TellRejectsNonFiniteObjectives) {
   limits.max_evaluations = 150;
   SearchController controller(space, limits);
   NelderMead nm(space);
-  while (const auto c = controller.ask(nm)) {
+  while (const Config* c = controller.ask(nm)) {
     controller.tell(nm, faulty_bowl(space, *c));
   }
   expect_non_finite_rejected(controller.history());
@@ -131,8 +132,6 @@ class ScriptedBatches final : public BatchSearchStrategy {
     reported.insert(reported.end(), configs.begin(), configs.end());
   }
   [[nodiscard]] bool converged() const override { return next_ == script_.size(); }
-  [[nodiscard]] std::optional<Config> best() const override { return std::nullopt; }
-  [[nodiscard]] double best_objective() const override { return 0.0; }
   [[nodiscard]] std::string name() const override { return "scripted"; }
 
   [[nodiscard]] Config point(int x) const {

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 namespace {
 
 using harmony::Config;
 using harmony::EvalCache;
 using harmony::EvaluationResult;
+using harmony::Incumbent;
 using harmony::Parameter;
 using harmony::ParamSpace;
 
@@ -99,6 +103,45 @@ TEST(EvaluationResult, MetricsRoundtrip) {
   EvaluationResult r;
   r.metrics["comm_s"] = 0.25;
   EXPECT_DOUBLE_EQ(r.metrics.at("comm_s"), 0.25);
+}
+
+TEST(Incumbent, StrictImprovementIsTaken) {
+  const auto s = small_space();
+  Incumbent best;
+  EXPECT_TRUE(best.offer(s.snap({1, 1}), 5.0, true));
+  EXPECT_TRUE(best.offer(s.snap({2, 2}), 3.0, true));
+  EXPECT_FALSE(best.offer(s.snap({3, 3}), 4.0, true));
+  ASSERT_TRUE(best.config().has_value());
+  EXPECT_EQ(*best.config(), s.snap({2, 2}));
+  EXPECT_EQ(best.value(), 3.0);
+}
+
+TEST(Incumbent, TieKeepsTheFirstConfig) {
+  const auto s = small_space();
+  Incumbent best;
+  EvaluationResult r;
+  r.objective = 2.0;
+  EXPECT_TRUE(best.offer(s.snap({1, 1}), r));
+  EXPECT_FALSE(best.offer(s.snap({2, 2}), r));
+  EXPECT_EQ(*best.config(), s.snap({1, 1}));
+  EXPECT_EQ(best.value(), 2.0);
+}
+
+TEST(Incumbent, InvalidOrNaNNeverBecomesBest) {
+  const auto s = small_space();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Incumbent best;
+  EXPECT_FALSE(best.offer(s.snap({1, 1}), EvaluationResult::infeasible()));
+  EXPECT_FALSE(best.offer(s.snap({1, 1}), -1.0, /*valid=*/false));
+  EXPECT_FALSE(best.offer(s.snap({1, 1}), nan, true));
+  EXPECT_FALSE(best.config().has_value());
+  EXPECT_TRUE(std::isinf(best.value()));
+
+  EXPECT_TRUE(best.offer(s.snap({2, 2}), 7.0, true));
+  EXPECT_FALSE(best.offer(s.snap({3, 3}), nan, true));
+  EXPECT_FALSE(best.offer(s.snap({3, 3}), 1.0, false));
+  EXPECT_EQ(*best.config(), s.snap({2, 2}));
+  EXPECT_EQ(best.value(), 7.0);
 }
 
 }  // namespace

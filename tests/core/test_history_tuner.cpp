@@ -67,8 +67,9 @@ TEST(History, TracksBest) {
   h.record(s.snap({1}), eval_of(5), false);
   h.record(s.snap({2}), eval_of(3), false);
   h.record(s.snap({3}), eval_of(4), false);
-  EXPECT_DOUBLE_EQ(h.best_objective(), 3.0);
-  EXPECT_EQ(std::get<std::int64_t>(h.best_config()->values[0]), 2);
+  ASSERT_NE(h.best(), nullptr);
+  EXPECT_DOUBLE_EQ(h.best()->result.objective, 3.0);
+  EXPECT_EQ(std::get<std::int64_t>(h.best()->config.values[0]), 2);
 }
 
 TEST(History, BestAfterPrefix) {
@@ -86,9 +87,10 @@ TEST(History, InvalidResultsNeverBecomeBest) {
   const auto s = line_space(10);
   History h(s);
   h.record(s.snap({1}), EvaluationResult::infeasible(), false);
-  EXPECT_FALSE(h.best_config().has_value());
+  EXPECT_EQ(h.best(), nullptr);
   h.record(s.snap({2}), eval_of(7), false);
-  EXPECT_DOUBLE_EQ(h.best_objective(), 7.0);
+  ASSERT_NE(h.best(), nullptr);
+  EXPECT_DOUBLE_EQ(h.best()->result.objective, 7.0);
 }
 
 TEST(History, ImprovementTraceListsChangedParams) {

@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -180,6 +181,32 @@ TEST(Protocol, DecodeParamRoundtripReal) {
   ASSERT_TRUE(decoded.has_value());
   EXPECT_DOUBLE_EQ(decoded->real_lo(), -1.5);
   EXPECT_DOUBLE_EQ(decoded->real_hi(), 3.5);
+}
+
+// REAL values cross the wire as the very doubles the server holds: a client
+// that decodes a CONFIG line evaluates the point History records, and a
+// PARAM line's bounds survive registration unrounded.
+TEST(Protocol, RealValuesRoundTripExactly) {
+  const double lo = 1.0 / 3.0;
+  const double hi = 1.2345678901;
+  const auto p = Parameter::Real("alpha", lo, hi);
+  const std::string line = proto::encode_param(p);
+  proto::MessageView m;
+  ASSERT_TRUE(proto::parse_line(line, m));
+  const auto param = proto::decode_param(m);
+  ASSERT_TRUE(param.has_value());
+  EXPECT_EQ(param->real_lo(), lo);  // bitwise
+  EXPECT_EQ(param->real_hi(), hi);
+
+  ParamSpace s;
+  s.add(p);
+  for (const double v : {lo, hi, 0.1 + 0.7, 2.0 / 3.0}) {
+    Config c;
+    c.values.emplace_back(v);
+    const auto decoded = decode_config_fields(s, proto::encode_config(s, c));
+    ASSERT_TRUE(decoded.has_value()) << proto::encode_config(s, c);
+    EXPECT_EQ(std::get<double>(decoded->values[0]), v);  // bitwise
+  }
 }
 
 TEST(Protocol, DecodeParamMalformedFails) {

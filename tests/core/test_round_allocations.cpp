@@ -4,14 +4,16 @@
 // offline POP tuning runs per proposal. A counting global operator new
 // measures heap allocations per proposal after warm-up, and each count is
 // pinned below an upper bound, so an allocation that creeps back into
-// NelderMead::report or the controller round fails here. The by-name metric
-// records the server makes per request are pinned at zero the same way.
+// NelderMead::report or the controller round fails here. The server's
+// REPORT+FETCH request path and the by-name metric records it makes are
+// pinned the same way.
 //
 // This file replaces the global operator new, so it is its own executable.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -20,6 +22,8 @@
 
 #include "core/controller.hpp"
 #include "core/nelder_mead.hpp"
+#include "core/server.hpp"
+#include "core/server_session.hpp"
 #include "minipop/pop_params.hpp"
 #include "obs/metrics.hpp"
 
@@ -53,9 +57,11 @@ using harmony::ParamSpace;
 // round measures about 3.3: the proposal's Config and its one-element
 // batch, and per miss the backend's outcome vector and the cached key
 // (22 slots spill PointKey's inline storage), plus the amortized growth of
-// the cache and History.
+// the cache and History. A server request measures 2.0002: two per
+// request (see ServerRequestPerReportFetch) plus History's growth.
 constexpr double kReportBound = 0.01;
 constexpr double kRoundBound = 4.0;
+constexpr double kServerRequestBound = 2.001;
 
 ParamSpace pop_space() {
   ParamSpace space;
@@ -129,6 +135,42 @@ TEST(RoundAllocations, ControllerRoundPerProposal) {
       static_cast<double>(allocations) / static_cast<double>(r.proposals);
   RecordProperty("round_allocs_per_proposal", std::to_string(per_proposal));
   EXPECT_LE(per_proposal, kRoundBound);
+}
+
+// The server's steady request path on a socket-free ServerConnection: one
+// REPORT+FETCH reports the pending candidate and encodes the next. The
+// controller's incumbent and pending proposal are read by reference, so two
+// allocations remain per request: the random strategy's new proposal Config
+// and the std::function that SessionHandle::update builds to publish the
+// round. Rising values never improve the incumbent, so the live-status board
+// reformats nothing.
+TEST(RoundAllocations, ServerRequestPerReportFetch) {
+  const harmony::ServerOptions opts;
+  harmony::ServerConnection conn(opts, 1);
+  std::string out;
+  for (const char* line :
+       {"HELLO alloc", "PARAM INT a 1 64 1", "PARAM INT b 1 64 1", "PARAM INT c 1 64 1",
+        "STRATEGY random samples=100000", "START 100000", "FETCH"}) {
+    out.clear();
+    ASSERT_TRUE(conn.handle_line(line, out));
+    ASSERT_NE(out.substr(0, 3), "ERR") << line << ": " << out;
+  }
+  constexpr int kWarmup = 2000;
+  constexpr int kMeasured = 20000;
+  char line[64];
+  std::size_t before = 0;
+  for (int i = 0; i < kWarmup + kMeasured; ++i) {
+    if (i == kWarmup) before = g_allocations;
+    const int n = std::snprintf(line, sizeof(line), "REPORT+FETCH %d", i + 1);
+    out.clear();
+    (void)conn.handle_line(std::string_view(line, static_cast<std::size_t>(n)), out);
+  }
+  const double per_request =
+      static_cast<double>(g_allocations - before) / kMeasured;
+  ASSERT_EQ(out.substr(0, 7), "CONFIG ");
+  ASSERT_EQ(conn.roundtrips(), kWarmup + kMeasured);
+  RecordProperty("server_allocs_per_request", std::to_string(per_request));
+  EXPECT_LE(per_request, kServerRequestBound);
 }
 
 // Metric records, as the server's request path makes them with observability

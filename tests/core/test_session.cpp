@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "core/random_search.hpp"
 
 namespace {
@@ -133,6 +137,37 @@ TEST(Session, FetchCountAndAppName) {
   ASSERT_TRUE(session.fetch());
   session.report(1.0);
   EXPECT_EQ(session.fetches(), 2);
+}
+
+// Session reports the controller's incumbent: nothing before a valid
+// report, then the first configuration with the lowest reported value, which
+// the bound variable holds once tuning ends.
+TEST(Session, BestIsTheControllerIncumbent) {
+  Session session("app");
+  std::int64_t x = -1;
+  session.add_int("x", 0, 20, 1, &x);
+  session.set_strategy([](const harmony::ParamSpace& space) {
+    return std::make_unique<RandomSearch>(space, 6, 3);
+  });
+  ASSERT_TRUE(session.fetch());
+  EXPECT_FALSE(session.best().has_value());
+  EXPECT_TRUE(std::isinf(session.best_performance()));
+  session.report(std::numeric_limits<double>::quiet_NaN());  // invalid
+  EXPECT_FALSE(session.best().has_value());
+  EXPECT_TRUE(std::isinf(session.best_performance()));
+
+  const std::vector<double> values = {4.0, 2.0, 3.0, 2.0, 5.0};
+  std::int64_t want = -1;
+  for (const double v : values) {
+    ASSERT_TRUE(session.fetch());
+    if (v == 2.0 && want < 0) want = x;
+    session.report(v);
+  }
+  EXPECT_FALSE(session.fetch());
+  ASSERT_TRUE(session.best().has_value());
+  EXPECT_EQ(std::get<std::int64_t>(session.best()->values[0]), want);
+  EXPECT_EQ(session.best_performance(), 2.0);
+  EXPECT_EQ(x, want);
 }
 
 }  // namespace

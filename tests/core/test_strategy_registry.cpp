@@ -216,6 +216,31 @@ TEST(StrategyRegistry, EveryStrategyBatchesAtItsWidthAndReplaysOnAPool) {
   }
 }
 
+// Every strategy's incumbent (BatchSearchStrategy::best) and the
+// controller's (History's) follow the same rule over the same reports, so a
+// run ends with both on the same objective and configuration.
+TEST(Incumbent, EveryRegistryStrategyMatchesTheController) {
+  const auto space = small_space();
+  const harmony::Evaluator evaluate = [&](const Config& c) {
+    harmony::EvaluationResult r;
+    const double x = static_cast<double>(space.get_int(c, "x")) - 5.0;
+    const double y = static_cast<double>(space.get_int(c, "y")) - 11.0;
+    r.objective = x * x + 2 * y * y + 1;
+    return r;
+  };
+  for (const auto& name : StrategyRegistry::names()) {
+    harmony::EvalCache cache(space);
+    harmony::SearchController controller(space, {40, 40 * 64 + 256}, {}, nullptr,
+                                         &cache);
+    harmony::SerialEvalBackend backend(evaluate);
+    auto strategy = StrategyRegistry::make_batch(name, space);
+    const auto out = controller.run(*strategy, backend);
+    ASSERT_TRUE(out.best.has_value()) << name;
+    EXPECT_EQ(strategy->best_objective(), out.best_objective) << name;
+    EXPECT_EQ(strategy->best(), out.best) << name;
+  }
+}
+
 TEST(StrategyRegistry, OptionsReachTheStrategy) {
   const auto space = small_space();
   // A random search limited to 3 samples proposes exactly 3 configurations.

@@ -102,7 +102,9 @@ void expect_identical_histories(const History& serial, const History& parallel) 
     EXPECT_EQ(a.result.objective, b.result.objective) << "entry " << i;  // bitwise
     EXPECT_EQ(a.result.metrics, b.result.metrics) << "entry " << i;
   }
-  EXPECT_EQ(serial.best_objective(), parallel.best_objective());
+  ASSERT_NE(serial.best(), nullptr);
+  ASSERT_NE(parallel.best(), nullptr);
+  EXPECT_EQ(serial.best()->result.objective, parallel.best()->result.objective);
 }
 
 // ---- Determinism guard: pool size 1 must replay the serial loop exactly ----

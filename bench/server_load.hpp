@@ -74,6 +74,45 @@ struct ClientStats {
   std::vector<double> latency_ms;  // one sample per protocol request
 };
 
+/// Non-blocking drain of a connection's wbuf; false on connection error.
+template <typename Conn>
+bool flush_output(Conn& c) {
+  while (!c.wbuf.empty()) {
+    const auto n = ::send(c.sock.fd(), c.wbuf.data(), c.wbuf.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      c.wbuf.erase(0, static_cast<std::size_t>(n));
+      continue;
+    }
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+  return true;
+}
+
+/// Read what a connection's socket holds, at most `budget` bytes, and hand
+/// its complete reply lines to `c.handle_line` until `c.done`. False on EOF,
+/// a socket error or a line past net::kMaxLineBytes.
+template <typename Conn>
+bool drain_input(Conn& c,
+                 std::size_t budget = std::numeric_limits<std::size_t>::max()) {
+  char chunk[16384];
+  while (budget > 0) {
+    const auto n = ::recv(c.sock.fd(), chunk, std::min(budget, sizeof(chunk)), 0);
+    if (n > 0) {
+      c.rbuf.append({chunk, static_cast<std::size_t>(n)});
+      budget -= static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    return false;  // EOF or hard error
+  }
+  while (!c.done) {
+    const auto line = c.rbuf.pop_line();
+    if (!line) return !c.rbuf.overflowed();
+    c.handle_line(*line);
+  }
+  return true;
+}
+
 /// One multiplexed pipelined connection: non-blocking socket, a window of
 /// REPORT+FETCH lines in flight, replies consumed in order. run_mux_driver
 /// runs many of these off a single poll() loop.
@@ -83,8 +122,7 @@ struct MuxConn {
   int evals = 0;
   int window = 0;
   double trace_sample = 0.0;
-  std::string rbuf;
-  std::size_t rpos = 0;
+  net::LineBuffer rbuf;
   std::string wbuf;
   std::deque<LoadClock::time_point> inflight;
   int setup_replies = 5;  // 4x OK + the first CONFIG
@@ -124,20 +162,6 @@ struct MuxConn {
     }
   }
 
-  /// Non-blocking drain of wbuf; false on connection error.
-  bool flush() {
-    while (!wbuf.empty()) {
-      const auto n = ::send(sock.fd(), wbuf.data(), wbuf.size(), MSG_NOSIGNAL);
-      if (n > 0) {
-        wbuf.erase(0, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-      return false;
-    }
-    return true;
-  }
-
   void handle_line(std::string_view line) {
     if (line.rfind("ERR", 0) == 0) {
       done = true;
@@ -163,30 +187,6 @@ struct MuxConn {
       done = true;
     }
   }
-
-  /// Consume readable bytes and process complete lines; false on EOF/error.
-  bool drain_input() {
-    char chunk[16384];
-    for (;;) {
-      const auto n = ::recv(sock.fd(), chunk, sizeof(chunk), 0);
-      if (n > 0) {
-        rbuf.append(chunk, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      return false;  // EOF or hard error
-    }
-    std::size_t nl;
-    while (!done && (nl = rbuf.find('\n', rpos)) != std::string::npos) {
-      handle_line(std::string_view(rbuf).substr(rpos, nl - rpos));
-      rpos = nl + 1;
-    }
-    if (rpos == rbuf.size()) {
-      rbuf.clear();
-      rpos = 0;
-    }
-    return true;
-  }
 };
 
 /// Drive a set of pipelined connections from one thread with poll().
@@ -198,7 +198,7 @@ inline void run_mux_driver(int port, std::vector<MuxConn*> conns) {
     for (auto* c : conns) {
       if (c->done && c->wbuf.empty()) continue;
       c->fill_window();
-      if (!c->flush()) {
+      if (!flush_output(*c)) {
         c->done = true;
         c->wbuf.clear();
         continue;
@@ -217,7 +217,7 @@ inline void run_mux_driver(int port, std::vector<MuxConn*> conns) {
       if (c->done && c->wbuf.empty()) continue;
       const auto re = fds[i++].revents;
       if ((re & (POLLERR | POLLHUP)) != 0 ||
-          ((re & POLLIN) != 0 && !c->drain_input())) {
+          ((re & POLLIN) != 0 && !drain_input(*c))) {
         c->done = true;
         c->wbuf.clear();
       }
@@ -362,12 +362,11 @@ struct StormConn {
   int sessions_left = 1;
   int sessions_done = 0;
   std::string tenant;  ///< "" = no TENANT line
-  bool slow = false;
-  std::size_t slow_read_bytes = 256;
+  /// Bytes read per readable event: all there are, or a slow reader's few.
+  std::size_t read_budget = std::numeric_limits<std::size_t>::max();
 
   net::Socket sock;
-  std::string rbuf;
-  std::size_t rpos = 0;
+  net::LineBuffer rbuf;
   std::string wbuf;
   struct Flight {
     int lines;
@@ -380,8 +379,7 @@ struct StormConn {
   bool done = false;
 
   void begin() {
-    rbuf.clear();
-    rpos = 0;
+    rbuf = net::LineBuffer{};
     wbuf.clear();
     inflight.clear();
     sent = got = 0;
@@ -420,19 +418,6 @@ struct StormConn {
     }
   }
 
-  bool flush() {
-    while (!wbuf.empty()) {
-      const auto n = ::send(sock.fd(), wbuf.data(), wbuf.size(), MSG_NOSIGNAL);
-      if (n > 0) {
-        wbuf.erase(0, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-      return false;
-    }
-    return true;
-  }
-
   void handle_line(std::string_view line) {
     if (line.rfind("ERR", 0) == 0) {
       done = true;
@@ -456,33 +441,6 @@ struct StormConn {
       done = true;
     }
   }
-
-  bool drain_input() {
-    char chunk[16384];
-    std::size_t budget =
-        slow ? slow_read_bytes : std::numeric_limits<std::size_t>::max();
-    while (budget > 0) {
-      const std::size_t want = std::min(budget, sizeof(chunk));
-      const auto n = ::recv(sock.fd(), chunk, want, 0);
-      if (n > 0) {
-        rbuf.append(chunk, static_cast<std::size_t>(n));
-        budget -= static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      return false;  // EOF or hard error
-    }
-    std::size_t nl;
-    while (!done && (nl = rbuf.find('\n', rpos)) != std::string::npos) {
-      handle_line(std::string_view(rbuf).substr(rpos, nl - rpos));
-      rpos = nl + 1;
-    }
-    if (rpos == rbuf.size()) {
-      rbuf.clear();
-      rpos = 0;
-    }
-    return true;
-  }
 };
 
 /// Drive a set of storm slots from one thread with poll(), respawning each
@@ -504,7 +462,7 @@ inline void run_storm_driver(int port, std::vector<StormConn*> conns) {
     for (auto* c : conns) {
       if (c->done) {
         if (!c->wbuf.empty()) {  // best-effort BYE
-          (void)c->flush();
+          (void)flush_output(*c);
           c->wbuf.clear();
         }
         if (c->sessions_left > 0) --c->sessions_left;
@@ -516,7 +474,7 @@ inline void run_storm_driver(int port, std::vector<StormConn*> conns) {
         }
       }
       c->fill_window();
-      if (!c->flush()) {
+      if (!flush_output(*c)) {
         c->done = true;
         c->wbuf.clear();
         continue;
@@ -533,7 +491,7 @@ inline void run_storm_driver(int port, std::vector<StormConn*> conns) {
       StormConn* c = polled[i];
       const auto re = fds[i].revents;
       if ((re & (POLLERR | POLLHUP)) != 0 ||
-          ((re & POLLIN) != 0 && !c->drain_input())) {
+          ((re & POLLIN) != 0 && !drain_input(*c, c->read_budget))) {
         c->done = true;
         c->wbuf.clear();
         c->sessions_left = 0;
@@ -589,8 +547,9 @@ inline LoadResult run_storm(const StormOptions& opt) {
       tenant += std::to_string(i % static_cast<std::size_t>(o.tenants));
       conns[i].tenant = std::move(tenant);
     }
-    conns[i].slow = o.slow_every > 0 && (i + 1) % static_cast<std::size_t>(o.slow_every) == 0;
-    conns[i].slow_read_bytes = o.slow_read_bytes;
+    if (o.slow_every > 0 && (i + 1) % static_cast<std::size_t>(o.slow_every) == 0) {
+      conns[i].read_budget = o.slow_read_bytes;
+    }
   }
   const int drivers = std::clamp(o.drivers, 1, o.sessions);
   std::vector<std::vector<StormConn*>> assigned(static_cast<std::size_t>(drivers));

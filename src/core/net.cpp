@@ -78,48 +78,76 @@ std::optional<std::string> LineReader::read_line() {
 }
 
 bool LineReader::read_line(std::string& out) {
+  constexpr std::size_t kChunk = 4096;
   out.clear();
-  if (overflowed_) return false;  // poisoned: stream no longer framed
   while (true) {
-    const auto pos = buffer_.find('\n', head_);
-    if (pos != std::string::npos) {
-      if (max_line_ != 0 && pos - head_ > max_line_) {
-        overflowed_ = true;
-        buffer_.clear();
-        head_ = 0;
-        return false;
-      }
-      std::size_t len = pos - head_;
-      if (len > 0 && buffer_[head_ + len - 1] == '\r') --len;
-      out.assign(buffer_, head_, len);
-      head_ = pos + 1;
-      // Compact lazily: drop the consumed prefix only once everything
-      // buffered has been handed out, so pipelined bursts stay O(bytes).
-      if (head_ == buffer_.size()) {
-        buffer_.clear();
-        head_ = 0;
-      }
+    if (const auto line = buffer_.pop_line()) {
+      out.assign(*line);
       return true;
     }
-    if (head_ > 0) {
-      buffer_.erase(0, head_);
-      head_ = 0;
-    }
-    // No terminator buffered yet: refuse to accumulate past the limit.
-    if (max_line_ != 0 && buffer_.size() > max_line_) {
-      overflowed_ = true;
-      buffer_.clear();
-      return false;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(socket_->fd(), chunk, sizeof(chunk), 0);
+    if (buffer_.overflowed()) return false;
+    const ssize_t n = ::recv(socket_->fd(), buffer_.prepare(kChunk), kChunk, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
     if (n == 0) return false;  // peer closed
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+    buffer_.commit(static_cast<std::size_t>(n));
   }
+}
+
+char* LineBuffer::prepare(std::size_t n) {
+  if (buf_.size() - end_ < n) {
+    // Compact the consumed prefix first; grow only if that is not enough.
+    if (head_ > 0) {
+      std::memmove(buf_.data(), buf_.data() + head_, end_ - head_);
+      end_ -= head_;
+      scan_ -= head_;
+      head_ = 0;
+    }
+    if (buf_.size() - end_ < n) buf_.resize(std::max(end_ + n, 2 * buf_.size()));
+  }
+  return buf_.data() + end_;
+}
+
+void LineBuffer::append(std::string_view bytes) {
+  if (bytes.empty() || overflowed_) return;
+  std::memcpy(prepare(bytes.size()), bytes.data(), bytes.size());
+  commit(bytes.size());
+}
+
+std::optional<std::string_view> LineBuffer::pop_line() {
+  const char* base = buf_.data();
+  const char* nl = nullptr;
+  if (scan_ < end_) {
+    nl = static_cast<const char*>(std::memchr(base + scan_, '\n', end_ - scan_));
+  }
+  const std::size_t start = head_;
+  const std::size_t stop = nl != nullptr ? static_cast<std::size_t>(nl - base) : end_;
+  std::size_t len = stop - start;
+  if (len > kMaxLineBytes) {
+    overflowed_ = true;
+    std::vector<char>().swap(buf_);
+    head_ = scan_ = end_ = 0;
+    return std::nullopt;
+  }
+  if (nl == nullptr) {
+    scan_ = end_;
+    return std::nullopt;
+  }
+  head_ = scan_ = stop + 1;
+  if (head_ == end_) head_ = scan_ = end_ = 0;  // drained: reuse from the front
+  if (len > 0 && base[start + len - 1] == '\r') --len;
+  return std::string_view(base + start, len);
+}
+
+void LineBuffer::shrink(std::size_t keep) {
+  if (buf_.size() <= keep || size() > keep) return;
+  buf_ = std::vector<char>(buf_.begin() + static_cast<std::ptrdiff_t>(head_),
+                           buf_.begin() + static_cast<std::ptrdiff_t>(end_));
+  end_ -= head_;
+  scan_ -= head_;
+  head_ = 0;
 }
 
 void ByteRing::append(const char* data, std::size_t n) {

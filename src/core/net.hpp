@@ -59,17 +59,52 @@ class Socket {
   std::atomic<int> fd_{-1};
 };
 
-/// Buffered line reader over a socket. Reassembles lines across partial
-/// reads; `max_line_bytes` bounds a single line so a peer streaming an
-/// unterminated (or overlong) line cannot grow the buffer without limit —
-/// the read fails instead (see overflowed()). 0 disables the limit.
+/// Longest protocol line any peer may send, terminator excluded. A peer
+/// streaming a longer line, terminated or not, poisons its LineBuffer.
+inline constexpr std::size_t kMaxLineBytes = 1 << 20;  // 1 MiB
+
+/// The one stream line framer: every reader of the line protocol appends
+/// received bytes here and pops complete lines. Socket-free. A line ends at
+/// '\n', one trailing '\r' stripped; popped views stay valid until the next
+/// write. A line over kMaxLineBytes, terminated or not, poisons the buffer
+/// for good: its bytes are freed and later input is discarded, since bytes
+/// past an overflow are not a trustworthy stream. The consumed prefix is
+/// compacted away before the buffer grows.
+class LineBuffer {
+ public:
+  /// Writable area of at least `n` bytes past the buffered data, so a
+  /// caller can recv() straight into it; commit() what was written.
+  [[nodiscard]] char* prepare(std::size_t n);
+  void commit(std::size_t n) noexcept {
+    if (!overflowed_) end_ += n;
+  }
+  void append(std::string_view bytes);
+
+  /// The next complete line, or nullopt when none is buffered yet or the
+  /// buffer is poisoned (see overflowed()).
+  [[nodiscard]] std::optional<std::string_view> pop_line();
+
+  [[nodiscard]] bool overflowed() const noexcept { return overflowed_; }
+  /// Bytes buffered but not yet popped.
+  [[nodiscard]] std::size_t size() const noexcept { return end_ - head_; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
+
+  /// Idle-time compaction: when capacity exceeds `keep` and the unpopped
+  /// bytes fit in it, move them into storage of exactly their size.
+  void shrink(std::size_t keep);
+
+ private:
+  std::vector<char> buf_;
+  std::size_t head_ = 0;  ///< first unpopped byte
+  std::size_t scan_ = 0;  ///< [head_, scan_) holds no '\n'
+  std::size_t end_ = 0;   ///< end of the buffered bytes
+  bool overflowed_ = false;
+};
+
+/// Blocking line reader over a socket: a recv() loop around a LineBuffer.
 class LineReader {
  public:
-  static constexpr std::size_t kDefaultMaxLine = 1 << 20;  // 1 MiB
-
-  explicit LineReader(const Socket& s,
-                      std::size_t max_line_bytes = kDefaultMaxLine)
-      : socket_(&s), max_line_(max_line_bytes) {}
+  explicit LineReader(const Socket& s) : socket_(&s) {}
 
   /// Blocking read of the next '\n'-terminated line (terminator stripped).
   /// nullopt on EOF, error, or when the line limit is exceeded.
@@ -80,19 +115,13 @@ class LineReader {
   /// empty).
   [[nodiscard]] bool read_line(std::string& out);
 
-  /// True once a read failed because a line exceeded max_line_bytes. The
-  /// reader is poisoned from then on: callers should drop the connection
-  /// (buffered bytes past the overflow are not a trustworthy stream).
-  [[nodiscard]] bool overflowed() const noexcept { return overflowed_; }
-
-  [[nodiscard]] std::size_t max_line_bytes() const noexcept { return max_line_; }
+  /// True once a read failed because a line exceeded kMaxLineBytes. The
+  /// reader is poisoned from then on: callers should drop the connection.
+  [[nodiscard]] bool overflowed() const noexcept { return buffer_.overflowed(); }
 
  private:
   const Socket* socket_;
-  std::size_t max_line_;
-  bool overflowed_ = false;
-  std::string buffer_;
-  std::size_t head_ = 0;  ///< consumed prefix of buffer_ (compacted lazily)
+  LineBuffer buffer_;
 };
 
 /// Growable circular byte queue holding a connection's pending output.

@@ -45,8 +45,7 @@ struct TuningServer::LoopShard {
 
     net::Socket sock;
     const int gen;          ///< session number; guards pushes against fd reuse
-    std::string rbuf;       ///< inbound bytes; lines are parsed in place
-    std::size_t rpos = 0;   ///< consumed prefix of rbuf
+    net::LineBuffer rbuf;   ///< inbound bytes; lines are parsed in place
     net::ByteRing wbuf;     ///< outbound bytes awaiting the socket
     std::string reply;      ///< per-burst reply scratch (capacity reused)
     ServerConnection session;
@@ -189,7 +188,7 @@ void TuningServer::LoopShard::on_tick() {
   for (auto& entry : conns) {
     Conn& c = *entry.second;
     c.wbuf.shrink(kBufferKeepBytes);
-    if (c.rbuf.empty() && c.rbuf.capacity() > kBufferKeepBytes) c.rbuf.shrink_to_fit();
+    c.rbuf.shrink(kBufferKeepBytes);
   }
 }
 
@@ -250,7 +249,7 @@ bool TuningServer::LoopShard::read_input(Conn& c) {
     const ssize_t n = ::recv(c.sock.fd(), chunk, sizeof(chunk), 0);
     if (n > 0) {
       obs::count<"net.bytes_in">(static_cast<std::uint64_t>(n));
-      c.rbuf.append(chunk, static_cast<std::size_t>(n));
+      c.rbuf.append({chunk, static_cast<std::size_t>(n)});
       ingested += static_cast<std::size_t>(n);
       c.last_activity = wheel.now();
       continue;
@@ -265,41 +264,23 @@ bool TuningServer::LoopShard::read_input(Conn& c) {
 }
 
 void TuningServer::LoopShard::process_lines(Conn& c) {
-  const std::size_t max_line = server->opts_.max_line_bytes;
   c.reply.clear();
   while (!c.closing) {
-    const auto pos = c.rbuf.find('\n', c.rpos);
-    const bool unterminated = pos == std::string::npos;
-    const std::size_t len = unterminated ? c.rbuf.size() - c.rpos : pos - c.rpos;
-    if (max_line != 0 && len > max_line) {
-      // Same poisoned-overflow semantics as net::LineReader: answer once,
-      // then drop the connection — bytes past the overflow are not a
-      // trustworthy stream.
-      obs::log_warn("server", "line limit exceeded, disconnecting",
-                    c.session.session_id());
-      c.reply.append("ERR line too long\n");
-      c.closing = true;
+    const auto line = c.rbuf.pop_line();
+    if (!line) {
+      if (c.rbuf.overflowed()) {
+        obs::log_warn("server", "line limit exceeded, disconnecting",
+                      c.session.session_id());
+        c.reply.append("ERR line too long\n");
+        c.closing = true;
+      }
       break;
     }
-    if (unterminated) break;
-    std::size_t line_len = len;
-    if (line_len > 0 && c.rbuf[c.rpos + line_len - 1] == '\r') --line_len;
-    const std::string_view line(c.rbuf.data() + c.rpos, line_len);
-    c.rpos = pos + 1;
-    if (!c.session.handle_line(line, c.reply)) c.closing = true;
+    if (!c.session.handle_line(*line, c.reply)) c.closing = true;
   }
   if (!c.reply.empty()) {
     queue_out(c, c.reply);
     c.reply.clear();
-  }
-  // Compact: drop the consumed prefix once fully drained (cheap, keeps the
-  // buffer's capacity) or when the dead prefix outgrows the live tail.
-  if (c.rpos == c.rbuf.size()) {
-    c.rbuf.clear();
-    c.rpos = 0;
-  } else if (c.rpos > 64 * 1024 && c.rpos > c.rbuf.size() / 2) {
-    c.rbuf.erase(0, c.rpos);
-    c.rpos = 0;
   }
 }
 

@@ -13,11 +13,13 @@
 /// against per-application adapters like AppLeS (Section VIII).
 ///
 /// Connections are served by N net::EventLoop reactor threads that
-/// multiplex them over epoll: non-blocking sockets, per-connection read
-/// buffers and ByteRing write queues flushed with vectored writes. Verbs
-/// arriving back-to-back (pipelined clients) are answered in order from one
-/// readable burst, so the steady-state cost per evaluation is one round trip
-/// and a couple of syscalls regardless of client count. Each connection runs
+/// multiplex them over epoll: non-blocking sockets, per-connection
+/// net::LineBuffer read buffers and ByteRing write queues flushed with
+/// vectored writes. A line longer than net::kMaxLineBytes is answered
+/// `ERR line too long` and the connection closed. Verbs arriving
+/// back-to-back (pipelined clients) are answered in order from one readable
+/// burst, so the steady-state cost per evaluation is one round trip and a
+/// couple of syscalls regardless of client count. Each connection runs
 /// the protocol state machine in ServerConnection (server_session.hpp), and
 /// the server is live-introspectable via the STATUS / METRICS / LOG verbs —
 /// see protocol.hpp and examples/harmony_top.cpp.
@@ -37,11 +39,6 @@ class WorkSink;  // work_sink.hpp — fleet dispatcher seam
 
 struct ServerOptions {
   int port = 0;  ///< 0 = pick an ephemeral port
-
-  /// Per-connection cap on one protocol line; a client streaming an
-  /// unterminated line beyond this is disconnected instead of growing the
-  /// server's read buffer without bound (see net::LineReader).
-  std::size_t max_line_bytes = 1 << 20;
 
   /// Number of epoll reactor threads serving connections (clamped to >= 1).
   int reactor_threads = 2;

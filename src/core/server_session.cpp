@@ -78,25 +78,32 @@ void ServerConnection::publish(const char* phase_override) {
   // Reformat the incumbent only when it improved: the steady-state REPORT
   // path then updates two integers under the slot lock instead of
   // re-rendering strings every round trip.
-  const HistoryEntry* best = controller_ ? controller_->best() : nullptr;
-  const bool best_moved =
-      best != nullptr && best->result.objective != published_best_;
-  status_.update([&](obs::SessionStatus& s) {
+  const HistoryEntry* moved = controller_ ? controller_->best() : nullptr;
+  if (moved != nullptr && moved->result.objective == published_best_) {
+    moved = nullptr;
+  }
+  const char* phase = "registering";
+  if (phase_override != nullptr) {
+    phase = phase_override;
+  } else if (search_) {
     const auto* nm = dynamic_cast<const NelderMead*>(search_.get());
-    s.phase = phase_override != nullptr
-                  ? phase_override
-                  : (search_ ? (nm != nullptr ? nm->phase_name() : "searching")
-                             : "registering");
+    phase = nm != nullptr ? nm->phase_name() : "searching";
+  }
+  // Two captures keep the closure inside std::function's inline buffer, so
+  // publishing a round does not allocate.
+  const std::pair round{phase, moved};
+  status_.update([this, &round](obs::SessionStatus& s) {
+    s.phase = round.first;
     s.iterations = static_cast<std::uint64_t>(roundtrips_);
     if (search_) {
       s.strategy = search_->name();
-      if (best_moved) {
-        s.best_value = best->result.objective;
-        s.best_config = space_.format(best->config);
+      if (round.second != nullptr) {
+        s.best_value = round.second->result.objective;
+        s.best_config = space_.format(round.second->config);
       }
     }
   });
-  if (best_moved) published_best_ = best->result.objective;
+  if (moved != nullptr) published_best_ = moved->result.objective;
 }
 
 void ServerConnection::append_fetch_reply(std::string& out) {

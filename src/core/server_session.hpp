@@ -11,11 +11,9 @@
 /// zero-copy proto::MessageView tokenizer (scratch reused per connection),
 /// read the controller's incumbent and pending proposal by reference, and
 /// encode through the append-into-buffer proto::encode_config. A steady
-/// REPORT+FETCH then allocates twice: the strategy's new proposal Config
-/// and the std::function that SessionHandle::update builds to publish the
-/// round (RoundAllocations.ServerRequestPerReportFetch bounds it at 2.0),
-/// plus a reformatted config on the live-status board when the incumbent
-/// improves.
+/// REPORT+FETCH then allocates once, for the strategy's new proposal Config
+/// (RoundAllocations.ServerRequestPerReportFetch bounds it at 1.0), plus a
+/// reformatted config on the live-status board when the incumbent improves.
 
 #include <chrono>
 #include <cstdint>

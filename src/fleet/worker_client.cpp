@@ -135,27 +135,20 @@ bool WorkerClient::run(int port, const ParamSpace& space, const ShortRunFn& fn,
     }
   }
 
-  // Hand-rolled read loop (instead of LineReader) so idle periods can time
-  // out into PING heartbeats even while complete lines may be buffered.
-  std::string buf;
-  std::size_t head = 0;
+  // A poll() loop rather than LineReader, so idle periods time out into
+  // PING heartbeats.
+  net::LineBuffer buf;
   const int idle_ms = opts_.heartbeat.count() > 0
                           ? static_cast<int>(opts_.heartbeat.count())
                           : -1;
   while (!stop_.load(std::memory_order_relaxed)) {
-    const auto pos = buf.find('\n', head);
-    if (pos != std::string::npos) {
-      std::size_t len = pos - head;
-      if (len > 0 && buf[head + len - 1] == '\r') --len;
-      const std::string_view line(buf.data() + head, len);
-      const bool keep = handle_line(line, space, fn, steps);
-      head = pos + 1;
-      if (!keep) break;
+    if (const auto line = buf.pop_line()) {
+      if (!handle_line(*line, space, fn, steps)) break;
       continue;
     }
-    if (head > 0) {
-      buf.erase(0, head);
-      head = 0;
+    if (buf.overflowed()) {
+      error_ = "line too long";
+      break;
     }
     pollfd pfd{};
     pfd.fd = socket_.fd();
@@ -170,10 +163,10 @@ bool WorkerClient::run(int port, const ParamSpace& space, const ShortRunFn& fn,
       if (!socket_.send_all(std::string_view("PING\n"))) break;
       continue;
     }
-    char chunk[4096];
-    const ssize_t n = ::recv(socket_.fd(), chunk, sizeof(chunk), 0);
+    constexpr std::size_t kChunk = 4096;
+    const ssize_t n = ::recv(socket_.fd(), buf.prepare(kChunk), kChunk, 0);
     if (n > 0) {
-      buf.append(chunk, static_cast<std::size_t>(n));
+      buf.commit(static_cast<std::size_t>(n));
       continue;
     }
     if (n < 0 && errno == EINTR) continue;

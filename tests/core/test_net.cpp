@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 #include <sys/uio.h>
 
+#include <chrono>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 namespace {
 
@@ -135,49 +138,14 @@ TEST(Net, LineReaderRejectsOversizedUnterminatedLine) {
     Socket s = connect_loopback(port);
     // Never send a newline: a well-behaved reader must cap the buffer
     // rather than grow it until the peer stops.
-    ASSERT_TRUE(s.send_all(std::string(4096, 'x')));
+    ASSERT_TRUE(s.send_all(std::string(kMaxLineBytes + 1, 'x')));
     // Hold the connection open so nullopt means "limit", not "peer closed".
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
   });
   Socket conn = accept_connection(lr.socket);
-  LineReader reader(conn, /*max_line_bytes=*/256);
-  EXPECT_EQ(reader.max_line_bytes(), 256u);
+  LineReader reader(conn);
   EXPECT_FALSE(reader.read_line().has_value());
   EXPECT_TRUE(reader.overflowed());
-  client.join();
-}
-
-TEST(Net, LineReaderRejectsOverlongTerminatedLine) {
-  auto lr = listen_loopback(0);
-  std::thread client([port = lr.port] {
-    Socket s = connect_loopback(port);
-    ASSERT_TRUE(s.send_line(std::string(1024, 'y')));
-    ASSERT_TRUE(s.send_line("short"));
-  });
-  Socket conn = accept_connection(lr.socket);
-  LineReader reader(conn, /*max_line_bytes=*/64);
-  EXPECT_FALSE(reader.read_line().has_value());
-  EXPECT_TRUE(reader.overflowed());
-  // The reader is poisoned: even well-formed follow-up lines are refused,
-  // so a server never resynchronizes mid-stream with a flooding client.
-  EXPECT_FALSE(reader.read_line().has_value());
-  EXPECT_TRUE(reader.overflowed());
-  client.join();
-}
-
-TEST(Net, LineReaderZeroLimitMeansUnlimited) {
-  auto lr = listen_loopback(0);
-  const std::string big(1 << 16, 'z');
-  std::thread client([&, port = lr.port] {
-    Socket s = connect_loopback(port);
-    ASSERT_TRUE(s.send_line(big));
-  });
-  Socket conn = accept_connection(lr.socket);
-  LineReader reader(conn, /*max_line_bytes=*/0);
-  const auto line = reader.read_line();
-  ASSERT_TRUE(line.has_value());
-  EXPECT_EQ(line->size(), big.size());
-  EXPECT_FALSE(reader.overflowed());
   client.join();
 }
 
@@ -209,15 +177,130 @@ TEST(Net, LineReaderOutParamOverflowLeavesOutEmpty) {
   auto lr = listen_loopback(0);
   std::thread client([port = lr.port] {
     Socket s = connect_loopback(port);
-    ASSERT_TRUE(s.send_line(std::string(512, 'q')));
+    ASSERT_TRUE(s.send_line(std::string(kMaxLineBytes + 1, 'q')));
   });
   Socket conn = accept_connection(lr.socket);
-  LineReader reader(conn, /*max_line_bytes=*/64);
+  LineReader reader(conn);
   std::string line = "stale contents";
   EXPECT_FALSE(reader.read_line(line));
   EXPECT_TRUE(line.empty());
   EXPECT_TRUE(reader.overflowed());
   client.join();
+}
+
+/// Every line `buf` yields right now.
+std::vector<std::string> pop_all(LineBuffer& buf) {
+  std::vector<std::string> lines;
+  while (const auto line = buf.pop_line()) lines.emplace_back(*line);
+  return lines;
+}
+
+TEST(Net, LineBufferRejectsOverlongTerminatedLine) {
+  LineBuffer buf;
+  buf.append(std::string(kMaxLineBytes + 1, 'y') + "\nshort\n");
+  EXPECT_FALSE(buf.pop_line().has_value());
+  EXPECT_TRUE(buf.overflowed());
+  // The buffer is poisoned: even the well-formed line after the overflow is
+  // refused, so a server never resynchronizes mid-stream with a flooding
+  // client, and the flood's bytes are released.
+  EXPECT_FALSE(buf.pop_line().has_value());
+  EXPECT_EQ(buf.size(), 0u);
+  EXPECT_EQ(buf.capacity(), 0u);
+}
+
+TEST(Net, LineBufferTakesALineOfExactlyTheLimit) {
+  LineBuffer buf;
+  buf.append(std::string(kMaxLineBytes, 'y') + "\n");
+  const auto line = buf.pop_line();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_EQ(line->size(), kMaxLineBytes);
+  EXPECT_FALSE(buf.overflowed());
+}
+
+TEST(Net, LineBufferRejectsOverlongUnterminatedLine) {
+  LineBuffer buf;
+  const std::string chunk(4096, 'x');
+  // Exactly the limit, unterminated, may still become a line...
+  for (std::size_t n = 0; n < kMaxLineBytes; n += chunk.size()) buf.append(chunk);
+  EXPECT_FALSE(buf.pop_line().has_value());
+  EXPECT_FALSE(buf.overflowed());
+  // ...one byte more cannot.
+  buf.append("x");
+  EXPECT_FALSE(buf.pop_line().has_value());
+  EXPECT_TRUE(buf.overflowed());
+}
+
+TEST(Net, LineBufferDiscardsInputAfterOverflow) {
+  LineBuffer buf;
+  buf.append(std::string(kMaxLineBytes + 1, 'z'));
+  EXPECT_FALSE(buf.pop_line().has_value());
+  ASSERT_TRUE(buf.overflowed());
+  buf.append("HELLO late\n");
+  std::memcpy(buf.prepare(4), "BYE\n", 4);
+  buf.commit(4);
+  EXPECT_FALSE(buf.pop_line().has_value());
+  EXPECT_EQ(buf.size(), 0u);
+  EXPECT_TRUE(buf.overflowed());
+}
+
+TEST(Net, LineBufferStripsOneTrailingCarriageReturn) {
+  LineBuffer buf;
+  buf.append("one\r\ntwo\r\r\n\r\nthree\rmid\n");
+  EXPECT_EQ(pop_all(buf),
+            (std::vector<std::string>{"one", "two\r", "", "three\rmid"}));
+}
+
+TEST(Net, LineBufferReassemblesALineSplitAcrossManyAppends) {
+  LineBuffer buf;
+  const std::string traced = "REPORT+FETCH 1.25 T=00000000000000ab-00000000000000cd";
+  std::vector<std::string> lines;
+  for (const char c : traced + "\nBYE\n") {
+    buf.append({&c, 1});
+    for (auto& line : pop_all(buf)) lines.push_back(std::move(line));
+  }
+  EXPECT_EQ(lines, (std::vector<std::string>{traced, "BYE"}));
+  EXPECT_EQ(buf.size(), 0u);
+}
+
+TEST(Net, LineBufferSplitsAPipelinedBurstAndKeepsTheTail) {
+  LineBuffer buf;
+  std::string burst;
+  for (int i = 0; i < 64; ++i) burst += "REPORT+FETCH " + std::to_string(i) + "\n";
+  burst += "REPORT+FE";
+  buf.append(burst);
+  const auto lines = pop_all(buf);
+  ASSERT_EQ(lines.size(), 64u);
+  EXPECT_EQ(lines.front(), "REPORT+FETCH 0");
+  EXPECT_EQ(lines.back(), "REPORT+FETCH 63");
+  EXPECT_EQ(buf.size(), 9u);  // the partial tail waits for its terminator
+  buf.append("TCH 64\n");
+  EXPECT_EQ(pop_all(buf), (std::vector<std::string>{"REPORT+FETCH 64"}));
+}
+
+TEST(Net, LineBufferCompactsInsteadOfGrowingInSteadyState) {
+  LineBuffer buf;
+  buf.append("warm-up line\npartial");
+  ASSERT_TRUE(buf.pop_line().has_value());
+  const auto cap = buf.capacity();
+  // A consumed prefix ahead of a partial line is reclaimed before growth.
+  for (int i = 0; i < 1000; ++i) {
+    buf.append(" tail\nnext partial");
+    ASSERT_TRUE(buf.pop_line().has_value());
+  }
+  EXPECT_LE(buf.capacity(), 2 * cap);
+}
+
+TEST(Net, LineBufferShrinkReleasesBurstCapacity) {
+  LineBuffer buf;
+  buf.append(std::string(64 * 1024, 'b') + "\nkeep");
+  ASSERT_TRUE(buf.pop_line().has_value());
+  ASSERT_GT(buf.capacity(), 16u * 1024);
+  buf.shrink(16 * 1024);
+  EXPECT_EQ(buf.capacity(), 4u);  // exactly the unpopped bytes
+  buf.append("\n");
+  EXPECT_EQ(pop_all(buf), (std::vector<std::string>{"keep"}));
+  buf.shrink(0);
+  EXPECT_EQ(buf.capacity(), 0u);
 }
 
 TEST(Net, ByteRingAppendDrainConsumeWraps) {

@@ -57,11 +57,11 @@ using harmony::ParamSpace;
 // round measures about 3.3: the proposal's Config and its one-element
 // batch, and per miss the backend's outcome vector and the cached key
 // (22 slots spill PointKey's inline storage), plus the amortized growth of
-// the cache and History. A server request measures 2.0002: two per
+// the cache and History. A server request measures 1.0002: one per
 // request (see ServerRequestPerReportFetch) plus History's growth.
 constexpr double kReportBound = 0.01;
 constexpr double kRoundBound = 4.0;
-constexpr double kServerRequestBound = 2.001;
+constexpr double kServerRequestBound = 1.001;
 
 ParamSpace pop_space() {
   ParamSpace space;
@@ -139,11 +139,11 @@ TEST(RoundAllocations, ControllerRoundPerProposal) {
 
 // The server's steady request path on a socket-free ServerConnection: one
 // REPORT+FETCH reports the pending candidate and encodes the next. The
-// controller's incumbent and pending proposal are read by reference, so two
-// allocations remain per request: the random strategy's new proposal Config
-// and the std::function that SessionHandle::update builds to publish the
-// round. Rising values never improve the incumbent, so the live-status board
-// reformats nothing.
+// controller's incumbent and pending proposal are read by reference, and
+// the closure that publishes the round fits std::function's inline buffer,
+// so one allocation remains per request: the random strategy's new proposal
+// Config. Rising values never improve the incumbent, so the live-status
+// board reformats nothing.
 TEST(RoundAllocations, ServerRequestPerReportFetch) {
   const harmony::ServerOptions opts;
   harmony::ServerConnection conn(opts, 1);

@@ -1,7 +1,8 @@
 // WorkerClient idle-heartbeat cadence against a raw accept loop: a fast
 // heartbeat must produce several PING lines while the server stays silent,
 // and heartbeat=0 must disable them entirely. The "server" here is just a
-// loopback listener that answers the ATTACH handshake by hand.
+// loopback listener that answers the ATTACH handshake by hand. The same
+// hand-made server checks that the worker bounds a line from the server.
 
 #include "fleet/worker_client.hpp"
 
@@ -124,6 +125,27 @@ TEST(WorkerHeartbeat, ZeroHeartbeatDisablesPings) {
   }
   runner.join();
   EXPECT_EQ(worker.worker_id(), 1u);
+}
+
+TEST(WorkerClient, OverlongLineFromServerEndsRun) {
+  const auto space = one_param_space();
+  auto lr = net::listen_loopback(0);
+  ASSERT_TRUE(lr.socket.valid());
+
+  fleet::WorkerClientOptions opts;
+  opts.name = "synthetic";
+  opts.heartbeat = std::chrono::milliseconds(0);
+  fleet::WorkerClient worker(opts);
+  std::thread server([&] {
+    net::Socket conn = accept_and_attach(lr.socket, "synthetic");
+    // No terminator: the worker must give up at the limit instead of
+    // buffering the stream until the server closes.
+    EXPECT_TRUE(conn.send_all(std::string(net::kMaxLineBytes + 1, 'x')));
+  });
+  EXPECT_TRUE(worker.run(lr.port, space, never_run, 1));  // attached, then cut off
+  server.join();
+  EXPECT_EQ(worker.worker_id(), 1u);
+  EXPECT_EQ(worker.last_error(), "line too long");
 }
 
 }  // namespace
